@@ -350,6 +350,29 @@ pub(crate) fn absorb_batch(
     }
 }
 
+/// Records a campaign fabric's PDN telemetry, and its defense telemetry
+/// when a defense is deployed, as `pdn.*` / `defense.*` gauges and
+/// counters — the one definition every campaign runner shares, so the
+/// metric names and their order are the same on every path.
+pub(crate) fn record_fabric_telemetry(fabric: &MultiTenantFabric, obs: &Obs) {
+    if !obs.enabled() {
+        return;
+    }
+    let t = fabric.pdn_telemetry();
+    obs.gauge("pdn.v_min", t.v_min);
+    obs.gauge("pdn.v_max", t.v_max);
+    obs.gauge("pdn.settled_streak", t.settled_streak as f64);
+    if let Some(d) = fabric.defense_telemetry() {
+        obs.gauge("defense.injected_max_a", d.injected_max_a);
+        obs.gauge("defense.injected_mean_a", d.injected_mean_a());
+        obs.gauge("defense.detector_max_score", d.max_score);
+        obs.add("defense.windows", d.windows);
+        obs.add("defense.alarm_windows", d.alarm_windows);
+        obs.add("defense.alarm_events", d.alarm_events);
+        obs.add("defense.jitter_cycles", d.jitter_cycles);
+    }
+}
+
 /// Turns finished accumulators and their progress curves into a
 /// [`CpaResult`]: picks the best single-bit candidate slot, derives the
 /// MTD and the recovered byte. `eval_workers` threads evaluate the final
@@ -488,21 +511,7 @@ pub(crate) fn run_cpa_inner(
             }
         }
     }
-    if obs.enabled() {
-        let t = fabric.pdn_telemetry();
-        obs.gauge("pdn.v_min", t.v_min);
-        obs.gauge("pdn.v_max", t.v_max);
-        obs.gauge("pdn.settled_streak", t.settled_streak as f64);
-        if let Some(d) = fabric.defense_telemetry() {
-            obs.gauge("defense.injected_max_a", d.injected_max_a);
-            obs.gauge("defense.injected_mean_a", d.injected_mean_a());
-            obs.gauge("defense.detector_max_score", d.max_score);
-            obs.add("defense.windows", d.windows);
-            obs.add("defense.alarm_windows", d.alarm_windows);
-            obs.add("defense.alarm_events", d.alarm_events);
-            obs.add("defense.jitter_cycles", d.jitter_cycles);
-        }
-    }
+    record_fabric_telemetry(&fabric, obs);
 
     Ok(assemble_result(
         exp,

@@ -19,8 +19,8 @@
 //! serial runner's pilot does, and every shard inherits its decisions.
 
 use super::cpa::{
-    absorb_batch, assemble_result, geometry_setup, pilot_independent, pilot_setup, CampaignSetup,
-    CpaExperiment, CpaResult, ABSORB_BATCH,
+    absorb_batch, assemble_result, geometry_setup, pilot_independent, pilot_setup,
+    record_fabric_telemetry, CampaignSetup, CpaExperiment, CpaResult, ABSORB_BATCH,
 };
 use serde::{Deserialize, Serialize};
 use slm_cpa::{leader_margin, CpaAttack, ProgressPoint, TraceBatch};
@@ -201,21 +201,7 @@ fn capture_shard(
         }
         fabric
     };
-    if shard_obs.enabled() {
-        let t = fabric.pdn_telemetry();
-        shard_obs.gauge("pdn.v_min", t.v_min);
-        shard_obs.gauge("pdn.v_max", t.v_max);
-        shard_obs.gauge("pdn.settled_streak", t.settled_streak as f64);
-        if let Some(d) = fabric.defense_telemetry() {
-            shard_obs.gauge("defense.injected_max_a", d.injected_max_a);
-            shard_obs.gauge("defense.injected_mean_a", d.injected_mean_a());
-            shard_obs.gauge("defense.detector_max_score", d.max_score);
-            shard_obs.add("defense.windows", d.windows);
-            shard_obs.add("defense.alarm_windows", d.alarm_windows);
-            shard_obs.add("defense.alarm_events", d.alarm_events);
-            shard_obs.add("defense.jitter_cycles", d.jitter_cycles);
-        }
-    }
+    record_fabric_telemetry(&fabric, &shard_obs);
     Ok(ShardPartial {
         snapshots,
         attacks,

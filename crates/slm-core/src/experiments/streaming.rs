@@ -7,11 +7,24 @@
 //! window on its own re-seeded fabric ([`FabricConfig::for_shard`],
 //! exactly the parallel runner's shard lanes), fold it into the
 //! mergeable accumulators, drop the raw traces. Every
-//! `commit_every_windows` windows the engine seals the accumulator
-//! state — plus the progress curves and a campaign-parameter
-//! fingerprint — into a [`StreamCheckpoint`] and commits it to an
-//! atomic generation ledger ([`CheckpointLedger`]: write-to-temp,
-//! checksum, rename).
+//! `commit_every_windows` windows the engine appends the new progress
+//! points to an append-only [`ProgressLog`], then seals the
+//! accumulator state — plus the log prefix it commits and a
+//! campaign-parameter fingerprint — into a [`StreamCheckpoint`] and
+//! commits it to an atomic generation ledger ([`CheckpointLedger`]:
+//! write-to-temp, checksum, rename).
+//!
+//! # The pipeline
+//!
+//! `workers` capture threads pull window indices continuously; none
+//! starts a window more than `workers + commit_every_windows` windows
+//! past the last folded one, so the windows in flight, and with them
+//! memory, stay bounded. The calling thread takes the finished windows
+//! through a reorder buffer and folds them strictly in window order,
+//! then evaluates, logs and commits at each group boundary while the
+//! workers capture the next windows. The fold order, and so the result
+//! and the merged metrics, never depend on the worker count or on
+//! which window finished first.
 //!
 //! # Exact-once window accounting
 //!
@@ -29,24 +42,33 @@
 //! # Crash injection
 //!
 //! [`CrashPlan`] injects simulated process deaths at the boundaries of
-//! the capture → fold → commit pipeline ([`CrashSite`]), including a
-//! *torn commit* that persists a truncated generation before dying —
-//! the on-disk faults (bit flips, truncation, stale temp files) are
-//! exercised directly against the store layer. The kill/resume
-//! property tests assert that a run killed at arbitrary sites and
-//! resumed produces a [`CpaResult`] bit-identical to the uninterrupted
-//! run, at any worker count.
+//! the capture → fold → log → commit pipeline ([`CrashSite`]),
+//! including a *torn* log append and a *torn commit* that persist a
+//! truncated record or generation before dying — the on-disk faults
+//! (bit flips, truncation, stale temp files) are exercised directly
+//! against the store layer. The kill/resume property tests assert that
+//! a run killed at arbitrary sites and resumed produces a
+//! [`CpaResult`] bit-identical to the uninterrupted run, at any worker
+//! count.
 
-use super::cpa::{absorb_record, assemble_result, pilot_setup, CpaExperiment, CpaResult};
+use super::cpa::{
+    absorb_record, assemble_result, pilot_setup, record_fabric_telemetry, CampaignSetup,
+    CpaExperiment, CpaResult,
+};
 use serde::{Deserialize, Serialize};
 use slm_cpa::store::{
-    read_stream_checkpoint, write_stream_checkpoint, CheckpointLedger, StreamCheckpoint,
+    read_progress_log, read_stream_checkpoint, replay_progress_log, write_stream_checkpoint,
+    CheckpointLedger, LogPrefix, ProgressLog, StreamCheckpoint, PROGRESS_LOG_FILE,
 };
 use slm_cpa::{leader_margin, CpaAttack, ProgressPoint};
-use slm_fabric::{CaptureRecord, FabricConfig, FabricError, MultiTenantFabric};
+use slm_fabric::{CaptureRecord, FabricConfig, FabricError, MultiTenantFabric, TransportError};
 use slm_obs::{MetricsFrame, Obs};
-use slm_par::ShardPlan;
+use slm_par::{ShardPlan, ShardSpec};
+use std::collections::BTreeMap;
+use std::io::Write;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::Path;
+use std::sync::{mpsc, Condvar, Mutex, PoisonError};
 
 /// A streaming, checkpointed CPA campaign.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -54,15 +76,16 @@ pub struct StreamingCpa {
     /// The campaign parameters (budget, source, seed).
     pub base: CpaExperiment,
     /// Traces per window — the unit of capture, fold and re-capture on
-    /// resume, and the bound on retained raw traces. Like the parallel
-    /// runner's shard size, the window layout depends only on this and
-    /// the budget, never on `workers`.
+    /// resume, and the bound on raw traces any one window retains. Like
+    /// the parallel runner's shard size, the window layout depends only
+    /// on this and the budget, never on `workers`.
     pub window_traces: u64,
     /// Windows folded between ledger commits. Commit cadence is
     /// defined in windows — never derived from the worker count — so
     /// the progress curve and checkpoint stream are worker-invariant.
     pub commit_every_windows: u64,
-    /// Worker threads capturing windows (0 = machine parallelism).
+    /// Capture threads (0 = machine parallelism). Folding, evaluation
+    /// and commits run on the calling thread beside them.
     pub workers: usize,
     /// Optional online-MTD early stop, evaluated at every commit.
     pub early_stop: Option<EarlyStop>,
@@ -249,13 +272,23 @@ pub enum StreamOutcome {
     },
 }
 
-/// Where in the window pipeline a [`CrashPlan`] kill fires.
+/// Where in the window pipeline a [`CrashPlan`] kill fires, in
+/// pipeline order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CrashSite {
-    /// After the commit group's windows are captured, before folding.
+    /// After the commit group's windows are captured, before its last
+    /// window is folded.
     AfterCapture,
     /// After folding into the merged accumulators, before the commit.
     AfterFold,
+    /// Mid-append: half of the group's progress-log record reaches the
+    /// log, then the process dies — the torn record resume must
+    /// truncate.
+    TornLogAppend,
+    /// After the group's progress-log record is durably appended,
+    /// before the generation that commits it — resume must drop the
+    /// uncommitted record.
+    AfterLogAppend,
     /// Mid-commit: a truncated generation reaches the ledger directory
     /// under its final name, then the process dies — the torn-write
     /// case the generation ledger must fall back past.
@@ -269,10 +302,14 @@ pub enum CrashSite {
 /// time the named commit group reaches the named site. Kills fire in
 /// list order; a consumed plan (all kills fired) lets the run complete,
 /// so one plan can drive a whole kill/resume/kill/resume chain.
+///
+/// A plan can also fail the capture of chosen windows, on every run,
+/// with a transport error: the mid-run [`FabricError`] case.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CrashPlan {
     kills: Vec<(u64, CrashSite)>,
     fired: usize,
+    failing_windows: Vec<u64>,
 }
 
 impl CrashPlan {
@@ -281,12 +318,20 @@ impl CrashPlan {
         CrashPlan {
             kills: Vec::new(),
             fired: 0,
+            failing_windows: Vec::new(),
         }
     }
 
     /// Adds a kill the first time commit group `group` reaches `site`.
     pub fn kill_at(mut self, group: u64, site: CrashSite) -> Self {
         self.kills.push((group, site));
+        self
+    }
+
+    /// Makes every capture of window `window` fail with
+    /// [`TransportError::NoResponse`].
+    pub fn fail_window(mut self, window: u64) -> Self {
+        self.failing_windows.push(window);
         self
     }
 
@@ -417,6 +462,127 @@ struct WindowPartial {
     frame: MetricsFrame,
 }
 
+/// What a capture worker sends back for one window: the partial, the
+/// capture's error, or the payload of a panic, which the fold loop
+/// resumes on the calling thread.
+type WindowOutcome = std::thread::Result<Result<WindowPartial, FabricError>>;
+
+/// Hands window indices to the capture workers in order, never more
+/// than `lookahead` windows past the last folded one.
+struct WindowGate {
+    state: Mutex<GateState>,
+    moved: Condvar,
+    lookahead: u64,
+    end: u64,
+}
+
+struct GateState {
+    next: u64,
+    folded: u64,
+    stopped: bool,
+}
+
+impl WindowGate {
+    fn new(start: u64, end: u64, lookahead: u64) -> Self {
+        WindowGate {
+            state: Mutex::new(GateState {
+                next: start,
+                folded: start,
+                stopped: false,
+            }),
+            moved: Condvar::new(),
+            lookahead,
+            end,
+        }
+    }
+
+    /// The next window to capture, blocking while it lies beyond the
+    /// lookahead; `None` once every window is handed out or the gate
+    /// is stopped.
+    fn claim(&self) -> Option<u64> {
+        let mut s = self.state.lock().expect("window gate poisoned");
+        loop {
+            if s.stopped || s.next >= self.end {
+                return None;
+            }
+            if s.next < s.folded + self.lookahead {
+                s.next += 1;
+                return Some(s.next - 1);
+            }
+            s = self.moved.wait(s).expect("window gate poisoned");
+        }
+    }
+
+    /// Records that `windows` windows are folded, releasing workers
+    /// waiting on the lookahead.
+    fn folded(&self, windows: u64) {
+        self.state.lock().expect("window gate poisoned").folded = windows;
+        self.moved.notify_all();
+    }
+}
+
+/// Stops the gate when the fold loop ends by any path — completion,
+/// kill, error or panic — so no worker waits on the lookahead forever
+/// and the thread scope can join them all.
+struct StopOnDrop<'a>(&'a WindowGate);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        // Setting a flag leaves the state valid even after a panic
+        // elsewhere, so a poisoned lock is safe to recover here.
+        self.0
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .stopped = true;
+        self.0.moved.notify_all();
+    }
+}
+
+/// Captures one window on its own fabric, re-seeded from its lane, and
+/// folds it into fresh accumulators; raw records live only for the
+/// window's lifetime.
+fn capture_window(
+    base: &CpaExperiment,
+    setup: &CampaignSetup,
+    config: &FabricConfig,
+    spec: &ShardSpec,
+    obs: &Obs,
+) -> Result<WindowPartial, FabricError> {
+    let w_obs = obs.fork();
+    let w_config = config.for_shard(spec.index);
+    let mut fabric = {
+        let _span = w_obs.span("stream.window");
+        MultiTenantFabric::new(&w_config)?
+    };
+    let mut raw: Vec<CaptureRecord> = Vec::with_capacity(spec.traces as usize);
+    for _ in 0..spec.traces {
+        let pt = fabric.random_plaintext();
+        raw.push(fabric.encrypt_windowed(pt, setup.window.clone(), &setup.endpoints));
+    }
+    let retained = raw.len() as u64;
+    let mut attacks: Vec<CpaAttack> = (0..setup.single_bit_slots)
+        .map(|_| CpaAttack::new(setup.model, setup.points))
+        .collect();
+    let mut point_buf = vec![0.0f64; setup.points];
+    for rec in raw.drain(..) {
+        absorb_record(
+            base.source,
+            setup,
+            &rec,
+            &mut attacks,
+            &mut point_buf,
+            &w_obs,
+        );
+    }
+    record_fabric_telemetry(&fabric, &w_obs);
+    Ok(WindowPartial {
+        attacks,
+        retained,
+        frame: w_obs.snapshot(),
+    })
+}
+
 /// The full fault-injectable engine: runs (or resumes) the campaign,
 /// dying at the [`CrashPlan`]'s kill sites.
 ///
@@ -456,13 +622,29 @@ pub fn run_streaming_crashing(
     let mut merged: Vec<CpaAttack> = (0..setup.single_bit_slots)
         .map(|_| CpaAttack::new(setup.model, setup.points))
         .collect();
-    let mut progress_per: Vec<Vec<ProgressPoint>> = vec![Vec::new(); setup.single_bit_slots];
+    let mut log_prefix = LogPrefix::empty(setup.single_bit_slots, fingerprint);
     let mut windows_done = 0u64;
     let mut traces_done = 0u64;
     let mut resumed_generation = None;
     let mut recovered_generations = 0u64;
-    if let Some(recovery) = ledger.load_latest(|bytes| read_stream_checkpoint(bytes))? {
-        let cp = recovery.state;
+    // A generation loads only if the log prefix it commits replays and
+    // verifies, so a corrupt prefix record falls back to an older
+    // generation exactly like a corrupt generation file does.
+    let log_bytes = read_progress_log(ledger.dir())?;
+    let recovery = ledger.load_latest(|bytes| {
+        let cp = read_stream_checkpoint(bytes)?;
+        let log_prefix = replay_progress_log(
+            &log_bytes,
+            cp.slots.len(),
+            cp.log_records,
+            cp.fingerprint,
+            cp.log_seal,
+        )?;
+        Ok((cp, log_prefix))
+    })?;
+    drop(log_bytes);
+    if let Some(recovery) = recovery {
+        let (cp, cp_prefix) = recovery.state;
         let incompatible = |why: String| Err(StreamingError::Incompatible(why));
         if cp.fingerprint != fingerprint {
             return incompatible(format!(
@@ -535,7 +717,7 @@ pub fn run_streaming_crashing(
         }
         windows_done = cp.windows;
         traces_done = cp.traces;
-        progress_per = cp.progress;
+        log_prefix = cp_prefix;
         merged = cp
             .slots
             .into_iter()
@@ -547,139 +729,154 @@ pub fn run_streaming_crashing(
         obs.add("stream.recovered_generations", recovered_generations);
     }
 
-    // ---- windowed main phase -------------------------------------------
+    let mut log = ProgressLog::resume(ledger.dir(), &log_prefix)?;
+    let mut progress_per = log_prefix.progress;
+
+    // ---- pipelined main phase ------------------------------------------
+    let total = windows.len() as u64;
+    let mut committed = (windows_done, traces_done);
     let mut peak_raw = 0u64;
     let mut captured_this_run = 0u64;
     let mut early_stopped = exp
         .early_stop
         .is_some_and(|rule| rule.satisfied(&progress_per));
-    while windows_done < windows.len() as u64 && !early_stopped {
-        let group_index = windows_done / commit_every;
-        let group_end = ((group_index + 1) * commit_every).min(windows.len() as u64);
-        let group = &windows[windows_done as usize..group_end as usize];
-        let committed_windows = windows_done;
-        let committed_traces = traces_done;
-
-        // Capture: each window on its own fabric, re-seeded from its
-        // lane, raw records buffered only for the window's lifetime.
-        let partials: Vec<Result<WindowPartial, FabricError>> =
-            slm_par::par_map(exp.workers, group, |spec| {
-                let w_obs = obs.fork();
-                let w_config = config.for_shard(spec.index);
-                let mut fabric = {
-                    let _span = w_obs.span("stream.window");
-                    MultiTenantFabric::new(&w_config)?
-                };
-                let mut raw: Vec<CaptureRecord> = Vec::with_capacity(spec.traces as usize);
-                for _ in 0..spec.traces {
-                    let pt = fabric.random_plaintext();
-                    raw.push(fabric.encrypt_windowed(pt, setup.window.clone(), &setup.endpoints));
-                }
-                let retained = raw.len() as u64;
-                let mut attacks: Vec<CpaAttack> = (0..setup.single_bit_slots)
-                    .map(|_| CpaAttack::new(setup.model, setup.points))
-                    .collect();
-                let mut point_buf = vec![0.0f64; setup.points];
-                for rec in raw.drain(..) {
-                    absorb_record(
-                        base.source,
-                        &setup,
-                        &rec,
-                        &mut attacks,
-                        &mut point_buf,
-                        &w_obs,
-                    );
-                }
-                if w_obs.enabled() {
-                    let t = fabric.pdn_telemetry();
-                    w_obs.gauge("pdn.v_min", t.v_min);
-                    w_obs.gauge("pdn.v_max", t.v_max);
-                    w_obs.gauge("pdn.settled_streak", t.settled_streak as f64);
-                    if let Some(d) = fabric.defense_telemetry() {
-                        w_obs.gauge("defense.injected_max_a", d.injected_max_a);
-                        w_obs.gauge("defense.injected_mean_a", d.injected_mean_a());
-                        w_obs.gauge("defense.detector_max_score", d.max_score);
-                        w_obs.add("defense.windows", d.windows);
-                        w_obs.add("defense.alarm_windows", d.alarm_windows);
-                        w_obs.add("defense.alarm_events", d.alarm_events);
-                        w_obs.add("defense.jitter_cycles", d.jitter_cycles);
+    let killed = |(windows_committed, traces_committed): (u64, u64)| -> Result<_, StreamingError> {
+        Ok(Some(StreamOutcome::Killed {
+            windows_committed,
+            traces_committed,
+        }))
+    };
+    let workers = slm_par::resolve_workers(exp.workers);
+    let gate = WindowGate::new(windows_done, total, workers as u64 + commit_every);
+    let failing = crash.failing_windows.clone();
+    let (tx, rx) = mpsc::channel::<(u64, WindowOutcome)>();
+    let stopped_by_kill = std::thread::scope(|scope| -> Result<_, StreamingError> {
+        let _stop = StopOnDrop(&gate);
+        if windows_done < total && !early_stopped {
+            for _ in 0..workers.min((total - windows_done) as usize) {
+                let (tx, gate, windows, setup, config) =
+                    (tx.clone(), &gate, &windows, &setup, &config);
+                let failing = &failing;
+                scope.spawn(move || {
+                    while let Some(i) = gate.claim() {
+                        let out = catch_unwind(AssertUnwindSafe(|| {
+                            if failing.contains(&i) {
+                                return Err(FabricError::Transport(TransportError::NoResponse));
+                            }
+                            capture_window(base, setup, config, &windows[i as usize], obs)
+                        }));
+                        if tx.send((i, out)).is_err() {
+                            break;
+                        }
                     }
-                }
-                Ok(WindowPartial {
-                    attacks,
-                    retained,
-                    frame: w_obs.snapshot(),
-                })
-            });
-        if crash.should_kill(group_index, CrashSite::AfterCapture) {
-            return Ok(StreamOutcome::Killed {
-                windows_committed: committed_windows,
-                traces_committed: committed_traces,
-            });
+                });
+            }
         }
+        drop(tx);
 
-        // Fold in window order — the same prefix-merge discipline as
-        // the parallel runner, so results and merged metrics are
-        // worker-count invariant.
-        for (partial, spec) in partials.into_iter().zip(group) {
-            let partial = partial?;
+        // Fold strictly in window order through the reorder buffer —
+        // the same prefix-merge discipline as the parallel runner, so
+        // results and merged metrics are worker-count invariant.
+        let mut pending: BTreeMap<u64, WindowOutcome> = BTreeMap::new();
+        while windows_done < total && !early_stopped {
+            let outcome = loop {
+                if let Some(outcome) = pending.remove(&windows_done) {
+                    break outcome;
+                }
+                let (i, outcome) = rx
+                    .recv()
+                    .expect("the window being waited for is claimed by a live worker");
+                pending.insert(i, outcome);
+            };
+            let partial = outcome.unwrap_or_else(|payload| resume_unwind(payload))?;
+            let group_index = windows_done / commit_every;
+            let group_start = group_index * commit_every;
+            let group_end = (group_start + commit_every).min(total);
+            if windows_done + 1 == group_end
+                && crash.should_kill(group_index, CrashSite::AfterCapture)
+            {
+                return killed(committed);
+            }
             obs.absorb(&partial.frame);
             peak_raw = peak_raw.max(partial.retained);
             for (acc, part) in merged.iter_mut().zip(&partial.attacks) {
                 acc.merge_recorded(part, obs);
             }
-            traces_done += spec.traces;
-            captured_this_run += spec.traces;
-        }
-        windows_done = group_end;
-        if crash.should_kill(group_index, CrashSite::AfterFold) {
-            return Ok(StreamOutcome::Killed {
-                windows_committed: committed_windows,
-                traces_committed: committed_traces,
-            });
-        }
-
-        // Checkpoint: progress point per slot, early-stop evaluation,
-        // sealed commit to the generation ledger.
-        for (slot, acc) in merged.iter().enumerate() {
-            let peaks = acc.peak_correlations_par(exp.workers).to_vec();
-            if slot == 0 {
-                obs.observe("stream.checkpoint_margin", leader_margin(&peaks));
+            let traces = windows[windows_done as usize].traces;
+            traces_done += traces;
+            captured_this_run += traces;
+            windows_done += 1;
+            gate.folded(windows_done);
+            if windows_done < group_end {
+                continue;
             }
-            progress_per[slot].push(ProgressPoint {
+            if crash.should_kill(group_index, CrashSite::AfterFold) {
+                return killed(committed);
+            }
+
+            // Checkpoint: a progress point per slot (the serial
+            // evaluation, which leaves the cores to the capture
+            // workers), early-stop evaluation, the fsync'd log append,
+            // then the sealed generation that commits it.
+            let points: Vec<ProgressPoint> = merged
+                .iter()
+                .map(|acc| ProgressPoint {
+                    traces: traces_done,
+                    peak_corr: acc.peak_correlations().to_vec(),
+                })
+                .collect();
+            obs.observe(
+                "stream.checkpoint_margin",
+                leader_margin(&points[0].peak_corr),
+            );
+            let record = log.encode(&points)?;
+            for (curve, point) in progress_per.iter_mut().zip(points) {
+                curve.push(point);
+            }
+            early_stopped = exp
+                .early_stop
+                .is_some_and(|rule| rule.satisfied(&progress_per));
+            if crash.should_kill(group_index, CrashSite::TornLogAppend) {
+                std::fs::OpenOptions::new()
+                    .append(true)
+                    .open(ledger.dir().join(PROGRESS_LOG_FILE))?
+                    .write_all(&record.bytes[..record.bytes.len() / 2])?;
+                return killed(committed);
+            }
+            log.append(&record)?;
+            if crash.should_kill(group_index, CrashSite::AfterLogAppend) {
+                return killed(committed);
+            }
+            let cp = StreamCheckpoint {
+                fingerprint,
+                windows: windows_done,
                 traces: traces_done,
-                peak_corr: peaks,
-            });
+                log_records: log.records(),
+                log_seal: log.seal(),
+                slots: merged.iter().map(CpaAttack::checkpoint).collect(),
+            };
+            let mut bytes = Vec::new();
+            write_stream_checkpoint(&mut bytes, &cp)?;
+            if crash.should_kill(group_index, CrashSite::TornCommit) {
+                ledger.commit(&bytes[..bytes.len() / 2])?;
+                return killed(committed);
+            }
+            ledger.commit(&bytes)?;
+            obs.add("stream.windows_committed", group_end - group_start);
+            obs.incr("stream.commits");
+            obs.add(
+                "stream.bytes_journaled",
+                (record.bytes.len() + bytes.len()) as u64,
+            );
+            committed = (windows_done, traces_done);
+            if crash.should_kill(group_index, CrashSite::AfterCommit) {
+                return killed(committed);
+            }
         }
-        early_stopped = exp
-            .early_stop
-            .is_some_and(|rule| rule.satisfied(&progress_per));
-        let cp = StreamCheckpoint {
-            fingerprint,
-            windows: windows_done,
-            traces: traces_done,
-            slots: merged.iter().map(CpaAttack::checkpoint).collect(),
-            progress: progress_per.clone(),
-        };
-        let mut bytes = Vec::new();
-        write_stream_checkpoint(&mut bytes, &cp)?;
-        if crash.should_kill(group_index, CrashSite::TornCommit) {
-            ledger.commit(&bytes[..bytes.len() / 2])?;
-            return Ok(StreamOutcome::Killed {
-                windows_committed: committed_windows,
-                traces_committed: committed_traces,
-            });
-        }
-        ledger.commit(&bytes)?;
-        obs.add("stream.windows_committed", group.len() as u64);
-        obs.incr("stream.commits");
-        obs.add("stream.bytes_journaled", bytes.len() as u64);
-        if crash.should_kill(group_index, CrashSite::AfterCommit) {
-            return Ok(StreamOutcome::Killed {
-                windows_committed: windows_done,
-                traces_committed: traces_done,
-            });
-        }
+        Ok(None)
+    })?;
+    if let Some(outcome) = stopped_by_kill {
+        return Ok(outcome);
     }
 
     if early_stopped {

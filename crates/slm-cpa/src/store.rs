@@ -47,23 +47,50 @@
 //!
 //! **Streaming campaign checkpoint** (`"SLMS"`, version
 //! [`STREAM_CHECKPOINT_VERSION`]): everything a streaming campaign
-//! needs to resume — exact-once window accounting plus per-slot
-//! progress curves and nested accumulator checkpoints:
+//! needs to resume — exact-once window accounting, nested accumulator
+//! checkpoints, and a pointer into the campaign's progress log:
 //!
 //! ```text
 //! offset  size   field
 //! 0       4      magic "SLMS"
-//! 4       2      version (u16)
+//! 4       2      version (u16) = 2
 //! 6       8      campaign fingerprint (u64; resume refuses a mismatch)
 //! 14      8      windows committed (u64)
 //! 22      8      traces committed (u64)
-//! 30      2      accumulator slots (u16)
-//! 32      …      per slot: progress curve
-//!                  u32 point count, then per point:
-//!                  u64 traces | u16 candidates | candidates × f64 peak |r|
-//! +       …      per slot: u64 nested length | nested "SLMC" checkpoint
+//! 30      8      progress-log records in the committed prefix (u64)
+//! 38      8      chained seal of the prefix's last record (u64)
+//! 46      2      accumulator slots (u16)
+//! 48      …      per slot: u64 nested length | nested "SLMC" checkpoint
 //! +       8      fletcher-64 seal
 //! ```
+//!
+//! Version 1 carried every slot's whole progress curve inline, so each
+//! generation grew with the commit index. Version 2 keeps a generation
+//! the same size for the whole campaign and moves the curves to the
+//! progress log below. A version-1 ledger is refused by the version
+//! check; there is no migration.
+//!
+//! **Progress log** (`progress.slmp` in the ledger directory, `"SLMP"`,
+//! version [`PROGRESS_LOG_VERSION`]): an append-only journal of the
+//! progress points, one record per commit:
+//!
+//! ```text
+//! offset  size   field
+//! 0       4      magic "SLMP"
+//! 4       2      version (u16)
+//! 6       …      records, each:
+//!                  u32 body length
+//!                  body: u16 slots, then per slot:
+//!                    u64 traces | u16 candidates | candidates × f64 peak |r|
+//!                  u64 chained seal = fletcher-64(previous seal | length | body)
+//! ```
+//!
+//! The first record chains from the campaign fingerprint. Each record
+//! verifies on its own against its predecessor's seal, and the last
+//! seal of a prefix verifies the whole prefix, which is what an `SLMS`
+//! generation stores. Bytes past a generation's prefix are records of
+//! a commit that never completed, or a torn append; resume truncates
+//! them ([`ProgressLog::resume`]).
 //!
 //! A reader that encounters a *newer* version than it supports reports
 //! an incompatibility (never corruption, never a silent partial load):
@@ -74,7 +101,8 @@
 //!
 //! [`CheckpointLedger`] stores successive checkpoint payloads as
 //! `gen-<n>.slmc` files in one directory. A commit is atomic:
-//! write-to-temp, `sync_all`, rename into place — a process killed at
+//! write-to-temp, `sync_all`, rename into place, then `sync_all` on the
+//! directory so the rename survives power loss — a process killed at
 //! any point leaves either the previous generation set intact or the
 //! new generation fully present (a stale `.tmp` from a mid-commit
 //! crash is swept on open and ignored by readers). Loading walks
@@ -82,7 +110,9 @@
 //! to the newest generation that parses, reporting what it skipped so
 //! callers can count recoveries — a corrupt *latest* checkpoint
 //! degrades the campaign by at most one commit interval, never to a
-//! silently wrong state.
+//! silently wrong state. The streaming engine's parse step also
+//! replays the generation's progress-log prefix, so a corrupt log
+//! record falls back the same way.
 
 use crate::attack::CpaCheckpoint;
 use crate::mtd::ProgressPoint;
@@ -97,13 +127,24 @@ pub const TRACE_FILE_VERSION: u16 = 1;
 pub const CHECKPOINT_VERSION: u16 = 1;
 
 /// Current streaming-campaign checkpoint format version.
-pub const STREAM_CHECKPOINT_VERSION: u16 = 1;
+pub const STREAM_CHECKPOINT_VERSION: u16 = 2;
+
+/// Current progress-log format version.
+pub const PROGRESS_LOG_VERSION: u16 = 1;
+
+/// File name of the progress log inside a ledger directory.
+pub const PROGRESS_LOG_FILE: &str = "progress.slmp";
 
 const MAGIC: [u8; 4] = *b"SLMT";
 
 const CHECKPOINT_MAGIC: [u8; 4] = *b"SLMC";
 
 const STREAM_MAGIC: [u8; 4] = *b"SLMS";
+
+const LOG_MAGIC: [u8; 4] = *b"SLMP";
+
+/// Bytes of the progress-log header (magic + version).
+const LOG_HEADER_LEN: usize = 6;
 
 /// Builds the section-and-offset diagnostic every reader in this
 /// module uses: errors name the failing section and the byte offset
@@ -480,9 +521,9 @@ fn parse_checkpoint(data: &[u8]) -> io::Result<CpaCheckpoint> {
 }
 
 /// Durable state of a streaming campaign at a committed window
-/// boundary: exact-once window accounting, the per-slot progress
-/// curves evaluated so far, and one nested [`CpaCheckpoint`] per
-/// accumulator slot.
+/// boundary: exact-once window accounting, one nested
+/// [`CpaCheckpoint`] per accumulator slot, and the committed prefix of
+/// the campaign's [`ProgressLog`] (record count and chained seal).
 ///
 /// The `fingerprint` binds the checkpoint to the campaign parameters
 /// that determine the capture stream (circuit, sensor source, seed,
@@ -496,36 +537,26 @@ pub struct StreamCheckpoint {
     pub windows: u64,
     /// Traces those windows contributed.
     pub traces: u64,
+    /// Progress-log records this generation commits (one per commit).
+    pub log_records: u64,
+    /// Chained seal of the last of those records.
+    pub log_seal: u64,
     /// One accumulator checkpoint per attack slot.
     pub slots: Vec<CpaCheckpoint>,
-    /// Per-slot progress curves (one point per commit).
-    pub progress: Vec<Vec<ProgressPoint>>,
 }
 
 impl StreamCheckpoint {
     /// Internal consistency: every slot accumulator must have absorbed
-    /// exactly the committed trace count, and the progress table must
-    /// have one curve per slot.
+    /// exactly the committed trace count.
     fn validate(&self) -> io::Result<()> {
         if self.slots.is_empty() {
-            return Err(section_err("slots", 30, "zero accumulator slots"));
-        }
-        if self.progress.len() != self.slots.len() {
-            return Err(section_err(
-                "progress",
-                32,
-                format!(
-                    "{} progress curves for {} slots",
-                    self.progress.len(),
-                    self.slots.len()
-                ),
-            ));
+            return Err(section_err("slots", 46, "zero accumulator slots"));
         }
         for (i, slot) in self.slots.iter().enumerate() {
             if slot.traces != self.traces {
                 return Err(section_err(
                     "accumulators",
-                    32,
+                    48,
                     format!(
                         "slot {i} absorbed {} traces, ledger says {} committed",
                         slot.traces, self.traces
@@ -542,23 +573,14 @@ impl StreamCheckpoint {
 ///
 /// # Errors
 ///
-/// `InvalidInput` when a field exceeds its format width (slot count,
-/// per-point candidate count, progress length); otherwise propagates
-/// I/O errors.
+/// `InvalidInput` when the slot count exceeds its format width;
+/// otherwise propagates I/O errors.
 pub fn write_stream_checkpoint<W: Write>(mut sink: W, cp: &StreamCheckpoint) -> io::Result<()> {
-    let invalid = |detail: String| io::Error::new(io::ErrorKind::InvalidInput, detail);
     if cp.slots.len() > usize::from(u16::MAX) {
-        return Err(invalid(format!(
-            "{} slots exceed the format limit",
-            cp.slots.len()
-        )));
-    }
-    if cp.progress.len() != cp.slots.len() {
-        return Err(invalid(format!(
-            "{} progress curves for {} slots",
-            cp.progress.len(),
-            cp.slots.len()
-        )));
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("{} slots exceed the format limit", cp.slots.len()),
+        ));
     }
     let mut buf = Vec::new();
     buf.extend_from_slice(&STREAM_MAGIC);
@@ -566,29 +588,9 @@ pub fn write_stream_checkpoint<W: Write>(mut sink: W, cp: &StreamCheckpoint) -> 
     buf.extend_from_slice(&cp.fingerprint.to_le_bytes());
     buf.extend_from_slice(&cp.windows.to_le_bytes());
     buf.extend_from_slice(&cp.traces.to_le_bytes());
+    buf.extend_from_slice(&cp.log_records.to_le_bytes());
+    buf.extend_from_slice(&cp.log_seal.to_le_bytes());
     buf.extend_from_slice(&(cp.slots.len() as u16).to_le_bytes());
-    for curve in &cp.progress {
-        let count = u32::try_from(curve.len()).map_err(|_| {
-            invalid(format!(
-                "{} progress points exceed the format limit",
-                curve.len()
-            ))
-        })?;
-        buf.extend_from_slice(&count.to_le_bytes());
-        for point in curve {
-            if point.peak_corr.len() > usize::from(u16::MAX) {
-                return Err(invalid(format!(
-                    "{} candidates exceed the format limit",
-                    point.peak_corr.len()
-                )));
-            }
-            buf.extend_from_slice(&point.traces.to_le_bytes());
-            buf.extend_from_slice(&(point.peak_corr.len() as u16).to_le_bytes());
-            for &r in &point.peak_corr {
-                buf.extend_from_slice(&r.to_le_bytes());
-            }
-        }
-    }
     for slot in &cp.slots {
         let mut nested = Vec::new();
         write_checkpoint(&mut nested, slot)?;
@@ -614,11 +616,11 @@ pub fn read_stream_checkpoint<R: Read>(mut source: R) -> io::Result<StreamCheckp
     let mut data = Vec::new();
     source.read_to_end(&mut data)?;
     let len = data.len();
-    if len < 32 + 8 {
+    if len < 48 + 8 {
         return Err(section_err(
             "header",
             len,
-            format!("file is {len} bytes, the fixed header plus seal needs 40"),
+            format!("file is {len} bytes, the fixed header plus seal needs 56"),
         ));
     }
     if data[..4] != STREAM_MAGIC {
@@ -675,39 +677,11 @@ pub fn read_stream_checkpoint<R: Read>(mut source: R) -> io::Result<StreamCheckp
     let fingerprint = u64::from_le_bytes(take(&mut off, 8, "fingerprint")?.try_into().unwrap());
     let windows = u64::from_le_bytes(take(&mut off, 8, "windows")?.try_into().unwrap());
     let traces = u64::from_le_bytes(take(&mut off, 8, "traces")?.try_into().unwrap());
+    let log_records = u64::from_le_bytes(take(&mut off, 8, "log_records")?.try_into().unwrap());
+    let log_seal = u64::from_le_bytes(take(&mut off, 8, "log_seal")?.try_into().unwrap());
     let slots = usize::from(u16::from_le_bytes(
         take(&mut off, 2, "slots")?.try_into().unwrap(),
     ));
-    let mut progress = Vec::with_capacity(slots);
-    for slot in 0..slots {
-        let section = "progress";
-        let count = u32::from_le_bytes(take(&mut off, 4, section)?.try_into().unwrap()) as usize;
-        // Cheap bound before allocating: each point needs ≥ 10 bytes.
-        if count > (body.len() - off) / 10 + 1 {
-            return Err(section_err(
-                section,
-                off - 4,
-                format!("slot {slot} claims {count} progress points, file cannot hold them"),
-            ));
-        }
-        let mut curve = Vec::with_capacity(count);
-        for _ in 0..count {
-            let point_traces = u64::from_le_bytes(take(&mut off, 8, section)?.try_into().unwrap());
-            let cands = usize::from(u16::from_le_bytes(
-                take(&mut off, 2, section)?.try_into().unwrap(),
-            ));
-            let raw = take(&mut off, cands * 8, section)?;
-            let peak_corr = raw
-                .chunks_exact(8)
-                .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-                .collect();
-            curve.push(ProgressPoint {
-                traces: point_traces,
-                peak_corr,
-            });
-        }
-        progress.push(curve);
-    }
     let mut slot_cps = Vec::with_capacity(slots);
     for slot in 0..slots {
         let section = "accumulators";
@@ -733,11 +707,320 @@ pub fn read_stream_checkpoint<R: Read>(mut source: R) -> io::Result<StreamCheckp
         fingerprint,
         windows,
         traces,
+        log_records,
+        log_seal,
         slots: slot_cps,
-        progress,
     };
     cp.validate()?;
     Ok(cp)
+}
+
+/// Syncs a directory, so the entries created, renamed or removed in it
+/// survive power loss.
+fn sync_dir(dir: &Path) -> io::Result<()> {
+    std::fs::File::open(dir)?.sync_all()
+}
+
+/// The verified prefix of a [`ProgressLog`]: the progress curves it
+/// replays and where it ends. Produced by [`replay_progress_log`] (or
+/// [`LogPrefix::empty`] for a fresh campaign) and consumed by
+/// [`ProgressLog::resume`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct LogPrefix {
+    /// Per-slot progress curves, one point per record.
+    pub progress: Vec<Vec<ProgressPoint>>,
+    /// Records in the prefix.
+    pub records: u64,
+    /// Chained seal of the last record (the chain seed when empty).
+    pub seal: u64,
+    /// Byte length of the prefix; 0 when not even the header is kept.
+    end: u64,
+}
+
+impl LogPrefix {
+    /// The prefix of a campaign that has committed nothing: `slots`
+    /// empty curves, and a chain that starts at `seed`.
+    pub fn empty(slots: usize, seed: u64) -> Self {
+        LogPrefix {
+            progress: vec![Vec::new(); slots],
+            records: 0,
+            seal: seed,
+            end: 0,
+        }
+    }
+}
+
+/// Chained seal of one progress-log record.
+fn record_seal(prev: u64, len_and_body: &[u8]) -> u64 {
+    let mut sum = Fletcher64::default();
+    sum.update(&prev.to_le_bytes());
+    sum.update(len_and_body);
+    sum.finish()
+}
+
+/// Reads the progress log of the ledger in `dir`; a missing log reads
+/// as empty.
+///
+/// # Errors
+///
+/// Propagates read failures other than `NotFound`.
+pub fn read_progress_log(dir: &Path) -> io::Result<Vec<u8>> {
+    match std::fs::read(dir.join(PROGRESS_LOG_FILE)) {
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(Vec::new()),
+        other => other,
+    }
+}
+
+/// Replays the first `records` records of a progress log (`data`, as
+/// read by [`read_progress_log`]), verifying every record's chained
+/// seal from `seed` and the prefix's last seal against `seal`. Bytes
+/// past the prefix are ignored.
+///
+/// # Errors
+///
+/// `InvalidData` when the prefix is short, a record is malformed or
+/// fails its seal, a record's slot count is not `slots`, or the chain
+/// does not end at `seal`; messages name the record and byte offset.
+pub fn replay_progress_log(
+    data: &[u8],
+    slots: usize,
+    records: u64,
+    seed: u64,
+    seal: u64,
+) -> io::Result<LogPrefix> {
+    let section = "progress log";
+    let mut prefix = LogPrefix::empty(slots, seed);
+    if records == 0 {
+        if seal != seed {
+            return Err(section_err(
+                section,
+                0,
+                "an empty prefix must end at its seed",
+            ));
+        }
+        return Ok(prefix);
+    }
+    if data.len() < LOG_HEADER_LEN || data[..4] != LOG_MAGIC {
+        return Err(section_err(
+            section,
+            0,
+            format!("header is not \"SLMP\" ({} bytes in the log)", data.len()),
+        ));
+    }
+    let version = u16::from_le_bytes([data[4], data[5]]);
+    if version != PROGRESS_LOG_VERSION {
+        return Err(section_err(
+            section,
+            4,
+            format!(
+                "progress log version {version} is not supported (this build reads \
+                 version {PROGRESS_LOG_VERSION}); refusing to guess at the layout"
+            ),
+        ));
+    }
+    let mut off = LOG_HEADER_LEN;
+    for record in 0..records {
+        let short = |need: usize| {
+            section_err(
+                section,
+                off,
+                format!(
+                    "record {record} needs {need} bytes, only {} remain",
+                    data.len() - off
+                ),
+            )
+        };
+        let len_bytes = data.get(off..off + 4).ok_or_else(|| short(4))?;
+        let body_len = u32::from_le_bytes(len_bytes.try_into().expect("4 bytes")) as usize;
+        let total = body_len
+            .checked_add(12)
+            .filter(|&t| t <= data.len() - off)
+            .ok_or_else(|| short(body_len.saturating_add(12)))?;
+        let sealed = &data[off..off + 4 + body_len];
+        let stored = u64::from_le_bytes(
+            data[off + 4 + body_len..off + total]
+                .try_into()
+                .expect("8 bytes"),
+        );
+        let computed = record_seal(prefix.seal, sealed);
+        if computed != stored {
+            return Err(section_err(
+                section,
+                off,
+                format!(
+                    "record {record} seal mismatch: stored {stored:#018x}, computed {computed:#018x}"
+                ),
+            ));
+        }
+        parse_log_body(&sealed[4..], &mut prefix.progress)
+            .map_err(|why| section_err(section, off, format!("record {record}: {why}")))?;
+        prefix.seal = stored;
+        off += total;
+    }
+    if prefix.seal != seal {
+        return Err(section_err(
+            section,
+            off,
+            format!(
+                "prefix of {records} records ends at seal {:#018x}, the generation \
+                 committed {seal:#018x}",
+                prefix.seal
+            ),
+        ));
+    }
+    prefix.records = records;
+    prefix.end = off as u64;
+    Ok(prefix)
+}
+
+/// Appends one record body's per-slot points to `progress`.
+fn parse_log_body(body: &[u8], progress: &mut [Vec<ProgressPoint>]) -> Result<(), String> {
+    let mut off = 0usize;
+    let mut take = |n: usize| -> Result<&[u8], String> {
+        let end = off
+            .checked_add(n)
+            .filter(|&e| e <= body.len())
+            .ok_or_else(|| format!("body needs {n} bytes at {off}, has {}", body.len()))?;
+        let slice = &body[off..end];
+        off = end;
+        Ok(slice)
+    };
+    let slots = usize::from(u16::from_le_bytes(take(2)?.try_into().expect("2 bytes")));
+    if slots != progress.len() {
+        return Err(format!(
+            "{slots} slots, the checkpoint has {}",
+            progress.len()
+        ));
+    }
+    for curve in progress.iter_mut() {
+        let traces = u64::from_le_bytes(take(8)?.try_into().expect("8 bytes"));
+        let cands = usize::from(u16::from_le_bytes(take(2)?.try_into().expect("2 bytes")));
+        let peak_corr = take(cands * 8)?
+            .chunks_exact(8)
+            .map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes")))
+            .collect();
+        curve.push(ProgressPoint { traces, peak_corr });
+    }
+    if off != body.len() {
+        return Err(format!("{} trailing bytes in the body", body.len() - off));
+    }
+    Ok(())
+}
+
+/// The append-only progress log of a streaming campaign (layout in the
+/// module docs), open for appending after a verified prefix.
+#[derive(Debug)]
+pub struct ProgressLog {
+    file: std::fs::File,
+    records: u64,
+    seal: u64,
+}
+
+impl ProgressLog {
+    /// Opens the log in `dir` positioned after `prefix`: bytes past the
+    /// prefix (records of an uncommitted or torn append) are truncated,
+    /// and an empty prefix gets a fresh header. A new file's directory
+    /// entry is synced before this returns.
+    ///
+    /// The file itself is not synced here: the next
+    /// [`ProgressLog::append`] syncs the header with its record, and a
+    /// truncation lost to power loss only brings back bytes past the
+    /// prefix, which the next resume truncates again.
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O failures.
+    pub fn resume(dir: &Path, prefix: &LogPrefix) -> io::Result<Self> {
+        use std::io::{Seek, SeekFrom};
+        let path = dir.join(PROGRESS_LOG_FILE);
+        let created = !path.exists();
+        let mut file = std::fs::OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(false)
+            .open(&path)?;
+        file.set_len(prefix.end)?;
+        file.seek(SeekFrom::Start(prefix.end))?;
+        if prefix.end == 0 {
+            file.write_all(&LOG_MAGIC)?;
+            file.write_all(&PROGRESS_LOG_VERSION.to_le_bytes())?;
+        }
+        if created {
+            sync_dir(dir)?;
+        }
+        Ok(ProgressLog {
+            file,
+            records: prefix.records,
+            seal: prefix.seal,
+        })
+    }
+
+    /// Records appended so far, the resumed prefix included.
+    pub fn records(&self) -> u64 {
+        self.records
+    }
+
+    /// Chained seal of the last record appended.
+    pub fn seal(&self) -> u64 {
+        self.seal
+    }
+
+    /// Encodes one commit's progress points (one per slot) as the next
+    /// record, chained on the current seal. Nothing is written until
+    /// [`ProgressLog::append`].
+    ///
+    /// # Errors
+    ///
+    /// `InvalidInput` when a count exceeds its format width.
+    pub fn encode(&self, points: &[ProgressPoint]) -> io::Result<LogRecord> {
+        let invalid = |what: &str, n: usize| {
+            io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("{n} {what} exceed the format limit"),
+            )
+        };
+        let slots = u16::try_from(points.len()).map_err(|_| invalid("slots", points.len()))?;
+        let mut rec = vec![0u8; 4];
+        rec.extend_from_slice(&slots.to_le_bytes());
+        for point in points {
+            let cands = u16::try_from(point.peak_corr.len())
+                .map_err(|_| invalid("candidates", point.peak_corr.len()))?;
+            rec.extend_from_slice(&point.traces.to_le_bytes());
+            rec.extend_from_slice(&cands.to_le_bytes());
+            for &r in &point.peak_corr {
+                rec.extend_from_slice(&r.to_le_bytes());
+            }
+        }
+        let body_len = u32::try_from(rec.len() - 4).map_err(|_| invalid("bytes", rec.len()))?;
+        rec[..4].copy_from_slice(&body_len.to_le_bytes());
+        let seal = record_seal(self.seal, &rec);
+        rec.extend_from_slice(&seal.to_le_bytes());
+        Ok(LogRecord { bytes: rec, seal })
+    }
+
+    /// Appends a record made by [`ProgressLog::encode`] and syncs the
+    /// file's data, so the record is durable before the generation that
+    /// commits it.
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O failures.
+    pub fn append(&mut self, record: &LogRecord) -> io::Result<()> {
+        self.file.write_all(&record.bytes)?;
+        self.file.sync_data()?;
+        self.seal = record.seal;
+        self.records += 1;
+        Ok(())
+    }
+}
+
+/// One encoded progress-log record, ready for [`ProgressLog::append`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct LogRecord {
+    /// The record's on-disk bytes.
+    pub bytes: Vec<u8>,
+    seal: u64,
 }
 
 /// Newest loadable generation recovered from a [`CheckpointLedger`],
@@ -823,8 +1106,15 @@ impl CheckpointLedger {
     }
 
     /// Commits a payload as the next generation: write-to-temp,
-    /// `sync_all`, atomic rename, then prune all but the newest
-    /// [`LEDGER_KEEP`] generations. Returns the new generation number.
+    /// `sync_all`, atomic rename, `sync_all` on the directory, then
+    /// prune all but the newest [`LEDGER_KEEP`] generations. Returns the
+    /// new generation number.
+    ///
+    /// The directory sync makes the rename durable before the prune
+    /// removes anything. The prune itself becomes durable with the next
+    /// commit's directory sync; losing it to power loss only leaves an
+    /// older generation behind, which loading ignores while a newer one
+    /// parses.
     ///
     /// # Errors
     ///
@@ -839,6 +1129,7 @@ impl CheckpointLedger {
             file.sync_all()?;
         }
         std::fs::rename(&tmp, self.generation_path(next))?;
+        sync_dir(&self.dir)?;
         let gens = self.generations()?;
         if gens.len() > LEDGER_KEEP {
             for &g in &gens[..gens.len() - LEDGER_KEEP] {
@@ -1048,23 +1339,40 @@ mod tests {
             let samples: Vec<f64> = (0..points).map(|_| rng.normal()).collect();
             attack.add_trace(&ct, &samples);
         }
-        let progress = vec![vec![
-            crate::ProgressPoint {
-                traces: 150,
-                peak_corr: (0..256).map(|k| k as f64 / 256.0).collect(),
-            },
-            crate::ProgressPoint {
-                traces: 300,
-                peak_corr: (0..256).map(|k| k as f64 / 512.0).collect(),
-            },
-        ]];
         StreamCheckpoint {
             fingerprint: 0xfeed_f00d,
             windows: 2,
             traces: 300,
+            log_records: 2,
+            log_seal: 0x5ea1_5ea1,
             slots: vec![attack.checkpoint()],
-            progress,
         }
+    }
+
+    /// One commit's progress points for `slots` slots.
+    fn sample_points(slots: usize, commit: u64) -> Vec<ProgressPoint> {
+        (0..slots)
+            .map(|s| ProgressPoint {
+                traces: 100 * (commit + 1),
+                peak_corr: (0..256)
+                    .map(|k| (k as f64 + s as f64) / (256.0 + commit as f64))
+                    .collect(),
+            })
+            .collect()
+    }
+
+    /// A fresh progress log in `dir` with `records` commits appended;
+    /// returns the chained seal after each record.
+    fn sample_log(dir: &Path, slots: usize, records: u64, seed: u64) -> Vec<u64> {
+        std::fs::create_dir_all(dir).unwrap();
+        let mut log = ProgressLog::resume(dir, &LogPrefix::empty(slots, seed)).unwrap();
+        (0..records)
+            .map(|c| {
+                let rec = log.encode(&sample_points(slots, c)).unwrap();
+                log.append(&rec).unwrap();
+                log.seal()
+            })
+            .collect()
     }
 
     #[test]
@@ -1116,16 +1424,68 @@ mod tests {
             "must not misreport as corruption: {err}"
         );
 
-        // Same contract for the streaming format.
-        let mut bytes = Vec::new();
-        write_stream_checkpoint(&mut bytes, &sample_stream_checkpoint(2)).unwrap();
-        bytes[4..6].copy_from_slice(&(STREAM_CHECKPOINT_VERSION + 1).to_le_bytes());
-        reseal(&mut bytes);
-        let err = read_stream_checkpoint(&bytes[..]).unwrap_err().to_string();
-        assert!(
-            err.contains("version") && err.contains("not supported"),
-            "{err}"
-        );
+        // Same contract for the streaming format, which also refuses
+        // the older version-1 layout that kept progress curves inline.
+        for version in [1, STREAM_CHECKPOINT_VERSION + 1] {
+            let mut bytes = Vec::new();
+            write_stream_checkpoint(&mut bytes, &sample_stream_checkpoint(2)).unwrap();
+            bytes[4..6].copy_from_slice(&version.to_le_bytes());
+            reseal(&mut bytes);
+            let err = read_stream_checkpoint(&bytes[..]).unwrap_err().to_string();
+            assert!(
+                err.contains(&format!("version {version} is not supported")),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn progress_log_replays_any_committed_prefix() {
+        let dir = scratch_dir("log-prefix");
+        let seals = sample_log(&dir, 2, 3, 0xabc);
+        let data = read_progress_log(&dir).unwrap();
+        for records in 1..=3u64 {
+            let prefix =
+                replay_progress_log(&data, 2, records, 0xabc, seals[records as usize - 1]).unwrap();
+            assert_eq!(prefix.records, records);
+            for (slot, curve) in prefix.progress.iter().enumerate() {
+                let expect: Vec<_> = (0..records)
+                    .map(|c| sample_points(2, c)[slot].clone())
+                    .collect();
+                assert_eq!(curve, &expect);
+            }
+        }
+        // A wrong seed, a wrong final seal or a wrong slot count is
+        // refused with a named diagnostic.
+        for (slots, seed, seal) in [
+            (2, 0xabd, seals[2]),
+            (2, 0xabc, seals[1]),
+            (3, 0xabc, seals[2]),
+        ] {
+            let err = replay_progress_log(&data, slots, 3, seed, seal).unwrap_err();
+            assert!(err.to_string().contains("progress log"), "{err}");
+        }
+        // More records than the log holds.
+        assert!(replay_progress_log(&data, 2, 4, 0xabc, seals[2]).is_err());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn progress_log_resume_truncates_past_the_prefix() {
+        let dir = scratch_dir("log-truncate");
+        let seals = sample_log(&dir, 1, 3, 7);
+        let path = dir.join(PROGRESS_LOG_FILE);
+        let full = std::fs::read(&path).unwrap();
+        // Resume from the two-record prefix: the third record goes.
+        let prefix = replay_progress_log(&full, 1, 2, 7, seals[1]).unwrap();
+        let mut log = ProgressLog::resume(&dir, &prefix).unwrap();
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), prefix.end);
+        // The re-appended third record is byte-identical to the old one.
+        let rec = log.encode(&sample_points(1, 2)).unwrap();
+        log.append(&rec).unwrap();
+        assert_eq!(log.seal(), seals[2]);
+        assert_eq!(std::fs::read(&path).unwrap(), full);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1135,6 +1495,11 @@ mod tests {
         write_stream_checkpoint(&mut bytes, &cp).unwrap();
         let back = read_stream_checkpoint(&bytes[..]).unwrap();
         assert_eq!(back, cp);
+        // Fixed header, one nested accumulator with its length, seal:
+        // the size does not depend on how many commits preceded it.
+        let mut nested = Vec::new();
+        write_checkpoint(&mut nested, &cp.slots[0]).unwrap();
+        assert_eq!(bytes.len(), 48 + 8 + nested.len() + 8);
         // The nested accumulator resumes to a live attack.
         let resumed = CpaAttack::resume(back.slots[0].clone()).unwrap();
         assert_eq!(resumed.traces(), 300);
@@ -1200,6 +1565,64 @@ mod tests {
                 read_stream_checkpoint(&bytes[..cut]).is_err(),
                 "truncation to {cut} bytes loaded"
             );
+        }
+
+        /// A bit flip inside the committed part of a progress log never
+        /// loads silently: the ledger falls back to a generation whose
+        /// prefix ends before the flipped byte, or errors when none is
+        /// left. Trailing garbage past the newest prefix is ignored, and
+        /// resuming truncates it.
+        #[test]
+        fn progress_log_corruption_falls_back_or_errors(
+            pos in any::<u32>(),
+            bit in 0u8..8,
+            garbage in proptest::collection::vec(any::<u8>(), 0..64),
+        ) {
+            const SEED: u64 = 0x51;
+            let dir = scratch_dir(&format!("log-prop-{pos}-{bit}-{}", garbage.len()));
+            let seals = sample_log(&dir, 2, 3, SEED);
+            // One generation per commit, each naming its log prefix.
+            let ledger = CheckpointLedger::open(&dir).unwrap();
+            for (i, seal) in seals.iter().enumerate() {
+                let mut payload = (i as u64 + 1).to_le_bytes().to_vec();
+                payload.extend_from_slice(&seal.to_le_bytes());
+                ledger.commit(&payload).unwrap();
+            }
+            let path = dir.join(PROGRESS_LOG_FILE);
+            let clean = std::fs::read(&path).unwrap();
+            let load = |data: &[u8]| {
+                ledger.load_latest(|b| {
+                    let records = u64::from_le_bytes(b[..8].try_into().unwrap());
+                    let seal = u64::from_le_bytes(b[8..].try_into().unwrap());
+                    replay_progress_log(data, 2, records, SEED, seal)
+                })
+            };
+
+            let pos = pos as usize % clean.len();
+            let mut flipped = clean.clone();
+            flipped[pos] ^= 1 << bit;
+            match load(&flipped) {
+                Ok(Some(rec)) => {
+                    prop_assert!(rec.generation < 3, "flip at byte {pos} loaded the newest prefix");
+                    prop_assert!(
+                        (rec.state.end as usize) <= pos,
+                        "generation {} covers the flip at byte {pos}", rec.generation
+                    );
+                    prop_assert!(!rec.skipped.is_empty());
+                }
+                Ok(None) => prop_assert!(false, "a non-empty ledger loaded nothing"),
+                Err(e) => prop_assert!(e.to_string().contains("no loadable checkpoint generation")),
+            }
+
+            let mut padded = clean.clone();
+            padded.extend_from_slice(&garbage);
+            let rec = load(&padded).unwrap().unwrap();
+            prop_assert_eq!(rec.generation, 3);
+            prop_assert!(rec.skipped.is_empty());
+            std::fs::write(&path, &padded).unwrap();
+            ProgressLog::resume(&dir, &rec.state).unwrap();
+            prop_assert_eq!(std::fs::read(&path).unwrap(), clean);
+            let _ = std::fs::remove_dir_all(&dir);
         }
     }
 

@@ -69,9 +69,11 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
 
-    const SITES: [CrashSite; 4] = [
+    const SITES: [CrashSite; 6] = [
         CrashSite::AfterCapture,
         CrashSite::AfterFold,
+        CrashSite::TornLogAppend,
+        CrashSite::AfterLogAppend,
         CrashSite::TornCommit,
         CrashSite::AfterCommit,
     ];
@@ -80,19 +82,19 @@ mod proptests {
         #![proptest_config(ProptestConfig::with_cases(12))]
 
         /// Any single kill at any site of any commit group, resumed at
-        /// 1 or 3 workers, reproduces the uninterrupted result bit for
-        /// bit. (Torn first commits leave an all-corrupt ledger, which
-        /// is an explicit error — covered separately below — so torn
-        /// kills aim at groups ≥ 1 here.)
+        /// 1, 2, 4 or 8 workers, reproduces the uninterrupted result bit
+        /// for bit. (Torn first commits leave an all-corrupt ledger,
+        /// which is an explicit error — covered separately below — so
+        /// torn commits aim at groups ≥ 1 here.)
         #[test]
         fn kill_anywhere_resume_is_bit_identical(
             group in 0u64..4,
-            site_idx in 0usize..4,
-            workers_idx in 0usize..2,
+            site_idx in 0usize..6,
+            workers_idx in 0usize..4,
         ) {
             let site = SITES[site_idx];
             let group = if site == CrashSite::TornCommit { group.max(1) } else { group };
-            let workers = [1usize, 3][workers_idx];
+            let workers = [1usize, 2, 4, 8][workers_idx];
             let dir = scratch_dir(&format!("prop-{group}-{site_idx}-{workers}"));
             let exp = campaign().with_workers(workers);
             let mut plan = CrashPlan::none().kill_at(group, site);
@@ -109,8 +111,8 @@ mod proptests {
         fn double_kill_chain_is_bit_identical(
             g1 in 0u64..2,
             g2 in 2u64..4,
-            s1 in 0usize..2,
-            s2 in 0usize..4,
+            s1 in 0usize..4,
+            s2 in 0usize..6,
         ) {
             let dir = scratch_dir(&format!("chain-{g1}-{g2}-{s1}-{s2}"));
             let exp = campaign();
@@ -137,6 +139,7 @@ fn bit_flip_in_newest_generation_falls_back_gracefully() {
     let mut gens: Vec<_> = std::fs::read_dir(&dir)
         .unwrap()
         .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|e| e == "slmc"))
         .collect();
     gens.sort();
     let newest = gens.last().unwrap();
@@ -271,4 +274,167 @@ fn streaming_final_state_matches_parallel_runner() {
     );
     assert_eq!(streamed.result.correct_key_byte, parallel.correct_key_byte);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Runs `exp` to completion in a fresh ledger and returns the run with
+/// its metrics frame.
+fn run_recorded(
+    exp: &StreamingCpa,
+    tag: &str,
+) -> (
+    slm_core::experiments::StreamingResult,
+    slm_obs::MetricsFrame,
+) {
+    let dir = scratch_dir(tag);
+    let obs = Obs::memory();
+    let r = run_streaming_recorded(exp, &dir, &obs).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    (r, obs.snapshot())
+}
+
+#[test]
+fn corrupt_progress_log_record_falls_back_or_errors() {
+    let exp = campaign();
+    let commit_two = |tag: &str| {
+        let dir = scratch_dir(tag);
+        let mut plan = CrashPlan::none().kill_at(1, CrashSite::AfterCommit);
+        run_streaming_crashing(&exp, &dir, |_| {}, &Obs::null(), &mut plan).unwrap();
+        dir
+    };
+    let log_path = |dir: &PathBuf| dir.join(slm_cpa::store::PROGRESS_LOG_FILE);
+
+    // A flip in the second record, which only generation 2 commits:
+    // generation 1 loads, and the resumed run is still identical.
+    let dir = commit_two("log-flip-last");
+    let mut bytes = std::fs::read(log_path(&dir)).unwrap();
+    let last = bytes.len() - 20;
+    bytes[last] ^= 0x04;
+    std::fs::write(log_path(&dir), &bytes).unwrap();
+    let resumed = run_streaming(&exp, &dir).unwrap();
+    assert_eq!(resumed.resumed_generation, Some(1));
+    assert_eq!(resumed.recovered_generations, 1);
+    assert_eq!(&resumed.result, reference());
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // A flip in the first record, which every generation commits: no
+    // generation loads, and that is an explicit error.
+    let dir = commit_two("log-flip-first");
+    let mut bytes = std::fs::read(log_path(&dir)).unwrap();
+    bytes[20] ^= 0x04;
+    std::fs::write(log_path(&dir), &bytes).unwrap();
+    match run_streaming(&exp, &dir).unwrap_err() {
+        StreamingError::Io(e) => {
+            let msg = e.to_string();
+            assert!(msg.contains("no loadable checkpoint generation"), "{msg}");
+            assert!(msg.contains("progress log"), "{msg}");
+        }
+        other => panic!("expected Io error, got {other:?}"),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn version_one_ledger_is_refused_by_the_version_check() {
+    let dir = scratch_dir("v1-ledger");
+    let exp = campaign();
+    let mut plan = CrashPlan::none().kill_at(0, CrashSite::AfterCommit);
+    run_streaming_crashing(&exp, &dir, |_| {}, &Obs::null(), &mut plan).unwrap();
+    // Stamp the generation as the older inline-progress layout.
+    for entry in std::fs::read_dir(&dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.extension().is_some_and(|e| e == "slmc") {
+            let mut bytes = std::fs::read(&path).unwrap();
+            bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+        }
+    }
+    match run_streaming(&exp, &dir).unwrap_err() {
+        StreamingError::Io(e) => {
+            let msg = e.to_string();
+            assert!(msg.contains("version 1 is not supported"), "{msg}");
+        }
+        other => panic!("expected Io error, got {other:?}"),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn bytes_journaled_grow_linearly_with_commits() {
+    // Every commit journals one fixed-size log record and one
+    // fixed-size generation, so twice the commits journal exactly twice
+    // the bytes. (Rewriting the whole progress curve at every commit
+    // would grow the total with the square of the commit count.)
+    let (_, four) = run_recorded(&campaign(), "journal-4");
+    let mut longer = campaign();
+    longer.base.traces = 480;
+    let (_, eight) = run_recorded(&longer, "journal-8");
+    assert_eq!(four.counter("stream.commits"), 4);
+    assert_eq!(eight.counter("stream.commits"), 8);
+    assert!(four.counter("stream.bytes_journaled") > 0);
+    assert_eq!(
+        eight.counter("stream.bytes_journaled"),
+        2 * four.counter("stream.bytes_journaled")
+    );
+}
+
+/// A six-window campaign committing every two windows.
+fn grouped_campaign() -> StreamingCpa {
+    let mut exp = campaign().with_commit_every(2);
+    exp.base.traces = 360;
+    exp
+}
+
+#[test]
+fn mid_run_capture_error_commits_the_same_windows_at_any_worker_count() {
+    let (clean, _) = run_recorded(&grouped_campaign(), "fail-clean");
+    for workers in [1usize, 2, 4, 8] {
+        let dir = scratch_dir(&format!("fail-{workers}"));
+        let exp = grouped_campaign().with_workers(workers);
+        // Window 3 fails: group 0 (windows 0–1) is committed, window 2
+        // is folded but its group never commits.
+        let mut plan = CrashPlan::none().fail_window(3);
+        match run_streaming_crashing(&exp, &dir, |_| {}, &Obs::null(), &mut plan) {
+            Err(StreamingError::Fabric(e)) => assert!(e.retryable(), "{e}"),
+            other => panic!("expected a fabric error at {workers} workers, got {other:?}"),
+        }
+        // Resuming captures exactly the four uncommitted windows.
+        let obs = Obs::memory();
+        let resumed = run_streaming_recorded(&exp, &dir, &obs).unwrap();
+        assert_eq!(resumed.resumed_generation, Some(1), "{workers} workers");
+        assert_eq!(obs.snapshot().counter("cpa.traces_absorbed"), 240);
+        assert_eq!(resumed.result, clean.result, "{workers} workers");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn early_stop_is_worker_invariant_and_retention_stays_bounded() {
+    let exp = |workers: usize| {
+        StreamingCpa::new(CpaExperiment {
+            circuit: BenignCircuit::DualC6288,
+            source: SensorSource::TdcAll,
+            traces: 4_000,
+            checkpoints: 4,
+            pilot_traces: 100,
+            seed: 7,
+        })
+        .with_window(250)
+        .with_commit_every(2)
+        .with_workers(workers)
+        .with_early_stop(slm_core::experiments::EarlyStop {
+            min_traces: 1_000,
+            stable_commits: 2,
+            min_margin: 0.01,
+        })
+    };
+    let (one, one_frame) = run_recorded(&exp(1), "early-1");
+    assert!(one.early_stopped && one.traces < 4_000, "{one:?}");
+    for workers in [2usize, 4, 8] {
+        let (r, frame) = run_recorded(&exp(workers), &format!("early-{workers}"));
+        // Same result, same committed windows, and the same metrics:
+        // windows captured past the stop are never folded.
+        assert_eq!(r, one, "{workers} workers");
+        assert_eq!(frame.counters, one_frame.counters, "{workers} workers");
+        assert!(r.peak_raw_traces <= 250);
+    }
 }

@@ -22,9 +22,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use serde::Serialize;
-use slm_core::experiments::{
-    run_cpa_parallel, run_cpa_parallel_recorded, CpaExperiment, ParallelCpa, SensorSource,
-};
+use slm_core::experiments::{run_cpa_parallel, CpaExperiment, ParallelCpa, SensorSource};
 use slm_fabric::BenignCircuit;
 use slm_obs::Obs;
 use std::hint::black_box;
@@ -120,7 +118,7 @@ fn campaign_scaling(c: &mut Criterion) {
     ONCE.get_or_init(|| {
         // Warm the fabric prototype cache so the timed rows measure
         // steady-state throughput (see module docs).
-        run_cpa_parallel(&experiment(1)).expect("fabric builds");
+        run_cpa_parallel(&experiment(1), |_| {}, &Obs::null()).expect("fabric builds");
 
         let mut rows = Vec::new();
         let mut results = Vec::new();
@@ -129,7 +127,7 @@ fn campaign_scaling(c: &mut Criterion) {
             let exp = experiment(workers);
             let obs = Obs::memory();
             let start = std::time::Instant::now();
-            let r = run_cpa_parallel_recorded(&exp, &obs).expect("fabric builds");
+            let r = run_cpa_parallel(&exp, |_| {}, &obs).expect("fabric builds");
             let seconds = start.elapsed().as_secs_f64();
             let traces_per_sec = exp.base.traces as f64 / seconds;
             if workers == 1 {
@@ -242,7 +240,7 @@ fn campaign_scaling(c: &mut Criterion) {
                 shard_traces: 75,
                 workers: 0,
             };
-            run_cpa_parallel(black_box(&exp)).unwrap()
+            run_cpa_parallel(black_box(&exp), |_| {}, &Obs::null()).unwrap()
         })
     });
 }

@@ -10,9 +10,10 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use serde::Serialize;
 use slm_core::experiments::{
-    defense_matrix, run_cpa_with, CpaExperiment, DefenseArm, DefenseMatrixExperiment, SensorSource,
+    defense_matrix, run_cpa, CpaExperiment, DefenseArm, DefenseMatrixExperiment, SensorSource,
 };
 use slm_fabric::{BenignCircuit, DetectorConfig};
+use slm_obs::Obs;
 use std::hint::black_box;
 use std::sync::OnceLock;
 
@@ -82,10 +83,14 @@ fn defense_overhead(c: &mut Criterion) {
             let exp = base(traces);
             let deployment = arm.deployment(detector, 0xbe7);
             let start = std::time::Instant::now();
-            let r = run_cpa_with(&exp, |config| {
-                config.stimulus_alternation = 0.3;
-                config.defense = deployment;
-            })
+            let r = run_cpa(
+                &exp,
+                |config| {
+                    config.stimulus_alternation = 0.3;
+                    config.defense = deployment;
+                },
+                &Obs::null(),
+            )
             .expect("fabric builds");
             let seconds = start.elapsed().as_secs_f64();
             let traces_per_sec = traces as f64 / seconds;
@@ -170,10 +175,14 @@ fn defense_overhead(c: &mut Criterion) {
                 },
                 0xbe7,
             );
-            run_cpa_with(black_box(&exp), |config| {
-                config.stimulus_alternation = 0.3;
-                config.defense = deployment;
-            })
+            run_cpa(
+                black_box(&exp),
+                |config| {
+                    config.stimulus_alternation = 0.3;
+                    config.defense = deployment;
+                },
+                &Obs::null(),
+            )
             .unwrap()
         })
     });

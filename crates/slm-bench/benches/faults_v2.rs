@@ -16,6 +16,7 @@ use slm_core::experiments::{
 };
 use slm_cpa::DfaModel;
 use slm_fabric::{AggressorSpec, BenignCircuit, FabricConfig};
+use slm_obs::Obs;
 use std::hint::black_box;
 use std::sync::OnceLock;
 
@@ -179,7 +180,7 @@ fn fault_matrix_once(c: &mut Criterion) {
                 shard_captures: 100,
                 workers: 1,
             };
-            run_fault_campaign(black_box(&exp)).unwrap()
+            run_fault_campaign(black_box(&exp), &Obs::null()).unwrap()
         })
     });
 }

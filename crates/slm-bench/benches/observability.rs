@@ -15,9 +15,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use serde::Serialize;
-use slm_core::experiments::{
-    run_cpa_parallel, run_cpa_parallel_recorded, CpaExperiment, ParallelCpa, SensorSource,
-};
+use slm_core::experiments::{run_cpa_parallel, CpaExperiment, ParallelCpa, SensorSource};
 use slm_fabric::BenignCircuit;
 use slm_obs::Obs;
 use std::hint::black_box;
@@ -85,7 +83,7 @@ fn observability_overhead(c: &mut Criterion) {
         let exp = experiment();
 
         // Warm-up run: page in code and the allocator before timing.
-        run_cpa_parallel(&exp).expect("fabric builds");
+        run_cpa_parallel(&exp, |_| {}, &Obs::null()).expect("fabric builds");
 
         // Interleaved min-of-3: the minimum is the least-disturbed
         // observation of each configuration.
@@ -94,12 +92,12 @@ fn observability_overhead(c: &mut Criterion) {
         let mut deterministic = true;
         for _ in 0..3 {
             let start = std::time::Instant::now();
-            let plain = run_cpa_parallel(&exp).expect("fabric builds");
+            let plain = run_cpa_parallel(&exp, |_| {}, &Obs::null()).expect("fabric builds");
             t_null = t_null.min(start.elapsed().as_secs_f64());
 
             let obs = Obs::memory();
             let start = std::time::Instant::now();
-            let recorded = run_cpa_parallel_recorded(&exp, &obs).expect("fabric builds");
+            let recorded = run_cpa_parallel(&exp, |_| {}, &obs).expect("fabric builds");
             t_enabled = t_enabled.min(start.elapsed().as_secs_f64());
 
             deterministic &= plain == recorded;

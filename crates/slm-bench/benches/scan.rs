@@ -15,6 +15,7 @@ use slm_netlist::generators::{
     alu, array_multiplier, carry_sensor, kogge_stone_adder, tdc_delay_line, wallace_multiplier, zoo,
 };
 use slm_netlist::Netlist;
+use slm_obs::Obs;
 use std::hint::black_box;
 use std::path::PathBuf;
 use std::sync::OnceLock;
@@ -157,9 +158,9 @@ fn scan_scheduling(c: &mut Criterion) {
         b.iter(|| pm.run(black_box(&nl), &config))
     });
     let cache = ScanCache::in_memory();
-    let _ = pm.run_cached(&nl, &config, &cache);
+    let _ = pm.scan(&nl, &config, Some(&cache), 1, &Obs::null());
     c.bench_function("scan_warm_alu96", |b| {
-        b.iter(|| pm.run_cached(black_box(&nl), &config, &cache))
+        b.iter(|| pm.scan(black_box(&nl), &config, Some(&cache), 1, &Obs::null()))
     });
 }
 

@@ -16,8 +16,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use serde::Serialize;
 use slm_core::experiments::{
-    run_streaming, run_streaming_crashing, run_streaming_with_recorded, CpaExperiment, CrashPlan,
-    CrashSite, DefenseArm, EarlyStop, SensorSource, StreamOutcome, StreamingCpa,
+    run_streaming, run_streaming_crashing, CpaExperiment, CrashPlan, CrashSite, DefenseArm,
+    EarlyStop, SensorSource, StreamOutcome, StreamingCpa,
 };
 use slm_fabric::{BenignCircuit, DetectorConfig};
 use slm_obs::Obs;
@@ -89,7 +89,7 @@ fn crash_smoke() -> CrashSmoke {
         .with_window(window)
         .with_commit_every(1);
     let clean_dir = scratch_dir("smoke-clean");
-    let clean = run_streaming(&exp, &clean_dir).expect("fabric builds");
+    let clean = run_streaming(&exp, &clean_dir, |_| {}, &Obs::null()).expect("fabric builds");
 
     let dir = scratch_dir("smoke-killed");
     let mut plan = CrashPlan::none()
@@ -164,7 +164,7 @@ fn mtd_study() -> Vec<MtdRow> {
         let deployment = arm.deployment(detector, 0xbe7);
         let obs = Obs::memory();
         let start = std::time::Instant::now();
-        let r = run_streaming_with_recorded(
+        let r = run_streaming(
             &exp,
             &dir,
             |config| {
@@ -237,7 +237,7 @@ fn streaming_engine(c: &mut Criterion) {
             let exp = StreamingCpa::new(base(300))
                 .with_window(75)
                 .with_commit_every(2);
-            let r = run_streaming(black_box(&exp), &dir).unwrap();
+            let r = run_streaming(black_box(&exp), &dir, |_| {}, &Obs::null()).unwrap();
             let _ = std::fs::remove_dir_all(&dir);
             r
         })

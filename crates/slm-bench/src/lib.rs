@@ -10,11 +10,12 @@
 //!    show up as bench deltas.
 
 use slm_core::experiments::{run_cpa, CpaExperiment, CpaResult};
+use slm_obs::Obs;
 
 /// Runs a CPA experiment and prints the figure-style summary.
 pub fn run_and_report(label: &str, exp: &CpaExperiment) -> CpaResult {
     let start = std::time::Instant::now();
-    let r = run_cpa(exp).expect("fabric builds");
+    let r = run_cpa(exp, |_| {}, &Obs::null()).expect("fabric builds");
     let ok = r.recovered_key_byte == Some(r.correct_key_byte);
     println!(
         "[{label}] traces={} recovered={} mtd={:?} bits_of_interest={} selected_bit={:?} elapsed={:.1?}",

@@ -205,7 +205,7 @@ fn scan_one(
     obs: &slm_obs::Obs,
 ) -> ScanEntry {
     obs.incr("scan.designs");
-    let mut report = pm.execute(nl, config, cache, 1, obs);
+    let mut report = pm.scan(nl, config, cache, 1, obs);
     if let Some(mhz) = clock_mhz {
         let ann = DelayModel::default().annotate(nl);
         report.findings.extend(check_timing(&ann, mhz).findings);
@@ -730,14 +730,14 @@ mod tests {
     }
 
     #[test]
-    fn run_many_matches_run_in_a_loop() {
+    fn run_batch_matches_run_in_a_loop() {
         let pm = PassManager::full();
         let config = CheckerConfig::default();
         let entries = zoo();
         let netlists: Vec<&Netlist> = entries.iter().map(|e| &e.netlist).collect();
         let serial: Vec<_> = netlists.iter().map(|nl| pm.run(nl, &config)).collect();
         for workers in [1, 3, 8] {
-            let parallel = pm.run_many(&netlists, &config, workers);
+            let parallel = pm.run_batch(&netlists, &config, None, workers);
             assert_eq!(parallel.len(), serial.len());
             for (a, b) in parallel.iter().zip(&serial) {
                 assert_eq!(a.netlist, b.netlist);

@@ -50,11 +50,11 @@
 //!   state readable at tenant outputs (the paper's TDC readout model).
 //!
 //! Passes declare dependencies ([`Pass::depends_on`]); the manager
-//! schedules independent passes of a level in parallel
-//! ([`PassManager::run_parallel`]) and replays per-pass results from a
-//! content-addressed [`ScanCache`] ([`PassManager::run_cached`],
-//! [`PassManager::run_batch`]) keyed by FNV hashes of the netlist and
-//! config — the admission-at-traffic fast path.
+//! schedules independent passes of a level in parallel and replays
+//! per-pass results from a content-addressed [`ScanCache`]
+//! ([`PassManager::scan`], [`PassManager::run_batch`]) keyed by FNV
+//! hashes of the netlist and config — the admission-at-traffic fast
+//! path.
 //!
 //! The headline result of the reproduction's stealth experiment
 //! (`slm-core`'s detection matrix): every malicious-by-construction
@@ -137,6 +137,7 @@ mod tests {
         obfuscated_tdc_delay_line, ring_oscillator, tapped_carry_chain, tdc_delay_line,
     };
     use slm_netlist::{Gate, GateKind, NetId, Netlist};
+    use slm_obs::Obs;
     use slm_timing::DelayModel;
 
     #[test]
@@ -426,8 +427,8 @@ mod tests {
         let pm = PassManager::full();
         let nl = tdc_delay_line(64).unwrap();
         let config = CheckerConfig::default();
-        let cold = pm.run_cached(&nl, &config, &cache);
-        let warm = pm.run_cached(&nl, &config, &cache);
+        let cold = pm.scan(&nl, &config, Some(&cache), 1, &Obs::null());
+        let warm = pm.scan(&nl, &config, Some(&cache), 1, &Obs::null());
         assert_eq!(cold.to_json(), warm.to_json());
         assert!(
             cache.hits() >= pm.pass_names().len() as u64,
@@ -441,7 +442,7 @@ mod tests {
             ..CheckerConfig::default()
         };
         let miss_before = cache.misses();
-        let _ = pm.run_cached(&nl, &strict, &cache);
+        let _ = pm.scan(&nl, &strict, Some(&cache), 1, &Obs::null());
         assert!(cache.misses() > miss_before);
     }
 
@@ -455,7 +456,7 @@ mod tests {
             slm_netlist::generators::carry_sensor(32, 4).unwrap(),
         ] {
             let serial = pm.run(&nl, &config);
-            let par = pm.run_parallel(&nl, &config, 4);
+            let par = pm.scan(&nl, &config, None, 4, &Obs::null());
             assert_eq!(serial.to_json(), par.to_json(), "{}", nl.name());
         }
     }

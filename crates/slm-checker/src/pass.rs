@@ -3,12 +3,11 @@
 //! Passes declare data dependencies on other passes by name
 //! ([`Pass::depends_on`]); the [`PassManager`] topologically groups
 //! them into *levels* and can run the independent passes of a level in
-//! parallel ([`PassManager::run_parallel`]) or replay per-pass results
-//! from a content-addressed [`ScanCache`]
-//! ([`PassManager::run_cached`]). Every execution mode concatenates
-//! per-pass findings in registration order, so reports are bit-identical
-//! across serial, parallel and cached runs — the property the scan
-//! determinism proptests pin.
+//! parallel or replay per-pass results from a content-addressed
+//! [`ScanCache`] ([`PassManager::scan`]). Every execution mode
+//! concatenates per-pass findings in registration order, so reports are
+//! bit-identical across serial, parallel and cached runs — the property
+//! the scan determinism proptests pin.
 
 use crate::analysis::Analysis;
 use crate::cache::ScanCache;
@@ -24,8 +23,8 @@ use slm_netlist::Netlist;
 /// context, so a [`PassManager`] can run any subset in any order that
 /// respects [`Pass::depends_on`]. The `Send + Sync` bound is what lets
 /// one manager scan many designs concurrently
-/// ([`PassManager::run_many`]) and fan independent passes of one scan
-/// across threads ([`PassManager::run_parallel`]).
+/// ([`PassManager::run_batch`]) and fan independent passes of one scan
+/// across threads ([`PassManager::scan`]).
 pub trait Pass: Send + Sync {
     /// Short stable identifier (used in findings, suppressions, cache
     /// keys and the detection matrix).
@@ -196,15 +195,20 @@ impl PassManager {
         Prior { entries }
     }
 
-    /// The shared executor behind every run mode.
+    /// Scans `nl` with every option spelled out — the executor behind
+    /// every other run mode.
     ///
     /// `cache` replays per-pass findings keyed by netlist + config
-    /// content hashes; when *every* pass hits, the report is assembled
-    /// without even building the [`Analysis`]. `workers != 1` fans the
-    /// independent passes of each dependency level over a `slm-par`
-    /// pool. Findings are always concatenated in registration order and
-    /// suppressed afterwards, so all modes emit bit-identical reports.
-    pub(crate) fn execute(
+    /// content hashes and stores the findings of the passes that had to
+    /// run; when *every* pass hits, the report is assembled without even
+    /// building the [`Analysis`]. `workers != 1` fans the independent
+    /// passes of each dependency level over up to `workers` threads
+    /// (0 = machine parallelism). `obs` receives a wall-time span per
+    /// pass and the post-suppression finding counts by severity.
+    /// Findings are always concatenated in registration order and
+    /// suppressed afterwards, so every combination of options emits a
+    /// report bit-identical to [`PassManager::run`].
+    pub fn scan(
         &self,
         nl: &Netlist,
         config: &CheckerConfig,
@@ -320,35 +324,7 @@ impl PassManager {
         config: &CheckerConfig,
         obs: &slm_obs::Obs,
     ) -> CheckReport {
-        self.execute(nl, config, None, 1, obs)
-    }
-
-    /// Scans `nl` with the independent passes of each dependency level
-    /// fanned over up to `workers` threads (0 = machine parallelism).
-    ///
-    /// The report is bit-identical to [`PassManager::run`].
-    pub fn run_parallel(
-        &self,
-        nl: &Netlist,
-        config: &CheckerConfig,
-        workers: usize,
-    ) -> CheckReport {
-        self.execute(nl, config, None, workers, &slm_obs::Obs::null())
-    }
-
-    /// Scans `nl` replaying per-pass findings from `cache` where the
-    /// netlist + config content hashes match, and populating the cache
-    /// for the passes that had to run.
-    ///
-    /// A full hit skips analysis construction entirely; the report is
-    /// bit-identical to [`PassManager::run`] either way.
-    pub fn run_cached(
-        &self,
-        nl: &Netlist,
-        config: &CheckerConfig,
-        cache: &ScanCache,
-    ) -> CheckReport {
-        self.execute(nl, config, Some(cache), 1, &slm_obs::Obs::null())
+        self.scan(nl, config, None, 1, obs)
     }
 
     /// Scans a batch of netlists on up to `workers` threads, sharing
@@ -362,49 +338,8 @@ impl PassManager {
         workers: usize,
     ) -> Vec<CheckReport> {
         slm_par::par_map(workers, netlists, |nl| {
-            self.execute(nl, config, cache, 1, &slm_obs::Obs::null())
+            self.scan(nl, config, cache, 1, &slm_obs::Obs::null())
         })
-    }
-
-    /// Scans many netlists on up to `workers` threads (0 = machine
-    /// parallelism), returning one report per netlist in input order.
-    ///
-    /// Each design gets its own [`Analysis`] and report; passes are
-    /// stateless, so the reports are identical to running
-    /// [`PassManager::run`] in a loop — order-preserving and
-    /// worker-count invariant.
-    pub fn run_many(
-        &self,
-        netlists: &[&Netlist],
-        config: &CheckerConfig,
-        workers: usize,
-    ) -> Vec<CheckReport> {
-        slm_par::par_map(workers, netlists, |nl| self.run(nl, config))
-    }
-
-    /// [`PassManager::run_many`] with an observability handle. Every
-    /// worker records into a fork of `obs`; the per-design frames are
-    /// absorbed back in input order, so counters and span counts are
-    /// worker-count invariant (only wall-clock durations vary).
-    pub fn run_many_recorded(
-        &self,
-        netlists: &[&Netlist],
-        config: &CheckerConfig,
-        workers: usize,
-        obs: &slm_obs::Obs,
-    ) -> Vec<CheckReport> {
-        let scanned = slm_par::par_map(workers, netlists, |nl| {
-            let worker_obs = obs.fork();
-            let report = self.run_recorded(nl, config, &worker_obs);
-            (report, worker_obs.snapshot())
-        });
-        scanned
-            .into_iter()
-            .map(|(report, frame)| {
-                obs.absorb(&frame);
-                report
-            })
-            .collect()
     }
 }
 

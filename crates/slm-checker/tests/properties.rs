@@ -13,6 +13,7 @@ use slm_netlist::generators::{
     tdc_delay_line, wallace_multiplier, zoo,
 };
 use slm_netlist::Netlist;
+use slm_obs::Obs;
 use slm_timing::DelayModel;
 
 /// The full-pipeline config a zoo entry is admitted under: defaults
@@ -183,8 +184,8 @@ proptest! {
         let cache = ScanCache::in_memory();
         for nl in &designs {
             let plain = pm.run(nl, &config);
-            let cold = pm.run_cached(nl, &config, &cache);
-            let warm = pm.run_cached(nl, &config, &cache);
+            let cold = pm.scan(nl, &config, Some(&cache), 1, &Obs::null());
+            let warm = pm.scan(nl, &config, Some(&cache), 1, &Obs::null());
             prop_assert_eq!(plain.to_json(), cold.to_json(), "{}", nl.name());
             prop_assert_eq!(cold.to_json(), warm.to_json(), "{}", nl.name());
         }
@@ -206,7 +207,7 @@ proptest! {
         let refs: Vec<&Netlist> = designs.iter().collect();
         let serial: Vec<String> = refs.iter().map(|nl| pm.run(nl, &config).to_json()).collect();
         for (i, nl) in refs.iter().enumerate() {
-            let par = pm.run_parallel(nl, &config, workers);
+            let par = pm.scan(nl, &config, None, workers, &Obs::null());
             prop_assert_eq!(&par.to_json(), &serial[i], "{}", nl.name());
         }
         let batch = pm.run_batch(&refs, &config, None, workers);

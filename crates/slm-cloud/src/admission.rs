@@ -13,6 +13,7 @@
 use crate::submission::TenantSubmission;
 use serde::{Deserialize, Serialize};
 use slm_checker::{check_timing, CheckReport, CheckerConfig, PassManager, ScanCache, Severity};
+use slm_obs::Obs;
 use slm_timing::DelayModel;
 
 /// The gate's three-way outcome.
@@ -103,7 +104,9 @@ impl AdmissionGate {
     /// Scans one submission and renders the verdict.
     pub fn decide(&self, sub: &TenantSubmission) -> AdmissionDecision {
         let config = self.config_for(sub);
-        let mut report = self.pm.run_cached(&sub.netlist, &config, &self.cache);
+        let mut report = self
+            .pm
+            .scan(&sub.netlist, &config, Some(&self.cache), 1, &Obs::null());
         if let Some(mhz) = sub.contract.clock_mhz {
             let ann = DelayModel::default().annotate(&sub.netlist);
             report.findings.extend(check_timing(&ann, mhz).findings);

@@ -32,7 +32,7 @@ use std::collections::{HashMap, HashSet};
 
 use serde::{Deserialize, Serialize};
 use slm_checker::ScanCache;
-use slm_core::experiments::{run_cpa_with, run_fault_campaign, CpaExperiment, FaultCampaign};
+use slm_core::experiments::{run_cpa, run_fault_campaign, CpaExperiment, FaultCampaign};
 use slm_fabric::{DetectorConfig, FabricConfig, FabricError};
 use slm_obs::Obs;
 
@@ -664,9 +664,13 @@ impl CloudService {
                     pilot_traces: 16,
                     seed,
                 };
-                let result = run_cpa_with(&exp, |fc| {
-                    fc.defense = defense;
-                })?;
+                let result = run_cpa(
+                    &exp,
+                    |fc| {
+                        fc.defense = defense;
+                    },
+                    &Obs::null(),
+                )?;
                 Ok(CampaignOutcome::Cpa {
                     recovered_key_byte: result.recovered_key_byte,
                     correct_key_byte: result.correct_key_byte,
@@ -689,7 +693,7 @@ impl CloudService {
                     // shards inside one campaign stay serial.
                     workers: 1,
                 };
-                let outcome = run_fault_campaign(&fault)?;
+                let outcome = run_fault_campaign(&fault, &Obs::null())?;
                 Ok(CampaignOutcome::Fault {
                     captures: outcome.captures,
                     faulted: outcome.faulted,

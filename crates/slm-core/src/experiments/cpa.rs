@@ -5,13 +5,18 @@ use slm_cpa::{
     common_mode_polarity, leader_margin, measurements_to_disclosure, BitActivity, CpaAttack,
     LastRoundModel, PostProcessor, ProgressPoint, TraceBatch,
 };
-use slm_fabric::{AesActivity, BenignCircuit, FabricConfig, FabricError, MultiTenantFabric};
+use slm_fabric::{
+    AesActivity, BenignCircuit, CaptureRecord, FabricConfig, FabricError, MultiTenantFabric,
+};
 use slm_obs::Obs;
+use std::ops::Range;
 
-/// Traces staged per accumulator flush in the campaign loops. Chunks
-/// never cross a checkpoint boundary, and batch absorption is
-/// bit-identical to one-at-a-time absorption
-/// ([`CpaAttack::add_batch`]), so the value only affects throughput.
+/// Traces staged per accumulator flush in the lane kernel
+/// ([`run_lane`]) — and so the most raw captures any lane holds at
+/// once. Chunks never cross a checkpoint boundary, and batch
+/// absorption is bit-identical to one-at-a-time absorption
+/// ([`CpaAttack::add_batch`]), so the value only affects throughput
+/// and memory.
 pub(crate) const ABSORB_BATCH: u64 = 32;
 
 /// Which sensor feeds the attack.
@@ -74,57 +79,54 @@ pub struct CpaResult {
     pub traces: u64,
 }
 
-/// Runs one CPA campaign.
-///
-/// Pipeline (matching the paper's workflow): a pilot phase captures full
-/// endpoint vectors while the victim encrypts, from which the
-/// fluctuating *bits of interest* and the highest-variance endpoint are
-/// derived; the main phase then captures only the final-round window
-/// (and only the needed endpoints), post-processes each capture to
-/// scalar points, and feeds a streaming last-round CPA.
-///
-/// # Errors
-///
-/// Propagates fabric construction failures.
-pub fn run_cpa(exp: &CpaExperiment) -> Result<CpaResult, FabricError> {
-    run_cpa_inner(exp, |_| {}, &Obs::null())
-}
-
-/// [`run_cpa`] with an observability handle: the campaign emits
-/// `cpa.*` counters, per-checkpoint leader margins and PDN droop
-/// telemetry into `obs`. With a [`NullRecorder`](slm_obs::NullRecorder)
-/// handle this is the plain serial campaign.
-///
-/// # Errors
-///
-/// Propagates fabric construction failures.
-pub fn run_cpa_recorded(exp: &CpaExperiment, obs: &Obs) -> Result<CpaResult, FabricError> {
-    run_cpa_inner(exp, |_| {}, obs)
-}
-
 /// Everything the pilot phase decides about a campaign: the hypothesis
 /// model, the ground truth, the derived endpoint selections and the
-/// trace post-processing. Shared between the serial and sharded
-/// campaign loops so both paths make identical offline decisions.
+/// trace post-processing. Shared by every campaign engine so all of
+/// them make identical offline decisions.
 #[derive(Debug, Clone)]
 pub(crate) struct CampaignSetup {
+    pub source: SensorSource,
     pub model: LastRoundModel,
     pub correct_key_byte: u8,
     pub bits_of_interest: Vec<usize>,
     pub candidate_bits: Vec<usize>,
     pub selected_bit: Option<usize>,
-    pub window: std::ops::Range<usize>,
+    pub window: Range<usize>,
     pub points: usize,
     pub endpoints: Vec<usize>,
     pub single_bit_slots: usize,
     pub processor: Option<PostProcessor>,
 }
 
+impl CampaignSetup {
+    /// Empty accumulators, one per attack slot (one per single-bit
+    /// candidate; slot 0 for the other sources).
+    pub fn fresh_attacks(&self) -> Vec<CpaAttack> {
+        (0..self.single_bit_slots)
+            .map(|_| CpaAttack::new(self.model, self.points))
+            .collect()
+    }
+}
+
+/// The base fabric configuration of a campaign: the experiment's
+/// circuit and seed, then the caller's `tweak`.
+pub(crate) fn campaign_config(
+    exp: &CpaExperiment,
+    tweak: impl FnOnce(&mut FabricConfig),
+) -> FabricConfig {
+    let mut config = FabricConfig {
+        benign: exp.circuit,
+        seed: exp.seed,
+        ..FabricConfig::default()
+    };
+    tweak(&mut config);
+    config
+}
+
 /// Runs the pilot phase on a fresh fabric built from `config` and
 /// derives the campaign setup. The fabric is returned with its noise
-/// and plaintext streams advanced past the pilot, so the serial path
-/// can keep capturing on it exactly as before the pilot/main split was
-/// factored out.
+/// and plaintext streams advanced past the pilot, so the serial runner
+/// can keep capturing on it as one electrical stream.
 pub(crate) fn pilot_setup(
     exp: &CpaExperiment,
     config: &FabricConfig,
@@ -208,6 +210,7 @@ pub(crate) fn pilot_setup(
     Ok((
         fabric,
         CampaignSetup {
+            source: exp.source,
             model,
             correct_key_byte,
             bits_of_interest,
@@ -249,6 +252,7 @@ pub(crate) fn geometry_setup(
     let model = LastRoundModel::paper_target();
     let window = fabric.last_round_window();
     Ok(CampaignSetup {
+        source: exp.source,
         model,
         correct_key_byte: fabric.aes().round_keys()[10][model.ct_byte],
         bits_of_interest: Vec::new(),
@@ -267,15 +271,9 @@ pub(crate) fn geometry_setup(
 
 /// Post-processes one capture into the trace points of attack slot
 /// `slot` — the single shared definition of every sensor source's
-/// trace-point function, used by the scalar and batched absorb paths.
-fn fill_points(
-    source: SensorSource,
-    setup: &CampaignSetup,
-    rec: &slm_fabric::CaptureRecord,
-    slot: usize,
-    point_buf: &mut [f64],
-) {
-    match source {
+/// trace-point function.
+fn fill_points(setup: &CampaignSetup, rec: &CaptureRecord, slot: usize, point_buf: &mut [f64]) {
+    match setup.source {
         SensorSource::TdcAll => {
             for (dst, &d) in point_buf.iter_mut().zip(&rec.tdc) {
                 *dst = f64::from(d);
@@ -301,53 +299,89 @@ fn fill_points(
     }
 }
 
-/// Post-processes one capture into trace points and feeds the per-slot
-/// attacks — the scalar campaign loop body, shared by the serial and
-/// sharded paths.
-pub(crate) fn absorb_record(
-    source: SensorSource,
-    setup: &CampaignSetup,
-    rec: &slm_fabric::CaptureRecord,
-    attacks: &mut [CpaAttack],
-    point_buf: &mut [f64],
-    obs: &Obs,
-) {
-    obs.incr("cpa.traces_absorbed");
-    for (slot, attack) in attacks.iter_mut().enumerate() {
-        fill_points(source, setup, rec, slot, point_buf);
-        attack.add_trace_recorded(&rec.ciphertext, point_buf, obs);
+/// Where a campaign takes progress points: after every `every` traces
+/// of the global trace stream, and after its last trace, `total`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CheckpointGrid {
+    pub every: u64,
+    pub total: u64,
+}
+
+impl CheckpointGrid {
+    /// The experiment's `checkpoints` evenly spaced progress points.
+    pub fn of(exp: &CpaExperiment) -> Self {
+        CheckpointGrid {
+            every: (exp.traces / exp.checkpoints.max(1) as u64).max(1),
+            total: exp.traces,
+        }
+    }
+
+    fn holds(&self, t: u64) -> bool {
+        t % self.every == 0 || t == self.total
     }
 }
 
-/// Post-processes a chunk of captures and absorbs it through the
-/// blocked SoA batch path: per slot, every record's points are staged
-/// into a [`TraceBatch`] and flushed with [`CpaAttack::add_batch`],
-/// which is bit-identical to absorbing the records one at a time in
-/// order (the accumulator cells see the same additions in the same
-/// order). `staging` buffers are cleared on return; their allocations
-/// are reused across chunks.
-pub(crate) fn absorb_batch(
-    source: SensorSource,
+/// The CPA lane kernel: the one capture→absorb loop behind every CPA
+/// campaign engine.
+///
+/// Captures the global traces `range` on `fabric` in chunks of at most
+/// [`ABSORB_BATCH`] traces that never cross a `grid` checkpoint,
+/// post-processes each chunk into per-slot [`TraceBatch`]es, absorbs
+/// them with [`CpaAttack::add_batch`], and hands the accumulators to
+/// `on_checkpoint` at every grid point the range reaches. Returns the
+/// accumulators. Plaintext generation stays interleaved with
+/// encryption (both draw from the fabric's seed stream), and batch
+/// absorption is bit-identical to absorbing the traces one at a time,
+/// so neither the chunk size nor the grid changes the result; raw
+/// captures live for one chunk only.
+pub(crate) fn run_lane(
+    fabric: &mut MultiTenantFabric,
     setup: &CampaignSetup,
-    recs: &[slm_fabric::CaptureRecord],
-    attacks: &mut [CpaAttack],
-    staging: &mut [TraceBatch],
-    point_buf: &mut [f64],
+    range: Range<u64>,
+    grid: CheckpointGrid,
     obs: &Obs,
-) {
-    obs.add("cpa.traces_absorbed", recs.len() as u64);
-    for rec in recs {
-        for (slot, batch) in staging.iter_mut().enumerate() {
-            fill_points(source, setup, rec, slot, point_buf);
-            batch.push(rec.ciphertext, point_buf);
+    mut on_checkpoint: impl FnMut(u64, &[CpaAttack]),
+) -> Vec<CpaAttack> {
+    let mut attacks = setup.fresh_attacks();
+    let mut staging: Vec<TraceBatch> = (0..setup.single_bit_slots)
+        .map(|_| TraceBatch::with_capacity(setup.points, ABSORB_BATCH as usize))
+        .collect();
+    let mut point_buf = vec![0.0f64; setup.points];
+    let mut recs: Vec<CaptureRecord> = Vec::with_capacity(ABSORB_BATCH as usize);
+    let mut t = range.start;
+    while t < range.end {
+        let boundary = (t / grid.every + 1) * grid.every;
+        let stop = boundary.min(range.end).min(t + ABSORB_BATCH);
+        recs.clear();
+        {
+            let _capture_span = obs.span("cpa.capture");
+            for _ in t..stop {
+                let pt = fabric.random_plaintext();
+                recs.push(fabric.encrypt_windowed(pt, setup.window.clone(), &setup.endpoints));
+            }
+        }
+        {
+            let _absorb_span = obs.span("cpa.absorb");
+            obs.add("cpa.traces_absorbed", recs.len() as u64);
+            for rec in &recs {
+                for (slot, batch) in staging.iter_mut().enumerate() {
+                    fill_points(setup, rec, slot, &mut point_buf);
+                    batch.push(rec.ciphertext, &point_buf);
+                }
+            }
+            for (attack, batch) in attacks.iter_mut().zip(&mut staging) {
+                attack
+                    .add_batch_recorded(batch, obs)
+                    .expect("staging geometry matches the attack");
+                batch.clear();
+            }
+        }
+        t = stop;
+        if grid.holds(t) {
+            on_checkpoint(t, &attacks);
         }
     }
-    for (attack, batch) in attacks.iter_mut().zip(staging.iter_mut()) {
-        attack
-            .add_batch_recorded(batch, obs)
-            .expect("staging geometry matches the attack");
-        batch.clear();
-    }
+    attacks
 }
 
 /// Records a campaign fabric's PDN telemetry, and its defense telemetry
@@ -379,7 +413,6 @@ pub(crate) fn record_fabric_telemetry(fabric: &MultiTenantFabric, obs: &Obs) {
 /// correlation surface (1 = serial; the evaluation is bit-identical at
 /// any count).
 pub(crate) fn assemble_result(
-    exp: &CpaExperiment,
     setup: &CampaignSetup,
     attacks: &[CpaAttack],
     mut progress_per: Vec<Vec<ProgressPoint>>,
@@ -402,7 +435,7 @@ pub(crate) fn assemble_result(
     };
     let attack = &attacks[chosen_slot];
     let progress = progress_per.swap_remove(chosen_slot);
-    let selected_bit = match exp.source {
+    let selected_bit = match setup.source {
         SensorSource::BenignSingleBit(_) => setup.candidate_bits.get(chosen_slot).copied(),
         _ => setup.selected_bit,
     };
@@ -430,74 +463,44 @@ pub(crate) fn assemble_result(
     }
 }
 
-/// [`run_cpa`] with a fabric-configuration hook applied before the
-/// fabric is built — used by the countermeasure and placement studies.
+/// Runs one CPA campaign on a single fabric.
+///
+/// Pipeline (matching the paper's workflow): a pilot phase captures full
+/// endpoint vectors while the victim encrypts, from which the
+/// fluctuating *bits of interest* and the highest-variance endpoint are
+/// derived; the main phase then captures only the final-round window
+/// (and only the needed endpoints), post-processes each capture to
+/// scalar points, and feeds a streaming last-round CPA — the lane
+/// kernel over the pilot's own fabric, so the whole campaign is one
+/// electrical stream. `tweak` edits the fabric configuration before
+/// the fabric is built (the hook the countermeasure and placement
+/// studies use; pass `|_| {}` for none). The campaign emits `cpa.*`
+/// counters, per-checkpoint leader margins and PDN/defense telemetry
+/// into `obs`; with [`Obs::null`] it records nothing.
 ///
 /// # Errors
 ///
 /// Propagates fabric construction failures.
-pub(crate) fn run_cpa_inner(
+pub fn run_cpa(
     exp: &CpaExperiment,
     tweak: impl FnOnce(&mut FabricConfig),
     obs: &Obs,
 ) -> Result<CpaResult, FabricError> {
-    let mut config = FabricConfig {
-        benign: exp.circuit,
-        seed: exp.seed,
-        ..FabricConfig::default()
-    };
-    tweak(&mut config);
+    let config = campaign_config(exp, tweak);
     let (mut fabric, setup) = {
         let _pilot_span = obs.span("cpa.pilot");
         pilot_setup(exp, &config)?
     };
-
-    // ---- main phase -----------------------------------------------------
-    // One attack per single-bit candidate (index 0 used by the other
-    // sources).
-    let mut attacks: Vec<CpaAttack> = (0..setup.single_bit_slots)
-        .map(|_| CpaAttack::new(setup.model, setup.points))
-        .collect();
     let mut progress_per: Vec<Vec<ProgressPoint>> =
         vec![Vec::with_capacity(exp.checkpoints); setup.single_bit_slots];
-    let checkpoint_every = (exp.traces / exp.checkpoints.max(1) as u64).max(1);
-    let mut point_buf = vec![0.0f64; setup.points];
-    let mut staging: Vec<TraceBatch> = (0..setup.single_bit_slots)
-        .map(|_| TraceBatch::with_capacity(setup.points, ABSORB_BATCH as usize))
-        .collect();
-    let mut recs: Vec<slm_fabric::CaptureRecord> = Vec::with_capacity(ABSORB_BATCH as usize);
-    // Chunked capture loop: up to ABSORB_BATCH traces per chunk, never
-    // crossing a checkpoint boundary. Plaintext generation stays
-    // interleaved with encryption (both draw from the fabric's seed
-    // stream), so the captured traces are the same as the one-at-a-time
-    // loop's, and batch absorption is bit-identical to scalar
-    // absorption — the whole refactor is invisible to the result.
-    let mut t = 0u64;
-    while t < exp.traces {
-        let boundary = (t / checkpoint_every + 1) * checkpoint_every;
-        let stop = boundary.min(exp.traces).min(t + ABSORB_BATCH);
-        recs.clear();
-        {
-            let _capture_span = obs.span("cpa.capture");
-            for _ in t..stop {
-                let pt = fabric.random_plaintext();
-                recs.push(fabric.encrypt_windowed(pt, setup.window.clone(), &setup.endpoints));
-            }
-        }
-        {
-            let _absorb_span = obs.span("cpa.absorb");
-            absorb_batch(
-                exp.source,
-                &setup,
-                &recs,
-                &mut attacks,
-                &mut staging,
-                &mut point_buf,
-                obs,
-            );
-        }
-        t = stop;
-        if t % checkpoint_every == 0 || t == exp.traces {
+    let grid = CheckpointGrid::of(exp);
+    let attacks = run_lane(
+        &mut fabric,
+        &setup,
+        0..exp.traces,
+        grid,
+        obs,
+        |t, attacks| {
             let _eval_span = obs.span("cpa.eval");
             for (slot, attack) in attacks.iter().enumerate() {
                 let peaks = attack.peak_correlations().to_vec();
@@ -509,12 +512,11 @@ pub(crate) fn run_cpa_inner(
                     peak_corr: peaks,
                 });
             }
-        }
-    }
+        },
+    );
     record_fabric_telemetry(&fabric, obs);
 
     Ok(assemble_result(
-        exp,
         &setup,
         &attacks,
         progress_per,
@@ -563,7 +565,7 @@ mod tests {
             pilot_traces: 100,
             seed: 7,
         };
-        let r = run_cpa(&exp).unwrap();
+        let r = run_cpa(&exp, |_| {}, &Obs::null()).unwrap();
         assert_eq!(r.recovered_key_byte, Some(r.correct_key_byte));
         let mtd = r.mtd.expect("TDC should disclose the key");
         assert!(mtd <= 3_000, "TDC MTD {mtd} should be well under 3k traces");
@@ -581,7 +583,7 @@ mod tests {
             pilot_traces: 100,
             seed: 8,
         };
-        let r = run_cpa(&exp).unwrap();
+        let r = run_cpa(&exp, |_| {}, &Obs::null()).unwrap();
         assert_eq!(r.recovered_key_byte, Some(r.correct_key_byte));
     }
 
@@ -596,8 +598,8 @@ mod tests {
             seed: 5,
         };
         let obs = Obs::memory();
-        let recorded = run_cpa_recorded(&exp, &obs).unwrap();
-        let plain = run_cpa(&exp).unwrap();
+        let recorded = run_cpa(&exp, |_| {}, &obs).unwrap();
+        let plain = run_cpa(&exp, |_| {}, &Obs::null()).unwrap();
         // Observability must never perturb the result.
         assert_eq!(recorded, plain);
         let frame = obs.snapshot();
@@ -621,7 +623,7 @@ mod tests {
             pilot_traces: 150,
             seed: 9,
         };
-        let r = run_cpa(&exp).unwrap();
+        let r = run_cpa(&exp, |_| {}, &Obs::null()).unwrap();
         assert!(!r.bits_of_interest.is_empty());
         let bit = r.selected_bit.unwrap();
         assert!(r.bits_of_interest.contains(&bit));

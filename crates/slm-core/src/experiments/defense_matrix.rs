@@ -21,7 +21,7 @@ use slm_fabric::{
 };
 use slm_obs::{MetricsFrame, Obs};
 
-use super::cpa::{run_cpa_inner, CpaExperiment, CpaResult};
+use super::cpa::{run_cpa, CpaExperiment, CpaResult};
 
 /// One countermeasure arm of the matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -261,7 +261,7 @@ pub fn defense_matrix_recorded(
                 arm.deployment(exp.detector, slm_par::mix_seed(exp.base.seed, arm_tag(arm)));
             let result = {
                 let _span = cell_obs.span("defense.cell");
-                run_cpa_inner(
+                run_cpa(
                     &exp.base,
                     |config| {
                         config.stimulus_alternation = exp.stimulus_alternation;

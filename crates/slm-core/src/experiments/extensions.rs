@@ -5,6 +5,7 @@ use serde::{Deserialize, Serialize};
 use slm_aes::soft;
 use slm_cpa::{common_mode_polarity, BitActivity, MultiByteCpa, PostProcessor, WelchTTest};
 use slm_fabric::{BenignCircuit, FabricConfig, FabricError, FenceConfig, MultiTenantFabric};
+use slm_obs::Obs;
 
 use super::cpa::{run_cpa, CpaExperiment, CpaResult, SensorSource};
 
@@ -236,41 +237,13 @@ impl FenceStudy {
 ///
 /// Propagates fabric construction failures.
 pub fn fence_study(base: &CpaExperiment, fence: FenceConfig) -> Result<FenceStudy, FabricError> {
-    let without_fence = run_cpa(base)?;
-    let with_fence = run_cpa_with(base, |config| config.fence = Some(fence))?;
+    let without_fence = run_cpa(base, |_| {}, &Obs::null())?;
+    let with_fence = run_cpa(base, |config| config.fence = Some(fence), &Obs::null())?;
     Ok(FenceStudy {
         without_fence,
         with_fence,
         fence,
     })
-}
-
-/// Runs a CPA campaign with a configuration tweak applied before the
-/// fabric is built (the hook the countermeasure studies use).
-///
-/// # Errors
-///
-/// Propagates fabric construction failures.
-pub fn run_cpa_with(
-    exp: &CpaExperiment,
-    tweak: impl FnOnce(&mut FabricConfig),
-) -> Result<CpaResult, FabricError> {
-    super::cpa::run_cpa_inner(exp, tweak, &slm_obs::Obs::null())
-}
-
-/// [`run_cpa_with`] with an observability handle — a tweaked campaign
-/// that also emits `cpa.*` and (when a defense is mounted) `defense.*`
-/// telemetry. Used by the attack-vs-defense matrix.
-///
-/// # Errors
-///
-/// Propagates fabric construction failures.
-pub fn run_cpa_with_recorded(
-    exp: &CpaExperiment,
-    tweak: impl FnOnce(&mut FabricConfig),
-    obs: &slm_obs::Obs,
-) -> Result<CpaResult, FabricError> {
-    super::cpa::run_cpa_inner(exp, tweak, obs)
 }
 
 /// Masking study: the same campaign against an unmasked and a
@@ -302,8 +275,8 @@ impl MaskingStudy {
 ///
 /// Propagates fabric construction failures.
 pub fn masking_study(base: &CpaExperiment) -> Result<MaskingStudy, FabricError> {
-    let unmasked = run_cpa(base)?;
-    let masked = run_cpa_with(base, |config| config.masked_aes = true)?;
+    let unmasked = run_cpa(base, |_| {}, &Obs::null())?;
+    let masked = run_cpa(base, |config| config.masked_aes = true, &Obs::null())?;
     Ok(MaskingStudy { unmasked, masked })
 }
 
@@ -332,7 +305,7 @@ pub fn placement_study(
     couplings
         .iter()
         .map(|&k| {
-            let result = run_cpa_with(base, |config| config.victim_coupling = k)?;
+            let result = run_cpa(base, |config| config.victim_coupling = k, &Obs::null())?;
             Ok(PlacementRow {
                 coupling: k,
                 result,

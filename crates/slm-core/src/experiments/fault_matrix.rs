@@ -96,23 +96,18 @@ struct ShardPartial {
     frame: MetricsFrame,
 }
 
-/// Runs a sharded fault campaign.
+/// Runs a sharded fault campaign. Each shard records into a forked
+/// frame (`fault.captures`, `fault.pairs_*` counters under a
+/// `fault.shard` span) folded back into `obs` in shard order.
+///
+/// Each shard keeps its own capture loop rather than the CPA lane
+/// kernel: it captures ciphertexts only (no sample window) and feeds
+/// a DFA accumulator, not CPA slots.
 ///
 /// # Errors
 ///
 /// Propagates fabric construction failures from any shard.
-pub fn run_fault_campaign(exp: &FaultCampaign) -> Result<FaultCampaignOutcome, FabricError> {
-    run_fault_campaign_recorded(exp, &Obs::null())
-}
-
-/// [`run_fault_campaign`] with an observability handle: each shard
-/// records into a forked frame (`fault.captures`, `fault.pairs_*`
-/// counters under a `fault.shard` span) folded back in shard order.
-///
-/// # Errors
-///
-/// Propagates fabric construction failures from any shard.
-pub fn run_fault_campaign_recorded(
+pub fn run_fault_campaign(
     exp: &FaultCampaign,
     obs: &Obs,
 ) -> Result<FaultCampaignOutcome, FabricError> {
@@ -397,7 +392,7 @@ pub fn fault_matrix_recorded(
             };
             let outcome = {
                 let _span = cell_obs.span("fault.cell");
-                run_fault_campaign_recorded(&campaign, &cell_obs)?
+                run_fault_campaign(&campaign, &cell_obs)?
             };
             cell_obs.incr("fault.cells");
             let (accepted, _, discarded) = outcome.dfa.pair_counts();
@@ -504,7 +499,7 @@ mod tests {
             shard_captures: 50,
             workers: 1,
         };
-        let out = run_fault_campaign(&campaign).unwrap();
+        let out = run_fault_campaign(&campaign, &Obs::null()).unwrap();
         assert_eq!(out.captures, 200);
         let (accepted, unfaulted, discarded) = out.dfa.pair_counts();
         assert_eq!(accepted + unfaulted + discarded, 200);
@@ -527,7 +522,7 @@ mod tests {
             shard_captures: 20,
             workers: 1,
         };
-        let out = run_fault_campaign(&campaign).unwrap();
+        let out = run_fault_campaign(&campaign, &Obs::null()).unwrap();
         assert_eq!(out.faulted, 0);
         assert_eq!(out.fault_cycles, 0);
         assert_eq!(out.dfa.recovered_bytes(), 0);

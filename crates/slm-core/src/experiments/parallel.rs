@@ -4,10 +4,10 @@
 //! one fabric whose electrical state threads through the whole
 //! campaign; that stream cannot be split without changing the traces.
 //! The parallel runner instead splits the *budget* into deterministic
-//! shards ([`ShardPlan`]): each shard is an independent capture session
-//! on its own fabric, re-seeded per shard ([`FabricConfig::for_shard`])
-//! so shard `i` produces the same traces no matter which worker runs
-//! it or how many workers exist. Shard partials are mergeable CPA
+//! shards ([`ShardPlan`]): each shard runs the CPA lane kernel on its
+//! own fabric, re-seeded per shard ([`FabricConfig::for_shard`]), so
+//! shard `i` produces the same traces no matter which worker runs it
+//! or how many workers exist. Shard partials are mergeable CPA
 //! accumulators ([`slm_cpa::CpaAttack::merge`]); folding them in shard
 //! order makes the whole campaign — progress curves, MTD, recovered
 //! byte — bit-identical at any worker count. The serial reference for
@@ -19,11 +19,11 @@
 //! serial runner's pilot does, and every shard inherits its decisions.
 
 use super::cpa::{
-    absorb_batch, assemble_result, geometry_setup, pilot_independent, pilot_setup,
-    record_fabric_telemetry, CampaignSetup, CpaExperiment, CpaResult, ABSORB_BATCH,
+    assemble_result, campaign_config, geometry_setup, pilot_independent, pilot_setup,
+    record_fabric_telemetry, run_lane, CampaignSetup, CheckpointGrid, CpaExperiment, CpaResult,
 };
 use serde::{Deserialize, Serialize};
-use slm_cpa::{leader_margin, CpaAttack, ProgressPoint, TraceBatch};
+use slm_cpa::{leader_margin, CpaAttack, ProgressPoint};
 use slm_fabric::{FabricConfig, FabricError, MultiTenantFabric, ShardPlan};
 use slm_obs::{MetricsFrame, Obs};
 use slm_par::ShardSpec;
@@ -79,127 +79,34 @@ struct ShardPartial {
     frame: MetricsFrame,
 }
 
-/// Runs a sharded CPA campaign on a worker pool.
-///
-/// # Errors
-///
-/// Propagates fabric construction failures.
-pub fn run_cpa_parallel(exp: &ParallelCpa) -> Result<CpaResult, FabricError> {
-    run_cpa_parallel_inner(exp, |_| {}, &Obs::null())
-}
-
-/// [`run_cpa_parallel`] with an observability handle. Each shard
-/// records into a forked sibling recorder; the shard frames are folded
-/// back in shard index order, so the merged metrics — like the
-/// campaign result itself — are bit-identical at any worker count.
-///
-/// # Errors
-///
-/// Propagates fabric construction failures.
-pub fn run_cpa_parallel_recorded(exp: &ParallelCpa, obs: &Obs) -> Result<CpaResult, FabricError> {
-    run_cpa_parallel_inner(exp, |_| {}, obs)
-}
-
-/// [`run_cpa_parallel`] with a fabric-configuration hook applied once
-/// to the base configuration before the pilot and before shard
-/// re-seeding — the parallel analogue of
-/// [`run_cpa_with`](super::extensions::run_cpa_with).
-///
-/// # Errors
-///
-/// Propagates fabric construction failures.
-pub fn run_cpa_parallel_with(
-    exp: &ParallelCpa,
-    tweak: impl FnOnce(&mut FabricConfig),
-) -> Result<CpaResult, FabricError> {
-    run_cpa_parallel_inner(exp, tweak, &Obs::null())
-}
-
-/// [`run_cpa_parallel_with`] with an observability handle — the
-/// tweaked, sharded campaign with shard-order metrics folding. Used by
-/// defended campaign drivers that want both a defense hook and
-/// telemetry.
-///
-/// # Errors
-///
-/// Propagates fabric construction failures.
-pub fn run_cpa_parallel_with_recorded(
-    exp: &ParallelCpa,
-    tweak: impl FnOnce(&mut FabricConfig),
-    obs: &Obs,
-) -> Result<CpaResult, FabricError> {
-    run_cpa_parallel_inner(exp, tweak, obs)
-}
-
-/// Captures one shard: a chunked, batch-absorbed campaign loop on the
-/// shard's private fabric, snapshotting at every global checkpoint that
-/// falls inside the shard. Records into a private fork of `obs`; the
-/// frame travels with the partial and is folded in shard order by the
-/// caller.
+/// Captures one shard: the lane kernel on the shard's own re-seeded
+/// fabric over the shard's global trace range, snapshotting the
+/// accumulators at every global checkpoint inside it. Records into a
+/// private fork of `obs`; the frame travels with the partial and is
+/// folded in shard order by the caller.
 fn capture_shard(
-    base: &CpaExperiment,
     setup: &CampaignSetup,
     config: &FabricConfig,
     spec: &ShardSpec,
-    checkpoint_every: u64,
-    total: u64,
+    grid: CheckpointGrid,
     obs: &Obs,
 ) -> Result<ShardPartial, FabricError> {
     let shard_obs = obs.fork();
-    let shard_config = config.for_shard(spec.index);
-    let mut attacks: Vec<CpaAttack> = (0..setup.single_bit_slots)
-        .map(|_| CpaAttack::new(setup.model, setup.points))
-        .collect();
     let mut snapshots: Vec<(u64, Vec<CpaAttack>)> = Vec::new();
-    let mut point_buf = vec![0.0f64; setup.points];
-    let mut staging: Vec<TraceBatch> = (0..setup.single_bit_slots)
-        .map(|_| TraceBatch::with_capacity(setup.points, ABSORB_BATCH as usize))
-        .collect();
-    let mut recs: Vec<slm_fabric::CaptureRecord> = Vec::with_capacity(ABSORB_BATCH as usize);
-    let fabric = {
+    let (fabric, attacks) = {
         let _span = shard_obs.span("cpa.shard");
         let mut fabric = {
             let _build_span = shard_obs.span("cpa.build");
-            MultiTenantFabric::new(&shard_config)?
+            MultiTenantFabric::new(&config.for_shard(spec.index))?
         };
-        // Chunked capture, same contract as the serial loop: chunks
-        // never cross a global checkpoint boundary, and batch
-        // absorption is bit-identical to per-trace absorption.
-        let mut t = 0u64;
-        while t < spec.traces {
-            let global = spec.start + t;
-            let boundary = (global / checkpoint_every + 1) * checkpoint_every - spec.start;
-            let stop = boundary.min(spec.traces).min(t + ABSORB_BATCH);
-            recs.clear();
-            {
-                let _capture_span = shard_obs.span("cpa.capture");
-                for _ in t..stop {
-                    let pt = fabric.random_plaintext();
-                    recs.push(fabric.encrypt_windowed(pt, setup.window.clone(), &setup.endpoints));
-                }
-            }
-            {
-                let _absorb_span = shard_obs.span("cpa.absorb");
-                absorb_batch(
-                    base.source,
-                    setup,
-                    &recs,
-                    &mut attacks,
-                    &mut staging,
-                    &mut point_buf,
-                    &shard_obs,
-                );
-            }
-            t = stop;
-            // A progress checkpoint is a *global* trace count; the
-            // shard holding it snapshots its local state there, and
-            // the caller's merge completes the prefix.
-            let global = spec.start + t;
-            if global % checkpoint_every == 0 || global == total {
-                snapshots.push((global, attacks.clone()));
-            }
-        }
-        fabric
+        // A progress checkpoint is a *global* trace count; the shard
+        // holding it snapshots its local state there, and the caller's
+        // prefix-merge completes it.
+        let range = spec.start..spec.start + spec.traces;
+        let attacks = run_lane(&mut fabric, setup, range, grid, &shard_obs, |t, attacks| {
+            snapshots.push((t, attacks.to_vec()));
+        });
+        (fabric, attacks)
     };
     record_fabric_telemetry(&fabric, &shard_obs);
     Ok(ShardPartial {
@@ -209,22 +116,26 @@ fn capture_shard(
     })
 }
 
-fn run_cpa_parallel_inner(
+/// Runs a sharded CPA campaign on a worker pool.
+///
+/// `tweak` edits the base fabric configuration once, before the pilot
+/// and before shard re-seeding (pass `|_| {}` for none). Each shard
+/// records into a forked sibling of `obs`; the shard frames are folded
+/// back in shard index order, so the merged metrics — like the
+/// campaign result itself — are bit-identical at any worker count.
+///
+/// # Errors
+///
+/// Propagates fabric construction failures.
+pub fn run_cpa_parallel(
     exp: &ParallelCpa,
     tweak: impl FnOnce(&mut FabricConfig),
     obs: &Obs,
 ) -> Result<CpaResult, FabricError> {
     let base = &exp.base;
-    let mut config = FabricConfig {
-        benign: base.circuit,
-        seed: base.seed,
-        ..FabricConfig::default()
-    };
-    tweak(&mut config);
-
-    let plan = exp.plan();
-    let checkpoint_every = (base.traces / base.checkpoints.max(1) as u64).max(1);
-    let shards = plan.shards();
+    let config = campaign_config(base, tweak);
+    let grid = CheckpointGrid::of(base);
+    let shards = exp.plan().shards();
 
     // The pilot is shared: one run on the base config decides endpoint
     // selection and post-processing for every shard. When the source
@@ -253,16 +164,9 @@ fn run_cpa_parallel_inner(
                         };
                         Ok(Out::Pilot(Box::new(full), pilot_obs.snapshot()))
                     }
-                    Some(spec) => capture_shard(
-                        base,
-                        &geometry,
-                        &config,
-                        spec,
-                        checkpoint_every,
-                        plan.total,
-                        obs,
-                    )
-                    .map(Out::Shard),
+                    Some(spec) => {
+                        capture_shard(&geometry, &config, spec, grid, obs).map(Out::Shard)
+                    }
                 });
             let mut outs = outs.into_iter();
             let (full_setup, pilot_frame) = match outs.next().expect("task 0 is the pilot")? {
@@ -287,15 +191,7 @@ fn run_cpa_parallel_inner(
                 pilot_setup(base, &config)?
             };
             let partials = slm_par::par_map(exp.workers, &shards, |spec| {
-                capture_shard(
-                    base,
-                    &setup,
-                    &config,
-                    spec,
-                    checkpoint_every,
-                    plan.total,
-                    obs,
-                )
+                capture_shard(&setup, &config, spec, grid, obs)
             });
             (setup, partials)
         };
@@ -305,9 +201,7 @@ fn run_cpa_parallel_inner(
     // fully absorbed) ⊕ (shard i's snapshot at T): a prefix-merge.
     // Both operands depend only on the plan, so the progress curve is
     // worker-count invariant.
-    let mut merged: Vec<CpaAttack> = (0..setup.single_bit_slots)
-        .map(|_| CpaAttack::new(setup.model, setup.points))
-        .collect();
+    let mut merged = setup.fresh_attacks();
     let mut progress_per: Vec<Vec<ProgressPoint>> =
         vec![Vec::with_capacity(base.checkpoints); setup.single_bit_slots];
     for partial in partials {
@@ -334,13 +228,19 @@ fn run_cpa_parallel_inner(
     }
 
     Ok(assemble_result(
-        base,
         &setup,
         &merged,
         progress_per,
         exp.workers,
         base.traces,
     ))
+}
+
+/// [`run_cpa_parallel`] without a configuration tweak, under the name
+/// the `bench/` package calls.
+#[doc(hidden)]
+pub fn run_cpa_parallel_recorded(exp: &ParallelCpa, obs: &Obs) -> Result<CpaResult, FabricError> {
+    run_cpa_parallel(exp, |_| {}, obs)
 }
 
 #[cfg(test)]
@@ -366,7 +266,7 @@ mod tests {
                 shard_traces: 175,
                 workers,
             };
-            run_cpa_parallel(&exp).unwrap()
+            run_cpa_parallel(&exp, |_| {}, &Obs::null()).unwrap()
         };
         let serial = run(1);
         let wide = run(3);
@@ -392,7 +292,7 @@ mod tests {
             shard_traces: 500,
             workers: 0,
         };
-        let r = run_cpa_parallel(&exp).unwrap();
+        let r = run_cpa_parallel(&exp, |_| {}, &Obs::null()).unwrap();
         assert_eq!(r.recovered_key_byte, Some(r.correct_key_byte));
         let mtd = r.mtd.expect("TDC should disclose the key");
         assert!(mtd <= 4_000, "MTD {mtd} should be within budget");
@@ -415,7 +315,7 @@ mod tests {
                 workers,
             };
             let obs = Obs::memory();
-            let result = run_cpa_parallel_recorded(&exp, &obs).unwrap();
+            let result = run_cpa_parallel(&exp, |_| {}, &obs).unwrap();
             (result, obs.snapshot())
         };
         let (r1, f1) = run(1);

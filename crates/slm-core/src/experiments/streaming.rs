@@ -3,10 +3,11 @@
 //! Million-trace campaigns (the cloud-FPGA case study's 10⁵–10⁷-trace
 //! defended runs) cannot hold their raw traces in memory and cannot
 //! afford to lose hours of capture to a process death. The streaming
-//! engine runs the budget as bounded-memory *windows*: capture a
-//! window on its own re-seeded fabric ([`FabricConfig::for_shard`],
-//! exactly the parallel runner's shard lanes), fold it into the
-//! mergeable accumulators, drop the raw traces. Every
+//! engine runs the budget as bounded-memory *windows*: run the CPA lane
+//! kernel over a window on its own re-seeded fabric
+//! ([`FabricConfig::for_shard`], exactly the parallel runner's shard
+//! lanes), which holds at most one absorb chunk of raw traces at a
+//! time, and fold the window's accumulators into the merged ones. Every
 //! `commit_every_windows` windows the engine appends the new progress
 //! points to an append-only [`ProgressLog`], then seals the
 //! accumulator state — plus the log prefix it commits and a
@@ -52,8 +53,8 @@
 //! count.
 
 use super::cpa::{
-    absorb_record, assemble_result, pilot_setup, record_fabric_telemetry, CampaignSetup,
-    CpaExperiment, CpaResult,
+    assemble_result, campaign_config, pilot_setup, record_fabric_telemetry, run_lane,
+    CampaignSetup, CheckpointGrid, CpaExperiment, CpaResult, ABSORB_BATCH,
 };
 use serde::{Deserialize, Serialize};
 use slm_cpa::store::{
@@ -61,7 +62,7 @@ use slm_cpa::store::{
     CheckpointLedger, LogPrefix, ProgressLog, StreamCheckpoint, PROGRESS_LOG_FILE,
 };
 use slm_cpa::{leader_margin, CpaAttack, ProgressPoint};
-use slm_fabric::{CaptureRecord, FabricConfig, FabricError, MultiTenantFabric, TransportError};
+use slm_fabric::{FabricConfig, FabricError, MultiTenantFabric, TransportError};
 use slm_obs::{MetricsFrame, Obs};
 use slm_par::{ShardPlan, ShardSpec};
 use std::collections::BTreeMap;
@@ -76,9 +77,8 @@ pub struct StreamingCpa {
     /// The campaign parameters (budget, source, seed).
     pub base: CpaExperiment,
     /// Traces per window — the unit of capture, fold and re-capture on
-    /// resume, and the bound on raw traces any one window retains. Like
-    /// the parallel runner's shard size, the window layout depends only
-    /// on this and the budget, never on `workers`.
+    /// resume. Like the parallel runner's shard size, the window layout
+    /// depends only on this and the budget, never on `workers`.
     pub window_traces: u64,
     /// Windows folded between ledger commits. Commit cadence is
     /// defined in windows — never derived from the worker count — so
@@ -90,7 +90,7 @@ pub struct StreamingCpa {
     /// Optional online-MTD early stop, evaluated at every commit.
     pub early_stop: Option<EarlyStop>,
     /// Caller-chosen tag folded into the campaign fingerprint. A
-    /// fabric tweak passed to [`run_streaming_with`] is opaque to the
+    /// fabric tweak passed to [`run_streaming`] is opaque to the
     /// engine; callers that tweak the config must tag the tweak here
     /// so a checkpoint from a differently-defended campaign is refused
     /// on resume.
@@ -252,7 +252,8 @@ pub struct StreamingResult {
     /// resume — non-zero means the ledger degraded gracefully.
     pub recovered_generations: u64,
     /// Peak raw traces retained in memory by any window of this
-    /// process — bounded by `window_traces` regardless of budget.
+    /// process: one lane-kernel chunk, `min(window_traces, 32)`,
+    /// regardless of budget.
     pub peak_raw_traces: u64,
 }
 
@@ -394,55 +395,18 @@ impl From<std::io::Error> for StreamingError {
 /// Runs (or resumes) a streaming campaign against the checkpoint
 /// ledger in `dir`.
 ///
+/// `tweak` edits the fabric configuration before the pilot and before
+/// window re-seeding (pass `|_| {}` for none); callers that tweak the
+/// config must set [`StreamingCpa::config_tag`] so checkpoints from
+/// differently-tweaked campaigns are refused. Emits `stream.*`
+/// counters and gauges (windows committed, commits, resumes, recovered
+/// generations, bytes journaled, peak retained raw traces, traces/sec)
+/// on top of the usual `cpa.*` stream into `obs`.
+///
 /// # Errors
 ///
 /// Fabric construction, ledger I/O, or an incompatible checkpoint.
 pub fn run_streaming(
-    exp: &StreamingCpa,
-    dir: impl AsRef<Path>,
-) -> Result<StreamingResult, StreamingError> {
-    run_streaming_with_recorded(exp, dir, |_| {}, &Obs::null())
-}
-
-/// [`run_streaming`] with an observability handle: emits `stream.*`
-/// counters/gauges (windows committed, commits, resumes, recovered
-/// generations, bytes journaled, peak retained raw traces, traces/sec)
-/// on top of the usual `cpa.*` stream.
-///
-/// # Errors
-///
-/// Fabric construction, ledger I/O, or an incompatible checkpoint.
-pub fn run_streaming_recorded(
-    exp: &StreamingCpa,
-    dir: impl AsRef<Path>,
-    obs: &Obs,
-) -> Result<StreamingResult, StreamingError> {
-    run_streaming_with_recorded(exp, dir, |_| {}, obs)
-}
-
-/// [`run_streaming`] with a fabric-configuration hook applied before
-/// the pilot and before window re-seeding — the streaming analogue of
-/// `run_cpa_parallel_with`. Callers that tweak the config must set
-/// [`StreamingCpa::config_tag`] so checkpoints from differently-tweaked
-/// campaigns are refused.
-///
-/// # Errors
-///
-/// Fabric construction, ledger I/O, or an incompatible checkpoint.
-pub fn run_streaming_with(
-    exp: &StreamingCpa,
-    dir: impl AsRef<Path>,
-    tweak: impl FnOnce(&mut FabricConfig),
-) -> Result<StreamingResult, StreamingError> {
-    run_streaming_with_recorded(exp, dir, tweak, &Obs::null())
-}
-
-/// [`run_streaming_with`] with an observability handle.
-///
-/// # Errors
-///
-/// Fabric construction, ledger I/O, or an incompatible checkpoint.
-pub fn run_streaming_with_recorded(
     exp: &StreamingCpa,
     dir: impl AsRef<Path>,
     tweak: impl FnOnce(&mut FabricConfig),
@@ -454,11 +418,21 @@ pub fn run_streaming_with_recorded(
     }
 }
 
+/// [`run_streaming`] under the name the `bench/` package calls.
+#[doc(hidden)]
+pub fn run_streaming_with_recorded(
+    exp: &StreamingCpa,
+    dir: impl AsRef<Path>,
+    tweak: impl FnOnce(&mut FabricConfig),
+    obs: &Obs,
+) -> Result<StreamingResult, StreamingError> {
+    run_streaming(exp, dir, tweak, obs)
+}
+
 /// One captured-and-folded window, travelling from a worker back to
 /// the fold loop with its private metrics frame.
 struct WindowPartial {
     attacks: Vec<CpaAttack>,
-    retained: u64,
     frame: MetricsFrame,
 }
 
@@ -539,46 +513,25 @@ impl Drop for StopOnDrop<'_> {
     }
 }
 
-/// Captures one window on its own fabric, re-seeded from its lane, and
-/// folds it into fresh accumulators; raw records live only for the
-/// window's lifetime.
+/// Captures one window: the lane kernel on the window's own re-seeded
+/// fabric over the window's global trace range.
 fn capture_window(
-    base: &CpaExperiment,
     setup: &CampaignSetup,
     config: &FabricConfig,
     spec: &ShardSpec,
+    grid: CheckpointGrid,
     obs: &Obs,
 ) -> Result<WindowPartial, FabricError> {
     let w_obs = obs.fork();
-    let w_config = config.for_shard(spec.index);
     let mut fabric = {
         let _span = w_obs.span("stream.window");
-        MultiTenantFabric::new(&w_config)?
+        MultiTenantFabric::new(&config.for_shard(spec.index))?
     };
-    let mut raw: Vec<CaptureRecord> = Vec::with_capacity(spec.traces as usize);
-    for _ in 0..spec.traces {
-        let pt = fabric.random_plaintext();
-        raw.push(fabric.encrypt_windowed(pt, setup.window.clone(), &setup.endpoints));
-    }
-    let retained = raw.len() as u64;
-    let mut attacks: Vec<CpaAttack> = (0..setup.single_bit_slots)
-        .map(|_| CpaAttack::new(setup.model, setup.points))
-        .collect();
-    let mut point_buf = vec![0.0f64; setup.points];
-    for rec in raw.drain(..) {
-        absorb_record(
-            base.source,
-            setup,
-            &rec,
-            &mut attacks,
-            &mut point_buf,
-            &w_obs,
-        );
-    }
+    let range = spec.start..spec.start + spec.traces;
+    let attacks = run_lane(&mut fabric, setup, range, grid, &w_obs, |_, _| {});
     record_fabric_telemetry(&fabric, &w_obs);
     Ok(WindowPartial {
         attacks,
-        retained,
         frame: w_obs.snapshot(),
     })
 }
@@ -599,12 +552,7 @@ pub fn run_streaming_crashing(
     let started = std::time::Instant::now();
     let base = &exp.base;
     let commit_every = exp.commit_every_windows.max(1);
-    let mut config = FabricConfig {
-        benign: base.circuit,
-        seed: base.seed,
-        ..FabricConfig::default()
-    };
-    tweak(&mut config);
+    let config = campaign_config(base, tweak);
     // The pilot is not streamed: it is cheap, deterministic, and reruns
     // identically on every resume, so its decisions never need to be
     // persisted.
@@ -616,12 +564,16 @@ pub fn run_streaming_crashing(
     let fingerprint = exp.fingerprint();
     let plan = exp.plan();
     let windows = plan.shards();
+    // The window layout is the lanes' checkpoint grid: no window holds
+    // a checkpoint before its end.
+    let grid = CheckpointGrid {
+        every: plan.shard_size,
+        total: plan.total,
+    };
     let ledger = CheckpointLedger::open(dir.as_ref())?;
 
     // ---- resume ---------------------------------------------------------
-    let mut merged: Vec<CpaAttack> = (0..setup.single_bit_slots)
-        .map(|_| CpaAttack::new(setup.model, setup.points))
-        .collect();
+    let mut merged = setup.fresh_attacks();
     let mut log_prefix = LogPrefix::empty(setup.single_bit_slots, fingerprint);
     let mut windows_done = 0u64;
     let mut traces_done = 0u64;
@@ -763,7 +715,7 @@ pub fn run_streaming_crashing(
                             if failing.contains(&i) {
                                 return Err(FabricError::Transport(TransportError::NoResponse));
                             }
-                            capture_window(base, setup, config, &windows[i as usize], obs)
+                            capture_window(setup, config, &windows[i as usize], grid, obs)
                         }));
                         if tx.send((i, out)).is_err() {
                             break;
@@ -798,11 +750,14 @@ pub fn run_streaming_crashing(
                 return killed(committed);
             }
             obs.absorb(&partial.frame);
-            peak_raw = peak_raw.max(partial.retained);
+            // The window's only checkpoint is its end, so the lane's
+            // chunks, and with them its raw traces, are bounded by
+            // ABSORB_BATCH alone.
+            let traces = windows[windows_done as usize].traces;
+            peak_raw = peak_raw.max(traces.min(ABSORB_BATCH));
             for (acc, part) in merged.iter_mut().zip(&partial.attacks) {
                 acc.merge_recorded(part, obs);
             }
-            let traces = windows[windows_done as usize].traces;
             traces_done += traces;
             captured_this_run += traces;
             windows_done += 1;
@@ -890,14 +845,7 @@ pub fn run_streaming_crashing(
         }
     }
 
-    let result = assemble_result(
-        base,
-        &setup,
-        &merged,
-        progress_per,
-        exp.workers,
-        traces_done,
-    );
+    let result = assemble_result(&setup, &merged, progress_per, exp.workers, traces_done);
     Ok(StreamOutcome::Complete(StreamingResult {
         result,
         windows: windows_done,
@@ -939,8 +887,8 @@ mod tests {
     fn streaming_matches_itself_across_worker_counts() {
         let d1 = scratch_dir("wc1");
         let d3 = scratch_dir("wc3");
-        let r1 = run_streaming(&small_exp(21), &d1).unwrap();
-        let r3 = run_streaming(&small_exp(21).with_workers(3), &d3).unwrap();
+        let r1 = run_streaming(&small_exp(21), &d1, |_| {}, &Obs::null()).unwrap();
+        let r3 = run_streaming(&small_exp(21).with_workers(3), &d3, |_| {}, &Obs::null()).unwrap();
         assert_eq!(r1.result, r3.result);
         assert_eq!(r1.windows, 5);
         assert_eq!(r1.traces, 300);
@@ -955,7 +903,7 @@ mod tests {
     #[test]
     fn kill_and_resume_is_bit_identical() {
         let clean_dir = scratch_dir("clean");
-        let clean = run_streaming(&small_exp(22), &clean_dir).unwrap();
+        let clean = run_streaming(&small_exp(22), &clean_dir, |_| {}, &Obs::null()).unwrap();
 
         let dir = scratch_dir("killed");
         let exp = small_exp(22);
@@ -980,7 +928,7 @@ mod tests {
                 traces_committed: 120
             }
         );
-        let resumed = run_streaming(&exp, &dir).unwrap();
+        let resumed = run_streaming(&exp, &dir, |_| {}, &Obs::null()).unwrap();
         assert_eq!(resumed.result, clean.result);
         assert_eq!(resumed.resumed_generation, Some(1));
         assert_eq!(resumed.recovered_generations, 0);
@@ -991,7 +939,7 @@ mod tests {
     #[test]
     fn torn_commit_degrades_to_previous_generation() {
         let clean_dir = scratch_dir("torn-clean");
-        let clean = run_streaming(&small_exp(23), &clean_dir).unwrap();
+        let clean = run_streaming(&small_exp(23), &clean_dir, |_| {}, &Obs::null()).unwrap();
 
         let dir = scratch_dir("torn");
         let exp = small_exp(23);
@@ -1005,7 +953,7 @@ mod tests {
             }
         );
         let obs = Obs::memory();
-        let resumed = run_streaming_recorded(&exp, &dir, &obs).unwrap();
+        let resumed = run_streaming(&exp, &dir, |_| {}, &obs).unwrap();
         assert_eq!(resumed.result, clean.result);
         // Generation 2 is torn; resume fell back to generation 1.
         assert_eq!(resumed.resumed_generation, Some(1));
@@ -1024,7 +972,7 @@ mod tests {
         let mut plan = CrashPlan::none().kill_at(0, CrashSite::AfterCommit);
         run_streaming_crashing(&exp, &dir, |_| {}, &Obs::null(), &mut plan).unwrap();
         // Same directory, different seed ⇒ different fingerprint.
-        let err = run_streaming(&small_exp(25), &dir).unwrap_err();
+        let err = run_streaming(&small_exp(25), &dir, |_| {}, &Obs::null()).unwrap_err();
         match err {
             StreamingError::Incompatible(why) => {
                 assert!(why.contains("fingerprint"), "unhelpful error: {why}")
@@ -1054,7 +1002,7 @@ mod tests {
             min_margin: 0.01,
         });
         let obs = Obs::memory();
-        let r = run_streaming_recorded(&exp, &dir, &obs).unwrap();
+        let r = run_streaming(&exp, &dir, |_| {}, &obs).unwrap();
         assert!(r.early_stopped);
         assert!(
             r.traces < 4_000,
@@ -1101,12 +1049,12 @@ mod tests {
         // completed run sits on the extended plan's commit grid.
         let mut exp = small_exp(26);
         exp.base.traces = 240;
-        let first = run_streaming(&exp, &dir).unwrap();
+        let first = run_streaming(&exp, &dir, |_| {}, &Obs::null()).unwrap();
         assert_eq!(first.traces, 240);
         let mut extended = exp;
         extended.base.traces = 480;
         let obs = Obs::memory();
-        let second = run_streaming_recorded(&extended, &dir, &obs).unwrap();
+        let second = run_streaming(&extended, &dir, |_| {}, &obs).unwrap();
         assert_eq!(second.resumed_generation, Some(2));
         assert_eq!(second.traces, 480);
         assert_eq!(second.windows, 8);
@@ -1114,7 +1062,7 @@ mod tests {
         assert_eq!(obs.snapshot().counter("cpa.traces_absorbed"), 240);
         // The extended run's result equals a from-scratch 480-trace run.
         let fresh_dir = scratch_dir("extend-fresh");
-        let fresh = run_streaming(&extended, &fresh_dir).unwrap();
+        let fresh = run_streaming(&extended, &fresh_dir, |_| {}, &Obs::null()).unwrap();
         assert_eq!(second.result, fresh.result);
         let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::remove_dir_all(&fresh_dir);
@@ -1127,10 +1075,10 @@ mod tests {
         // (windows 4..5), so it is not a resume point for a larger
         // budget whose group 2 would span windows 4..6.
         let exp = small_exp(27);
-        run_streaming(&exp, &dir).unwrap();
+        run_streaming(&exp, &dir, |_| {}, &Obs::null()).unwrap();
         let mut extended = exp;
         extended.base.traces = 480;
-        match run_streaming(&extended, &dir).unwrap_err() {
+        match run_streaming(&extended, &dir, |_| {}, &Obs::null()).unwrap_err() {
             StreamingError::Incompatible(why) => {
                 assert!(why.contains("commit"), "unhelpful error: {why}")
             }

@@ -14,7 +14,7 @@
 //! | Fig. 6 (TDC vs post-processed ALU) | [`experiments::ro_response`] |
 //! | Figs. 7/15 (sensitive-bit census) | [`experiments::bit_census`] |
 //! | Figs. 8/16 (per-bit variance) | [`experiments::bit_variance`] |
-//! | Figs. 9–13, 17, 18 (CPA) | [`experiments::run_cpa`] |
+//! | Figs. 9–13, 17, 18 (CPA) | [`experiments::run_cpa`] (serial), [`experiments::run_cpa_parallel`] (sharded), [`experiments::run_streaming`] (checkpointed) |
 //! | Stealth discussion (Sec. VI) | [`experiments::stealth_audit`] |
 //! | Structural-evasion matrix (Sec. VI) | [`experiments::stealth_matrix`] |
 //! | Strict-timing discussion (Sec. VI) | [`experiments::timing_audit`] |
@@ -33,6 +33,7 @@
 //! ```
 //! use slm_core::experiments::{run_cpa, CpaExperiment, SensorSource};
 //! use slm_fabric::BenignCircuit;
+//! use slm_obs::Obs;
 //!
 //! // A miniature TDC-referenced key recovery (full-scale runs live in
 //! // the benches/examples).
@@ -44,7 +45,8 @@
 //!     pilot_traces: 200,
 //!     seed: 42,
 //! };
-//! let result = run_cpa(&exp).unwrap();
+//! // No fabric tweak, no metrics recording.
+//! let result = run_cpa(&exp, |_| {}, &Obs::null()).unwrap();
 //! assert_eq!(result.recovered_key_byte, Some(result.correct_key_byte));
 //! ```
 

@@ -212,8 +212,9 @@ impl CpaAttack {
     }
 
     /// [`CpaAttack::add_batch`] with observability: counts the absorbed
-    /// traces under `cpa.accumulator_traces`, matching what the
-    /// per-trace recorded path would have counted.
+    /// traces under `cpa.accumulator_traces`. The accumulator itself
+    /// cannot hold the handle (it is `Serialize`/`PartialEq` checkpoint
+    /// state), so recorded call sites pass it in.
     ///
     /// # Errors
     ///
@@ -273,20 +274,6 @@ impl CpaAttack {
     pub fn merge(&mut self, other: &CpaAttack) {
         self.try_merge(other)
             .expect("merged accumulators must share model and geometry");
-    }
-
-    /// [`CpaAttack::add_trace`] with observability: counts the
-    /// absorption under `cpa.accumulator_traces`. The accumulator
-    /// itself cannot hold the handle (it is `Serialize`/`PartialEq`
-    /// checkpoint state), so recorded call sites pass it in.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `samples.len()` differs from the configured point count.
-    #[inline]
-    pub fn add_trace_recorded(&mut self, ct: &[u8; 16], samples: &[f64], obs: &slm_obs::Obs) {
-        self.add_trace(ct, samples);
-        obs.incr("cpa.accumulator_traces");
     }
 
     /// [`CpaAttack::merge`] with observability: counts the merge under
@@ -630,20 +617,6 @@ mod tests {
         assert_eq!(leader_margin(&[0.5]), 0.5);
         let margin = leader_margin(&[0.1, 0.8, 0.3, 0.6]);
         assert!((margin - 0.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn recorded_helpers_count_traces_and_merges() {
-        let obs = slm_obs::Obs::memory();
-        let (mut a, _) = run_attack(0.5, 50, 11);
-        let (b, _) = run_attack(0.5, 50, 12);
-        let ct = [0u8; 16];
-        a.add_trace_recorded(&ct, &[0.0, 0.0], &obs);
-        a.merge_recorded(&b, &obs);
-        let frame = obs.snapshot();
-        assert_eq!(frame.counter("cpa.accumulator_traces"), 1);
-        assert_eq!(frame.counter("cpa.merge_events"), 1);
-        assert_eq!(frame.counter("cpa.traces_merged"), 50);
     }
 
     #[test]

@@ -608,26 +608,6 @@ impl MultiTenantFabric {
         self.encrypt_internal(plaintext, Some(window), Some(endpoints))
     }
 
-    /// Runs a batch of encryptions back to back with windowed capture —
-    /// the amortized path a batched shard round-trip uses.
-    ///
-    /// The fabric's PDN, drift, and RNG streams advance exactly as they
-    /// would over the same plaintexts fed one at a time, so the records
-    /// are bit-identical to `n` consecutive [`Self::encrypt_windowed`]
-    /// calls; what batching buys is one framing/dispatch round-trip per
-    /// batch instead of per trace.
-    pub fn encrypt_windowed_batch(
-        &mut self,
-        plaintexts: &[[u8; 16]],
-        window: std::ops::Range<usize>,
-        endpoints: &[usize],
-    ) -> Vec<CaptureRecord> {
-        plaintexts
-            .iter()
-            .map(|&pt| self.encrypt_internal(pt, Some(window.clone()), Some(endpoints)))
-            .collect()
-    }
-
     fn encrypt_internal(
         &mut self,
         plaintext: [u8; 16],
@@ -958,22 +938,6 @@ mod tests {
         let p0 = FabricPrototype::cached(&config).unwrap();
         let p1 = FabricPrototype::cached(&config.for_shard(3)).unwrap();
         assert!(Arc::ptr_eq(&p0, &p1));
-    }
-
-    #[test]
-    fn batch_capture_matches_sequential_singles() {
-        let config = small_config();
-        let mut batched = MultiTenantFabric::new(&config).unwrap();
-        let mut serial = MultiTenantFabric::new(&config).unwrap();
-        let window = batched.last_round_window();
-        let endpoints = [1usize, 9, 30];
-        let pts: Vec<[u8; 16]> = (0..5).map(|i| [i as u8 * 17; 16]).collect();
-        let batch = batched.encrypt_windowed_batch(&pts, window.clone(), &endpoints);
-        let singles: Vec<CaptureRecord> = pts
-            .iter()
-            .map(|&pt| serial.encrypt_windowed(pt, window.clone(), &endpoints))
-            .collect();
-        assert_eq!(batch, singles);
     }
 
     #[test]

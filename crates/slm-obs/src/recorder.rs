@@ -14,8 +14,8 @@ const SINK_SHARDS: usize = 8;
 /// A metrics sink.
 ///
 /// All methods take `&self`: recorders use interior mutability so one
-/// handle can be shared across worker threads (the `run_many` scan
-/// path) or cloned into retry loops. The default implementation of
+/// handle can be shared across worker threads (the parallel campaign
+/// and scan paths) or cloned into retry loops. The default implementation of
 /// every recording method is a no-op, which is what makes
 /// [`NullRecorder`] trivial and instrumentation zero-cost when
 /// disabled: the only price on the null path is one virtual call.

@@ -11,6 +11,7 @@ use slm_core::experiments::{
 };
 use slm_cpa::DfaModel;
 use slm_fabric::{AggressorSpec, BenignCircuit, FabricConfig};
+use slm_obs::Obs;
 
 fn aggressor_name(aggressor: &Option<AggressorSpec>) -> String {
     match aggressor {
@@ -40,7 +41,7 @@ fn main() {
         shard_captures: 250,
         workers: 0,
     };
-    let out = run_fault_campaign(&campaign).expect("fabric builds");
+    let out = run_fault_campaign(&campaign, &Obs::null()).expect("fabric builds");
     let (accepted, unfaulted, discarded) = out.dfa.pair_counts();
     println!(
         "captures: {}   faulted: {} ({:.0}/1k)   min victim rail: {:.4} V",

@@ -25,8 +25,8 @@
 //! ```
 
 use slm_core::experiments::{
-    run_cpa_parallel_with_recorded, run_streaming_with_recorded, CpaExperiment, DefenseArm,
-    ParallelCpa, SensorSource, StreamingCpa,
+    run_cpa_parallel, run_streaming, CpaExperiment, DefenseArm, ParallelCpa, SensorSource,
+    StreamingCpa,
 };
 use slm_core::report;
 use slm_fabric::{BenignCircuit, DetectorConfig, FabricConfig};
@@ -223,7 +223,7 @@ fn main() {
             let sexp = StreamingCpa::new(exp.base)
                 .with_workers(threads)
                 .with_config_tag(defense.as_ref().map_or(0, |(tag, _)| *tag));
-            let sr = run_streaming_with_recorded(&sexp, &dir, tweak, &obs).unwrap_or_else(|e| {
+            let sr = run_streaming(&sexp, &dir, tweak, &obs).unwrap_or_else(|e| {
                 eprintln!("error: streaming campaign failed: {e}");
                 std::process::exit(1);
             });
@@ -245,7 +245,7 @@ fn main() {
             }
             sr.result
         } else {
-            run_cpa_parallel_with_recorded(&exp, tweak, &obs).expect("fabric builds")
+            run_cpa_parallel(&exp, tweak, &obs).expect("fabric builds")
         };
         let ok = r.recovered_key_byte == Some(r.correct_key_byte);
         println!(

@@ -12,7 +12,7 @@
 //! ```
 
 use slm_core::experiments::{
-    ro_response, run_cpa_parallel_recorded, CpaExperiment, ParallelCpa, SensorSource,
+    ro_response, run_cpa_parallel, CpaExperiment, ParallelCpa, SensorSource,
 };
 use slm_core::report;
 use slm_fabric::BenignCircuit;
@@ -83,7 +83,7 @@ fn main() {
         seed: 2,
     })
     .with_workers(threads);
-    let result = run_cpa_parallel_recorded(&exp, &obs).expect("fabric builds");
+    let result = run_cpa_parallel(&exp, |_| {}, &obs).expect("fabric builds");
     println!(
         "correct key byte {:#04x}; recovered {:?}; traces to disclosure {:?}",
         result.correct_key_byte, result.recovered_key_byte, result.mtd

@@ -9,6 +9,7 @@ use slm_cpa::{BitActivity, CpaAttack, LastRoundModel, PostProcessor};
 use slm_fabric::{
     AesActivity, BenignCircuit, FabricConfig, MultiTenantFabric, RemoteSession, RoSchedule,
 };
+use slm_obs::Obs;
 
 #[test]
 fn full_chain_tdc_key_recovery() {
@@ -21,7 +22,7 @@ fn full_chain_tdc_key_recovery() {
         pilot_traces: 100,
         seed: 31,
     };
-    let r = run_cpa(&exp).unwrap();
+    let r = run_cpa(&exp, |_| {}, &Obs::null()).unwrap();
     assert_eq!(r.recovered_key_byte, Some(r.correct_key_byte));
     assert!(r.mtd.unwrap() <= 4_000);
     // the reported key must equal the ground-truth schedule value
@@ -187,8 +188,8 @@ fn different_seeds_different_campaign_noise_same_key() {
         pilot_traces: 50,
         seed,
     };
-    let a = run_cpa(&mk(1)).unwrap();
-    let b = run_cpa(&mk(2)).unwrap();
+    let a = run_cpa(&mk(1), |_| {}, &Obs::null()).unwrap();
+    let b = run_cpa(&mk(2), |_| {}, &Obs::null()).unwrap();
     assert_eq!(a.correct_key_byte, b.correct_key_byte);
     assert_ne!(a.final_peaks, b.final_peaks, "noise must differ per seed");
 }

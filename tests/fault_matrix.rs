@@ -12,6 +12,7 @@ use slm_core::experiments::{
 };
 use slm_cpa::DfaModel;
 use slm_fabric::{AggressorSpec, BenignCircuit, FabricConfig};
+use slm_obs::Obs;
 
 fn campaign(seed: u64, captures: u64, shard_captures: u64, workers: usize) -> FaultCampaignOutcome {
     let exp = FaultCampaign {
@@ -26,7 +27,7 @@ fn campaign(seed: u64, captures: u64, shard_captures: u64, workers: usize) -> Fa
         shard_captures,
         workers,
     };
-    run_fault_campaign(&exp).expect("fabric builds")
+    run_fault_campaign(&exp, &Obs::null()).expect("fabric builds")
 }
 
 proptest! {
@@ -193,7 +194,7 @@ fn aggressor_free_matrix_row_matches_disabled_aggressor_campaign() {
             shard_captures: 50,
             workers: 2,
         };
-        run_fault_campaign(&exp).expect("fabric builds")
+        run_fault_campaign(&exp, &Obs::null()).expect("fabric builds")
     };
     let absent = mk(None);
     let zeroed = mk(Some(AggressorSpec::stealthy(0.0)));

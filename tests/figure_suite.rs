@@ -8,6 +8,7 @@ use slm_core::experiments::{
     CpaExperiment, SensorSource,
 };
 use slm_fabric::{BenignCircuit, FenceConfig};
+use slm_obs::Obs;
 
 #[test]
 fn fig05_fig06_alu_tracks_ro_bursts() {
@@ -75,14 +76,18 @@ fn fig09_fig11_tdc_attacks_fast() {
         (SensorSource::TdcAll, "fig09"),
         (SensorSource::TdcSingleBit(None), "fig11"),
     ] {
-        let r = run_cpa(&CpaExperiment {
-            circuit: BenignCircuit::Alu192,
-            source,
-            traces: 6_000,
-            checkpoints: 10,
-            pilot_traces: 60,
-            seed: 24,
-        })
+        let r = run_cpa(
+            &CpaExperiment {
+                circuit: BenignCircuit::Alu192,
+                source,
+                traces: 6_000,
+                checkpoints: 10,
+                pilot_traces: 60,
+                seed: 24,
+            },
+            |_| {},
+            &Obs::null(),
+        )
         .unwrap();
         assert_eq!(
             r.recovered_key_byte,
@@ -100,14 +105,18 @@ fn fig10_fig12_benign_alu_attacks_slow_but_succeed() {
         SensorSource::BenignHammingWeight,
         SensorSource::BenignSingleBit(None),
     ] {
-        let r = run_cpa(&CpaExperiment {
-            circuit: BenignCircuit::Alu192,
-            source,
-            traces: 300_000,
-            checkpoints: 30,
-            pilot_traces: 500,
-            seed: 25,
-        })
+        let r = run_cpa(
+            &CpaExperiment {
+                circuit: BenignCircuit::Alu192,
+                source,
+                traces: 300_000,
+                checkpoints: 30,
+                pilot_traces: 500,
+                seed: 25,
+            },
+            |_| {},
+            &Obs::null(),
+        )
         .unwrap();
         assert_eq!(r.recovered_key_byte, Some(r.correct_key_byte));
         // orders of magnitude slower than the TDC
@@ -126,14 +135,18 @@ fn fig17_fig18_benign_c6288_attacks_succeed() {
         (SensorSource::BenignHammingWeight, 800_000),
         (SensorSource::BenignSingleBit(None), 500_000),
     ] {
-        let r = run_cpa(&CpaExperiment {
-            circuit: BenignCircuit::DualC6288,
-            source,
-            traces,
-            checkpoints: 30,
-            pilot_traces: 500,
-            seed: 26,
-        })
+        let r = run_cpa(
+            &CpaExperiment {
+                circuit: BenignCircuit::DualC6288,
+                source,
+                traces,
+                checkpoints: 30,
+                pilot_traces: 500,
+                seed: 26,
+            },
+            |_| {},
+            &Obs::null(),
+        )
         .unwrap();
         assert_eq!(r.recovered_key_byte, Some(r.correct_key_byte));
     }
@@ -200,7 +213,6 @@ fn extension_rds_outperforms_tdc() {
     // Swap the fabric's reference sensor for routing-delay-sensor
     // parameters (finer taps, lower jitter): the same attack needs fewer
     // traces — the related-work result the RDS model encodes.
-    use slm_core::experiments::run_cpa_with;
     let base = CpaExperiment {
         circuit: BenignCircuit::DualC6288,
         source: SensorSource::TdcAll,
@@ -209,10 +221,12 @@ fn extension_rds_outperforms_tdc() {
         pilot_traces: 60,
         seed: 33,
     };
-    let tdc = run_cpa(&base).unwrap();
-    let rds = run_cpa_with(&base, |config| {
-        config.tdc = *slm_sensors::RdsSensor::paper_150mhz(0x7d5).config();
-    })
+    let tdc = run_cpa(&base, |_| {}, &Obs::null()).unwrap();
+    let rds = run_cpa(
+        &base,
+        |config| config.tdc = *slm_sensors::RdsSensor::paper_150mhz(0x7d5).config(),
+        &Obs::null(),
+    )
     .unwrap();
     assert!(tdc.mtd.is_some() && rds.mtd.is_some());
     assert!(

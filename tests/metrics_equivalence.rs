@@ -9,8 +9,7 @@
 
 use proptest::prelude::*;
 use slm_core::experiments::{
-    run_cpa_parallel_recorded, run_fault_campaign_recorded, CpaExperiment, FaultCampaign,
-    ParallelCpa, SensorSource,
+    run_cpa_parallel, run_fault_campaign, CpaExperiment, FaultCampaign, ParallelCpa, SensorSource,
 };
 use slm_cpa::DfaModel;
 use slm_fabric::{AggressorSpec, BenignCircuit, FabricConfig};
@@ -30,7 +29,7 @@ fn run(seed: u64, traces: u64, shard_traces: u64, workers: usize) -> MetricsFram
         workers,
     };
     let obs = Obs::memory();
-    run_cpa_parallel_recorded(&exp, &obs).expect("fabric builds");
+    run_cpa_parallel(&exp, |_| {}, &obs).expect("fabric builds");
     obs.snapshot()
 }
 
@@ -78,7 +77,7 @@ proptest! {
                 workers,
             };
             let obs = Obs::memory();
-            run_fault_campaign_recorded(&exp, &obs).expect("fabric builds");
+            run_fault_campaign(&exp, &obs).expect("fabric builds");
             obs.snapshot()
         };
         let serial = run(1).deterministic();

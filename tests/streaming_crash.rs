@@ -4,11 +4,12 @@
 //! pipeline sites ([`CrashPlan`]) and resumed over the same ledger
 //! directory produces a [`CpaResult`] bit-identical to the
 //! uninterrupted run, at any worker count — and never retains more raw
-//! traces than one window, regardless of the trace budget.
+//! traces than one absorb chunk of a window, regardless of the trace
+//! budget.
 
 use slm_core::experiments::{
-    run_streaming, run_streaming_crashing, run_streaming_recorded, CpaExperiment, CpaResult,
-    CrashPlan, CrashSite, SensorSource, StreamOutcome, StreamingCpa, StreamingError,
+    run_streaming, run_streaming_crashing, CpaExperiment, CpaResult, CrashPlan, CrashSite,
+    SensorSource, StreamOutcome, StreamingCpa, StreamingError,
 };
 use slm_fabric::BenignCircuit;
 use slm_obs::Obs;
@@ -42,7 +43,7 @@ fn reference() -> &'static CpaResult {
     static REF: OnceLock<CpaResult> = OnceLock::new();
     REF.get_or_init(|| {
         let dir = scratch_dir("reference");
-        let r = run_streaming(&campaign(), &dir).unwrap();
+        let r = run_streaming(&campaign(), &dir, |_| {}, &Obs::null()).unwrap();
         let _ = std::fs::remove_dir_all(&dir);
         r.result
     })
@@ -150,7 +151,7 @@ fn bit_flip_in_newest_generation_falls_back_gracefully() {
     // Resume: the flipped generation is skipped, generation 2 loads,
     // the recovery counter ticks, and the result is still identical.
     let obs = Obs::memory();
-    let resumed = run_streaming_recorded(&exp, &dir, &obs).unwrap();
+    let resumed = run_streaming(&exp, &dir, |_| {}, &obs).unwrap();
     assert_eq!(&resumed.result, reference());
     assert_eq!(resumed.recovered_generations, 1);
     assert_eq!(obs.snapshot().counter("stream.recovered_generations"), 1);
@@ -166,7 +167,7 @@ fn torn_first_commit_errors_instead_of_silently_restarting() {
     // The only generation on disk is torn: every checkpoint is
     // unreadable, and restarting from zero must be an explicit
     // operator decision, not a silent default.
-    match run_streaming(&exp, &dir).unwrap_err() {
+    match run_streaming(&exp, &dir, |_| {}, &Obs::null()).unwrap_err() {
         StreamingError::Io(e) => {
             let msg = e.to_string();
             assert!(msg.contains("no loadable checkpoint generation"), "{msg}");
@@ -175,7 +176,7 @@ fn torn_first_commit_errors_instead_of_silently_restarting() {
     }
     // The operator clears the ledger; the fresh run matches.
     std::fs::remove_dir_all(&dir).unwrap();
-    let fresh = run_streaming(&exp, &dir).unwrap();
+    let fresh = run_streaming(&exp, &dir, |_| {}, &Obs::null()).unwrap();
     assert_eq!(&fresh.result, reference());
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -196,17 +197,17 @@ fn raw_trace_retention_is_bounded_by_window_not_budget() {
         .with_commit_every(4)
         .with_workers(2);
         let obs = Obs::memory();
-        let r = run_streaming_recorded(&exp, &dir, &obs).unwrap();
+        let r = run_streaming(&exp, &dir, |_| {}, &obs).unwrap();
         let _ = std::fs::remove_dir_all(&dir);
         (r, obs.snapshot())
     };
     let (small, _) = run(200, "mem-small");
     let (large, frame) = run(1_000, "mem-large");
-    // 5× the budget, identical peak retention: one window's traces.
-    assert_eq!(small.peak_raw_traces, 50);
-    assert_eq!(large.peak_raw_traces, 50);
-    assert!(large.peak_raw_traces <= 50);
-    assert_eq!(frame.gauges["stream.peak_raw_traces"].last, 50.0);
+    // 5× the budget, identical peak retention: one lane-kernel chunk,
+    // min(window, 32 traces per absorb batch) = 32.
+    assert_eq!(small.peak_raw_traces, 32);
+    assert_eq!(large.peak_raw_traces, small.peak_raw_traces);
+    assert_eq!(frame.gauges["stream.peak_raw_traces"].last, 32.0);
     assert_eq!(frame.counter("stream.windows_committed"), 20);
     assert_eq!(frame.counter("stream.commits"), 5);
     assert!(frame.counter("stream.bytes_journaled") > 0);
@@ -228,7 +229,7 @@ fn multi_slot_single_bit_campaign_survives_kills() {
     .with_commit_every(1)
     .with_workers(2);
     let clean_dir = scratch_dir("slots-clean");
-    let clean = run_streaming(&exp, &clean_dir).unwrap();
+    let clean = run_streaming(&exp, &clean_dir, |_| {}, &Obs::null()).unwrap();
     let dir = scratch_dir("slots-killed");
     let mut plan = CrashPlan::none()
         .kill_at(1, CrashSite::AfterCapture)
@@ -259,13 +260,19 @@ fn streaming_final_state_matches_parallel_runner() {
     let streamed = run_streaming(
         &StreamingCpa::new(base).with_window(75).with_workers(2),
         &dir,
+        |_| {},
+        &Obs::null(),
     )
     .unwrap();
-    let parallel = slm_core::experiments::run_cpa_parallel(&slm_core::experiments::ParallelCpa {
-        base,
-        shard_traces: 75,
-        workers: 2,
-    })
+    let parallel = slm_core::experiments::run_cpa_parallel(
+        &slm_core::experiments::ParallelCpa {
+            base,
+            shard_traces: 75,
+            workers: 2,
+        },
+        |_| {},
+        &Obs::null(),
+    )
     .unwrap();
     assert_eq!(streamed.result.final_peaks, parallel.final_peaks);
     assert_eq!(
@@ -287,7 +294,7 @@ fn run_recorded(
 ) {
     let dir = scratch_dir(tag);
     let obs = Obs::memory();
-    let r = run_streaming_recorded(exp, &dir, &obs).unwrap();
+    let r = run_streaming(exp, &dir, |_| {}, &obs).unwrap();
     let _ = std::fs::remove_dir_all(&dir);
     (r, obs.snapshot())
 }
@@ -310,7 +317,7 @@ fn corrupt_progress_log_record_falls_back_or_errors() {
     let last = bytes.len() - 20;
     bytes[last] ^= 0x04;
     std::fs::write(log_path(&dir), &bytes).unwrap();
-    let resumed = run_streaming(&exp, &dir).unwrap();
+    let resumed = run_streaming(&exp, &dir, |_| {}, &Obs::null()).unwrap();
     assert_eq!(resumed.resumed_generation, Some(1));
     assert_eq!(resumed.recovered_generations, 1);
     assert_eq!(&resumed.result, reference());
@@ -322,7 +329,7 @@ fn corrupt_progress_log_record_falls_back_or_errors() {
     let mut bytes = std::fs::read(log_path(&dir)).unwrap();
     bytes[20] ^= 0x04;
     std::fs::write(log_path(&dir), &bytes).unwrap();
-    match run_streaming(&exp, &dir).unwrap_err() {
+    match run_streaming(&exp, &dir, |_| {}, &Obs::null()).unwrap_err() {
         StreamingError::Io(e) => {
             let msg = e.to_string();
             assert!(msg.contains("no loadable checkpoint generation"), "{msg}");
@@ -348,7 +355,7 @@ fn version_one_ledger_is_refused_by_the_version_check() {
             std::fs::write(&path, &bytes).unwrap();
         }
     }
-    match run_streaming(&exp, &dir).unwrap_err() {
+    match run_streaming(&exp, &dir, |_| {}, &Obs::null()).unwrap_err() {
         StreamingError::Io(e) => {
             let msg = e.to_string();
             assert!(msg.contains("version 1 is not supported"), "{msg}");
@@ -399,7 +406,7 @@ fn mid_run_capture_error_commits_the_same_windows_at_any_worker_count() {
         }
         // Resuming captures exactly the four uncommitted windows.
         let obs = Obs::memory();
-        let resumed = run_streaming_recorded(&exp, &dir, &obs).unwrap();
+        let resumed = run_streaming(&exp, &dir, |_| {}, &obs).unwrap();
         assert_eq!(resumed.resumed_generation, Some(1), "{workers} workers");
         assert_eq!(obs.snapshot().counter("cpa.traces_absorbed"), 240);
         assert_eq!(resumed.result, clean.result, "{workers} workers");

@@ -5,8 +5,9 @@
 //! contract), and records traces/sec, speedup and a per-phase time
 //! breakdown to `BENCH_campaign.json` at the workspace root. Speedup
 //! scales with the cores actually available — on a single-core runner
-//! every worker count measures the same serial throughput, and the JSON
-//! records `available_workers` so the numbers can be read honestly.
+//! every worker count measures the same serial throughput, and the
+//! record's header carries `available_workers` so the numbers can be
+//! read honestly.
 //!
 //! A warm-up campaign runs before the timed rows so the fabric
 //! prototype cache is hot: the rows measure steady-state capture
@@ -20,17 +21,11 @@
 //! 8 workers — the 8-worker speedup must stay ≥ 4× (≥ 2× in quick
 //! mode, which runs far fewer traces per shard).
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use serde::Serialize;
+use slm_bench::quick;
 use slm_core::experiments::{run_cpa_parallel, CpaExperiment, ParallelCpa, SensorSource};
 use slm_fabric::BenignCircuit;
 use slm_obs::Obs;
-use std::hint::black_box;
-use std::sync::OnceLock;
-
-fn quick() -> bool {
-    std::env::var("SLM_BENCH_QUICK").is_ok()
-}
 
 /// Pre-optimization serial throughput (PR 7 baseline), traces/sec.
 const BASELINE_SERIAL_TPS: f64 = 14_600.0;
@@ -38,19 +33,18 @@ const BASELINE_SERIAL_TPS: f64 = 14_600.0;
 /// Where the wall-clock of a campaign went, harvested from the
 /// recorder's span totals. `sim` is trace capture (fabric ticks and
 /// sampling), `sta` is per-shard fabric construction (delay
-/// annotation, static timing, prototype-cache hits), `cpa` is
+/// annotation, static timing, prototype-cache hits), and `cpa` is
 /// accumulator absorption plus checkpoint/final correlation
-/// evaluation, and `transport` is UART framing time (zero for the
-/// in-process campaign runner, which skips the wire). Shard phases
-/// sum over shards, so on a multi-worker run the phases can
-/// legitimately sum past the row's wall-clock `seconds`.
+/// evaluation. The in-process runner skips the UART wire, so there is
+/// no transport phase. Shard phases sum over shards, so on a
+/// multi-worker run the phases can legitimately sum past the row's
+/// wall-clock `seconds`.
 #[derive(Debug, Default, Serialize)]
 struct PhaseBreakdown {
     pilot_s: f64,
     sta_s: f64,
     sim_s: f64,
     cpa_s: f64,
-    transport_s: f64,
 }
 
 #[derive(Debug, Serialize)]
@@ -64,9 +58,6 @@ struct CampaignRow {
 
 #[derive(Debug, Serialize)]
 struct CampaignBench {
-    bench: String,
-    quick: bool,
-    available_workers: usize,
     circuit: String,
     source: String,
     traces: u64,
@@ -109,105 +100,100 @@ fn phases_of(frame: &slm_obs::MetricsFrame) -> PhaseBreakdown {
         sta_s: span_s("cpa.build"),
         sim_s: span_s("cpa.capture"),
         cpa_s: span_s("cpa.absorb") + span_s("cpa.eval"),
-        transport_s: span_s("fabric.host_encrypt"),
     }
 }
 
-fn campaign_scaling(c: &mut Criterion) {
-    static ONCE: OnceLock<()> = OnceLock::new();
-    ONCE.get_or_init(|| {
-        // Warm the fabric prototype cache so the timed rows measure
-        // steady-state throughput (see module docs).
-        run_cpa_parallel(&experiment(1), |_| {}, &Obs::null()).expect("fabric builds");
+fn main() {
+    // Warm the fabric prototype cache so the timed rows measure
+    // steady-state throughput (see module docs).
+    run_cpa_parallel(&experiment(1), |_| {}, &Obs::null()).expect("fabric builds");
 
-        let mut rows = Vec::new();
-        let mut results = Vec::new();
-        let mut serial_tps = 0.0f64;
-        for workers in [1usize, 2, 4, 8] {
-            let exp = experiment(workers);
-            let obs = Obs::memory();
-            let start = std::time::Instant::now();
-            let r = run_cpa_parallel(&exp, |_| {}, &obs).expect("fabric builds");
-            let seconds = start.elapsed().as_secs_f64();
-            let traces_per_sec = exp.base.traces as f64 / seconds;
-            if workers == 1 {
-                serial_tps = traces_per_sec;
-            }
-            let phase = phases_of(&obs.snapshot());
-            println!(
-                "[campaign] workers={workers} traces={} elapsed={seconds:.2}s \
-                 traces/sec={traces_per_sec:.0} speedup={:.2} recovered={} \
-                 phases: pilot={:.3}s sta={:.3}s sim={:.3}s cpa={:.3}s transport={:.3}s",
-                exp.base.traces,
-                traces_per_sec / serial_tps,
-                r.recovered_key_byte == Some(r.correct_key_byte),
-                phase.pilot_s,
-                phase.sta_s,
-                phase.sim_s,
-                phase.cpa_s,
-                phase.transport_s,
-            );
-            // Accuracy assertion backing the shortened pilot: the
-            // full-budget campaign must still recover the key with an
-            // MTD well inside the budget. (Quick mode's 600 traces are
-            // below the TDC disclosure point by design, so it only
-            // smoke-tests the machinery.)
-            if !quick() {
-                assert_eq!(
-                    r.recovered_key_byte,
-                    Some(r.correct_key_byte),
-                    "campaign must recover the key"
-                );
-                let mtd = r.mtd.expect("TDC should disclose the key");
-                assert!(mtd <= 3_000, "TDC MTD {mtd} regressed past 3k traces");
-            }
-            rows.push(CampaignRow {
-                workers,
-                seconds,
-                traces_per_sec,
-                speedup_vs_serial: traces_per_sec / serial_tps,
-                phase,
-            });
-            results.push(r);
+    let mut rows = Vec::new();
+    let mut results = Vec::new();
+    let mut serial_tps = 0.0f64;
+    for workers in [1usize, 2, 4, 8] {
+        let exp = experiment(workers);
+        let obs = Obs::memory();
+        let start = std::time::Instant::now();
+        let r = run_cpa_parallel(&exp, |_| {}, &obs).expect("fabric builds");
+        let seconds = start.elapsed().as_secs_f64();
+        let traces_per_sec = exp.base.traces as f64 / seconds;
+        if workers == 1 {
+            serial_tps = traces_per_sec;
         }
-        let deterministic = results.windows(2).all(|w| w[0] == w[1]);
-        println!("[campaign] deterministic_across_worker_counts={deterministic}");
-        assert!(
-            deterministic,
-            "worker count leaked into the campaign result"
+        let phase = phases_of(&obs.snapshot());
+        println!(
+            "[campaign] workers={workers} traces={} elapsed={seconds:.2}s \
+             traces/sec={traces_per_sec:.0} speedup={:.2} recovered={} \
+             phases: pilot={:.3}s sta={:.3}s sim={:.3}s cpa={:.3}s",
+            exp.base.traces,
+            traces_per_sec / serial_tps,
+            r.recovered_key_byte == Some(r.correct_key_byte),
+            phase.pilot_s,
+            phase.sta_s,
+            phase.sim_s,
+            phase.cpa_s,
         );
-
-        // Perf regression assertions. The serial floor holds on any
-        // machine (it measures one worker); the parallel-scaling floor
-        // only means something when 8 workers actually exist, so a
-        // 1-core CI runner skips it with a note instead of asserting
-        // vacuously against itself.
+        // Accuracy assertion backing the shortened pilot: the
+        // full-budget campaign must still recover the key with an
+        // MTD well inside the budget. (Quick mode's 600 traces are
+        // below the TDC disclosure point by design, so it only
+        // smoke-tests the machinery.)
         if !quick() {
-            assert!(
-                serial_tps >= 5.0 * BASELINE_SERIAL_TPS,
-                "serial throughput {serial_tps:.0} traces/sec regressed below 5x the \
-                 {BASELINE_SERIAL_TPS:.0} baseline"
+            assert_eq!(
+                r.recovered_key_byte,
+                Some(r.correct_key_byte),
+                "campaign must recover the key"
             );
+            let mtd = r.mtd.expect("TDC should disclose the key");
+            assert!(mtd <= 3_000, "TDC MTD {mtd} regressed past 3k traces");
         }
-        let speedup_at_8 = rows[3].speedup_vs_serial;
-        if slm_par::available_workers() >= 8 {
-            let floor = if quick() { 2.0 } else { 4.0 };
-            assert!(
-                speedup_at_8 >= floor,
-                "8-worker speedup {speedup_at_8:.2} below the {floor:.0}x floor"
-            );
-        } else {
-            println!(
-                "[campaign] skipping 8-worker speedup floor: only {} workers available",
-                slm_par::available_workers()
-            );
-        }
+        rows.push(CampaignRow {
+            workers,
+            seconds,
+            traces_per_sec,
+            speedup_vs_serial: traces_per_sec / serial_tps,
+            phase,
+        });
+        results.push(r);
+    }
+    let deterministic = results.windows(2).all(|w| w[0] == w[1]);
+    println!("[campaign] deterministic_across_worker_counts={deterministic}");
+    assert!(
+        deterministic,
+        "worker count leaked into the campaign result"
+    );
 
-        let exp = experiment(1);
-        let record = CampaignBench {
-            bench: "campaign".to_string(),
-            quick: quick(),
-            available_workers: slm_par::available_workers(),
+    // Perf regression assertions. The serial floor holds on any
+    // machine (it measures one worker); the parallel-scaling floor
+    // only means something when 8 workers actually exist, so a
+    // 1-core CI runner skips it with a note instead of asserting
+    // vacuously against itself.
+    if !quick() {
+        assert!(
+            serial_tps >= 5.0 * BASELINE_SERIAL_TPS,
+            "serial throughput {serial_tps:.0} traces/sec regressed below 5x the \
+             {BASELINE_SERIAL_TPS:.0} baseline"
+        );
+    }
+    let speedup_at_8 = rows[3].speedup_vs_serial;
+    if slm_par::available_workers() >= 8 {
+        let floor = if quick() { 2.0 } else { 4.0 };
+        assert!(
+            speedup_at_8 >= floor,
+            "8-worker speedup {speedup_at_8:.2} below the {floor:.0}x floor"
+        );
+    } else {
+        println!(
+            "[campaign] skipping 8-worker speedup floor: only {} workers available",
+            slm_par::available_workers()
+        );
+    }
+
+    let exp = experiment(1);
+    slm_bench::write_record!(
+        "campaign",
+        &CampaignBench {
             circuit: "DualC6288".to_string(),
             source: "TdcAll".to_string(),
             traces: exp.base.traces,
@@ -216,34 +202,6 @@ fn campaign_scaling(c: &mut Criterion) {
             baseline_serial_traces_per_sec: BASELINE_SERIAL_TPS,
             deterministic,
             rows,
-        };
-        let json = serde_json::to_string_pretty(&record)
-            .expect("bench record serialization is infallible");
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_campaign.json");
-        std::fs::write(path, json + "\n").expect("workspace root is writable");
-        println!("[campaign] wrote {path}");
-    });
-
-    // Timed kernel: a small sharded campaign end to end (pilot, shard
-    // capture on the pool, merge, evaluation).
-    c.bench_function("parallel_campaign_600_traces", |b| {
-        b.iter(|| {
-            let exp = ParallelCpa {
-                base: CpaExperiment {
-                    circuit: BenignCircuit::DualC6288,
-                    source: SensorSource::TdcAll,
-                    traces: 600,
-                    checkpoints: 2,
-                    pilot_traces: 20,
-                    seed: 29,
-                },
-                shard_traces: 75,
-                workers: 0,
-            };
-            run_cpa_parallel(black_box(&exp), |_| {}, &Obs::null()).unwrap()
-        })
-    });
+        }
+    );
 }
-
-criterion_group!(benches, campaign_scaling);
-criterion_main!(benches);

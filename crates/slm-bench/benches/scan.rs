@@ -1,6 +1,6 @@
 //! Admission-at-traffic scan scheduling: the content-hash scan cache.
 //!
-//! The preamble study feeds `BENCH_scan.json` at the workspace root:
+//! The study feeds `BENCH_scan.json` at the workspace root:
 //! a corpus of zoo and size-swept designs is batch-scanned cold (fresh
 //! cache directory), then warm (a new `ScanCache` instance over the
 //! same directory, so every hit replays through the disk tier). The
@@ -8,32 +8,16 @@
 //! **bit-identical** to the cold one and at least **5× faster** —
 //! a full cache hit skips analysis construction and every pass.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use serde::Serialize;
+use slm_bench::{quick, scratch_dir};
 use slm_checker::{CheckerConfig, PassManager, ScanCache, TaintConfig};
 use slm_netlist::generators::{
     alu, array_multiplier, carry_sensor, kogge_stone_adder, tdc_delay_line, wallace_multiplier, zoo,
 };
 use slm_netlist::Netlist;
-use slm_obs::Obs;
-use std::hint::black_box;
-use std::path::PathBuf;
-use std::sync::OnceLock;
-
-fn quick() -> bool {
-    std::env::var("SLM_BENCH_QUICK").is_ok()
-}
-
-fn scratch_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("slm-bench-scan-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 #[derive(Debug, Serialize)]
 struct ScanBench {
-    bench: String,
-    quick: bool,
     designs: usize,
     total_nets: usize,
     passes: Vec<String>,
@@ -122,8 +106,6 @@ fn scan_study() -> ScanBench {
     );
     let _ = std::fs::remove_dir_all(&dir);
     ScanBench {
-        bench: "scan".to_string(),
-        quick: quick(),
         designs: designs.len(),
         total_nets,
         passes: pm.pass_names().iter().map(|s| s.to_string()).collect(),
@@ -138,31 +120,6 @@ fn scan_study() -> ScanBench {
     }
 }
 
-fn scan_scheduling(c: &mut Criterion) {
-    static ONCE: OnceLock<()> = OnceLock::new();
-    ONCE.get_or_init(|| {
-        let record = scan_study();
-        let json = serde_json::to_string_pretty(&record)
-            .expect("bench record serialization is infallible");
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scan.json");
-        std::fs::write(path, json + "\n").expect("workspace root is writable");
-        println!("[scan] wrote {path}");
-    });
-
-    // Timed kernels: one cold full-pipeline scan vs the warm cached
-    // admission path for a mid-size design.
-    let nl = alu(96).unwrap();
-    let pm = PassManager::full();
-    let config = CheckerConfig::default();
-    c.bench_function("scan_cold_alu96", |b| {
-        b.iter(|| pm.run(black_box(&nl), &config))
-    });
-    let cache = ScanCache::in_memory();
-    let _ = pm.scan(&nl, &config, Some(&cache), 1, &Obs::null());
-    c.bench_function("scan_warm_alu96", |b| {
-        b.iter(|| pm.scan(black_box(&nl), &config, Some(&cache), 1, &Obs::null()))
-    });
+fn main() {
+    slm_bench::write_record!("scan", &scan_study());
 }
-
-criterion_group!(benches, scan_scheduling);
-criterion_main!(benches);

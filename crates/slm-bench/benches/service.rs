@@ -1,6 +1,6 @@
 //! Sustained-traffic benchmark of the `slm-cloud` fabric service.
 //!
-//! The preamble study feeds `BENCH_service.json` at the workspace
+//! The study feeds `BENCH_service.json` at the workspace
 //! root: a fleet of CPA tenants (plus one denied specimen, so the
 //! admission path exercises its denial branch under load) is pushed
 //! through a full service run and we record the sustained campaign
@@ -8,8 +8,8 @@
 //! (p50/p99 over per-submission `decide()` calls), and the scan-cache
 //! hit rate the duplicate-heavy fleet achieves.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use serde::Serialize;
+use slm_bench::quick;
 use slm_checker::ScanCache;
 use slm_cloud::{
     AdmissionGate, CampaignKind, CloudService, SensorSource, ServiceConfig, TenantQuota,
@@ -17,16 +17,9 @@ use slm_cloud::{
 };
 use slm_netlist::generators;
 use std::hint::black_box;
-use std::sync::OnceLock;
-
-fn quick() -> bool {
-    std::env::var("SLM_BENCH_QUICK").is_ok()
-}
 
 #[derive(Debug, Serialize)]
 struct ServiceBench {
-    bench: String,
-    quick: bool,
     tenants: usize,
     campaigns_delivered: u64,
     rounds: u64,
@@ -146,8 +139,6 @@ fn service_study() -> ServiceBench {
         100.0 * report.cache_hit_rate(),
     );
     ServiceBench {
-        bench: "service".to_string(),
-        quick: quick(),
         tenants,
         campaigns_delivered: report.campaigns_delivered,
         rounds: report.rounds,
@@ -162,52 +153,6 @@ fn service_study() -> ServiceBench {
     }
 }
 
-fn service_traffic(c: &mut Criterion) {
-    static ONCE: OnceLock<()> = OnceLock::new();
-    ONCE.get_or_init(|| {
-        let record = service_study();
-        let json = serde_json::to_string_pretty(&record)
-            .expect("bench record serialization is infallible");
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_service.json");
-        std::fs::write(path, json + "\n").expect("workspace root is writable");
-        println!("[service] wrote {path}");
-    });
-
-    // Timed kernels: the admission decision for a mid-size benign
-    // design (cold cache each iteration would dominate, so this is the
-    // warm path the service actually runs at traffic), and one small
-    // end-to-end service drain.
-    let gate = AdmissionGate::new(ScanCache::in_memory());
-    let sub = TenantSubmission::new("alice", generators::alu(96).expect("alu"));
-    let _ = gate.decide(&sub);
-    c.bench_function("service_admission_warm_alu96", |b| {
-        b.iter(|| gate.decide(black_box(&sub)))
-    });
-
-    c.bench_function("service_drain_4xc17", |b| {
-        b.iter(|| {
-            let service = CloudService::new(ServiceConfig {
-                workers: 1,
-                ..ServiceConfig::default()
-            });
-            let subs: Vec<TenantSubmission> = (0..4)
-                .map(|i| {
-                    TenantSubmission::new(format!("t{i}"), generators::c17()).with_workload(
-                        WorkloadSpec {
-                            kind: CampaignKind::Cpa {
-                                source: SensorSource::TdcAll,
-                            },
-                            traces: 8,
-                            campaigns: 1,
-                            ..WorkloadSpec::default()
-                        },
-                    )
-                })
-                .collect();
-            service.run(black_box(subs)).expect("service drains")
-        })
-    });
+fn main() {
+    slm_bench::write_record!("service", &service_study());
 }
-
-criterion_group!(benches, service_traffic);
-criterion_main!(benches);

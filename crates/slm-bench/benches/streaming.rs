@@ -1,7 +1,6 @@
 //! Streaming campaign engine: crash-safety smoke and long-horizon MTD.
 //!
-//! Two preamble studies feed `BENCH_streaming.json` at the workspace
-//! root:
+//! Two studies feed `BENCH_streaming.json` at the workspace root:
 //!
 //! 1. **Resume-after-kill smoke** — a campaign is killed mid-pipeline
 //!    (after a fold, then again with a torn commit), resumed from its
@@ -13,27 +12,14 @@
 //!    online-MTD early stop, reporting each arm's true — or still
 //!    budget-censored — measurements-to-disclosure.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use serde::Serialize;
+use slm_bench::{quick, scratch_dir};
 use slm_core::experiments::{
     run_streaming, run_streaming_crashing, CpaExperiment, CrashPlan, CrashSite, DefenseArm,
     EarlyStop, SensorSource, StreamOutcome, StreamingCpa,
 };
 use slm_fabric::{BenignCircuit, DetectorConfig};
 use slm_obs::Obs;
-use std::hint::black_box;
-use std::path::PathBuf;
-use std::sync::OnceLock;
-
-fn quick() -> bool {
-    std::env::var("SLM_BENCH_QUICK").is_ok()
-}
-
-fn scratch_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("slm-bench-stream-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 #[derive(Debug, Serialize)]
 struct CrashSmoke {
@@ -61,8 +47,6 @@ struct MtdRow {
 
 #[derive(Debug, Serialize)]
 struct StreamingBench {
-    bench: String,
-    quick: bool,
     circuit: String,
     source: String,
     crash_smoke: CrashSmoke,
@@ -209,40 +193,16 @@ fn mtd_study() -> Vec<MtdRow> {
     rows
 }
 
-fn streaming_engine(c: &mut Criterion) {
-    static ONCE: OnceLock<()> = OnceLock::new();
-    ONCE.get_or_init(|| {
-        let smoke = crash_smoke();
-        let rows = mtd_study();
-        let record = StreamingBench {
-            bench: "streaming".to_string(),
-            quick: quick(),
+fn main() {
+    let crash_smoke = crash_smoke();
+    let rows = mtd_study();
+    slm_bench::write_record!(
+        "streaming",
+        &StreamingBench {
             circuit: "DualC6288".to_string(),
             source: "TdcAll".to_string(),
-            crash_smoke: smoke,
+            crash_smoke,
             rows,
-        };
-        let json = serde_json::to_string_pretty(&record)
-            .expect("bench record serialization is infallible");
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_streaming.json");
-        std::fs::write(path, json + "\n").expect("workspace root is writable");
-        println!("[streaming] wrote {path}");
-    });
-
-    // Timed kernel: a small streaming campaign end to end, including
-    // its ledger commits.
-    c.bench_function("streaming_campaign_300_traces", |b| {
-        b.iter(|| {
-            let dir = scratch_dir("kernel");
-            let exp = StreamingCpa::new(base(300))
-                .with_window(75)
-                .with_commit_every(2);
-            let r = run_streaming(black_box(&exp), &dir, |_| {}, &Obs::null()).unwrap();
-            let _ = std::fs::remove_dir_all(&dir);
-            r
-        })
-    });
+        }
+    );
 }
-
-criterion_group!(benches, streaming_engine);
-criterion_main!(benches);

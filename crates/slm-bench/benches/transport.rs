@@ -1,22 +1,13 @@
-//! Fault-robustness benches: the cost of an unreliable UART.
+//! Fault-robustness study: the cost of an unreliable UART.
 //!
 //! Regenerates the fault-rate vs. MTD sweep (the robustness analogue of
-//! the paper's trace-count figures) and measures the hot kernels the
-//! resilient transport adds: CRC-16 framing, the scanning decoder under
-//! noise, and CPA checkpoint serialization.
+//! the paper's trace-count figures): how much trace overhead the
+//! retry/quarantine loop pays at each wire quality, and where the
+//! attack stops converging.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use slm_core::experiments::{transport_fault_study, TransportFaultStudy};
-use slm_cpa::store::{read_checkpoint, write_checkpoint};
-use slm_cpa::{CpaAttack, LastRoundModel};
-use slm_fabric::{crc16, UartFrame, UartLink, WireFaultInjector, WireFaultPlan};
-use slm_pdn::noise::Rng64;
-use std::hint::black_box;
 
-/// Fault probability vs. measurements-to-disclosure — the headline
-/// sweep: how much trace overhead the retry/quarantine loop pays at
-/// each wire quality, and where the attack stops converging.
-fn fault_rate_vs_mtd(c: &mut Criterion) {
+fn main() {
     let exp = TransportFaultStudy {
         // MTD on this fabric varies a few-fold with the plaintext
         // stream; 6k traces puts every benign rate safely past it so a
@@ -44,117 +35,4 @@ fn fault_rate_vs_mtd(c: &mut Criterion) {
         );
     }
     println!("[fault_sweep] elapsed={:.1?}", start.elapsed());
-
-    c.bench_function("fault_study_row_1e-3", |b| {
-        b.iter(|| {
-            let exp = TransportFaultStudy {
-                traces: 200,
-                fault_rates: vec![1e-3],
-                checkpoints: 2,
-                seed: 42,
-                ..TransportFaultStudy::default()
-            };
-            transport_fault_study(black_box(&exp)).unwrap()
-        })
-    });
 }
-
-fn framing_kernels(c: &mut Criterion) {
-    let mut group = c.benchmark_group("transport");
-    let payload = vec![0x5au8; 96];
-    group.throughput(Throughput::Bytes(payload.len() as u64));
-    group.bench_function("crc16_96B", |b| b.iter(|| crc16(black_box(&payload))));
-    let frame = UartFrame::new(7, payload);
-    group.bench_function("encode_96B", |b| b.iter(|| black_box(&frame).encode()));
-    let wire = frame.encode();
-    group.bench_function("scan_clean_96B", |b| {
-        b.iter(|| UartFrame::scan(black_box(&wire)))
-    });
-
-    // Scanner under fire: a buffer of noisy frames, decoded to exhaustion.
-    let mut inj = WireFaultInjector::new(WireFaultPlan::byte_noise(9, 2e-3));
-    let mut noisy = Vec::new();
-    for i in 0..64u8 {
-        noisy.extend(inj.mangle(UartFrame::new(i, vec![i; 96]).encode()));
-    }
-    group.throughput(Throughput::Bytes(noisy.len() as u64));
-    group.bench_function("scan_noisy_64_frames", |b| {
-        b.iter(|| {
-            let mut off = 0usize;
-            let mut delivered = 0u32;
-            while off < noisy.len() {
-                match UartFrame::scan(black_box(&noisy[off..])) {
-                    slm_fabric::DecodeOutcome::Frame { consumed, .. } => {
-                        delivered += 1;
-                        off += consumed;
-                    }
-                    slm_fabric::DecodeOutcome::NeedMore { .. } => break,
-                    slm_fabric::DecodeOutcome::Corrupt { skip, .. } => off += skip.max(1),
-                }
-            }
-            delivered
-        })
-    });
-    group.finish();
-}
-
-fn link_roundtrip(c: &mut Criterion) {
-    c.bench_function("link_roundtrip_faulty_1e-3", |b| {
-        let mut link = UartLink::with_faults(921_600, WireFaultPlan::byte_noise(3, 1e-3));
-        let mut seq = 0u8;
-        b.iter(|| {
-            seq = seq.wrapping_add(1);
-            link.host_send(&UartFrame::new(seq, vec![seq; 64]));
-            black_box(link.fpga_recv())
-        })
-    });
-}
-
-fn checkpoint_io(c: &mut Criterion) {
-    let mut attack = CpaAttack::new(LastRoundModel::paper_target(), 7);
-    let mut rng = Rng64::new(17);
-    let mut pts = [0.0f64; 7];
-    for _ in 0..5_000 {
-        let mut ct = [0u8; 16];
-        rng.fill_bytes(&mut ct);
-        for p in &mut pts {
-            *p = rng.normal();
-        }
-        attack.add_trace(&ct, &pts);
-    }
-    let cp = attack.checkpoint();
-    let mut bytes = Vec::new();
-    write_checkpoint(&mut bytes, &cp).unwrap();
-    let mut group = c.benchmark_group("checkpoint");
-    group.throughput(Throughput::Bytes(bytes.len() as u64));
-    group.bench_function("write_7pt", |b| {
-        b.iter_batched(
-            Vec::new,
-            |mut sink| {
-                write_checkpoint(&mut sink, black_box(&cp)).unwrap();
-                sink
-            },
-            BatchSize::SmallInput,
-        )
-    });
-    group.bench_function("read_7pt", |b| {
-        b.iter(|| read_checkpoint(black_box(&bytes[..])).unwrap())
-    });
-    group.bench_function("resume_7pt", |b| {
-        b.iter_batched(
-            || cp.clone(),
-            |cp| CpaAttack::resume(cp).unwrap(),
-            BatchSize::SmallInput,
-        )
-    });
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    fault_rate_vs_mtd,
-    framing_kernels,
-    link_roundtrip,
-    checkpoint_io
-);
-criterion_main!(benches);

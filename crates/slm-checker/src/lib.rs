@@ -164,6 +164,18 @@ mod tests {
         assert!(r.flagged(CheckKind::SensorLikeEndpoints), "{r:?}");
     }
 
+    /// The chain walk must handle long lines: the old per-step successor
+    /// scan rescanned every gate, quadratic in the chain length, so a
+    /// regression shows up as this test slowing from ~0.1 s to seconds.
+    #[test]
+    fn delay_line_pass_flags_a_50k_stage_line() {
+        let tdc = tdc_delay_line(50_000).unwrap();
+        let mut pm = PassManager::empty();
+        pm.push(Box::new(passes::DelayLinePass));
+        let r = pm.run(&tdc, &CheckerConfig::default());
+        assert!(r.flagged(CheckKind::DelayLineSensor));
+    }
+
     #[test]
     fn short_pipeline_buffers_not_flagged() {
         let tdc = tdc_delay_line(8).unwrap();

@@ -13,7 +13,8 @@ use slm_netlist::{GateKind, NetId};
 /// Chain successors come from the shared [`Analysis`] fanout index, so
 /// the walk is O(nets + edges) overall; the previous implementation
 /// rescanned every gate per chain step, which was quadratic on long
-/// lines (the 50k-stage bench in `slm-bench` guards the fix).
+/// lines (the `delay_line_pass_flags_a_50k_stage_line` test guards
+/// the fix).
 pub struct DelayLinePass;
 
 impl Pass for DelayLinePass {

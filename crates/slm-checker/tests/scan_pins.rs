@@ -1,0 +1,176 @@
+//! Exact-value pins of full admission scans.
+//!
+//! Each test runs `PassManager::full` over a fixed set of designs and
+//! pins the FNV-1a digest of the concatenated `CheckReport::to_json`
+//! output, under the default config and again with `sense` declared as
+//! a clock pin. `f64` values are rendered exactly, so a digest matches
+//! only if every finding, severity, witness, span and detail string is
+//! bit-identical to the pinned run. A speed-up of any pass must leave
+//! every digest here unchanged.
+
+use slm_checker::{CheckerConfig, PassManager, ScanCache, TaintConfig};
+use slm_cloud::{AdmissionGate, ClockContract, TenantSubmission};
+use slm_netlist::generators::{
+    alu, array_multiplier, carry_lookahead_adder, carry_select_adder, carry_sensor,
+    kogge_stone_adder, obfuscated_tdc_delay_line, ripple_carry_adder, tapped_carry_chain,
+    tdc_delay_line, wallace_multiplier, zoo,
+};
+use slm_netlist::{Netlist, NetlistError};
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0100_0000_01b3);
+    }
+    h
+}
+
+/// The two configs every design is scanned under.
+fn configs() -> [CheckerConfig; 2] {
+    let sense = CheckerConfig {
+        taint: TaintConfig {
+            declared_clocks: vec!["sense".to_string()],
+            ..TaintConfig::default()
+        },
+        ..CheckerConfig::default()
+    };
+    [CheckerConfig::default(), sense]
+}
+
+/// Digest of the full-scan reports of `designs` under both configs.
+fn scan_digest(designs: &[Netlist]) -> u64 {
+    let pm = PassManager::full();
+    let mut h = FNV_OFFSET;
+    for nl in designs {
+        for config in &configs() {
+            h = fnv1a(h, pm.run(nl, config).to_json().as_bytes());
+        }
+    }
+    h
+}
+
+fn assert_pinned(what: &str, got: u64, pinned: u64) {
+    assert_eq!(
+        got, pinned,
+        "{what}: digest {got:#018x} != pinned {pinned:#018x}"
+    );
+}
+
+type Build = fn(usize) -> Result<Netlist, NetlistError>;
+
+const ADDER_WIDTHS: [usize; 8] = [8, 16, 33, 64, 127, 200, 320, 640];
+const ALU_WIDTHS: [usize; 6] = [8, 16, 33, 64, 127, 256];
+const MULT_WIDTHS: [usize; 6] = [4, 6, 9, 13, 20, 32];
+const CHAIN_WIDTHS: [usize; 7] = [16, 33, 64, 127, 200, 320, 640];
+const LINE_STAGES: [usize; 6] = [8, 16, 31, 64, 128, 256];
+
+fn family(build: Build, widths: &[usize]) -> Vec<Netlist> {
+    widths
+        .iter()
+        .map(|&w| build(w).expect("valid width"))
+        .collect()
+}
+
+/// The nine generated families of the cold-admission corpus.
+#[test]
+fn generated_families_are_pinned() {
+    let carry_sensors: Vec<Netlist> = ADDER_WIDTHS
+        .iter()
+        .zip([2, 3, 4, 6, 8, 2, 3, 4].iter().cycle())
+        .map(|(&w, &tap)| carry_sensor(w, tap).expect("valid width"))
+        .collect();
+    let cases: [(&str, Vec<Netlist>, u64); 9] = [
+        (
+            "rca",
+            family(ripple_carry_adder, &ADDER_WIDTHS),
+            0x5713_1b11_8e86_eef1,
+        ),
+        (
+            "cla",
+            family(carry_lookahead_adder, &ADDER_WIDTHS),
+            0x681c_68c9_427a_7a37,
+        ),
+        (
+            "csa",
+            family(carry_select_adder, &ADDER_WIDTHS),
+            0x55d5_1213_2ed7_82f3,
+        ),
+        (
+            "ksa",
+            family(kogge_stone_adder, &ADDER_WIDTHS),
+            0x7031_00cc_fcff_240d,
+        ),
+        ("alu", family(alu, &ALU_WIDTHS), 0x05cc_d459_1212_7f4b),
+        (
+            "array_mult",
+            family(array_multiplier, &MULT_WIDTHS),
+            0x52ba_2e5a_7ebc_a2d9,
+        ),
+        (
+            "wallace",
+            family(wallace_multiplier, &MULT_WIDTHS),
+            0xb113_c1ce_78a4_6e11,
+        ),
+        (
+            "tapped_chain",
+            family(tapped_carry_chain, &CHAIN_WIDTHS),
+            0xa82e_9475_4e1b_6bbd,
+        ),
+        ("carry_sensor", carry_sensors, 0xcd1f_5340_e77f_2a10),
+    ];
+    for (name, designs, pinned) in &cases {
+        assert_pinned(name, scan_digest(designs), *pinned);
+    }
+}
+
+#[test]
+fn zoo_is_pinned() {
+    let designs: Vec<Netlist> = zoo().into_iter().map(|e| e.netlist).collect();
+    assert_pinned("zoo", scan_digest(&designs), 0xb538_fc17_9157_aebd);
+}
+
+#[test]
+fn delay_lines_are_pinned() {
+    assert_pinned(
+        "tdc_delay_line",
+        scan_digest(&family(tdc_delay_line, &LINE_STAGES)),
+        0xf656_1201_23a8_2b17,
+    );
+    assert_pinned(
+        "obfuscated_tdc_delay_line",
+        scan_digest(&family(obfuscated_tdc_delay_line, &LINE_STAGES)),
+        0xb051_474f_f009_a0db,
+    );
+}
+
+/// The admission verdict and diagnostics of Kogge-Stone adders that
+/// request a 300 MHz clock: the full scan plus the strict timing check,
+/// pinned with the report the verdict was rendered from.
+#[test]
+fn ksa_admission_at_300_mhz_is_pinned() {
+    let gate = AdmissionGate::new(ScanCache::in_memory());
+    for (width, pinned) in [(32, 0xdbe1_8cdd_eda1_8dec), (64, 0x43af_a157_b3de_b53d)] {
+        let sub = TenantSubmission::new(
+            format!("ksa{width}"),
+            kogge_stone_adder(width).expect("valid width"),
+        )
+        .with_contract(ClockContract {
+            declared_clocks: Vec::new(),
+            clock_mhz: Some(300.0),
+        });
+        let d = gate.decide(&sub);
+        let text = format!(
+            "{:?}\n{}\n{}",
+            d.verdict,
+            d.diagnostics.join("\n"),
+            d.report.to_json()
+        );
+        assert_pinned(
+            &format!("ksa{width} @ 300 MHz"),
+            fnv1a(FNV_OFFSET, text.as_bytes()),
+            pinned,
+        );
+    }
+}

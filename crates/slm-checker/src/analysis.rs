@@ -1,6 +1,8 @@
 //! Shared analysis context: everything more than one pass needs is
 //! computed once per scan.
 
+use crate::config::CheckerConfig;
+use crate::semantic::{compute_taint, TaintFacts};
 use slm_netlist::graph::{collapsed_drivers, combinational_loops, FanoutIndex};
 use slm_netlist::{GateKind, NetId, Netlist};
 use std::sync::OnceLock;
@@ -10,9 +12,9 @@ use std::sync::OnceLock;
 /// Building the context is O(nets + edges); passes then share the
 /// fanout index (the fix for the old per-chain-step gate rescans), the
 /// complete SCC loop list, and the buffer-collapsed driver map. Facts
-/// only some pipelines need (logic depth) are computed lazily, at most
-/// once, behind a [`OnceLock`] — safe to race from a parallel pass
-/// level.
+/// only some pipelines need (logic depth, clock taint) are computed
+/// lazily, at most once, behind a [`OnceLock`] — safe to race from a
+/// parallel pass level.
 pub struct Analysis<'a> {
     nl: &'a Netlist,
     fanout: FanoutIndex,
@@ -20,6 +22,7 @@ pub struct Analysis<'a> {
     collapsed: Vec<NetId>,
     loops: Vec<Vec<NetId>>,
     levels: OnceLock<Option<Vec<usize>>>,
+    taint: OnceLock<TaintFacts>,
 }
 
 impl<'a> Analysis<'a> {
@@ -35,6 +38,7 @@ impl<'a> Analysis<'a> {
             collapsed: collapsed_drivers(nl),
             loops: combinational_loops(nl),
             levels: OnceLock::new(),
+            taint: OnceLock::new(),
             nl,
         }
     }
@@ -88,5 +92,21 @@ impl<'a> Analysis<'a> {
                 Some(level)
             })
             .as_deref()
+    }
+
+    /// The clock-taint fixpoint ([`compute_taint`]) under `config`.
+    ///
+    /// Computed at most once per scan and shared by the three semantic
+    /// passes. A scan runs every pass under one config, so the first
+    /// caller's config fixes the facts: query a fresh context (or call
+    /// [`compute_taint`] directly) to compare configs.
+    pub fn taint(&self, config: &CheckerConfig) -> &TaintFacts {
+        let facts = self.taint.get_or_init(|| compute_taint(self, config));
+        debug_assert_eq!(
+            facts.seeds,
+            crate::semantic::clock_seeds(self, config),
+            "Analysis::taint queried under a second config"
+        );
+        facts
     }
 }

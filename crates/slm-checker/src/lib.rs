@@ -472,4 +472,58 @@ mod tests {
             assert_eq!(serial.to_json(), par.to_json(), "{}", nl.name());
         }
     }
+
+    /// Zero group thresholds let an empty group through; each pass
+    /// must then report nothing for it rather than panic looking for a
+    /// witness.
+    #[test]
+    fn zero_scoap_endpoint_threshold_reports_no_empty_group() {
+        let config = CheckerConfig {
+            scoap: ScoapConfig {
+                min_endpoints: 0,
+                ..ScoapConfig::default()
+            },
+            ..CheckerConfig::default()
+        };
+        let r = check_full_with(&alu(32).unwrap(), &config);
+        assert!(r.findings.iter().all(|f| f.pass != "scoap-sensor"), "{r:?}");
+    }
+
+    #[test]
+    fn zero_activity_tap_threshold_reports_no_empty_group() {
+        let config = CheckerConfig {
+            activity: ActivityConfig {
+                min_taps: 0,
+                ..ActivityConfig::default()
+            },
+            ..CheckerConfig::default()
+        };
+        let r = check_full_with(&alu(32).unwrap(), &config);
+        // Only the reconvergence note remains.
+        assert!(r.is_clean(), "{r:?}");
+        assert!(r.active().all(|f| f.severity == Severity::Info), "{r:?}");
+    }
+
+    #[test]
+    fn zero_taint_observation_threshold_reports_no_empty_group() {
+        // The clock reaches the output through a buffer only: tainted,
+        // but nothing converges through logic.
+        let mut b = slm_netlist::NetlistBuilder::new("clk_feedthrough");
+        let clk = b.input("clk");
+        let q = b.buf(clk);
+        b.output("q", q);
+        let nl = b.finish().unwrap();
+        let config = CheckerConfig {
+            taint: TaintConfig {
+                min_observed: 0,
+                ..TaintConfig::default()
+            },
+            ..CheckerConfig::default()
+        };
+        let r = check_full_with(&nl, &config);
+        assert!(r.findings.iter().all(|f| f.pass != "clock-taint"), "{r:?}");
+        // The same feed-through under the default threshold is a note.
+        let r = check_full(&nl);
+        assert!(r.findings.iter().any(|f| f.pass == "clock-taint"), "{r:?}");
+    }
 }

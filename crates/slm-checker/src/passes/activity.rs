@@ -4,7 +4,7 @@ use crate::analysis::Analysis;
 use crate::config::CheckerConfig;
 use crate::diag::{span_of, CheckKind, Finding, Severity};
 use crate::pass::{Pass, Prior};
-use crate::semantic::{compute_activity, compute_taint};
+use crate::semantic::compute_activity;
 use slm_netlist::NetId;
 
 /// Estimates per-net transition densities and glitch bounds, then
@@ -32,11 +32,11 @@ fn glitch_path(cx: &Analysis<'_>, glitch: &[f64], from: NetId) -> Vec<NetId> {
     let mut at = from;
     while path.len() < crate::diag::MAX_SPAN_NETS {
         let g = nl.gate(at);
-        let Some(&next) = g.fanin.iter().max_by(|a, b| {
-            glitch[a.index()]
-                .partial_cmp(&glitch[b.index()])
-                .expect("glitch bounds are finite")
-        }) else {
+        let Some(&next) = g
+            .fanin
+            .iter()
+            .max_by(|a, b| glitch[a.index()].total_cmp(&glitch[b.index()]))
+        else {
             break;
         };
         path.push(next);
@@ -66,8 +66,7 @@ impl Pass for SwitchingActivityPass {
         findings: &mut Vec<Finding>,
     ) {
         let nl = cx.netlist();
-        let taint = compute_taint(cx, config);
-        let Some(facts) = compute_activity(cx, config, &taint) else {
+        let Some(facts) = compute_activity(cx, config, cx.taint(config)) else {
             return; // cyclic: the loop pass already rejects
         };
         // Clock-driven observation taps.
@@ -77,16 +76,13 @@ impl Pass for SwitchingActivityPass {
             .map(|&(_, o)| o)
             .filter(|o| facts.clock_glitch[o.index()] >= config.activity.tap_threshold)
             .collect();
-        if taps.len() >= config.activity.min_taps {
-            let strongest = taps
-                .iter()
-                .copied()
-                .max_by(|a, b| {
-                    facts.clock_glitch[a.index()]
-                        .partial_cmp(&facts.clock_glitch[b.index()])
-                        .expect("finite")
-                })
-                .expect("nonempty");
+        // An empty group has no witness, even when `min_taps = 0`.
+        let strongest = taps
+            .iter()
+            .copied()
+            .max_by(|a, b| facts.clock_glitch[a.index()].total_cmp(&facts.clock_glitch[b.index()]))
+            .filter(|_| taps.len() >= config.activity.min_taps);
+        if let Some(strongest) = strongest {
             findings.push(
                 Finding::new(
                     CheckKind::SwitchingActivity,
@@ -118,15 +114,13 @@ impl Pass for SwitchingActivityPass {
             if total < config.activity.scoap_upgrade_glitch {
                 continue;
             }
-            let strongest = endpoints
+            let Some(strongest) = endpoints
                 .iter()
                 .copied()
-                .max_by(|a, b| {
-                    facts.glitch[a.index()]
-                        .partial_cmp(&facts.glitch[b.index()])
-                        .expect("finite")
-                })
-                .expect("scoap spans are nonempty");
+                .max_by(|a, b| facts.glitch[a.index()].total_cmp(&facts.glitch[b.index()]))
+            else {
+                continue;
+            };
             findings.push(
                 Finding::new(
                     CheckKind::SwitchingActivity,
@@ -147,8 +141,7 @@ impl Pass for SwitchingActivityPass {
             .filter(|&i| facts.density[i] > 0.0)
             .max_by(|&a, &b| {
                 (facts.glitch[a] / facts.density[a])
-                    .partial_cmp(&(facts.glitch[b] / facts.density[b]))
-                    .expect("finite")
+                    .total_cmp(&(facts.glitch[b] / facts.density[b]))
             });
         if let Some(worst) = worst {
             let amp = facts.glitch[worst] / facts.density[worst];

@@ -4,7 +4,7 @@ use crate::analysis::Analysis;
 use crate::config::CheckerConfig;
 use crate::diag::{span_of, CheckKind, Finding, Severity};
 use crate::pass::{Pass, Prior};
-use crate::semantic::{compute_taint, Taint};
+use crate::semantic::Taint;
 use slm_netlist::NetId;
 
 /// Bounds the bits/cycle of clock-rate state observable at the
@@ -41,7 +41,7 @@ impl Pass for ObservationBandwidthPass {
         findings: &mut Vec<Finding>,
     ) {
         let nl = cx.netlist();
-        let facts = compute_taint(cx, config);
+        let facts = cx.taint(config);
         let tainted: Vec<NetId> = nl
             .outputs()
             .iter()

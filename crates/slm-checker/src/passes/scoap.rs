@@ -1,7 +1,7 @@
 //! SCOAP-style controllability/observability scoring of endpoints.
 
 use crate::analysis::Analysis;
-use crate::config::CheckerConfig;
+use crate::config::{CheckerConfig, ScoapConfig};
 use crate::diag::{span_of, CheckKind, Finding, Severity};
 use crate::pass::{Pass, Prior};
 use slm_netlist::{GateKind, NetId, Netlist};
@@ -109,6 +109,137 @@ fn observability(cx: &Analysis<'_>, order: &[NetId], cc0: &[u64], cc1: &[u64]) -
     co
 }
 
+/// Per-net input bitsets the lower-bound prune may allocate in one
+/// scan, in `u64` words (8 MiB). Larger designs skip the prune and
+/// rely on the early-exit walk alone. A constant rather than a config
+/// field, so it never enters a scan key.
+const PRUNE_BUDGET_WORDS: usize = 1 << 20;
+
+/// The number of primary inputs (gates of kind [`GateKind::Input`]) in
+/// every net's fanin cone, from one topological pass over per-net
+/// bitsets; `None` when the bitsets would exceed `budget_words`.
+fn inputs_in_cone(nl: &Netlist, order: &[NetId], budget_words: usize) -> Option<Vec<u32>> {
+    let mut bit = vec![u32::MAX; nl.len()];
+    let mut inputs = 0u32;
+    for (i, g) in nl.gates().iter().enumerate() {
+        if g.kind == GateKind::Input {
+            bit[i] = inputs;
+            inputs += 1;
+        }
+    }
+    let words = (inputs as usize).div_ceil(64);
+    if words == 0 {
+        return Some(vec![0; nl.len()]);
+    }
+    if nl.len().checked_mul(words)? > budget_words {
+        return None;
+    }
+    let mut sets = vec![0u64; nl.len() * words];
+    let mut acc = vec![0u64; words];
+    for &v in order {
+        acc.fill(0);
+        let b = bit[v.index()];
+        if b != u32::MAX {
+            acc[b as usize / 64] |= 1 << (b % 64);
+        }
+        for &f in &nl.gate(v).fanin {
+            let src = &sets[f.index() * words..][..words];
+            for (a, s) in acc.iter_mut().zip(src) {
+                *a |= s;
+            }
+        }
+        sets[v.index() * words..][..words].copy_from_slice(&acc);
+    }
+    Some(
+        sets.chunks(words)
+            .map(|set| set.iter().map(|w| w.count_ones()).sum())
+            .collect(),
+    )
+}
+
+/// The chain-shaped endpoints of a design and the work it took to find
+/// them.
+pub(crate) struct ChainScan {
+    /// Endpoints with `depth / max(cone - 1, 1) >= min_chain_ratio`,
+    /// in output order.
+    pub(crate) endpoints: Vec<NetId>,
+    /// Nets visited: one per net of the prune's topological pass plus
+    /// one per net a cone walk popped. Read by the work-bound test.
+    #[cfg_attr(not(test), allow(dead_code))]
+    pub(crate) visits: usize,
+}
+
+/// Finds the chain-shaped endpoints at or above `min_depth` without
+/// walking every deep cone in full; the prune may allocate up to
+/// `prune_budget_words` words of bitsets.
+///
+/// A cone holds the `depth` gates of its longest path plus every
+/// primary input it reaches (inputs sit at depth 0, so none is on the
+/// path's gates), which bounds its size from below. An endpoint whose
+/// bound already puts its ratio under `min_chain_ratio` is ruled out
+/// without a walk. The remaining walks stop as soon as the ratio drops
+/// under the threshold: the cone only grows, so the ratio only falls.
+/// Both shortcuts decide exactly what a full walk would.
+pub(crate) fn chain_shaped(
+    nl: &Netlist,
+    order: &[NetId],
+    level: &[usize],
+    config: &ScoapConfig,
+    prune_budget_words: usize,
+) -> ChainScan {
+    let ratio = |depth: usize, cone: usize| depth as f64 / (cone.saturating_sub(1).max(1)) as f64;
+    let mut visits = 0;
+    let deep = |&(_, o): &(String, NetId)| level[o.index()] >= config.min_depth;
+    let inputs = if nl.outputs().iter().any(deep) {
+        inputs_in_cone(nl, order, prune_budget_words)
+    } else {
+        None
+    };
+    if inputs.is_some() {
+        visits += order.len();
+    }
+    let mut stamp = vec![0u32; nl.len()];
+    let mut epoch = 0u32;
+    let mut stack: Vec<NetId> = Vec::new();
+    let mut endpoints = Vec::new();
+    for &(_, o) in nl.outputs() {
+        let depth = level[o.index()];
+        if depth < config.min_depth {
+            continue;
+        }
+        if let Some(inputs) = &inputs {
+            let bound = depth + inputs[o.index()] as usize;
+            if bound >= 2 && ratio(depth, bound) < config.min_chain_ratio {
+                continue;
+            }
+        }
+        epoch += 1;
+        stack.clear();
+        let mut cone = 0usize;
+        let mut cut = false;
+        stack.push(o);
+        stamp[o.index()] = epoch;
+        while let Some(v) = stack.pop() {
+            cone += 1;
+            visits += 1;
+            if cone >= 2 && ratio(depth, cone) < config.min_chain_ratio {
+                cut = true;
+                break;
+            }
+            for &f in &nl.gate(v).fanin {
+                if stamp[f.index()] != epoch {
+                    stamp[f.index()] = epoch;
+                    stack.push(f);
+                }
+            }
+        }
+        if !cut && ratio(depth, cone) >= config.min_chain_ratio {
+            endpoints.push(o);
+        }
+    }
+    ChainScan { endpoints, visits }
+}
+
 /// Scores how sensor-like the endpoint registers of a design are.
 ///
 /// A TDC endpoint sits at the end of a deep logic cone that is barely
@@ -145,44 +276,24 @@ impl Pass for ScoapSensorPass {
             return;
         }
         // Logic depth per net, shared with the semantic passes.
-        let level = cx.levels().expect("acyclic netlist has levels");
-        let (cc0, cc1) = controllability(nl, order);
-        let co = observability(cx, order, &cc0, &cc1);
-        // Fanin-cone size per endpoint, via an epoch-stamped DFS.
-        let mut stamp = vec![0u32; nl.len()];
-        let mut epoch = 0u32;
-        let mut stack: Vec<NetId> = Vec::new();
-        let mut sensor_like: Vec<NetId> = Vec::new();
-        let mut depth_sum = 0usize;
-        let mut ctrl_sum = 0u64;
-        for &(_, o) in nl.outputs() {
-            let depth = level[o.index()];
-            if depth < config.scoap.min_depth {
-                continue;
-            }
-            epoch += 1;
-            let mut cone = 0usize;
-            stack.push(o);
-            stamp[o.index()] = epoch;
-            while let Some(v) = stack.pop() {
-                cone += 1;
-                for &f in &nl.gate(v).fanin {
-                    if stamp[f.index()] != epoch {
-                        stamp[f.index()] = epoch;
-                        stack.push(f);
-                    }
-                }
-            }
-            let ratio = depth as f64 / (cone.saturating_sub(1).max(1)) as f64;
-            if ratio >= config.scoap.min_chain_ratio {
-                sensor_like.push(o);
-                depth_sum += depth;
-                ctrl_sum = sat(ctrl_sum, cc0[o.index()].min(cc1[o.index()]));
-            }
-        }
+        let Some(level) = cx.levels() else {
+            return;
+        };
+        let sensor_like =
+            chain_shaped(nl, order, level, &config.scoap, PRUNE_BUDGET_WORDS).endpoints;
+        // An empty group has no witness, even when `min_endpoints = 0`.
+        let Some(witness) = sensor_like.iter().copied().max_by_key(|o| level[o.index()]) else {
+            return;
+        };
         if sensor_like.len() < config.scoap.min_endpoints {
             return;
         }
+        let (cc0, cc1) = controllability(nl, order);
+        let co = observability(cx, order, &cc0, &cc1);
+        let depth_sum: usize = sensor_like.iter().map(|o| level[o.index()]).sum();
+        let ctrl_sum = sensor_like
+            .iter()
+            .fold(0, |acc, o| sat(acc, cc0[o.index()].min(cc1[o.index()])));
         let total = nl.outputs().len();
         let fraction = sensor_like.len() as f64 / total as f64;
         let mean_depth = depth_sum as f64 / sensor_like.len() as f64;
@@ -193,11 +304,6 @@ impl Pass for ScoapSensorPass {
         } else {
             Severity::Info
         };
-        let witness = sensor_like
-            .iter()
-            .copied()
-            .max_by_key(|o| level[o.index()])
-            .expect("nonempty");
         findings.push(
             Finding::new(
                 CheckKind::SensorLikeEndpoints,
@@ -213,5 +319,101 @@ impl Pass for ScoapSensorPass {
             .with_witness(witness)
             .with_span(span_of(nl, &sensor_like)),
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use slm_netlist::generators::{
+        alu, carry_sensor, kogge_stone_adder, obfuscated_tdc_delay_line, ripple_carry_adder,
+        tapped_carry_chain, tdc_delay_line,
+    };
+
+    /// Nets a full walk of every deep endpoint's cone visits.
+    fn full_walk_visits(nl: &Netlist, level: &[usize], min_depth: usize) -> usize {
+        let mut total = 0;
+        for &(_, o) in nl.outputs() {
+            if level[o.index()] < min_depth {
+                continue;
+            }
+            let mut seen = vec![false; nl.len()];
+            let mut stack = vec![o];
+            seen[o.index()] = true;
+            while let Some(v) = stack.pop() {
+                total += 1;
+                for &f in &nl.gate(v).fanin {
+                    if !std::mem::replace(&mut seen[f.index()], true) {
+                        stack.push(f);
+                    }
+                }
+            }
+        }
+        total
+    }
+
+    /// The speed-up guard, in visited nets rather than wall time: on
+    /// wide adders and carry chains the chain test stays within a few
+    /// passes over the design, where a full walk per deep endpoint is
+    /// quadratic.
+    #[test]
+    fn chain_test_does_near_linear_work_on_wide_adders() {
+        let config = ScoapConfig::default();
+        for nl in [
+            kogge_stone_adder(640).unwrap(),
+            ripple_carry_adder(640).unwrap(),
+            tapped_carry_chain(640).unwrap(),
+        ] {
+            let cx = Analysis::new(&nl);
+            let level = cx.levels().unwrap();
+            let order = nl.topological_order().unwrap();
+            let scan = chain_shaped(&nl, order, level, &config, PRUNE_BUDGET_WORDS);
+            assert!(
+                scan.visits <= 4 * nl.len(),
+                "{}: {} visits over {} nets",
+                nl.name(),
+                scan.visits,
+                nl.len()
+            );
+            assert!(
+                full_walk_visits(&nl, level, config.min_depth) > 16 * nl.len(),
+                "{}: the guard must have teeth",
+                nl.name()
+            );
+        }
+    }
+
+    /// Past the bitset budget the prune is skipped and the early-exit
+    /// walks alone decide — the same endpoints either way, each walk
+    /// stopping within `depth / min_chain_ratio + 2` nets.
+    #[test]
+    fn over_budget_designs_skip_the_prune_with_the_same_verdict() {
+        let config = ScoapConfig {
+            min_depth: 4,
+            ..ScoapConfig::default()
+        };
+        for nl in [
+            alu(32).unwrap(),
+            ripple_carry_adder(64).unwrap(),
+            carry_sensor(64, 4).unwrap(),
+            tdc_delay_line(64).unwrap(),
+            obfuscated_tdc_delay_line(48).unwrap(),
+        ] {
+            let cx = Analysis::new(&nl);
+            let level = cx.levels().unwrap();
+            let order = nl.topological_order().unwrap();
+            let pruned = chain_shaped(&nl, order, level, &config, PRUNE_BUDGET_WORDS);
+            let walked = chain_shaped(&nl, order, level, &config, 0);
+            assert_eq!(pruned.endpoints, walked.endpoints, "{}", nl.name());
+            let bound: f64 = nl
+                .outputs()
+                .iter()
+                .map(|&(_, o)| level[o.index()])
+                .filter(|&depth| depth >= config.min_depth)
+                .map(|depth| depth as f64 / config.min_chain_ratio + 2.0)
+                .sum();
+            assert!(walked.visits as f64 <= bound, "{}", nl.name());
+            assert!(inputs_in_cone(&nl, order, 0).is_none(), "{}", nl.name());
+        }
     }
 }

@@ -4,7 +4,7 @@ use crate::analysis::Analysis;
 use crate::config::CheckerConfig;
 use crate::diag::{span_of, CheckKind, Finding, Severity};
 use crate::pass::{Pass, Prior};
-use crate::semantic::{compute_taint, Taint, DEPTH_UNREACHED};
+use crate::semantic::{Taint, DEPTH_UNREACHED};
 use slm_netlist::NetId;
 
 /// Flags designs where clock-rate toggling propagates *through real
@@ -39,7 +39,7 @@ impl Pass for ClockTaintPass {
         findings: &mut Vec<Finding>,
     ) {
         let nl = cx.netlist();
-        let facts = compute_taint(cx, config);
+        let facts = cx.taint(config);
         if facts.seeds.is_empty() {
             return;
         }
@@ -64,11 +64,15 @@ impl Pass for ClockTaintPass {
             })
             .collect();
         if through_logic.len() >= config.taint.min_observed {
-            let deepest = through_logic
+            // An empty group (`min_observed = 0`) has no witness and
+            // nothing converging to report.
+            let Some(deepest) = through_logic
                 .iter()
                 .copied()
                 .max_by_key(|o| facts.depth[o.index()])
-                .expect("nonempty");
+            else {
+                return;
+            };
             findings.push(
                 Finding::new(
                     CheckKind::ClockTaint,

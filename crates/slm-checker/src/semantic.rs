@@ -185,9 +185,17 @@ pub fn compute_activity(
     let mut clock_glitch = vec![0.0f64; n];
     let is_clock_seed =
         |v: NetId| taint.taint[v.index()] == Taint::ClockRate && taint.depth[v.index()] == 0;
+    // Per-gate fanin probabilities and sensitizations, reused across
+    // gates; every product and sum keeps its fanin order, so the
+    // results are bit-identical to collecting fresh vectors.
+    let mut ps: Vec<f64> = Vec::new();
+    let mut sens: Vec<f64> = Vec::new();
     for &v in order {
         let g = nl.gate(v);
-        match g.kind {
+        ps.clear();
+        ps.extend(g.fanin.iter().map(|f| prob[f.index()]));
+        sens.clear();
+        let p = match g.kind {
             GateKind::Input => {
                 prob[v.index()] = 0.5;
                 if is_clock_seed(v) {
@@ -197,89 +205,79 @@ pub fn compute_activity(
                     density[v.index()] = config.activity.input_density;
                 }
                 glitch[v.index()] = density[v.index()].max(config.activity.input_density);
+                continue;
             }
-            GateKind::Const0 | GateKind::Const1 => {
-                prob[v.index()] = if g.kind == GateKind::Const1 { 1.0 } else { 0.0 };
+            GateKind::Const0 => {
+                prob[v.index()] = 0.0;
+                continue;
             }
-            _ => {
-                let ps: Vec<f64> = g.fanin.iter().map(|f| prob[f.index()]).collect();
-                let (p, sens): (f64, Vec<f64>) = match g.kind {
-                    GateKind::Buf => (ps[0], vec![1.0]),
-                    GateKind::Not => (1.0 - ps[0], vec![1.0]),
-                    GateKind::And | GateKind::Nand => {
-                        let all: f64 = ps.iter().product();
-                        let sens = ps
-                            .iter()
-                            .enumerate()
-                            .map(|(i, _)| {
-                                ps.iter()
-                                    .enumerate()
-                                    .filter(|&(j, _)| j != i)
-                                    .map(|(_, &pj)| pj)
-                                    .product()
-                            })
-                            .collect();
-                        (
-                            if g.kind == GateKind::And {
-                                all
-                            } else {
-                                1.0 - all
-                            },
-                            sens,
-                        )
-                    }
-                    GateKind::Or | GateKind::Nor => {
-                        let none: f64 = ps.iter().map(|&p| 1.0 - p).product();
-                        let sens = ps
-                            .iter()
-                            .enumerate()
-                            .map(|(i, _)| {
-                                ps.iter()
-                                    .enumerate()
-                                    .filter(|&(j, _)| j != i)
-                                    .map(|(_, &pj)| 1.0 - pj)
-                                    .product()
-                            })
-                            .collect();
-                        (
-                            if g.kind == GateKind::Or {
-                                1.0 - none
-                            } else {
-                                none
-                            },
-                            sens,
-                        )
-                    }
-                    GateKind::Xor | GateKind::Xnor => {
-                        // Parity is sensitized to every fanin always.
-                        let odd = ps
-                            .iter()
-                            .fold(0.0f64, |acc, &p| acc * (1.0 - p) + (1.0 - acc) * p);
-                        (
-                            if g.kind == GateKind::Xor {
-                                odd
-                            } else {
-                                1.0 - odd
-                            },
-                            vec![1.0; ps.len()],
-                        )
-                    }
-                    GateKind::Input | GateKind::Const0 | GateKind::Const1 => unreachable!(),
-                };
-                prob[v.index()] = p;
-                let mut d = 0.0;
-                let mut gl = 0.0;
-                let mut cg = 0.0;
-                for (i, &f) in g.fanin.iter().enumerate() {
-                    d += sens[i] * density[f.index()];
-                    gl += glitch[f.index()];
-                    cg += clock_glitch[f.index()];
+            GateKind::Const1 => {
+                prob[v.index()] = 1.0;
+                continue;
+            }
+            GateKind::Buf => {
+                sens.push(1.0);
+                ps[0]
+            }
+            GateKind::Not => {
+                sens.push(1.0);
+                1.0 - ps[0]
+            }
+            GateKind::And | GateKind::Nand => {
+                let all: f64 = ps.iter().product();
+                sens.extend((0..ps.len()).map(|i| {
+                    ps.iter()
+                        .enumerate()
+                        .filter(|&(j, _)| j != i)
+                        .map(|(_, &pj)| pj)
+                        .product::<f64>()
+                }));
+                if g.kind == GateKind::And {
+                    all
+                } else {
+                    1.0 - all
                 }
-                density[v.index()] = d.min(GLITCH_CAP);
-                glitch[v.index()] = gl.min(GLITCH_CAP);
-                clock_glitch[v.index()] = cg.min(GLITCH_CAP);
             }
+            GateKind::Or | GateKind::Nor => {
+                let none: f64 = ps.iter().map(|&p| 1.0 - p).product();
+                sens.extend((0..ps.len()).map(|i| {
+                    ps.iter()
+                        .enumerate()
+                        .filter(|&(j, _)| j != i)
+                        .map(|(_, &pj)| 1.0 - pj)
+                        .product::<f64>()
+                }));
+                if g.kind == GateKind::Or {
+                    1.0 - none
+                } else {
+                    none
+                }
+            }
+            GateKind::Xor | GateKind::Xnor => {
+                // Parity is sensitized to every fanin always.
+                let odd = ps
+                    .iter()
+                    .fold(0.0f64, |acc, &p| acc * (1.0 - p) + (1.0 - acc) * p);
+                sens.resize(ps.len(), 1.0);
+                if g.kind == GateKind::Xor {
+                    odd
+                } else {
+                    1.0 - odd
+                }
+            }
+        };
+        prob[v.index()] = p;
+        let mut d = 0.0;
+        let mut gl = 0.0;
+        let mut cg = 0.0;
+        for (&s, &f) in sens.iter().zip(&g.fanin) {
+            d += s * density[f.index()];
+            gl += glitch[f.index()];
+            cg += clock_glitch[f.index()];
         }
+        density[v.index()] = d.min(GLITCH_CAP);
+        glitch[v.index()] = gl.min(GLITCH_CAP);
+        clock_glitch[v.index()] = cg.min(GLITCH_CAP);
     }
     Some(ActivityFacts {
         prob,

@@ -4,15 +4,15 @@
 
 use proptest::prelude::*;
 use slm_checker::{
-    check_structure, check_timing, CheckKind, CheckerConfig, PassManager, ScanCache, Severity,
-    Suppression, TaintConfig,
+    check_structure, check_timing, passes, CheckKind, CheckerConfig, PassManager, ScanCache,
+    ScoapConfig, Severity, Suppression, TaintConfig, MAX_SPAN_NETS,
 };
 use slm_netlist::generators::{
     alu, array_multiplier, carry_lookahead_adder, carry_select_adder, carry_sensor,
     equality_comparator, kogge_stone_adder, parity_tree, ring_oscillator, ripple_carry_adder,
     tdc_delay_line, wallace_multiplier, zoo,
 };
-use slm_netlist::Netlist;
+use slm_netlist::{Gate, GateKind, NetId, Netlist};
 use slm_obs::Obs;
 use slm_timing::DelayModel;
 
@@ -78,6 +78,146 @@ fn any_suppression() -> SuppressionStrategy {
             Some("t[0]".to_string()),
         ]),
     }
+}
+
+/// SplitMix64: the random-DAG generator's own stream, seeded from one
+/// proptest draw (the shim has no structural combinators).
+struct SplitMix(u64);
+
+impl SplitMix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+}
+
+/// A random acyclic netlist of `nets` nets: a few primary inputs up
+/// front, inputs and constants scattered among the gates, gates whose
+/// fanins repeat freely and lean on the previous net (so long chains
+/// and chain-shaped endpoints occur), and many primary outputs, some
+/// naming the same net twice.
+fn random_dag(seed: u64, nets: usize) -> Netlist {
+    const KINDS: [GateKind; 8] = [
+        GateKind::And,
+        GateKind::Nand,
+        GateKind::Or,
+        GateKind::Nor,
+        GateKind::Xor,
+        GateKind::Xnor,
+        GateKind::Not,
+        GateKind::Buf,
+    ];
+    let mut rng = SplitMix(seed);
+    let mut gates = Vec::with_capacity(nets);
+    let mut inputs = Vec::new();
+    let lead = 1 + rng.below(4);
+    for v in 0..nets {
+        let roll = rng.below(100);
+        let gate = if v < lead || roll < 4 {
+            inputs.push(NetId(v as u32));
+            Gate::new(GateKind::Input, vec![])
+        } else if roll < 7 {
+            let kind = [GateKind::Const0, GateKind::Const1][rng.below(2)];
+            Gate::new(kind, vec![])
+        } else {
+            let kind = KINDS[rng.below(KINDS.len())];
+            let arity = if matches!(kind, GateKind::Not | GateKind::Buf) {
+                1
+            } else {
+                2 + rng.below(3)
+            };
+            let fanin = (0..arity)
+                .map(|k| {
+                    let back = if k == 0 && rng.below(3) > 0 {
+                        1
+                    } else {
+                        // Mostly local fanin, sometimes far back.
+                        let reach = 8 + rng.below(v);
+                        1 + rng.below(v.min(reach))
+                    };
+                    NetId((v - back) as u32)
+                })
+                .collect();
+            Gate::new(kind, fanin)
+        };
+        gates.push(gate);
+    }
+    let outputs = (0..1 + rng.below(nets / 2 + 1))
+        .map(|k| {
+            let at = if k == 0 { nets - 1 } else { rng.below(nets) };
+            (format!("o{k}"), NetId(at as u32))
+        })
+        .collect();
+    Netlist::from_parts("random_dag", gates, inputs, outputs, Vec::new()).expect("valid DAG")
+}
+
+/// The SCOAP pass's endpoint test with no shortcuts: every deep
+/// endpoint's whole fanin cone is walked. Returns the expected
+/// `(severity, witness, span nets, detail prefix)`, or `None` when no
+/// finding is due.
+fn reference_scoap(
+    nl: &Netlist,
+    config: &ScoapConfig,
+) -> Option<(Severity, NetId, Vec<NetId>, String)> {
+    // Fanins always precede their gate, so net order is topological.
+    let mut level = vec![0usize; nl.len()];
+    for (v, g) in nl.gates().iter().enumerate() {
+        if !g.fanin.is_empty() {
+            level[v] = 1 + g.fanin.iter().map(|f| level[f.index()]).max().unwrap_or(0);
+        }
+    }
+    let mut chain = Vec::new();
+    for &(_, o) in nl.outputs() {
+        let depth = level[o.index()];
+        if depth < config.min_depth {
+            continue;
+        }
+        let mut seen = vec![false; nl.len()];
+        let mut stack = vec![o];
+        seen[o.index()] = true;
+        let mut cone = 0usize;
+        while let Some(v) = stack.pop() {
+            cone += 1;
+            for &f in &nl.gate(v).fanin {
+                if !std::mem::replace(&mut seen[f.index()], true) {
+                    stack.push(f);
+                }
+            }
+        }
+        if depth as f64 / (cone.saturating_sub(1).max(1)) as f64 >= config.min_chain_ratio {
+            chain.push(o);
+        }
+    }
+    if chain.is_empty() || chain.len() < config.min_endpoints {
+        return None;
+    }
+    let total = nl.outputs().len();
+    let severity = if chain.len() as f64 / total as f64 >= config.min_endpoint_fraction {
+        Severity::Warn
+    } else {
+        Severity::Info
+    };
+    let mut witness = chain[0];
+    for &o in &chain {
+        if level[o.index()] >= level[witness.index()] {
+            witness = o;
+        }
+    }
+    let mean_depth =
+        chain.iter().map(|o| level[o.index()]).sum::<usize>() as f64 / chain.len() as f64;
+    let detail = format!(
+        "{}/{total} endpoints are chain-shaped (mean depth {mean_depth:.0},",
+        chain.len()
+    );
+    chain.truncate(MAX_SPAN_NETS);
+    Some((severity, witness, chain, detail))
 }
 
 proptest! {
@@ -214,5 +354,56 @@ proptest! {
         for (i, report) in batch.iter().enumerate() {
             prop_assert_eq!(&report.to_json(), &serial[i], "{}", refs[i].name());
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The SCOAP pass's pruned, early-exit endpoint test decides
+    /// exactly what a full cone walk decides, on arbitrary DAGs and
+    /// thresholds, zero thresholds included.
+    #[test]
+    fn scoap_findings_match_the_full_cone_reference(
+        seed in any::<u64>(),
+        nets in 2usize..400,
+        min_chain_ratio in proptest::sample::select(vec![0.0, 0.25, 0.8, 1.0, 4.0]),
+        min_depth in proptest::sample::select(vec![0usize, 1, 3, 12]),
+        min_endpoints in proptest::sample::select(vec![0usize, 1, 2, 8]),
+        min_endpoint_fraction in proptest::sample::select(vec![0.0, 0.5, 1.0]),
+    ) {
+        let nl = random_dag(seed, nets);
+        let scoap = ScoapConfig {
+            min_depth,
+            min_chain_ratio,
+            min_endpoints,
+            min_endpoint_fraction,
+        };
+        let config = CheckerConfig {
+            scoap: scoap.clone(),
+            ..CheckerConfig::default()
+        };
+        let mut pm = PassManager::empty();
+        pm.push(Box::new(passes::ScoapSensorPass));
+        let report = pm.run(&nl, &config);
+        let got = report.findings.first().map(|f| {
+            (
+                f.severity,
+                f.witness.expect("scoap findings name a witness"),
+                f.span.iter().map(|s| s.net).collect::<Vec<_>>(),
+                f.detail.clone(),
+            )
+        });
+        match (got, reference_scoap(&nl, &scoap)) {
+            (None, None) => {}
+            (Some((sev, witness, span, detail)), Some((rsev, rwitness, rspan, prefix))) => {
+                prop_assert_eq!(sev, rsev, "seed {seed}");
+                prop_assert_eq!(witness, rwitness, "seed {seed}");
+                prop_assert_eq!(span, rspan, "seed {seed}");
+                prop_assert!(detail.starts_with(&prefix), "seed {seed}: {detail} vs {prefix}");
+            }
+            (got, want) => prop_assert!(false, "seed {seed}: got {got:?}, want {want:?}"),
+        }
+        prop_assert!(report.findings.len() <= 1);
     }
 }

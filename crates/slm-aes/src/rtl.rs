@@ -64,7 +64,7 @@ impl Aes32Rtl {
         model: &LeakageModel,
         rng: &mut Rng64,
     ) -> ([u8; 16], Vec<f64>) {
-        let states = soft::encrypt_round_states(&self.key, &plaintext);
+        let states = soft::encrypt_round_states_with_schedule(&self.round_keys, &plaintext);
         let mut trace = Vec::with_capacity(Self::CYCLES_PER_BLOCK);
         let col = |s: &[u8; 16], c: usize| -> u32 {
             u32::from_le_bytes([s[4 * c], s[4 * c + 1], s[4 * c + 2], s[4 * c + 3]])
@@ -93,7 +93,7 @@ impl Aes32Rtl {
         model: &LeakageModel,
         rng: &mut Rng64,
     ) -> ([u8; 16], Vec<f64>) {
-        let states = soft::encrypt_round_states(&self.key, &plaintext);
+        let states = soft::encrypt_round_states_with_schedule(&self.round_keys, &plaintext);
         let mut trace = Vec::with_capacity(Self::CYCLES_PER_BLOCK);
 
         let col = |s: &[u8; 16], c: usize| -> u32 {

@@ -204,7 +204,16 @@ pub fn decrypt(key: &[u8; 16], ciphertext: &[u8; 16]) -> [u8; 16] {
 /// transitions; the CPA hypothesis targets bits of `states[9]` (the
 /// value "before the final SBox computation").
 pub fn encrypt_round_states(key: &[u8; 16], plaintext: &[u8; 16]) -> [[u8; 16]; ROUNDS + 1] {
-    let rk = key_expansion(key);
+    encrypt_round_states_with_schedule(&key_expansion(key), plaintext)
+}
+
+/// [`encrypt_round_states`] from an already-expanded key schedule
+/// ([`key_expansion`]'s output), for callers that encrypt many blocks
+/// under one key.
+pub fn encrypt_round_states_with_schedule(
+    rk: &[[u8; 16]; ROUNDS + 1],
+    plaintext: &[u8; 16],
+) -> [[u8; 16]; ROUNDS + 1] {
     let mut out = [[0u8; 16]; ROUNDS + 1];
     let mut state = *plaintext;
     add_round_key(&mut state, &rk[0]);

@@ -7,7 +7,7 @@
 //!    generation ledger, and asserted bit-identical to the
 //!    uninterrupted run, with the raw-trace retention bound checked.
 //! 2. **Long-horizon defense MTD** — the defense arms the matrix bench
-//!    only proves "defeated at 3k traces" are re-run at a 50k-trace
+//!    only proves "defeated at 3k traces" are re-run at a 10⁶-trace
 //!    budget (2k in quick mode) through the streaming engine with
 //!    online-MTD early stop, reporting each arm's true — or still
 //!    budget-censored — measurements-to-disclosure.
@@ -120,7 +120,7 @@ fn crash_smoke() -> CrashSmoke {
 
 /// Re-run the "defeated at 3k" defense arms at a long-horizon budget.
 fn mtd_study() -> Vec<MtdRow> {
-    let budget: u64 = if quick() { 2_000 } else { 50_000 };
+    let budget: u64 = if quick() { 2_000 } else { 1_000_000 };
     let window: u64 = if quick() { 250 } else { 1_000 };
     let detector = DetectorConfig {
         window_ticks: 4098,
@@ -140,7 +140,9 @@ fn mtd_study() -> Vec<MtdRow> {
             .with_commit_every(2)
             .with_config_tag(tag as u64 + 1)
             .with_early_stop(EarlyStop {
-                min_traces: budget / 10,
+                // Fixed rather than a budget fraction, so raising the
+                // budget does not delay the arms that disclose early.
+                min_traces: if quick() { budget / 10 } else { 5_000 },
                 stable_commits: 3,
                 min_margin: 0.01,
             });

@@ -113,6 +113,12 @@ impl AlternationDetector {
         Some(score)
     }
 
+    /// Readouts still needed to complete the current window (at least
+    /// one).
+    pub(crate) fn ticks_to_window_end(&self) -> u32 {
+        self.config.window_ticks - self.filled
+    }
+
     /// Score of the most recently completed window, taps.
     pub fn last_score(&self) -> f64 {
         self.last_score

@@ -148,6 +148,22 @@ impl DefenseRuntime {
         }
     }
 
+    /// Ticks left in the current detector window: the next
+    /// `feedback_horizon()` ticks are the longest run whose injections
+    /// all see the current arming state, because only the
+    /// [`observe_tick`] that completes a window can change it.
+    ///
+    /// A fabric may therefore draw that many [`next_injection_a`]
+    /// currents, step the PDN over them as one block, and then replay
+    /// [`observe_tick`] over the block's victim voltages, bit-identical
+    /// to alternating the two calls tick by tick.
+    ///
+    /// [`next_injection_a`]: DefenseRuntime::next_injection_a
+    /// [`observe_tick`]: DefenseRuntime::observe_tick
+    pub fn feedback_horizon(&self) -> usize {
+        self.detector.ticks_to_window_end() as usize
+    }
+
     /// Draws the extra victim lead-in for one encryption, AES cycles.
     /// Zero (and no stream consumption) when clock jitter is not
     /// deployed.
@@ -275,6 +291,20 @@ mod tests {
         }
         assert!(!rt.armed());
         assert!(rt.telemetry().alarm_events >= 1);
+    }
+
+    #[test]
+    fn feedback_horizon_counts_down_to_the_window_end() {
+        // base() runs 60-tick windows.
+        let mut rt = DefenseRuntime::new(&base());
+        assert_eq!(rt.feedback_horizon(), 60);
+        for t in 1..60 {
+            rt.observe_tick(1.0);
+            assert_eq!(rt.feedback_horizon(), 60 - t);
+        }
+        rt.observe_tick(1.0);
+        assert_eq!(rt.telemetry().windows, 1);
+        assert_eq!(rt.feedback_horizon(), 60);
     }
 
     #[test]

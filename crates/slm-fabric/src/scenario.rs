@@ -85,11 +85,13 @@ impl FabricConfig {
     /// The same setup re-seeded for shard `index` of a sharded
     /// campaign.
     ///
-    /// Every noise stream in the fabric — plaintext generation, sensor
-    /// jitter, TDC jitter, the active fence if mounted — gets an
-    /// independent lane derived with [`slm_par::mix_seed`], so shards
-    /// are statistically independent captures of the *same* physical
-    /// setup. The mapping depends only on `(config, index)`, never on
+    /// Plaintext generation, sensor jitter, TDC jitter, the active
+    /// fence and the defense (if mounted) each get an independent lane
+    /// derived with [`slm_par::mix_seed`]. The supply-noise stream
+    /// (`pdn.seed`) is *not* re-laned: the pilot and every shard fabric
+    /// replay one supply-noise sequence from their own first tick, so
+    /// shards are independent in everything but the PDN's wideband
+    /// noise. The mapping depends only on `(config, index)`, never on
     /// which worker executes the shard: that purity is what makes a
     /// parallel campaign bit-identical to the serial shard-by-shard
     /// run.
@@ -370,6 +372,10 @@ pub struct MultiTenantFabric {
     /// Two coupled regions: 0 = attacker (sensors, ROs, background),
     /// 1 = victim (AES).
     pdn: MultiRegionPdn,
+    /// Capture scratch, reused across encryptions: every tick's
+    /// `[attacker, victim]` currents, then the PDN voltages over them.
+    capture_currents: Vec<f64>,
+    capture_volts: Vec<f64>,
     ro: RoArray,
     rng: Rng64,
     fence_rng: Option<Rng64>,
@@ -389,6 +395,8 @@ pub struct MultiTenantFabric {
 impl MultiTenantFabric {
     /// Ticks per AES (100 MHz) cycle at the 300 MHz base tick.
     const TICKS_PER_AES_CYCLE: usize = 3;
+    /// PDN regions: 0 = attacker, 1 = victim.
+    const REGIONS: usize = 2;
     /// Idle AES cycles simulated before an encryption starts.
     const LEAD_IN_CYCLES: usize = 2;
     /// Idle AES cycles simulated after an encryption completes.
@@ -433,9 +441,11 @@ impl MultiTenantFabric {
             tdc: TdcSensor::new(config.tdc),
             pdn: MultiRegionPdn::new(
                 config.pdn,
-                2,
+                Self::REGIONS,
                 vec![vec![1.0, coupling], vec![coupling, 1.0]],
             ),
+            capture_currents: Vec::new(),
+            capture_volts: Vec::new(),
             ro: config.ro,
             rng: Rng64::new(config.seed),
             fence_rng: config.fence.map(|f| Rng64::new(f.seed)),
@@ -503,8 +513,9 @@ impl MultiTenantFabric {
         first..last
     }
 
-    /// Per-region currents: `[attacker, victim]`.
-    fn region_currents(&mut self, aes_cycle_current: f64) -> [f64; 2] {
+    /// Per-region currents of the next fabric tick, `[attacker, victim]`
+    /// before any defense injection; advances the tick counter.
+    fn next_tick_currents(&mut self, aes_cycle_current: f64) -> [f64; 2] {
         let fence = match (&mut self.fence_rng, &self.config.fence) {
             (Some(rng), Some(cfg)) => rng.uniform() * cfg.peak_current_a,
             _ => 0.0,
@@ -527,6 +538,7 @@ impl MultiTenantFabric {
         };
         let attacker =
             self.config.background_current_a + self.ro.current_a() + stimulus + fence + aggressor;
+        self.tick_count += 1;
         [attacker, aes_cycle_current]
     }
 
@@ -565,29 +577,56 @@ impl MultiTenantFabric {
     }
 
     /// Steps the shared PDN one tick; returns the attacker-region
-    /// voltage (what the sensors see).
-    ///
-    /// When a defense is deployed the tick also runs the defender's
-    /// loop: the fence current drawn for this tick loads the victim
-    /// region *before* the step, and the defender's TDC observes the
-    /// settled victim rail *after* it (one-tick feedback latency for
-    /// the adaptive fence).
-    fn step_pdn(&mut self, aes_cycle_current: f64) -> (f64, f64) {
-        let currents = self.region_currents(aes_cycle_current);
-        self.tick_count += 1;
+    /// voltage (what the sensors see). The free-running counterpart of
+    /// [`Self::step_capture`], with the same defender loop per tick.
+    fn step_pdn(&mut self, aes_cycle_current: f64) -> f64 {
+        let mut currents = self.next_tick_currents(aes_cycle_current);
         if let Some(defense) = &mut self.defense {
-            let injected = defense.next_injection_a();
-            self.pdn.set_injected(1, injected);
+            currents[1] += defense.next_injection_a();
         }
-        let dt = self.dt_s;
-        let (attacker_v, victim_v) = {
-            let v = self.pdn.step(&currents, dt);
-            (v[0], v[1])
-        };
+        let v = self.pdn.step(&currents, self.dt_s);
+        let (attacker_v, victim_v) = (v[0], v[1]);
         if let Some(defense) = &mut self.defense {
             defense.observe_tick(victim_v);
         }
-        (attacker_v, victim_v)
+        attacker_v
+    }
+
+    /// Steps the shared PDN over a capture's tick-major `currents`,
+    /// writing the voltages to `volts`.
+    ///
+    /// Undefended, the capture is one PDN block. With a defense
+    /// deployed, the defender's loop runs per tick: the fence current
+    /// drawn for a tick loads the victim region *before* the step, and
+    /// the defender's TDC observes the settled victim rail *after* it
+    /// (one-tick feedback latency for the adaptive fence). The capture
+    /// is cut into segments that end where the detector completes a
+    /// window ([`DefenseRuntime::feedback_horizon`]): only that last
+    /// observation can re-arm the fence, so every injection of a
+    /// segment can be drawn before the segment is stepped and the
+    /// observations replayed after it, bit-identical to alternating
+    /// them tick by tick.
+    fn step_capture(&mut self, currents: &mut [f64], volts: &mut [f64]) {
+        let dt = self.dt_s;
+        let Some(defense) = &mut self.defense else {
+            self.pdn.step_block(currents, dt, volts);
+            return;
+        };
+        let mut start = 0;
+        while start < currents.len() {
+            let end = currents
+                .len()
+                .min(start + Self::REGIONS * defense.feedback_horizon());
+            let segment = &mut currents[start..end];
+            for tick in segment.chunks_exact_mut(Self::REGIONS) {
+                tick[1] += defense.next_injection_a();
+            }
+            self.pdn.step_block(segment, dt, &mut volts[start..end]);
+            for tick in volts[start..end].chunks_exact(Self::REGIONS) {
+                defense.observe_tick(tick[1]);
+            }
+            start = end;
+        }
     }
 
     /// Runs one encryption while capturing every sensor on each measure
@@ -630,6 +669,25 @@ impl MultiTenantFabric {
         };
         let lead_in = self.lead_in_cycles + jitter_cycles;
         let total_cycles = lead_in + power.len() + Self::LEAD_OUT_CYCLES;
+        // The whole capture's currents first, then the PDN over them,
+        // then the sensors and the fault model over the voltages. Every
+        // noise stream (fence, PDN, defense, sensors) is its own RNG, so
+        // each is still consumed in tick order.
+        let mut currents = std::mem::take(&mut self.capture_currents);
+        let mut volts = std::mem::take(&mut self.capture_volts);
+        currents.clear();
+        for c in 0..total_cycles {
+            let aes_i = if c >= lead_in && c - lead_in < power.len() {
+                power[c - lead_in]
+            } else {
+                self.config.leakage.idle_a
+            };
+            for _ in 0..Self::TICKS_PER_AES_CYCLE {
+                currents.extend(self.next_tick_currents(aes_i));
+            }
+        }
+        volts.resize(currents.len(), 0.0);
+        self.step_capture(&mut currents, &mut volts);
         let mut benign = Vec::new();
         let mut tdc = Vec::new();
         let mut sample_idx = 0usize;
@@ -637,15 +695,13 @@ impl MultiTenantFabric {
         // capture cycles past their derated timing (empty when no cycle
         // violates — the common case even with an aggressor mounted).
         let mut fault_masks: Vec<(usize, [u8; 16])> = Vec::new();
-        for c in 0..total_cycles {
-            let aes_i = if c >= lead_in && c - lead_in < power.len() {
-                power[c - lead_in]
-            } else {
-                self.config.leakage.idle_a
-            };
+        for (c, cycle) in volts
+            .chunks_exact(Self::TICKS_PER_AES_CYCLE * Self::REGIONS)
+            .enumerate()
+        {
             let mut cycle_victim_vmin = f64::INFINITY;
-            for t in 0..Self::TICKS_PER_AES_CYCLE {
-                let (v, victim_v) = self.step_pdn(aes_i);
+            for (t, tick_v) in cycle.chunks_exact(Self::REGIONS).enumerate() {
+                let (v, victim_v) = (tick_v[0], tick_v[1]);
                 cycle_victim_vmin = cycle_victim_vmin.min(victim_v);
                 let tick = c * Self::TICKS_PER_AES_CYCLE + t;
                 if tick % 2 == 1 {
@@ -669,6 +725,8 @@ impl MultiTenantFabric {
                 );
             }
         }
+        self.capture_currents = currents;
+        self.capture_volts = volts;
         let ciphertext = if fault_masks.is_empty() {
             ciphertext
         } else {
@@ -790,7 +848,7 @@ impl MultiTenantFabric {
             if let Some(s) = schedule {
                 self.ro.set_enabled_fraction(s.fraction_at(tick));
             }
-            let (v, _) = self.step_pdn(aes_i);
+            let v = self.step_pdn(aes_i);
             if tick % 2 == 1 {
                 out.benign.push(self.sensor.sample(v));
                 out.tdc.push(self.tdc.sample(v));
@@ -1013,6 +1071,27 @@ mod tests {
         let telemetry = f2.defense_telemetry().unwrap();
         assert!(telemetry.injected_max_a > 0.5);
         assert!(telemetry.injected_mean_a() > 0.1);
+    }
+
+    #[test]
+    fn deployed_fence_deepens_the_victim_rail() {
+        // A fence is current the fabric adds to the victim region before
+        // each PDN step; through the coupling it also loads the
+        // attacker's rail.
+        let monitored = defended_config(DefenseConfig::monitor_only(5));
+        let fenced = defended_config(DefenseConfig {
+            fence: Some(FenceSpec::constant(2.0)),
+            ..DefenseConfig::monitor_only(5)
+        });
+        let mut quiet = MultiTenantFabric::new(&monitored).unwrap();
+        let mut loud = MultiTenantFabric::new(&fenced).unwrap();
+        for i in 0..3 {
+            quiet.encrypt_and_capture([i; 16]);
+            loud.encrypt_and_capture([i; 16]);
+        }
+        let deepening = quiet.victim_min_voltage() - loud.victim_min_voltage();
+        assert!(deepening > 0.02, "victim rail only {deepening} V lower");
+        assert!(loud.pdn_telemetry().v_min < quiet.pdn_telemetry().v_min - 0.02);
     }
 
     #[test]

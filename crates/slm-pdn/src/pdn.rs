@@ -164,18 +164,21 @@ impl Pdn {
 /// are 1; off-diagonal entries below 1 model electrical distance between
 /// tenant placements (Glamočanin et al. observed exactly this
 /// sensitivity-vs-distance effect on cloud FPGAs).
+///
+/// The network advances in blocks of ticks ([`MultiRegionPdn::step_block`]):
+/// one call draws the whole block's supply noise, then runs the filter,
+/// coupling and telemetry loop over it. [`MultiRegionPdn::step`] is the
+/// one-tick block, so any split of a tick sequence into blocks yields
+/// bit-identical voltages and telemetry.
 #[derive(Debug, Clone)]
 pub struct MultiRegionPdn {
     config: PdnConfig,
     filters: Vec<SecondOrderFilter>,
-    coupling: Vec<Vec<f64>>,
+    /// Row-major `regions × regions` coupling matrix.
+    coupling: Vec<f64>,
     rng: Rng64,
     voltages: Vec<f64>,
     droop_scratch: Vec<f64>,
-    /// Extra per-region current sources (active-fence noise injectors
-    /// and similar countermeasures), added to the caller's currents on
-    /// every step. All zero by default, which leaves `step` bit-exact.
-    injected: Vec<f64>,
     telemetry: PdnTelemetry,
     /// Deepest droop seen by each region — the fault-injection-relevant
     /// extremum (the victim rail's minimum decides whether derated
@@ -199,11 +202,10 @@ impl MultiRegionPdn {
         }
         MultiRegionPdn {
             filters: vec![SecondOrderFilter::new(config.f_natural_hz, config.zeta); regions],
-            coupling,
+            coupling: coupling.concat(),
             rng: Rng64::new(config.seed),
             voltages: vec![config.v_nominal; regions],
             droop_scratch: vec![0.0; regions],
-            injected: vec![0.0; regions],
             telemetry: PdnTelemetry::new(config.v_nominal),
             region_v_min: vec![config.v_nominal; regions],
             settle_band: PdnTelemetry::band(&config),
@@ -224,57 +226,87 @@ impl MultiRegionPdn {
         self.filters.len()
     }
 
-    /// Sets the extra current source of one region, amps. The injection
-    /// is added to the caller's current on every subsequent [`step`]
-    /// until changed — the hook active-fence noise injectors drive.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `region` is out of range.
-    ///
-    /// [`step`]: MultiRegionPdn::step
-    pub fn set_injected(&mut self, region: usize, amps: f64) {
-        self.injected[region] = amps;
-    }
-
-    /// The extra current currently injected into one region, amps.
-    pub fn injected(&self, region: usize) -> f64 {
-        self.injected[region]
-    }
-
-    /// Advances all regions by `dt` with per-region currents (plus any
-    /// injected extra sources); returns the observed per-region
-    /// voltages.
+    /// Advances all regions by `dt` with per-region currents; returns
+    /// the observed per-region voltages. The one-tick case of
+    /// [`MultiRegionPdn::step_block`].
     ///
     /// # Panics
     ///
     /// Panics if `currents_a.len()` differs from the region count.
     pub fn step(&mut self, currents_a: &[f64], dt: f64) -> &[f64] {
         assert_eq!(currents_a.len(), self.filters.len());
-        for (((d, f), &i), &inj) in self
-            .droop_scratch
-            .iter_mut()
-            .zip(&mut self.filters)
-            .zip(currents_a)
-            .zip(&self.injected)
-        {
-            let i = i + inj;
-            *d = f.step(self.config.r_eff * i, dt) + self.config.r_fast * i;
-        }
-        for (r, v) in self.voltages.iter_mut().enumerate() {
-            let mut total = 0.0;
-            for (s, &d) in self.droop_scratch.iter().enumerate() {
-                total += self.coupling[r][s] * d;
-            }
-            *v = self.config.v_nominal - total + self.rng.normal_scaled(self.config.noise_sigma_v);
-            let vmin = &mut self.region_v_min[r];
-            *vmin = vmin.min(*v);
-        }
-        // Telemetry watches region 0 — the sensed (attacker-visible)
-        // rail in the fabric's layout.
-        self.telemetry
-            .update(self.voltages[0], self.config.v_nominal, self.settle_band);
+        let mut voltages = std::mem::take(&mut self.voltages);
+        self.run_block(currents_a, dt, &mut voltages);
+        self.voltages = voltages;
         &self.voltages
+    }
+
+    /// Advances all regions by one `dt` tick per row of `currents_a`,
+    /// writing each tick's per-region voltages to the same row of `out`.
+    ///
+    /// Both slices are tick-major (`[tick][region]`, flattened). The
+    /// result is bit-identical to calling [`MultiRegionPdn::step`] once
+    /// per tick: the block's noise is drawn up front in the same stream
+    /// order ([`Rng64::fill_normal_scaled`]), and each voltage is
+    /// `noise + (v_nominal − Σ c·d)`, the per-tick sum with its two
+    /// terms commuted.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices differ in length or are not a whole number
+    /// of ticks.
+    pub fn step_block(&mut self, currents_a: &[f64], dt: f64, out: &mut [f64]) {
+        let regions = self.filters.len();
+        assert_eq!(currents_a.len(), out.len(), "currents and voltages");
+        assert_eq!(out.len() % regions, 0, "whole ticks");
+        if out.is_empty() {
+            return;
+        }
+        self.run_block(currents_a, dt, out);
+        self.voltages.copy_from_slice(&out[out.len() - regions..]);
+    }
+
+    /// The kernel behind [`MultiRegionPdn::step`] and
+    /// [`MultiRegionPdn::step_block`]; leaves `self.voltages` alone.
+    fn run_block(&mut self, currents_a: &[f64], dt: f64, out: &mut [f64]) {
+        let regions = self.filters.len();
+        let PdnConfig {
+            v_nominal,
+            r_eff,
+            r_fast,
+            noise_sigma_v,
+            ..
+        } = self.config;
+        self.rng.fill_normal_scaled(out, noise_sigma_v);
+        for (tick_i, tick_v) in currents_a
+            .chunks_exact(regions)
+            .zip(out.chunks_exact_mut(regions))
+        {
+            for ((d, f), &i) in self
+                .droop_scratch
+                .iter_mut()
+                .zip(&mut self.filters)
+                .zip(tick_i)
+            {
+                *d = f.step(r_eff * i, dt) + r_fast * i;
+            }
+            for ((v, row), vmin) in tick_v
+                .iter_mut()
+                .zip(self.coupling.chunks_exact(regions))
+                .zip(&mut self.region_v_min)
+            {
+                let mut total = 0.0;
+                for (&c, &d) in row.iter().zip(&self.droop_scratch) {
+                    total += c * d;
+                }
+                *v += v_nominal - total;
+                *vmin = vmin.min(*v);
+            }
+            // Telemetry watches region 0 — the sensed (attacker-visible)
+            // rail in the fabric's layout.
+            self.telemetry
+                .update(tick_v[0], v_nominal, self.settle_band);
+        }
     }
 
     /// The most recent voltage of one region.
@@ -441,52 +473,6 @@ mod tests {
         assert!(droop1 < droop0 / 2.0, "coupled rail: {droop1} vs {droop0}");
         // Region 0's extremum agrees with the legacy telemetry.
         assert_eq!(net.min_voltage(0), net.telemetry().v_min);
-    }
-
-    #[test]
-    fn injected_current_adds_to_region_droop() {
-        let cfg = quiet(PdnConfig::default());
-        let mut plain = MultiRegionPdn::uniform(cfg, 2, 0.5);
-        let mut fenced = MultiRegionPdn::uniform(cfg, 2, 0.5);
-        fenced.set_injected(1, 2.0);
-        assert_eq!(fenced.injected(1), 2.0);
-        assert_eq!(fenced.injected(0), 0.0);
-        let mut v_plain = [0.0; 2];
-        let mut v_fenced = [0.0; 2];
-        for _ in 0..400_000 {
-            let a = plain.step(&[1.0, 1.0], DT);
-            v_plain = [a[0], a[1]];
-            let b = fenced.step(&[1.0, 1.0], DT);
-            v_fenced = [b[0], b[1]];
-        }
-        // The injector deepens the droop in its own region and, through
-        // the coupling, in the neighbour.
-        assert!(v_fenced[1] < v_plain[1] - 0.02);
-        assert!(v_fenced[0] < v_plain[0] - 0.01);
-        // Clearing the injection restores the plain steady state.
-        fenced.set_injected(1, 0.0);
-        for _ in 0..400_000 {
-            let a = plain.step(&[1.0, 1.0], DT);
-            v_plain = [a[0], a[1]];
-            let b = fenced.step(&[1.0, 1.0], DT);
-            v_fenced = [b[0], b[1]];
-        }
-        assert!((v_fenced[0] - v_plain[0]).abs() < 1e-6);
-    }
-
-    #[test]
-    fn zero_injection_is_bit_exact() {
-        // A constructed-but-untouched injection vector must not perturb
-        // the simulation in the last bit: defended-off configs stay
-        // byte-identical to the pre-defense substrate.
-        let cfg = PdnConfig::default();
-        let mut a = MultiRegionPdn::uniform(cfg, 2, 0.5);
-        let mut b = MultiRegionPdn::uniform(cfg, 2, 0.5);
-        b.set_injected(0, 0.0);
-        for i in 0..1_000 {
-            let cur = [(i % 5) as f64, (i % 3) as f64];
-            assert_eq!(a.step(&cur, DT), b.step(&cur, DT));
-        }
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Property-based tests for the PDN substrate.
 
+use proptest::collection::vec;
 use proptest::prelude::*;
+use proptest::sample::select;
 use slm_pdn::noise::Rng64;
 use slm_pdn::{MultiRegionPdn, Pdn, PdnConfig, SecondOrderFilter};
 
@@ -92,5 +94,75 @@ proptest! {
         let own = cfg.v_nominal - v[0];
         let cross = cfg.v_nominal - v[1];
         prop_assert!((cross / own - k).abs() < 0.02, "ratio {}", cross / own);
+    }
+}
+
+proptest! {
+    /// `fill_normal_scaled` is bit-identical to one `normal_scaled` per
+    /// slot, and leaves the generator in the same state — including a
+    /// spare carried in (an odd `normal()` before the fill) and out (an
+    /// odd fill length).
+    #[test]
+    fn fill_normal_matches_repeated_normal_scaled(
+        seed in any::<u64>(),
+        lens in vec(0usize..160, 1..6),
+        sigma in select(vec![0.0, 4e-4, 1.0]),
+        spares in any::<u64>(),
+    ) {
+        let mut block = Rng64::new(seed);
+        let mut scalar = Rng64::new(seed);
+        let mut buf = Vec::new();
+        for (k, &len) in [0, 1, 2, 3].iter().chain(&lens).enumerate() {
+            if spares >> (k % 64) & 1 == 1 {
+                prop_assert_eq!(block.normal().to_bits(), scalar.normal().to_bits());
+            }
+            buf.clear();
+            buf.resize(len, f64::NAN);
+            block.fill_normal_scaled(&mut buf, sigma);
+            for (slot, &z) in buf.iter().enumerate() {
+                let want = scalar.normal_scaled(sigma);
+                prop_assert_eq!(z.to_bits(), want.to_bits(), "len {} slot {}", len, slot);
+            }
+            prop_assert_eq!(&block, &scalar);
+        }
+    }
+
+    /// Any split of a tick sequence into `step_block` calls reproduces
+    /// tick-by-tick `step` bit for bit: voltages, telemetry and
+    /// per-region extrema, for 1–4 regions with random coupling.
+    #[test]
+    fn step_block_matches_repeated_step(
+        regions in 1usize..5,
+        seed in any::<u64>(),
+        sigma in select(vec![0.0, 4e-4, 5e-3]),
+        splits in vec(0usize..40, 1..12),
+    ) {
+        let mut rng = Rng64::new(seed);
+        let coupling: Vec<Vec<f64>> = (0..regions)
+            .map(|r| (0..regions).map(|s| if r == s { 1.0 } else { rng.uniform() }).collect())
+            .collect();
+        let cfg = PdnConfig {
+            noise_sigma_v: sigma,
+            seed,
+            ..PdnConfig::default()
+        };
+        let mut blocked = MultiRegionPdn::new(cfg, regions, coupling.clone());
+        let mut stepped = MultiRegionPdn::new(cfg, regions, coupling);
+        for ticks in splits {
+            let currents: Vec<f64> = (0..ticks * regions).map(|_| rng.uniform_in(0.0, 5.0)).collect();
+            let mut out = vec![f64::NAN; currents.len()];
+            blocked.step_block(&currents, DT, &mut out);
+            for (tick_i, tick_v) in currents.chunks_exact(regions).zip(out.chunks_exact(regions)) {
+                let want = stepped.step(tick_i, DT);
+                for (got, want) in tick_v.iter().zip(want) {
+                    prop_assert_eq!(got.to_bits(), want.to_bits());
+                }
+            }
+            prop_assert_eq!(blocked.telemetry(), stepped.telemetry());
+            for r in 0..regions {
+                prop_assert_eq!(blocked.min_voltage(r).to_bits(), stepped.min_voltage(r).to_bits());
+                prop_assert_eq!(blocked.voltage(r).to_bits(), stepped.voltage(r).to_bits());
+            }
+        }
     }
 }

@@ -118,7 +118,7 @@ fn main() {
         detector_samples: if quick() { 4200 } else { 8200 },
         workers: 0,
     };
-    let matrix = defense_matrix(&matrix_exp).expect("fabric builds");
+    let matrix = defense_matrix(&matrix_exp, &Obs::null()).expect("fabric builds");
     let monotonic = matrix.fence_mtd_monotonic();
     assert!(monotonic, "fence sweep must not improve the attack");
     assert!(

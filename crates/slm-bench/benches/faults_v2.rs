@@ -13,6 +13,7 @@ use serde::Serialize;
 use slm_bench::quick;
 use slm_core::experiments::{fault_matrix, DefenseArm, FaultMatrixExperiment};
 use slm_fabric::AggressorSpec;
+use slm_obs::Obs;
 
 fn aggressor_label(aggressor: &Option<AggressorSpec>) -> String {
     match aggressor {
@@ -67,7 +68,7 @@ fn main() {
         ..FaultMatrixExperiment::standard(11)
     };
     let start = std::time::Instant::now();
-    let matrix = fault_matrix(&exp).expect("fabric builds");
+    let matrix = fault_matrix(&exp, &Obs::null()).expect("fabric builds");
     let seconds = start.elapsed().as_secs_f64();
     let total_captures = exp.captures * matrix.cells.len() as u64;
 

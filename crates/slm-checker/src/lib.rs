@@ -107,26 +107,17 @@ pub use timing::check_timing;
 
 use slm_netlist::Netlist;
 
-/// Runs the full structural pipeline with default thresholds.
+/// Runs the full structural pipeline with default thresholds. For
+/// explicit thresholds, call `PassManager::structural().run(nl, config)`.
 pub fn check_structure(nl: &Netlist) -> CheckReport {
-    check_structure_with(nl, &CheckerConfig::default())
-}
-
-/// Runs the full structural pipeline with explicit thresholds.
-pub fn check_structure_with(nl: &Netlist, config: &CheckerConfig) -> CheckReport {
-    PassManager::structural().run(nl, config)
+    PassManager::structural().run(nl, &CheckerConfig::default())
 }
 
 /// Runs the combined structural + semantic pipeline with default
-/// thresholds. This is what `slm-scan` runs at admission.
+/// thresholds. This is what `slm-scan` runs at admission. For explicit
+/// thresholds, call `PassManager::full().run(nl, config)`.
 pub fn check_full(nl: &Netlist) -> CheckReport {
-    check_full_with(nl, &CheckerConfig::default())
-}
-
-/// Runs the combined structural + semantic pipeline with explicit
-/// thresholds.
-pub fn check_full_with(nl: &Netlist, config: &CheckerConfig) -> CheckReport {
-    PassManager::full().run(nl, config)
+    PassManager::full().run(nl, &CheckerConfig::default())
 }
 
 #[cfg(test)]
@@ -277,7 +268,7 @@ mod tests {
             ..CheckerConfig::default()
         };
         let rca = slm_netlist::generators::ripple_carry_adder(64).unwrap();
-        let r = check_structure_with(&rca, &config);
+        let r = PassManager::structural().run(&rca, &config);
         assert!(
             r.flagged(CheckKind::ObservationDensity),
             "the heuristic must (wrongly) flag the plain adder: {r:?}"
@@ -285,7 +276,7 @@ mod tests {
         // while the big ALU, whose outputs are a tiny fraction of its
         // logic, passes even the aggressive heuristic
         let alu = alu(192).unwrap();
-        assert!(check_structure_with(&alu, &config).is_clean());
+        assert!(PassManager::structural().run(&alu, &config).is_clean());
         // and it stays off by default
         assert!(check_structure(&rca).is_clean());
     }
@@ -305,7 +296,7 @@ mod tests {
             }],
             ..CheckerConfig::default()
         };
-        let r = check_structure_with(&rca, &config);
+        let r = PassManager::structural().run(&rca, &config);
         assert!(r.is_clean(), "suppressed Warn no longer dirties: {r:?}");
         assert!(
             r.findings.iter().any(|f| f.suppressed.is_some()),
@@ -321,7 +312,7 @@ mod tests {
             }],
             ..CheckerConfig::default()
         };
-        let r = check_structure_with(&ro, &config);
+        let r = PassManager::structural().run(&ro, &config);
         assert!(!r.is_clean());
         assert!(r.flagged(CheckKind::CombinationalLoop));
     }
@@ -409,7 +400,7 @@ mod tests {
             },
             ..CheckerConfig::default()
         };
-        let r = check_full_with(&nl, &config);
+        let r = PassManager::full().run(&nl, &config);
         assert!(r.flagged(CheckKind::ClockTaint), "{r:?}");
         assert!(r.flagged(CheckKind::SwitchingActivity), "{r:?}");
         assert!(r.flagged(CheckKind::ObservationBandwidth), "{r:?}");
@@ -485,7 +476,7 @@ mod tests {
             },
             ..CheckerConfig::default()
         };
-        let r = check_full_with(&alu(32).unwrap(), &config);
+        let r = PassManager::full().run(&alu(32).unwrap(), &config);
         assert!(r.findings.iter().all(|f| f.pass != "scoap-sensor"), "{r:?}");
     }
 
@@ -498,7 +489,7 @@ mod tests {
             },
             ..CheckerConfig::default()
         };
-        let r = check_full_with(&alu(32).unwrap(), &config);
+        let r = PassManager::full().run(&alu(32).unwrap(), &config);
         // Only the reconvergence note remains.
         assert!(r.is_clean(), "{r:?}");
         assert!(r.active().all(|f| f.severity == Severity::Info), "{r:?}");
@@ -520,7 +511,7 @@ mod tests {
             },
             ..CheckerConfig::default()
         };
-        let r = check_full_with(&nl, &config);
+        let r = PassManager::full().run(&nl, &config);
         assert!(r.findings.iter().all(|f| f.pass != "clock-taint"), "{r:?}");
         // The same feed-through under the default threshold is a note.
         let r = check_full(&nl);

@@ -224,25 +224,16 @@ impl DefenseMatrix {
     }
 }
 
-/// Runs the attack-vs-defense matrix.
+/// Runs the attack-vs-defense matrix. Each cell runs under a
+/// `defense.cell` span in a forked recorder (emitting the campaign's
+/// `cpa.*` stream plus `defense.*` injected-current gauges and detection
+/// counters), and frames fold back in arm order so merged metrics are
+/// worker-count invariant. Pass [`Obs::null`] to record nothing.
 ///
 /// # Errors
 ///
 /// Propagates fabric construction failures from any cell.
-pub fn defense_matrix(exp: &DefenseMatrixExperiment) -> Result<DefenseMatrix, FabricError> {
-    defense_matrix_recorded(exp, &Obs::null())
-}
-
-/// [`defense_matrix`] with an observability handle: each cell runs
-/// under a `defense.cell` span in a forked recorder (emitting the
-/// campaign's `cpa.*` stream plus `defense.*` injected-current gauges
-/// and detection counters), and frames fold back in arm order so merged
-/// metrics are worker-count invariant.
-///
-/// # Errors
-///
-/// Propagates fabric construction failures from any cell.
-pub fn defense_matrix_recorded(
+pub fn defense_matrix(
     exp: &DefenseMatrixExperiment,
     obs: &Obs,
 ) -> Result<DefenseMatrix, FabricError> {
@@ -380,7 +371,7 @@ mod tests {
     #[test]
     fn matrix_shows_monotonic_fence_degradation() {
         let exp = DefenseMatrixExperiment::standard(quick_base());
-        let matrix = defense_matrix(&exp).unwrap();
+        let matrix = defense_matrix(&exp, &Obs::null()).unwrap();
         assert_eq!(matrix.cells.len(), exp.arms.len());
 
         // The undefended attack must still succeed...
@@ -407,7 +398,7 @@ mod tests {
     fn detector_separates_attacker_from_benign_tenant() {
         let mut exp = DefenseMatrixExperiment::standard(quick_base());
         exp.arms = vec![DefenseArm::Undefended]; // detector eval only
-        let matrix = defense_matrix(&exp).unwrap();
+        let matrix = defense_matrix(&exp, &Obs::null()).unwrap();
         let d = &matrix.detector;
         assert!(d.attacker.windows >= 2);
         assert!(
@@ -430,7 +421,7 @@ mod tests {
         // constant fence must leave the attack essentially intact.
         let mut exp = DefenseMatrixExperiment::standard(quick_base());
         exp.arms = vec![DefenseArm::Undefended, DefenseArm::ConstantFence(1.5)];
-        let matrix = defense_matrix(&exp).unwrap();
+        let matrix = defense_matrix(&exp, &Obs::null()).unwrap();
         let constant = matrix.cell(&DefenseArm::ConstantFence(1.5)).unwrap();
         assert!(
             constant.result.mtd.is_some(),

@@ -23,9 +23,10 @@ use slm_aes::soft;
 use slm_cpa::{DfaAttack, DfaModel};
 use slm_fabric::{
     AesActivity, AggressorSpec, BenignCircuit, DefenseConfig, DetectorConfig, FabricConfig,
-    FabricError, MultiTenantFabric, ShardPlan,
+    FabricError, MultiTenantFabric,
 };
 use slm_obs::{MetricsFrame, Obs};
+use slm_par::ShardPlan;
 
 use super::defense_matrix::{arm_tag, DefenseArm, DetectorReading};
 
@@ -336,27 +337,16 @@ fn aggressor_tag(aggressor: &Option<AggressorSpec>) -> u64 {
     aggressor.as_ref().map_or(0, AggressorSpec::tag)
 }
 
-/// Runs the aggressor-vs-defense fault matrix.
-///
-/// # Errors
-///
-/// Propagates fabric construction failures from any cell.
-pub fn fault_matrix(exp: &FaultMatrixExperiment) -> Result<FaultMatrix, FabricError> {
-    fault_matrix_recorded(exp, &Obs::null())
-}
-
-/// [`fault_matrix`] with an observability handle: each cell runs under
-/// a `fault.cell` span in a forked recorder, frames fold back in
+/// Runs the aggressor-vs-defense fault matrix. Each cell runs under a
+/// `fault.cell` span in a forked recorder, frames fold back in
 /// row-major cell order, and the detector sweep records per-row alarm
-/// counters — merged metrics are worker-count invariant.
+/// counters — merged metrics are worker-count invariant. Pass
+/// [`Obs::null`] to record nothing.
 ///
 /// # Errors
 ///
 /// Propagates fabric construction failures from any cell.
-pub fn fault_matrix_recorded(
-    exp: &FaultMatrixExperiment,
-    obs: &Obs,
-) -> Result<FaultMatrix, FabricError> {
+pub fn fault_matrix(exp: &FaultMatrixExperiment, obs: &Obs) -> Result<FaultMatrix, FabricError> {
     let tasks: Vec<(Option<AggressorSpec>, DefenseArm)> = exp
         .aggressors
         .iter()
@@ -535,7 +525,7 @@ mod tests {
         exp.arms = vec![DefenseArm::Undefended, DefenseArm::Ldo(0.25)];
         exp.captures = 150;
         exp.shard_captures = 50;
-        let matrix = fault_matrix(&exp).unwrap();
+        let matrix = fault_matrix(&exp, &Obs::null()).unwrap();
         assert_eq!(matrix.cells.len(), 4);
         assert_eq!(matrix.detector.len(), 2);
         // The aggressor-free row is fault-free everywhere.

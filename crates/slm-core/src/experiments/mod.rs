@@ -27,16 +27,16 @@ pub use audits::{
 };
 pub use cpa::{aes_pilot_activity, run_cpa, CpaExperiment, CpaResult, SensorSource};
 pub use defense_matrix::{
-    defense_matrix, defense_matrix_recorded, DefenseArm, DefenseMatrix, DefenseMatrixExperiment,
-    DetectorEval, DetectorReading, MatrixCell,
+    defense_matrix, DefenseArm, DefenseMatrix, DefenseMatrixExperiment, DetectorEval,
+    DetectorReading, MatrixCell,
 };
 pub use extensions::{
     fence_study, full_key_recovery, masking_study, placement_study, tdc_dominates, tvla_study,
     FenceStudy, FullKeyResult, MaskingStudy, PlacementRow, TvlaResult,
 };
 pub use fault_matrix::{
-    fault_matrix, fault_matrix_recorded, run_fault_campaign, AggressorDetectorReading,
-    FaultCampaign, FaultCampaignOutcome, FaultMatrix, FaultMatrixCell, FaultMatrixExperiment,
+    fault_matrix, run_fault_campaign, AggressorDetectorReading, FaultCampaign,
+    FaultCampaignOutcome, FaultMatrix, FaultMatrixCell, FaultMatrixExperiment,
 };
 pub use parallel::{run_cpa_parallel, run_cpa_parallel_recorded, ParallelCpa};
 pub use preliminary::{

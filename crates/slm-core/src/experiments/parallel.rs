@@ -24,9 +24,9 @@ use super::cpa::{
 };
 use serde::{Deserialize, Serialize};
 use slm_cpa::{leader_margin, CpaAttack, ProgressPoint};
-use slm_fabric::{FabricConfig, FabricError, MultiTenantFabric, ShardPlan};
+use slm_fabric::{FabricConfig, FabricError, MultiTenantFabric};
 use slm_obs::{MetricsFrame, Obs};
-use slm_par::ShardSpec;
+use slm_par::{ShardPlan, ShardSpec};
 
 /// A sharded, multi-threaded CPA campaign.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]

@@ -1107,7 +1107,7 @@ impl CheckpointLedger {
 
     /// Commits a payload as the next generation: write-to-temp,
     /// `sync_all`, atomic rename, `sync_all` on the directory, then
-    /// prune all but the newest [`LEDGER_KEEP`] generations. Returns the
+    /// prune all but the newest `LEDGER_KEEP` (4) generations. Returns the
     /// new generation number.
     ///
     /// The directory sync makes the rename durable before the prune

@@ -203,7 +203,7 @@ impl VictimCone {
     ///
     /// An endpoint flips when its voltage-derated arrival misses the
     /// clock edge: `arrival × scale(v_min) > period` (for the final
-    /// round the arrival is first shrunk by [`ROUND10_CONE_FRACTION`]).
+    /// round the arrival is first shrunk by `ROUND10_CONE_FRACTION`, 0.62).
     /// All-nominal voltage returns the zero mask.
     ///
     /// `rotation` shifts the rank→byte assignment within the column.

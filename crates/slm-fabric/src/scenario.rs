@@ -999,6 +999,28 @@ mod tests {
     }
 
     #[test]
+    fn shards_are_independent_streams() {
+        // Distinct shards of the same config must not replay each
+        // other's noise: the same plaintext captured on shard 0 and
+        // shard 1 sees different sensor samples.
+        let base = small_config();
+        let c0 = base.for_shard(0);
+        let c1 = base.for_shard(1);
+        assert_ne!(c0.seed, c1.seed);
+        assert_ne!(c0.sensor.seed, c1.sensor.seed);
+        assert_ne!(c0.tdc.seed, c1.tdc.seed);
+        assert_ne!(c0.seed, base.seed, "shard 0 is a fresh stream too");
+        let mut f0 = MultiTenantFabric::new(&c0).unwrap();
+        let mut f1 = MultiTenantFabric::new(&c1).unwrap();
+        let w0 = f0.last_round_window();
+        let w1 = f1.last_round_window();
+        let r0 = f0.encrypt_windowed([7; 16], w0, &[0, 1, 2]);
+        let r1 = f1.encrypt_windowed([7; 16], w1, &[0, 1, 2]);
+        assert_eq!(r0.ciphertext, r1.ciphertext, "same key, same plaintext");
+        assert_ne!(r0.tdc, r1.tdc, "independent noise streams");
+    }
+
+    #[test]
     fn deterministic_capture() {
         let config = small_config();
         let mut f1 = MultiTenantFabric::new(&config).unwrap();

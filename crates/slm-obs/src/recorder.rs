@@ -108,7 +108,7 @@ impl ClockSource {
 
 /// The enabled in-memory sink: a lock-striped [`MetricsFrame`].
 ///
-/// Each metric name hashes (FNV-1a) to one of [`SINK_SHARDS`] frame
+/// Each metric name hashes (FNV-1a) to one of `SINK_SHARDS` (8) frame
 /// stripes with its own mutex, so concurrent recorders of *different*
 /// metrics do not serialize on a single lock; a name always lands on
 /// the same stripe, so no metric is ever split across stripes.

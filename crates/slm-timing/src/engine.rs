@@ -44,7 +44,10 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Cached per-netlist timing state supporting incremental launch-set
-/// updates. See the [module docs](self) for semantics.
+/// updates. Each primary input either launches a transition at
+/// `t = 0` or holds still (arrival `−∞`); after any sequence of
+/// [`StaEngine::set_launch`] calls the stored per-net state is bitwise
+/// identical to a full recompute under the current launch set.
 #[derive(Debug, Clone)]
 pub struct StaEngine<'a> {
     ann: &'a AnnotatedDelays,

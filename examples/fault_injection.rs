@@ -68,7 +68,7 @@ fn main() {
     //    alternation detector watching each aggressor row.
     println!("\n== combined SCA/FI matrix (standard sweep) ==");
     let exp = FaultMatrixExperiment::standard(11);
-    let matrix = fault_matrix(&exp).expect("fabric builds");
+    let matrix = fault_matrix(&exp, &Obs::null()).expect("fabric builds");
     println!(
         "{:<22} {:<14} {:>9} {:>9} {:>6} {:>9}",
         "aggressor", "defense", "flt/1k", "accepted", "key", "alarms"

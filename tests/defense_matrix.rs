@@ -9,8 +9,7 @@
 
 use proptest::prelude::*;
 use slm_core::experiments::{
-    defense_matrix_recorded, CpaExperiment, DefenseArm, DefenseMatrix, DefenseMatrixExperiment,
-    SensorSource,
+    defense_matrix, CpaExperiment, DefenseArm, DefenseMatrix, DefenseMatrixExperiment, SensorSource,
 };
 use slm_fabric::{
     BenignCircuit, ClockJitterConfig, DefenseConfig, DetectorConfig, FabricConfig, FenceSpec,
@@ -95,7 +94,7 @@ fn quick_matrix(seed: u64, workers: usize) -> (DefenseMatrix, MetricsFrame) {
         workers,
     };
     let obs = Obs::memory();
-    let matrix = defense_matrix_recorded(&exp, &obs).expect("fabric builds");
+    let matrix = defense_matrix(&exp, &obs).expect("fabric builds");
     (matrix, obs.snapshot())
 }
 

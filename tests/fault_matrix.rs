@@ -64,16 +64,22 @@ fn matrix_is_bit_identical_at_1_2_4_8_workers() {
         detector_samples: 4200,
         ..FaultMatrixExperiment::standard(23)
     };
-    let reference = fault_matrix(&FaultMatrixExperiment {
-        workers: 1,
-        ..base.clone()
-    })
+    let reference = fault_matrix(
+        &FaultMatrixExperiment {
+            workers: 1,
+            ..base.clone()
+        },
+        &Obs::null(),
+    )
     .unwrap();
     for workers in [2, 4, 8] {
-        let m = fault_matrix(&FaultMatrixExperiment {
-            workers,
-            ..base.clone()
-        })
+        let m = fault_matrix(
+            &FaultMatrixExperiment {
+                workers,
+                ..base.clone()
+            },
+            &Obs::null(),
+        )
         .unwrap();
         assert_eq!(reference, m, "matrix diverged at {workers} workers");
     }
@@ -92,7 +98,7 @@ fn undefended_arm_yields_full_key_recovery_and_ldo_suppresses() {
         shard_captures: 250,
         ..FaultMatrixExperiment::standard(11)
     };
-    let matrix = fault_matrix(&exp).unwrap();
+    let matrix = fault_matrix(&exp, &Obs::null()).unwrap();
     let strong = Some(AggressorSpec::stealthy(3.0));
     let weak = Some(AggressorSpec::stealthy(0.6));
 
@@ -135,7 +141,7 @@ fn detector_flags_blatant_duty_cycle_and_misses_stealthy_burst() {
         shard_captures: 100,
         ..FaultMatrixExperiment::standard(11)
     };
-    let matrix = fault_matrix(&exp).unwrap();
+    let matrix = fault_matrix(&exp, &Obs::null()).unwrap();
 
     // No aggressor: the monitoring plane stays quiet (no false alarms).
     let baseline = matrix.detector_for(None).unwrap();
@@ -219,7 +225,7 @@ fn diagonal_round9_model_recovers_through_the_wider_candidate_set() {
         model: DfaModel::DiagonalRound9 { max_fault_bits: 2 },
         ..FaultMatrixExperiment::standard(11)
     };
-    let matrix = fault_matrix(&exp).unwrap();
+    let matrix = fault_matrix(&exp, &Obs::null()).unwrap();
     let strong = Some(AggressorSpec::stealthy(3.0));
 
     let hot = matrix.cell(strong, &DefenseArm::Undefended).unwrap();

@@ -8,11 +8,10 @@ use crate::cache::ScanCache;
 use crate::config::CheckerConfig;
 use crate::diag::{CheckReport, Severity};
 use crate::pass::PassManager;
-use crate::timing::check_timing;
+use crate::timing::StrictTimingPass;
 use serde::Serialize;
 use slm_netlist::generators::zoo;
 use slm_netlist::Netlist;
-use slm_timing::DelayModel;
 
 const USAGE: &str = "\
 slm-scan: structural + semantic static analysis of tenant netlists
@@ -40,13 +39,15 @@ OPTIONS:
                        semantic clock-taint/activity/bandwidth suite)
     --cache-dir DIR    replay and populate the content-hash-keyed
                        per-pass scan cache stored in DIR
-    --clock-mhz F      additionally run the strict timing check at F MHz
+    --clock-mhz F      request an F MHz clock: the strict timing pass
+                       rejects designs whose STA fmax is below F (also
+                       with --structural-only)
     --jobs N           scan designs on N threads (0 = all cores; default 0)
     --metrics FILE     write a JSON metrics report of the scan to FILE
                        (per-pass wall time, findings by severity)
     --compact          emit compact JSON instead of pretty-printed
-    --list-passes      print the pass pipeline and its dependency
-                       schedule, then exit
+    --list-passes      print the pass pipeline in run order, with each
+                       pass's dependencies, then exit
 
 EXIT CODES:
     0   clean: no active finding above Info
@@ -177,12 +178,13 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
 
 /// The scan config for one design: the defaults plus every declared
 /// clock pin (the zoo entry's contract declaration and any
-/// `--declare-clock` flags).
-fn config_for(declared: &[&str]) -> CheckerConfig {
+/// `--declare-clock` flags) and the `--clock-mhz` request.
+fn config_for(declared: &[&str], clock_mhz: Option<f64>) -> CheckerConfig {
     let mut config = CheckerConfig::default();
     for name in declared {
         config.taint.declared_clocks.push((*name).to_string());
     }
+    config.timing.clock_mhz = clock_mhz;
     config
 }
 
@@ -200,16 +202,11 @@ fn scan_one(
     config: &CheckerConfig,
     nl: &Netlist,
     malicious: Option<bool>,
-    clock_mhz: Option<f64>,
     cache: Option<&ScanCache>,
     obs: &slm_obs::Obs,
 ) -> ScanEntry {
     obs.incr("scan.designs");
-    let mut report = pm.scan(nl, config, cache, 1, obs);
-    if let Some(mhz) = clock_mhz {
-        let ann = DelayModel::default().annotate(nl);
-        report.findings.extend(check_timing(&ann, mhz).findings);
-    }
+    let report = pm.scan(nl, config, cache, obs);
     ScanEntry {
         name: nl.name().to_owned(),
         malicious,
@@ -234,7 +231,7 @@ fn run_batch(
         .filter(|l| !l.is_empty() && !l.starts_with('#'))
         .collect();
     let declared: Vec<&str> = opts.declared_clocks.iter().map(String::as_str).collect();
-    let config = config_for(&declared);
+    let config = config_for(&declared, opts.clock_mhz);
     // Inputs are independent; fan them out, keeping verdict order (and
     // metrics, absorbed in input order) identical at any job count.
     let scanned = slm_par::par_map(opts.jobs, &paths, |&path| {
@@ -244,7 +241,7 @@ fn run_batch(
             .and_then(|src| slm_netlist::bench::parse(&src, path).map_err(|e| e.to_string()))
         {
             Ok(nl) => {
-                let entry = scan_one(pm, &config, &nl, None, opts.clock_mhz, cache, &scan_obs);
+                let entry = scan_one(pm, &config, &nl, None, cache, &scan_obs);
                 BatchVerdict {
                     path: path.to_string(),
                     name: Some(entry.name),
@@ -286,12 +283,18 @@ fn run_batch(
 pub fn run(args: &[String]) -> Result<(String, i32), String> {
     let opts = parse_args(args)?;
     let pm = if opts.structural_only {
-        PassManager::structural()
+        // A requested clock keeps its meaning without the semantic
+        // suite: the timing pass still runs, last.
+        let mut pm = PassManager::structural();
+        if opts.clock_mhz.is_some() {
+            pm.push(Box::new(StrictTimingPass));
+        }
+        pm
     } else {
         PassManager::full()
     };
     if opts.list_passes {
-        let mut listing: Vec<String> = pm
+        let listing: Vec<String> = pm
             .passes()
             .map(|p| {
                 let deps = p.depends_on();
@@ -303,13 +306,6 @@ pub fn run(args: &[String]) -> Result<(String, i32), String> {
                 format!("{:<22} {}{after}", p.name(), p.description())
             })
             .collect();
-        let schedule: Vec<String> = pm
-            .schedule()
-            .iter()
-            .enumerate()
-            .map(|(i, level)| format!("level {i}: {}", level.join(", ")))
-            .collect();
-        listing.push(format!("\nschedule:\n{}", schedule.join("\n")));
         return Ok((listing.join("\n"), 0));
     }
     let cache = match &opts.cache_dir {
@@ -353,10 +349,9 @@ pub fn run(args: &[String]) -> Result<(String, i32), String> {
                 .collect();
             let report = scan_one(
                 &pm,
-                &config_for(&declared),
+                &config_for(&declared, opts.clock_mhz),
                 &entry.netlist,
                 Some(entry.malicious),
-                opts.clock_mhz,
                 cache,
                 &scan_obs,
             );
@@ -385,10 +380,9 @@ pub fn run(args: &[String]) -> Result<(String, i32), String> {
             .collect();
         reports.push(scan_one(
             &pm,
-            &config_for(&declared),
+            &config_for(&declared, opts.clock_mhz),
             &entry.netlist,
             Some(entry.malicious),
-            opts.clock_mhz,
             cache,
             &obs,
         ));
@@ -397,10 +391,9 @@ pub fn run(args: &[String]) -> Result<(String, i32), String> {
         let nl = slm_netlist::bench::parse(&src, path).map_err(|e| format!("{path}: {e}"))?;
         reports.push(scan_one(
             &pm,
-            &config_for(&extra),
+            &config_for(&extra, opts.clock_mhz),
             &nl,
             None,
-            opts.clock_mhz,
             cache,
             &obs,
         ));
@@ -522,6 +515,19 @@ mod tests {
     fn benign_generator_scan_is_clean_and_exit_zero() {
         let (_, code) = run(&argv(&["--generator", "alu192"])).unwrap();
         assert_eq!(code, 0);
+        // A requested overclock still reaches the timing pass when the
+        // semantic suite is dropped.
+        let (out, code) = run(&argv(&[
+            "--generator",
+            "alu192",
+            "--structural-only",
+            "--clock-mhz",
+            "2000",
+        ]))
+        .unwrap();
+        assert_eq!(code, 2, "{out}");
+        assert!(out.contains("\"pass\": \"timing\""), "{out}");
+        assert!(out.contains("exceeds fmax"), "{out}");
     }
 
     #[test]
@@ -754,8 +760,6 @@ mod tests {
             assert!(out.contains(name), "missing {name}");
         }
         assert!(out.contains("[after: clock-taint]"), "{out}");
-        assert!(out.contains("level 0:"), "{out}");
-        assert!(out.contains("level 1:"), "{out}");
         let (structural, _) = run(&argv(&["--list-passes", "--structural-only"])).unwrap();
         assert!(!structural.contains("clock-taint"), "{structural}");
     }

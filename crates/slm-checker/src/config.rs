@@ -235,6 +235,14 @@ impl Default for BandwidthConfig {
     }
 }
 
+/// The strict timing check's input: the clock the tenant requests.
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+pub struct TimingConfig {
+    /// Requested clock in MHz; `None` (a bare bitstream, no clock
+    /// contract) leaves the timing pass silent.
+    pub clock_mhz: Option<f64>,
+}
+
 /// One allowlist rule. Every populated field must match for the rule to
 /// apply; `None` fields match anything.
 ///
@@ -305,6 +313,8 @@ pub struct CheckerConfig {
     pub activity: ActivityConfig,
     /// Observation-bandwidth pass.
     pub bandwidth: BandwidthConfig,
+    /// Strict timing pass.
+    pub timing: TimingConfig,
     /// Allowlist rules applied after all passes run.
     pub suppressions: Vec<Suppression>,
 }

@@ -49,9 +49,14 @@
 //! * **observation-bandwidth** — bounds the bits/cycle of clock-rate
 //!   state readable at tenant outputs (the paper's TDC readout model).
 //!
-//! Passes declare dependencies ([`Pass::depends_on`]); the manager
-//! schedules independent passes of a level in parallel and replays
-//! per-pass results from a content-addressed [`ScanCache`]
+//! [`PassManager::full`] ends with the **timing** pass
+//! ([`StrictTimingPass`], wrapping [`check_timing`]): given the
+//! tenant's requested clock in [`TimingConfig`], it rejects a design
+//! whose STA fmax falls short.
+//!
+//! Passes declare dependencies on earlier-registered passes
+//! ([`Pass::depends_on`]) and run in registration order; the manager
+//! replays per-pass results from a content-addressed [`ScanCache`]
 //! ([`PassManager::scan`], [`PassManager::run_batch`]) keyed by FNV
 //! hashes of the netlist and config — the admission-at-traffic fast
 //! path.
@@ -60,8 +65,8 @@
 //! (`slm-core`'s detection matrix): every malicious-by-construction
 //! generator is flagged by at least one structural pass, while the ALU
 //! and C6288 sensors pass every structural check and are caught
-//! **only** by the strict timing pass ([`check_timing`]) — and only if
-//! the checker knows the tenant's requested clock. The semantic suite
+//! **only** by the strict timing check — and only if the checker knows
+//! the tenant's requested clock. The semantic suite
 //! moves that line: the `carry_sensor` specimen (the paper's deployed
 //! benign-logic sensor with a contract-declared clock pin) passes every
 //! structural check but falls to all three semantic passes, while the
@@ -99,11 +104,11 @@ pub use cache::ScanCache;
 pub use config::{
     apply_suppressions, ActivityConfig, ArrayConfig, BandwidthConfig, CheckerConfig, ClockConfig,
     DelayLineConfig, LoopConfig, ObservationConfig, ScoapConfig, SignatureConfig, Suppression,
-    TaintConfig,
+    TaintConfig, TimingConfig,
 };
 pub use diag::{span_of, CheckKind, CheckReport, Finding, Severity, SpanNet, MAX_SPAN_NETS};
 pub use pass::{Pass, PassManager, Prior};
-pub use timing::check_timing;
+pub use timing::{check_timing, StrictTimingPass};
 
 use slm_netlist::Netlist;
 
@@ -124,7 +129,7 @@ pub fn check_full(nl: &Netlist) -> CheckReport {
 mod tests {
     use super::*;
     use slm_netlist::generators::{
-        alu, array_multiplier, c17, clock_as_data, obfuscated_ring_oscillator,
+        alu, array_multiplier, c17, clock_as_data, kogge_stone_adder, obfuscated_ring_oscillator,
         obfuscated_tdc_delay_line, ring_oscillator, tapped_carry_chain, tdc_delay_line,
     };
     use slm_netlist::{Gate, GateKind, NetId, Netlist};
@@ -364,24 +369,9 @@ mod tests {
         assert_eq!(names.len(), 7);
         assert!(names.contains(&"scoap-sensor") && names.contains(&"signature"));
         let full = PassManager::full().pass_names();
-        assert_eq!(full.len(), 10);
+        assert_eq!(full.len(), 11);
         assert!(full.contains(&"clock-taint") && full.contains(&"observation-bandwidth"));
-    }
-
-    #[test]
-    fn dependency_schedule_orders_semantic_after_prerequisites() {
-        let schedule = PassManager::full().schedule();
-        let level_of = |pass: &str| {
-            schedule
-                .iter()
-                .position(|lvl| lvl.contains(&pass))
-                .unwrap_or_else(|| panic!("{pass} not scheduled"))
-        };
-        // dependents strictly after their declared dependencies
-        assert!(level_of("switching-activity") > level_of("scoap-sensor"));
-        assert!(level_of("observation-bandwidth") > level_of("clock-taint"));
-        // all seven structural passes plus clock-taint are independent
-        assert_eq!(schedule[0].len(), 8, "{schedule:?}");
+        assert_eq!(full.last(), Some(&"timing"), "timing runs last");
     }
 
     #[test]
@@ -430,8 +420,8 @@ mod tests {
         let pm = PassManager::full();
         let nl = tdc_delay_line(64).unwrap();
         let config = CheckerConfig::default();
-        let cold = pm.scan(&nl, &config, Some(&cache), 1, &Obs::null());
-        let warm = pm.scan(&nl, &config, Some(&cache), 1, &Obs::null());
+        let cold = pm.scan(&nl, &config, Some(&cache), &Obs::null());
+        let warm = pm.scan(&nl, &config, Some(&cache), &Obs::null());
         assert_eq!(cold.to_json(), warm.to_json());
         assert!(
             cache.hits() >= pm.pass_names().len() as u64,
@@ -445,23 +435,24 @@ mod tests {
             ..CheckerConfig::default()
         };
         let miss_before = cache.misses();
-        let _ = pm.scan(&nl, &strict, Some(&cache), 1, &Obs::null());
+        let _ = pm.scan(&nl, &strict, Some(&cache), &Obs::null());
         assert!(cache.misses() > miss_before);
-    }
-
-    #[test]
-    fn parallel_full_scan_matches_serial() {
-        let pm = PassManager::full();
-        let config = CheckerConfig::default();
-        for nl in [
-            tdc_delay_line(64).unwrap(),
-            ring_oscillator(8).unwrap(),
-            slm_netlist::generators::carry_sensor(32, 4).unwrap(),
-        ] {
-            let serial = pm.run(&nl, &config);
-            let par = pm.scan(&nl, &config, None, 4, &Obs::null());
-            assert_eq!(serial.to_json(), par.to_json(), "{}", nl.name());
-        }
+        // a requested clock is part of the key, and its timing verdict
+        // replays like any other pass (KSA-64 meets 300 MHz under the
+        // default delay model, so overclock it well past fmax)
+        let nl = kogge_stone_adder(64).unwrap();
+        let clocked = CheckerConfig {
+            timing: TimingConfig {
+                clock_mhz: Some(2_000.0),
+            },
+            ..CheckerConfig::default()
+        };
+        let cold = pm.scan(&nl, &clocked, Some(&cache), &Obs::null());
+        let miss_before = cache.misses();
+        let warm = pm.scan(&nl, &clocked, Some(&cache), &Obs::null());
+        assert_eq!(cold.to_json(), warm.to_json());
+        assert!(warm.flagged(CheckKind::TimingOverclock), "{warm:?}");
+        assert_eq!(cache.misses(), miss_before, "warm clocked scan replays");
     }
 
     /// Zero group thresholds let an empty group through; each pass

@@ -1,30 +1,30 @@
 //! The pass abstraction and the manager that drives a scan.
 //!
-//! Passes declare data dependencies on other passes by name
-//! ([`Pass::depends_on`]); the [`PassManager`] topologically groups
-//! them into *levels* and can run the independent passes of a level in
-//! parallel or replay per-pass results from a content-addressed
-//! [`ScanCache`] ([`PassManager::scan`]). Every execution mode
-//! concatenates per-pass findings in registration order, so reports are
-//! bit-identical across serial, parallel and cached runs — the property
-//! the scan determinism proptests pin.
+//! Passes declare data dependencies on earlier-registered passes by
+//! name ([`Pass::depends_on`]); the [`PassManager`] runs them one after
+//! another in registration order, optionally replaying per-pass results
+//! from a content-addressed [`ScanCache`] ([`PassManager::scan`]).
+//! Findings are concatenated in registration order, so cached and
+//! uncached runs emit bit-identical reports — the property the scan
+//! determinism proptests pin. Parallelism lives across designs
+//! ([`PassManager::run_batch`]), never inside one scan.
 
 use crate::analysis::Analysis;
 use crate::cache::ScanCache;
 use crate::config::{apply_suppressions, CheckerConfig};
 use crate::diag::{CheckReport, Finding};
 use crate::passes;
+use crate::timing::StrictTimingPass;
 use slm_netlist::Netlist;
 
 /// One structural or semantic analysis over a netlist.
 ///
 /// Passes are stateless: all tunables come from the [`CheckerConfig`]
 /// section they own, and all shared graph facts from the [`Analysis`]
-/// context, so a [`PassManager`] can run any subset in any order that
-/// respects [`Pass::depends_on`]. The `Send + Sync` bound is what lets
-/// one manager scan many designs concurrently
-/// ([`PassManager::run_batch`]) and fan independent passes of one scan
-/// across threads ([`PassManager::scan`]).
+/// context, so a [`PassManager`] can compose any subset whose
+/// dependencies are registered first. The `Send + Sync` bound is what
+/// lets one manager scan many designs concurrently
+/// ([`PassManager::run_batch`]).
 pub trait Pass: Send + Sync {
     /// Short stable identifier (used in findings, suppressions, cache
     /// keys and the detection matrix).
@@ -37,8 +37,8 @@ pub trait Pass: Send + Sync {
     ///
     /// Dependencies bind to *earlier-registered* passes only; a name
     /// that is not registered (or registered later) resolves to an
-    /// empty finding list. This keeps serial registration-order
-    /// execution and level-parallel execution observably identical.
+    /// empty finding list, so registration order is always a valid run
+    /// order.
     fn depends_on(&self) -> &'static [&'static str] {
         &[]
     }
@@ -58,8 +58,8 @@ pub trait Pass: Send + Sync {
 /// [`Pass::run`].
 ///
 /// Only the passes named in [`Pass::depends_on`] are visible — never
-/// "whatever happened to run earlier" — which is what makes serial and
-/// level-parallel scheduling produce identical reports.
+/// "whatever happened to run earlier" — so a pass's findings do not
+/// depend on which other passes share the pipeline.
 pub struct Prior<'a> {
     entries: Vec<(&'static str, &'a [Finding])>,
 }
@@ -126,13 +126,15 @@ impl PassManager {
         pm
     }
 
-    /// The full admission pipeline: every structural pass followed by
-    /// every semantic pass.
+    /// The full admission pipeline: every structural pass, every
+    /// semantic pass, and last the strict timing check, which reports
+    /// only when the config carries a requested clock.
     pub fn full() -> Self {
         let mut pm = PassManager::structural();
         pm.push(Box::new(passes::ClockTaintPass));
         pm.push(Box::new(passes::SwitchingActivityPass));
         pm.push(Box::new(passes::ObservationBandwidthPass));
+        pm.push(Box::new(StrictTimingPass));
         pm
     }
 
@@ -149,36 +151,6 @@ impl PassManager {
     /// The registered passes.
     pub fn passes(&self) -> impl Iterator<Item = &dyn Pass> {
         self.passes.iter().map(Box::as_ref)
-    }
-
-    /// Groups pass indices into dependency levels: every pass sits one
-    /// level below the deepest of its (earlier-registered) dependencies,
-    /// and passes within a level are independent — the unit of
-    /// intra-scan parallelism.
-    fn levels(&self) -> Vec<Vec<usize>> {
-        let n = self.passes.len();
-        let mut level = vec![0usize; n];
-        for i in 0..n {
-            for dep in self.passes[i].depends_on() {
-                if let Some(j) = self.passes[..i].iter().position(|p| p.name() == *dep) {
-                    level[i] = level[i].max(level[j] + 1);
-                }
-            }
-        }
-        let depth = level.iter().copied().max().map_or(0, |d| d + 1);
-        let mut groups = vec![Vec::new(); depth];
-        for (i, &l) in level.iter().enumerate() {
-            groups[l].push(i);
-        }
-        groups
-    }
-
-    /// The schedule as pass-name levels, for display and tests.
-    pub fn schedule(&self) -> Vec<Vec<&'static str>> {
-        self.levels()
-            .iter()
-            .map(|lvl| lvl.iter().map(|&i| self.passes[i].name()).collect())
-            .collect()
     }
 
     /// Builds the [`Prior`] view for pass `i` from completed results.
@@ -201,19 +173,16 @@ impl PassManager {
     /// `cache` replays per-pass findings keyed by netlist + config
     /// content hashes and stores the findings of the passes that had to
     /// run; when *every* pass hits, the report is assembled without even
-    /// building the [`Analysis`]. `workers != 1` fans the independent
-    /// passes of each dependency level over up to `workers` threads
-    /// (0 = machine parallelism). `obs` receives a wall-time span per
+    /// building the [`Analysis`]. `obs` receives a wall-time span per
     /// pass and the post-suppression finding counts by severity.
-    /// Findings are always concatenated in registration order and
-    /// suppressed afterwards, so every combination of options emits a
+    /// Passes run in registration order, findings are concatenated in
+    /// that order and suppressed afterwards, so a cached scan emits a
     /// report bit-identical to [`PassManager::run`].
     pub fn scan(
         &self,
         nl: &Netlist,
         config: &CheckerConfig,
         cache: Option<&ScanCache>,
-        workers: usize,
         obs: &slm_obs::Obs,
     ) -> CheckReport {
         let n = self.passes.len();
@@ -240,51 +209,19 @@ impl PassManager {
             Analysis::new(nl)
         };
         let mut results: Vec<Option<Vec<Finding>>> = cached;
-        for level in self.levels() {
-            let pending: Vec<usize> = level
-                .iter()
-                .copied()
-                .filter(|&i| results[i].is_none())
-                .collect();
-            if pending.is_empty() {
+        for (i, pass) in self.passes.iter().enumerate() {
+            if results[i].is_some() {
                 continue;
             }
-            if workers == 1 || pending.len() == 1 {
-                for &i in &pending {
-                    let _span = obs.span(self.passes[i].name());
-                    let prior = self.prior_for(i, &results);
-                    let mut out = Vec::new();
-                    self.passes[i].run(&cx, config, &prior, &mut out);
-                    results[i] = Some(out);
-                }
-            } else {
-                // Obs frames are forked per pass and absorbed in
-                // registration order, keeping metrics worker-count
-                // invariant.
-                let ran = slm_par::par_map(workers, &pending, |&i| {
-                    let pass_obs = obs.fork();
-                    let mut out = Vec::new();
-                    {
-                        let _span = pass_obs.span(self.passes[i].name());
-                        let prior = self.prior_for(i, &results);
-                        self.passes[i].run(&cx, config, &prior, &mut out);
-                    }
-                    (out, pass_obs.snapshot())
-                });
-                for (&i, (out, frame)) in pending.iter().zip(ran) {
-                    obs.absorb(&frame);
-                    results[i] = Some(out);
-                }
+            let mut out = Vec::new();
+            {
+                let _span = obs.span(pass.name());
+                pass.run(&cx, config, &self.prior_for(i, &results), &mut out);
             }
             if let (Some(cache), Some(key)) = (cache, scan_key) {
-                for &i in &pending {
-                    cache.put(
-                        key,
-                        self.passes[i].name(),
-                        results[i].as_ref().expect("just ran"),
-                    );
-                }
+                cache.put(key, pass.name(), &out);
             }
+            results[i] = Some(out);
         }
         for findings in results.into_iter().flatten() {
             report.findings.extend(findings);
@@ -308,7 +245,7 @@ impl PassManager {
     }
 
     /// Scans `nl`: builds the shared [`Analysis`] once, runs every
-    /// pass in dependency order, then applies the suppression rules
+    /// pass in registration order, then applies the suppression rules
     /// (which never hide a `Reject`).
     pub fn run(&self, nl: &Netlist, config: &CheckerConfig) -> CheckReport {
         self.run_recorded(nl, config, &slm_obs::Obs::null())
@@ -324,7 +261,7 @@ impl PassManager {
         config: &CheckerConfig,
         obs: &slm_obs::Obs,
     ) -> CheckReport {
-        self.scan(nl, config, None, 1, obs)
+        self.scan(nl, config, None, obs)
     }
 
     /// Scans a batch of netlists on up to `workers` threads, sharing
@@ -338,7 +275,7 @@ impl PassManager {
         workers: usize,
     ) -> Vec<CheckReport> {
         slm_par::par_map(workers, netlists, |nl| {
-            self.scan(nl, config, cache, 1, &slm_obs::Obs::null())
+            self.scan(nl, config, cache, &slm_obs::Obs::null())
         })
     }
 }

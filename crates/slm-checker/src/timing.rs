@@ -6,7 +6,7 @@ use crate::diag::{span_of, CheckKind, CheckReport, Finding, Severity};
 use crate::pass::{Pass, Prior};
 use crate::passes::SccLoopPass;
 use slm_netlist::{GateKind, NetId, Netlist};
-use slm_timing::AnnotatedDelays;
+use slm_timing::{AnnotatedDelays, DelayModel};
 
 /// Maximum number of gate-kind hops spelled out in the critical-path
 /// witness text (the full net list is in the span regardless).
@@ -96,4 +96,35 @@ pub fn check_timing(ann: &AnnotatedDelays, requested_mhz: f64) -> CheckReport {
         }
     }
     report
+}
+
+/// [`check_timing`] as the last pass of the admission pipeline: with
+/// [`TimingConfig::clock_mhz`](crate::TimingConfig::clock_mhz) set it
+/// annotates the netlist with the default delay model and checks the
+/// requested clock against STA fmax; with no clock it reports nothing.
+/// Running inside the [`PassManager`](crate::PassManager) puts the
+/// verdict under the same scan key and cache as every other pass.
+pub struct StrictTimingPass;
+
+impl Pass for StrictTimingPass {
+    fn name(&self) -> &'static str {
+        "timing"
+    }
+
+    fn description(&self) -> &'static str {
+        "strict timing: requested clock against STA fmax"
+    }
+
+    fn run(
+        &self,
+        cx: &Analysis<'_>,
+        config: &CheckerConfig,
+        _prior: &Prior<'_>,
+        findings: &mut Vec<Finding>,
+    ) {
+        if let Some(mhz) = config.timing.clock_mhz {
+            let ann = DelayModel::default().annotate(cx.netlist());
+            findings.extend(check_timing(&ann, mhz).findings);
+        }
+    }
 }

@@ -1,6 +1,6 @@
 //! Scan-gated admission: every tenant submission runs the full
-//! `slm-checker` pass suite (plus the strict timing check when the
-//! contract requests a frequency) before any fabric is provisioned.
+//! `slm-checker` pass suite — ending in the strict timing pass when the
+//! contract requests a frequency — before any fabric is provisioned.
 //!
 //! The gate is the service's security boundary, so its verdict
 //! vocabulary is deliberately small: `Reject` findings deny the
@@ -12,9 +12,8 @@
 
 use crate::submission::TenantSubmission;
 use serde::{Deserialize, Serialize};
-use slm_checker::{check_timing, CheckReport, CheckerConfig, PassManager, ScanCache, Severity};
+use slm_checker::{CheckReport, CheckerConfig, PassManager, ScanCache, Severity};
 use slm_obs::Obs;
-use slm_timing::DelayModel;
 
 /// The gate's three-way outcome.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -43,7 +42,7 @@ pub struct AdmissionDecision {
     /// Human-readable lines, one per active finding — what a denied
     /// tenant is told.
     pub diagnostics: Vec<String>,
-    /// The underlying scan report (timing findings appended when the
+    /// The underlying scan report (timing findings last when the
     /// contract requested a frequency).
     pub report: CheckReport,
 }
@@ -69,8 +68,8 @@ impl AdmissionGate {
     }
 
     /// Replaces the base checker configuration (thresholds,
-    /// suppressions). Per-submission declared clocks are layered on
-    /// top of this at decision time.
+    /// suppressions). Per-submission declared clocks and the requested
+    /// frequency are layered on top of this at decision time.
     pub fn with_config(mut self, base: CheckerConfig) -> Self {
         self.base = base;
         self
@@ -78,7 +77,8 @@ impl AdmissionGate {
 
     /// The checker configuration a submission is scanned under: the
     /// gate's base config with the contract's declared clocks merged
-    /// into the taint section.
+    /// into the taint section and its requested clock set in the timing
+    /// section.
     pub fn config_for(&self, sub: &TenantSubmission) -> CheckerConfig {
         let mut config = self.base.clone();
         for clk in &sub.contract.declared_clocks {
@@ -86,14 +86,15 @@ impl AdmissionGate {
                 config.taint.declared_clocks.push(clk.clone());
             }
         }
+        config.timing.clock_mhz = sub.contract.clock_mhz;
         config
     }
 
     /// The content key under which `sub`'s scan is cached and
-    /// deduplicated: the checker scan key (netlist content + full
-    /// config, declared clocks included) extended with the requested
-    /// clock bits, because the timing check runs *outside* the pass
-    /// pipeline and its result is part of the verdict.
+    /// deduplicated. `.0` is the checker scan key (netlist content +
+    /// full config, declared clocks and requested clock included) and
+    /// alone identifies the verdict; `.1` repeats the requested clock
+    /// bits for callers that key on the pair.
     pub fn dedup_key(&self, sub: &TenantSubmission) -> (u64, u64) {
         let config = self.config_for(sub);
         let scan = self.cache.scan_key(&sub.netlist, &config);
@@ -104,13 +105,9 @@ impl AdmissionGate {
     /// Scans one submission and renders the verdict.
     pub fn decide(&self, sub: &TenantSubmission) -> AdmissionDecision {
         let config = self.config_for(sub);
-        let mut report = self
+        let report = self
             .pm
-            .scan(&sub.netlist, &config, Some(&self.cache), 1, &Obs::null());
-        if let Some(mhz) = sub.contract.clock_mhz {
-            let ann = DelayModel::default().annotate(&sub.netlist);
-            report.findings.extend(check_timing(&ann, mhz).findings);
-        }
+            .scan(&sub.netlist, &config, Some(&self.cache), &Obs::null());
         let verdict = match report.max_severity() {
             Some(Severity::Reject) => AdmissionVerdict::Denied,
             Some(Severity::Warn) => AdmissionVerdict::AdmittedWithFlags,
@@ -215,9 +212,9 @@ mod tests {
             clock_mhz: Some(2_000.0),
         });
         assert_ne!(
-            g.dedup_key(&ok),
-            g.dedup_key(&hot),
-            "requested frequency is part of the scan identity"
+            g.dedup_key(&ok).0,
+            g.dedup_key(&hot).0,
+            "requested frequency is part of the scan key"
         );
         assert_eq!(g.decide(&ok).verdict, AdmissionVerdict::Admitted);
         let d = g.decide(&hot);

@@ -371,8 +371,9 @@ pub(crate) fn run_lane(
             }
             for (attack, batch) in attacks.iter_mut().zip(&mut staging) {
                 attack
-                    .add_batch_recorded(batch, obs)
+                    .add_batch(batch)
                     .expect("staging geometry matches the attack");
+                obs.add("cpa.accumulator_traces", batch.len() as u64);
                 batch.clear();
             }
         }

@@ -223,7 +223,9 @@ pub fn run_cpa_parallel(
             }
         }
         for (acc, part) in merged.iter_mut().zip(&partial.attacks) {
-            acc.merge_recorded(part, obs);
+            acc.merge(part);
+            obs.incr("cpa.merge_events");
+            obs.add("cpa.traces_merged", part.traces());
         }
     }
 

@@ -756,7 +756,9 @@ pub fn run_streaming_crashing(
             let traces = windows[windows_done as usize].traces;
             peak_raw = peak_raw.max(traces.min(ABSORB_BATCH));
             for (acc, part) in merged.iter_mut().zip(&partial.attacks) {
-                acc.merge_recorded(part, obs);
+                acc.merge(part);
+                obs.incr("cpa.merge_events");
+                obs.add("cpa.traces_merged", part.traces());
             }
             traces_done += traces;
             captured_this_run += traces;

@@ -211,24 +211,6 @@ impl CpaAttack {
         Ok(())
     }
 
-    /// [`CpaAttack::add_batch`] with observability: counts the absorbed
-    /// traces under `cpa.accumulator_traces`. The accumulator itself
-    /// cannot hold the handle (it is `Serialize`/`PartialEq` checkpoint
-    /// state), so recorded call sites pass it in.
-    ///
-    /// # Errors
-    ///
-    /// [`CpaError::PointCountMismatch`] as for [`CpaAttack::add_batch`].
-    pub fn add_batch_recorded(
-        &mut self,
-        batch: &TraceBatch,
-        obs: &slm_obs::Obs,
-    ) -> Result<(), CpaError> {
-        self.add_batch(batch)?;
-        obs.add("cpa.accumulator_traces", batch.len() as u64);
-        Ok(())
-    }
-
     /// Folds another accumulator into this one, as if its traces had
     /// been absorbed here.
     ///
@@ -274,19 +256,6 @@ impl CpaAttack {
     pub fn merge(&mut self, other: &CpaAttack) {
         self.try_merge(other)
             .expect("merged accumulators must share model and geometry");
-    }
-
-    /// [`CpaAttack::merge`] with observability: counts the merge under
-    /// `cpa.merge_events` and the traces it brought in under
-    /// `cpa.traces_merged`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the hypothesis models or point counts differ.
-    pub fn merge_recorded(&mut self, other: &CpaAttack, obs: &slm_obs::Obs) {
-        self.merge(other);
-        obs.incr("cpa.merge_events");
-        obs.add("cpa.traces_merged", other.traces);
     }
 
     /// Per-point sum of trace values over all bins.
@@ -828,11 +797,9 @@ mod tests {
         let before = attack.clone();
         attack.add_batch(&TraceBatch::new(2)).unwrap();
         assert_eq!(attack, before);
-        let obs = slm_obs::Obs::memory();
         let mut batch = TraceBatch::new(2);
         batch.push([7; 16], &[1.0, 2.0]);
-        attack.add_batch_recorded(&batch, &obs).unwrap();
-        assert_eq!(obs.snapshot().counter("cpa.accumulator_traces"), 1);
+        attack.add_batch(&batch).unwrap();
         assert_eq!(attack.traces(), 1);
         assert_eq!(batch.ct_of(0), &[7; 16]);
         assert_eq!(batch.samples_of(0), &[1.0, 2.0]);

@@ -410,38 +410,46 @@ pub(crate) fn record_fabric_telemetry(fabric: &MultiTenantFabric, obs: &Obs) {
 
 /// Turns finished accumulators and their progress curves into a
 /// [`CpaResult`]: picks the best single-bit candidate slot, derives the
-/// MTD and the recovered byte. `eval_workers` threads evaluate the final
-/// correlation surface (1 = serial; the evaluation is bit-identical at
-/// any count).
+/// MTD and the recovered byte. Each slot's final peak-|r| surface is
+/// its last progress point when that point is at `traces` — every
+/// [`CheckpointGrid`] holds its total — and is evaluated only when it
+/// is not; every decision below reads that one surface.
 pub(crate) fn assemble_result(
     setup: &CampaignSetup,
     attacks: &[CpaAttack],
     mut progress_per: Vec<Vec<ProgressPoint>>,
-    eval_workers: usize,
     traces: u64,
 ) -> CpaResult {
+    let mut final_per: Vec<Vec<f64>> = attacks
+        .iter()
+        .zip(&progress_per)
+        .map(|(attack, progress)| match progress.last() {
+            Some(p) if p.traces == traces => p.peak_corr.clone(),
+            _ => attack.peak_correlations().to_vec(),
+        })
+        .collect();
     // For multi-candidate single-bit attacks, keep the candidate whose
     // leading key separates best from the runner-up — computable without
     // ground truth.
     let chosen_slot = if attacks.len() == 1 {
         0
     } else {
+        let margins: Vec<f64> = final_per.iter().map(|p| leader_margin(p)).collect();
         (0..attacks.len())
             .max_by(|&a, &b| {
-                let ma = leader_margin(&attacks[a].peak_correlations());
-                let mb = leader_margin(&attacks[b].peak_correlations());
-                ma.partial_cmp(&mb).expect("margins are finite")
+                margins[a]
+                    .partial_cmp(&margins[b])
+                    .expect("margins are finite")
             })
             .unwrap_or(0)
     };
-    let attack = &attacks[chosen_slot];
+    let final_peaks = final_per.swap_remove(chosen_slot);
     let progress = progress_per.swap_remove(chosen_slot);
     let selected_bit = match setup.source {
         SensorSource::BenignSingleBit(_) => setup.candidate_bits.get(chosen_slot).copied(),
         _ => setup.selected_bit,
     };
     let correct_key_byte = setup.correct_key_byte;
-    let final_peaks = attack.peak_correlations_par(eval_workers).to_vec();
     let mtd = measurements_to_disclosure(&progress, correct_key_byte);
     let recovered_key_byte = progress
         .last()
@@ -449,8 +457,9 @@ pub(crate) fn assemble_result(
         .map(|_| correct_key_byte)
         .or_else(|| {
             // report the actual leader when it is not the correct key
-            let (best, _) = attack.best_candidate();
-            (attack.rank_of(best) == 0 && best != correct_key_byte).then_some(best)
+            let (best, _) = CpaAttack::best_of(&final_peaks);
+            (CpaAttack::rank_in(&final_peaks, best) == 0 && best != correct_key_byte)
+                .then_some(best)
         });
     CpaResult {
         correct_key_byte,
@@ -517,13 +526,7 @@ pub fn run_cpa(
     );
     record_fabric_telemetry(&fabric, obs);
 
-    Ok(assemble_result(
-        &setup,
-        &attacks,
-        progress_per,
-        1,
-        exp.traces,
-    ))
+    Ok(assemble_result(&setup, &attacks, progress_per, exp.traces))
 }
 
 /// Runs an AES-activity pilot only, returning the activity accumulator —

@@ -212,7 +212,7 @@ pub fn run_cpa_parallel(
             for (slot, snap) in snapshot.iter().enumerate() {
                 let mut at_checkpoint = merged[slot].clone();
                 at_checkpoint.merge(snap);
-                let peaks = at_checkpoint.peak_correlations_par(exp.workers).to_vec();
+                let peaks = at_checkpoint.peak_correlations().to_vec();
                 if slot == 0 {
                     obs.observe("cpa.checkpoint_margin", leader_margin(&peaks));
                 }
@@ -229,13 +229,7 @@ pub fn run_cpa_parallel(
         }
     }
 
-    Ok(assemble_result(
-        &setup,
-        &merged,
-        progress_per,
-        exp.workers,
-        base.traces,
-    ))
+    Ok(assemble_result(&setup, &merged, progress_per, base.traces))
 }
 
 /// [`run_cpa_parallel`] without a configuration tweak, under the name

@@ -847,7 +847,7 @@ pub fn run_streaming_crashing(
         }
     }
 
-    let result = assemble_result(&setup, &merged, progress_per, exp.workers, traces_done);
+    let result = assemble_result(&setup, &merged, progress_per, traces_done);
     Ok(StreamOutcome::Complete(StreamingResult {
         result,
         windows: windows_done,

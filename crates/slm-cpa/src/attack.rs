@@ -270,92 +270,66 @@ impl CpaAttack {
         total
     }
 
-    /// Correlation rows for a contiguous range of key candidates. One
-    /// scratch buffer serves the whole range, and the bin→hypothesis
-    /// mapping comes from the model's 256-entry lookup table instead
-    /// of a per-bin S-box evaluation. The per-point trace-variance
-    /// factor `√(n·Σx² − (Σx)²)` does not depend on the candidate, so
-    /// it is computed once for the whole range — the same f64 values
-    /// every candidate's inner loop used to recompute, hence
-    /// bit-identical output.
-    fn correlations_for(&self, candidates: std::ops::Range<usize>) -> Vec<Vec<f64>> {
+    /// Pearson correlation of every key candidate at every point:
+    /// `result[k][p]`.
+    ///
+    /// Candidate `k` sends bin `c` to hypothesis `hyp[c ^ k]`, so its
+    /// "hypothesis 1" sums fold every bin `c` with `hyp[c ^ k]` set.
+    /// The fold is transposed: each non-empty bin, in ascending order,
+    /// adds its row into the sums of the 128 candidates `c ^ d` with
+    /// `hyp[d]` set. Every candidate's sums thus see exactly the
+    /// additions, in exactly the order, of a per-candidate walk over
+    /// ascending bins — without a data-dependent branch per
+    /// (bin, candidate) pair. The per-point trace-variance factor
+    /// `√(n·Σx² − (Σx)²)` does not depend on the candidate and is
+    /// computed once.
+    pub fn correlations(&self) -> Vec<Vec<f64>> {
+        let points = self.points;
         let n = self.traces as f64;
         let total_sum = self.total_sum();
-        let denom_x: Vec<f64> = (0..self.points)
+        let denom_x: Vec<f64> = (0..points)
             .map(|p| (n * self.sum_sq[p] - total_sum[p] * total_sum[p]).sqrt())
             .collect();
         let hyp = self.model.hypothesis_table();
-        let mut s1 = vec![0.0; self.points];
-        let mut out = Vec::with_capacity(candidates.len());
-        for k in candidates {
-            // Candidate k sends bin c to hypothesis hyp[c ^ k]: fold bins.
-            let mut n1 = 0u64;
-            s1.fill(0.0);
-            for c in 0..256usize {
-                if self.bin_count[c] == 0 {
-                    continue;
-                }
-                if hyp[c ^ k] {
-                    n1 += self.bin_count[c];
-                    let row = &self.bin_sum[c * self.points..(c + 1) * self.points];
-                    for (acc, &x) in s1.iter_mut().zip(row) {
-                        *acc += x;
-                    }
+        let ones: Vec<usize> = (0..256).filter(|&d| hyp[d]).collect();
+        let mut n1 = [0u64; 256];
+        let mut s1 = vec![0.0; 256 * points];
+        for c in 0..256usize {
+            if self.bin_count[c] == 0 {
+                continue;
+            }
+            let row = &self.bin_sum[c * points..(c + 1) * points];
+            for &d in &ones {
+                let k = c ^ d;
+                n1[k] += self.bin_count[c];
+                for (acc, &x) in s1[k * points..(k + 1) * points].iter_mut().zip(row) {
+                    *acc += x;
                 }
             }
-            let n1f = n1 as f64;
-            let denom_h = (n1f * (n - n1f)).sqrt();
-            let mut row = Vec::with_capacity(self.points);
-            for p in 0..self.points {
-                let denom = denom_h * denom_x[p];
-                row.push(if denom > 0.0 {
-                    (n * s1[p] - n1f * total_sum[p]) / denom
-                } else {
-                    0.0
-                });
-            }
-            out.push(row);
         }
-        out
-    }
-
-    /// Pearson correlation of every key candidate at every point:
-    /// `result[k][p]`.
-    pub fn correlations(&self) -> Vec<Vec<f64>> {
-        self.correlations_for(0..256)
-    }
-
-    /// [`CpaAttack::correlations`] evaluated across `workers` threads
-    /// (0 = machine parallelism). Candidates are split into contiguous
-    /// blocks, each computed exactly as the serial evaluation would,
-    /// so the result is bit-identical at any worker count.
-    pub fn correlations_par(&self, workers: usize) -> Vec<Vec<f64>> {
-        if slm_par::resolve_workers(workers) <= 1 {
-            return self.correlations();
-        }
-        const BLOCK: usize = 32;
-        slm_par::par_map_indexed(workers, 256 / BLOCK, |b| {
-            self.correlations_for(b * BLOCK..(b + 1) * BLOCK)
-        })
-        .into_iter()
-        .flatten()
-        .collect()
+        (0..256)
+            .map(|k| {
+                let n1f = n1[k] as f64;
+                let denom_h = (n1f * (n - n1f)).sqrt();
+                let s1 = &s1[k * points..(k + 1) * points];
+                (0..points)
+                    .map(|p| {
+                        let denom = denom_h * denom_x[p];
+                        if denom > 0.0 {
+                            (n * s1[p] - n1f * total_sum[p]) / denom
+                        } else {
+                            0.0
+                        }
+                    })
+                    .collect()
+            })
+            .collect()
     }
 
     /// Max |r| over points for every candidate.
     pub fn peak_correlations(&self) -> [f64; 256] {
-        Self::peaks_of(&self.correlations())
-    }
-
-    /// [`CpaAttack::peak_correlations`] evaluated across `workers`
-    /// threads; bit-identical to the serial evaluation.
-    pub fn peak_correlations_par(&self, workers: usize) -> [f64; 256] {
-        Self::peaks_of(&self.correlations_par(workers))
-    }
-
-    fn peaks_of(corrs: &[Vec<f64>]) -> [f64; 256] {
         let mut out = [0.0f64; 256];
-        for (k, row) in corrs.iter().enumerate() {
+        for (k, row) in self.correlations().iter().enumerate() {
             out[k] = row.iter().fold(0.0f64, |m, r| m.max(r.abs()));
         }
         out
@@ -363,9 +337,19 @@ impl CpaAttack {
 
     /// The candidate with the highest peak |r| and that correlation.
     pub fn best_candidate(&self) -> (u8, f64) {
-        let peaks = self.peak_correlations();
+        Self::best_of(&self.peak_correlations())
+    }
+
+    /// Ranking position of `key` (0 = leading candidate).
+    pub fn rank_of(&self, key: u8) -> usize {
+        Self::rank_in(&self.peak_correlations(), key)
+    }
+
+    /// [`CpaAttack::best_candidate`] on an already evaluated peak-|r|
+    /// surface: the first candidate holding the maximum.
+    pub fn best_of(peaks: &[f64]) -> (u8, f64) {
         let mut best = 0usize;
-        for k in 1..256 {
+        for k in 1..peaks.len() {
             if peaks[k] > peaks[best] {
                 best = k;
             }
@@ -373,9 +357,9 @@ impl CpaAttack {
         (best as u8, peaks[best])
     }
 
-    /// Ranking position of `key` (0 = leading candidate).
-    pub fn rank_of(&self, key: u8) -> usize {
-        let peaks = self.peak_correlations();
+    /// [`CpaAttack::rank_of`] on an already evaluated peak-|r| surface:
+    /// how many candidates lead `key` strictly.
+    pub fn rank_in(peaks: &[f64], key: u8) -> usize {
         let target = peaks[key as usize];
         peaks.iter().filter(|&&p| p > target).count()
     }
@@ -817,19 +801,6 @@ mod tests {
         assert!(a.try_merge(&c).is_err());
         let d = CpaAttack::new(LastRoundModel::paper_target(), 2);
         assert!(a.try_merge(&d).is_ok());
-    }
-
-    #[test]
-    fn parallel_correlations_are_bit_identical() {
-        let (attack, _) = run_attack(1.0, 2_000, 17);
-        let serial = attack.correlations();
-        for workers in [1, 2, 3, 8] {
-            assert_eq!(attack.correlations_par(workers), serial);
-            assert_eq!(
-                attack.peak_correlations_par(workers),
-                attack.peak_correlations()
-            );
-        }
     }
 
     #[test]

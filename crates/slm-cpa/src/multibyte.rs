@@ -143,13 +143,7 @@ impl MultiByteCpa {
         let peaks = slm_par::par_map(workers, &self.attacks, CpaAttack::peak_correlations);
         let mut out = [(0u8, 0.0f64); 16];
         for (b, peak) in peaks.iter().enumerate() {
-            let mut best = 0usize;
-            for k in 1..256 {
-                if peak[k] > peak[best] {
-                    best = k;
-                }
-            }
-            out[b] = (best as u8, peak[best]);
+            out[b] = CpaAttack::best_of(peak);
         }
         out
     }

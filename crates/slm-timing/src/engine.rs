@@ -340,11 +340,11 @@ impl<'a> StaEngine<'a> {
             .iter()
             .map(|&(_, o)| self.min_arrival[o.index()])
             .collect();
-        let critical_net = nl.outputs().iter().map(|&(_, o)| o).max_by(|&a, &b| {
-            self.arrival[a.index()]
-                .partial_cmp(&self.arrival[b.index()])
-                .expect("arrival times are not NaN")
-        });
+        let critical_net = nl
+            .outputs()
+            .iter()
+            .map(|&(_, o)| o)
+            .max_by(|&a, &b| self.arrival[a.index()].total_cmp(&self.arrival[b.index()]));
         StaResult::from_parts(
             self.arrival.clone(),
             self.min_arrival.clone(),

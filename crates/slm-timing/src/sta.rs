@@ -93,11 +93,11 @@ impl StaResult {
             .iter()
             .map(|&(_, o)| min_arrival[o.index()])
             .collect();
-        let critical_net = nl.outputs().iter().map(|&(_, o)| o).max_by(|&a, &b| {
-            arrival[a.index()]
-                .partial_cmp(&arrival[b.index()])
-                .expect("arrival times are finite")
-        });
+        let critical_net = nl
+            .outputs()
+            .iter()
+            .map(|&(_, o)| o)
+            .max_by(|&a, &b| arrival[a.index()].total_cmp(&arrival[b.index()]));
         Ok(StaResult {
             arrival_ps: arrival,
             min_arrival_ps: min_arrival,
@@ -228,6 +228,16 @@ mod tests {
         for (i, &a) in arr.iter().enumerate() {
             assert!((a - 140.0 * (i as f64 + 1.0)).abs() < 1e-9, "tap {i}: {a}");
         }
+    }
+
+    #[test]
+    fn nan_delays_do_not_panic_the_critical_net_selection() -> Result<(), Box<dyn std::error::Error>>
+    {
+        let mut ann = DelayModel::default().annotate(&ripple_carry_adder(4)?);
+        ann.scale(f64::NAN);
+        let sta = ann.sta()?;
+        assert!(sta.output_arrivals_ps().iter().all(|a| a.is_nan()));
+        Ok(())
     }
 
     #[test]

@@ -207,10 +207,10 @@ pub fn write(nl: &Netlist) -> String {
         }
     }
     for (i, g) in nl.gates().iter().enumerate() {
-        if g.kind == GateKind::Input {
+        // Only primary inputs lack a keyword; the INPUT lines declare them.
+        let Some(kw) = g.kind.bench_name() else {
             continue;
-        }
-        let kw = g.kind.bench_name().expect("non-input kinds have keywords");
+        };
         let args: Vec<String> = g.fanin.iter().map(|&f| sig(f)).collect();
         let _ = writeln!(
             out,
@@ -335,6 +335,33 @@ t = BUFF(a)
             let mut ins = crate::words::to_bits(a, 8);
             ins.extend(crate::words::to_bits(b, 8));
             assert_eq!(nl.eval(&ins).unwrap(), nl2.eval(&ins).unwrap());
+        }
+    }
+
+    /// The writer finds each gate's keyword without a panic path: input
+    /// gates are skipped wherever they sit in the gate list, every other
+    /// kind (constants included) is written, and the text parses back.
+    #[test]
+    fn writer_skips_inputs_anywhere_in_the_gate_list() {
+        let gates = vec![
+            Gate::new(GateKind::Input, vec![]),
+            Gate::new(GateKind::Not, vec![NetId(0)]),
+            Gate::new(GateKind::Input, vec![]),
+            Gate::new(GateKind::Xor, vec![NetId(1), NetId(2)]),
+            Gate::new(GateKind::Const1, vec![]),
+            Gate::new(GateKind::And, vec![NetId(3), NetId(4)]),
+        ];
+        let outputs = vec![("y".to_string(), NetId(5))];
+        let nl =
+            Netlist::from_parts("mixed", gates, vec![NetId(0), NetId(2)], outputs, vec![]).unwrap();
+        let text = write(&nl);
+        assert_eq!(text.matches("INPUT(").count(), 2);
+        // NOT, XOR, CONST1, AND, and the `y` output alias.
+        assert_eq!(text.lines().filter(|l| l.contains(" = ")).count(), 5);
+        let nl2 = parse(&text, "mixed-rt").unwrap();
+        for p in 0..4u32 {
+            let bits = [p & 1 == 1, p & 2 == 2];
+            assert_eq!(nl.eval(&bits).unwrap(), nl2.eval(&bits).unwrap());
         }
     }
 }

@@ -8,12 +8,13 @@
 //! bit-identical to the pinned run. A speed-up of any pass must leave
 //! every digest here unchanged.
 
-use slm_checker::{CheckerConfig, PassManager, ScanCache, TaintConfig};
+use slm_checker::{CheckerConfig, PassManager, ScanCache, TaintConfig, TimingConfig};
 use slm_cloud::{AdmissionGate, ClockContract, TenantSubmission};
 use slm_netlist::generators::{
-    alu, array_multiplier, carry_lookahead_adder, carry_select_adder, carry_sensor,
-    kogge_stone_adder, obfuscated_tdc_delay_line, ripple_carry_adder, tapped_carry_chain,
-    tdc_delay_line, wallace_multiplier, zoo,
+    alu, array_multiplier, carry_lookahead_adder, carry_select_adder, carry_sensor, clock_as_data,
+    equality_comparator, kogge_stone_adder, obfuscated_ring_oscillator, obfuscated_tdc_delay_line,
+    parity_tree, ring_oscillator, ripple_carry_adder, ripple_carry_adder_with_cin, ro_grid,
+    tapped_carry_chain, tdc_delay_line, wallace_multiplier, zoo,
 };
 use slm_netlist::{Netlist, NetlistError};
 
@@ -173,4 +174,61 @@ fn ksa_admission_at_300_mhz_is_pinned() {
             pinned,
         );
     }
+}
+
+/// Every generator family with three sizes to build it at.
+const EVERY_FAMILY: [(&str, Build, [usize; 3]); 17] = [
+    ("rca", ripple_carry_adder, [8, 45, 256]),
+    ("rca_cin", ripple_carry_adder_with_cin, [8, 45, 256]),
+    ("cla", carry_lookahead_adder, [8, 45, 256]),
+    ("csa", carry_select_adder, [8, 45, 256]),
+    ("ksa", kogge_stone_adder, [8, 45, 256]),
+    ("alu", alu, [8, 45, 128]),
+    ("array_mult", array_multiplier, [4, 9, 20]),
+    ("wallace", wallace_multiplier, [4, 9, 20]),
+    ("equality", equality_comparator, [4, 17, 64]),
+    ("parity", parity_tree, [2, 17, 64]),
+    ("ring_osc", ring_oscillator, [2, 6, 30]),
+    ("obf_ring_osc", obfuscated_ring_oscillator, [2, 6, 30]),
+    ("ro_grid", ro_grid, [2, 5, 16]),
+    ("clock_as_data", clock_as_data, [4, 16, 64]),
+    ("tdc", tdc_delay_line, [8, 64, 256]),
+    ("obf_tdc", obfuscated_tdc_delay_line, [8, 64, 256]),
+    ("tapped_chain", tapped_carry_chain, [16, 64, 256]),
+];
+
+/// The report-level pin: the digest of every full-scan report's
+/// `Debug` rendering (which spells out each field, `f64`s exactly),
+/// over the zoo, every generator family at three sizes, carry sensors
+/// at three sizes and taps, and Kogge-Stone adders requesting 300 MHz.
+#[test]
+fn report_debug_digest_is_pinned() {
+    let pm = PassManager::full();
+    let config = CheckerConfig::default();
+    let mut h = FNV_OFFSET;
+    let mut scan = |nl: &Netlist, config: &CheckerConfig| {
+        h = fnv1a(h, format!("{:?}", pm.run(nl, config)).as_bytes());
+    };
+    for entry in zoo() {
+        scan(&entry.netlist, &config);
+    }
+    for (name, build, sizes) in EVERY_FAMILY {
+        for size in sizes {
+            let nl = build(size).unwrap_or_else(|e| panic!("{name}{size}: {e}"));
+            scan(&nl, &config);
+        }
+    }
+    for (bits, tap) in [(8, 2), (45, 3), (256, 4)] {
+        scan(&carry_sensor(bits, tap).expect("valid width"), &config);
+    }
+    let at_300 = CheckerConfig {
+        timing: TimingConfig {
+            clock_mhz: Some(300.0),
+        },
+        ..CheckerConfig::default()
+    };
+    for width in [32, 64] {
+        scan(&kogge_stone_adder(width).expect("valid width"), &at_300);
+    }
+    assert_pinned("report debug digest", h, 0x5761_fd09_8c99_5943);
 }

@@ -4,7 +4,190 @@ use proptest::prelude::*;
 use slm_netlist::generators::{
     alu, array_multiplier, equality_comparator, parity_tree, ripple_carry_adder, AluOp,
 };
-use slm_netlist::{bench, words, GateKind, Netlist, NetlistBuilder};
+use slm_netlist::graph::{collapsed_drivers, combinational_loops};
+use slm_netlist::{bench, words, Gate, GateKind, NetId, Netlist, NetlistBuilder};
+
+/// The loop finder as it stood before the acyclic shortcut: a full
+/// iterative Tarjan pass, then a filter keeping components of two or
+/// more nets and self-listing gates. Kept verbatim as the oracle for
+/// [`combinational_loops`].
+fn reference_loops(nl: &Netlist) -> Vec<Vec<NetId>> {
+    let n = nl.len();
+    const UNVISITED: u32 = u32::MAX;
+    let mut index = vec![UNVISITED; n];
+    let mut lowlink = vec![0u32; n];
+    let mut on_stack = vec![false; n];
+    let mut stack: Vec<u32> = Vec::new();
+    let mut next_index = 0u32;
+    let mut sccs: Vec<Vec<NetId>> = Vec::new();
+    let mut frames: Vec<(u32, usize)> = Vec::new();
+    for root in 0..n as u32 {
+        if index[root as usize] != UNVISITED {
+            continue;
+        }
+        frames.push((root, 0));
+        while let Some(&mut (v, ref mut pos)) = frames.last_mut() {
+            if *pos == 0 {
+                index[v as usize] = next_index;
+                lowlink[v as usize] = next_index;
+                next_index += 1;
+                stack.push(v);
+                on_stack[v as usize] = true;
+            }
+            let fanin = &nl.gate(NetId(v)).fanin;
+            if let Some(&w) = fanin.get(*pos) {
+                *pos += 1;
+                let w = w.0;
+                if index[w as usize] == UNVISITED {
+                    frames.push((w, 0));
+                } else if on_stack[w as usize] {
+                    lowlink[v as usize] = lowlink[v as usize].min(index[w as usize]);
+                }
+            } else {
+                frames.pop();
+                if let Some(&(parent, _)) = frames.last() {
+                    lowlink[parent as usize] = lowlink[parent as usize].min(lowlink[v as usize]);
+                }
+                if lowlink[v as usize] == index[v as usize] {
+                    let mut comp = Vec::new();
+                    loop {
+                        let w = stack.pop().expect("tarjan stack holds the component");
+                        on_stack[w as usize] = false;
+                        comp.push(NetId(w));
+                        if w == v {
+                            break;
+                        }
+                    }
+                    comp.sort();
+                    sccs.push(comp);
+                }
+            }
+        }
+    }
+    let mut loops: Vec<Vec<NetId>> = sccs
+        .into_iter()
+        .filter(|comp| {
+            comp.len() > 1 || {
+                let id = comp[0];
+                nl.gate(id).fanin.contains(&id)
+            }
+        })
+        .collect();
+    loops.sort_by_key(|comp| comp[0]);
+    loops
+}
+
+/// The buffer-collapse map as it stood before the on-path mark, kept
+/// verbatim as the oracle for [`collapsed_drivers`].
+fn reference_collapse(nl: &Netlist) -> Vec<NetId> {
+    let n = nl.len();
+    let mut root: Vec<Option<NetId>> = vec![None; n];
+    for start in 0..n {
+        if root[start].is_some() {
+            continue;
+        }
+        let mut path = Vec::new();
+        let mut cur = NetId(start as u32);
+        let resolved = loop {
+            if let Some(r) = root[cur.index()] {
+                break r;
+            }
+            let g = nl.gate(cur);
+            if g.kind != GateKind::Buf {
+                break cur;
+            }
+            if path.contains(&cur) {
+                break cur;
+            }
+            path.push(cur);
+            cur = g.fanin[0];
+        };
+        for p in path {
+            root[p.index()] = Some(resolved);
+        }
+        root[start].get_or_insert(resolved);
+    }
+    root.into_iter()
+        .map(|r| r.expect("every net resolved"))
+        .collect()
+}
+
+/// A random gate graph in arbitrary gate order: `n` gates placed along
+/// a random permutation, each reading earlier-placed nets except that
+/// a fanin becomes a back edge (any net, itself included) with
+/// probability `back_pct` percent. On top come `rings` pure-buffer
+/// cycles and `self_loops` gates that list themselves as a fanin.
+fn random_graph(seed: u64, n: usize, back_pct: u64, rings: usize, self_loops: usize) -> Netlist {
+    let mut state = seed | 1;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let mut perm: Vec<usize> = (0..n).collect();
+    for i in (1..n).rev() {
+        perm.swap(i, (next() % (i as u64 + 1)) as usize);
+    }
+    const KINDS: [GateKind; 8] = [
+        GateKind::Buf,
+        GateKind::Not,
+        GateKind::And,
+        GateKind::Nand,
+        GateKind::Or,
+        GateKind::Nor,
+        GateKind::Xor,
+        GateKind::Xnor,
+    ];
+    let mut gates = vec![Gate::new(GateKind::Input, vec![]); n];
+    let mut inputs = Vec::new();
+    for (p, &id) in perm.iter().enumerate() {
+        if p < 2 {
+            inputs.push(NetId(id as u32));
+            continue;
+        }
+        let kind = KINDS[(next() % KINDS.len() as u64) as usize];
+        let arity = if kind.arity().1 == 1 {
+            1
+        } else {
+            2 + (next() % 2) as usize
+        };
+        let fanin = (0..arity)
+            .map(|_| {
+                let src = if next() % 100 < back_pct {
+                    (next() % n as u64) as usize
+                } else {
+                    perm[(next() % p as u64) as usize]
+                };
+                NetId(src as u32)
+            })
+            .collect();
+        gates[id] = Gate::new(kind, fanin);
+    }
+    let gate_ids: Vec<usize> = perm[2.min(n)..].to_vec();
+    if gate_ids.len() >= 2 {
+        for _ in 0..rings {
+            let len = 1 + (next() % 4) as usize;
+            let members: Vec<usize> = (0..len)
+                .map(|_| gate_ids[(next() % gate_ids.len() as u64) as usize])
+                .collect();
+            for (j, &m) in members.iter().enumerate() {
+                let to = members[(j + 1) % len];
+                gates[m] = Gate::new(GateKind::Buf, vec![NetId(to as u32)]);
+            }
+        }
+        for _ in 0..self_loops {
+            let m = gate_ids[(next() % gate_ids.len() as u64) as usize];
+            let mut g = gates[m].clone();
+            g.fanin[0] = NetId(m as u32);
+            gates[m] = g;
+        }
+    }
+    let outputs = (0..n.min(3))
+        .map(|k| (format!("y{k}"), NetId((next() % n as u64) as u32)))
+        .collect();
+    Netlist::from_parts("random", gates, inputs, outputs, vec![]).unwrap()
+}
 
 fn eval_int(nl: &Netlist, ins: &[bool]) -> u128 {
     words::from_bits(&nl.eval(ins).unwrap())
@@ -149,5 +332,40 @@ proptest! {
         let stats = nl.stats().unwrap();
         prop_assert!(stats.depth < stats.gates);
         prop_assert!(stats.depth >= 2 * n - 2);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The loop finder returns exactly what a full Tarjan pass plus the
+    /// loop filter returns, on acyclic and cyclic graphs in any gate
+    /// order: back edges, self-loops, pure-buffer rings and disjoint
+    /// loops.
+    #[test]
+    fn loop_finder_matches_full_tarjan(
+        seed in any::<u64>(),
+        n in 1usize..120,
+        back_pct in proptest::sample::select(vec![0u64, 0, 2, 5, 15, 40]),
+        rings in 0usize..3,
+        self_loops in 0usize..3,
+    ) {
+        let nl = random_graph(seed, n, back_pct, rings, self_loops);
+        let loops = combinational_loops(&nl);
+        prop_assert_eq!(loops.is_empty(), nl.is_acyclic());
+        prop_assert_eq!(loops, reference_loops(&nl));
+    }
+
+    /// Buffer collapse resolves every net as the path-scanning walk
+    /// did, pure-buffer cycles included.
+    #[test]
+    fn buffer_collapse_matches_path_scan(
+        seed in any::<u64>(),
+        n in 1usize..120,
+        back_pct in proptest::sample::select(vec![0u64, 5, 40]),
+        rings in 0usize..4,
+    ) {
+        let nl = random_graph(seed, n, back_pct, rings, 0);
+        prop_assert_eq!(collapsed_drivers(&nl), reference_collapse(&nl));
     }
 }

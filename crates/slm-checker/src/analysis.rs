@@ -2,7 +2,7 @@
 //! computed once per scan.
 
 use crate::config::CheckerConfig;
-use crate::semantic::{compute_taint, TaintFacts};
+use crate::semantic::{compute_taint, is_clock_named, TaintFacts};
 use slm_netlist::graph::{collapsed_drivers, combinational_loops, FanoutIndex};
 use slm_netlist::{GateKind, NetId, Netlist};
 use std::sync::OnceLock;
@@ -11,10 +11,10 @@ use std::sync::OnceLock;
 ///
 /// Building the context is O(nets + edges); passes then share the
 /// fanout index (the fix for the old per-chain-step gate rescans), the
-/// complete SCC loop list, and the buffer-collapsed driver map. Facts
-/// only some pipelines need (logic depth, clock taint) are computed
-/// lazily, at most once, behind a [`OnceLock`] — safe to race from a
-/// parallel pass level.
+/// complete loop list (empty without a Tarjan pass when the netlist
+/// is acyclic), and the buffer-collapsed driver map. Facts only some
+/// passes need (logic depth, clock-named inputs, clock taint) are
+/// computed lazily, at most once, behind a [`OnceLock`].
 pub struct Analysis<'a> {
     nl: &'a Netlist,
     fanout: FanoutIndex,
@@ -22,6 +22,7 @@ pub struct Analysis<'a> {
     collapsed: Vec<NetId>,
     loops: Vec<Vec<NetId>>,
     levels: OnceLock<Option<Vec<usize>>>,
+    clock_named: OnceLock<Vec<NetId>>,
     taint: OnceLock<TaintFacts>,
 }
 
@@ -38,6 +39,7 @@ impl<'a> Analysis<'a> {
             collapsed: collapsed_drivers(nl),
             loops: combinational_loops(nl),
             levels: OnceLock::new(),
+            clock_named: OnceLock::new(),
             taint: OnceLock::new(),
             nl,
         }
@@ -92,6 +94,31 @@ impl<'a> Analysis<'a> {
                 Some(level)
             })
             .as_deref()
+    }
+
+    /// The primary inputs whose lowercased stem (bus index stripped)
+    /// is one of [`ClockConfig::clock_names`](crate::ClockConfig::clock_names),
+    /// in input order.
+    ///
+    /// Computed at most once per scan and shared by the clock-as-data
+    /// pass and the clock-taint seeds; like [`Analysis::taint`], the
+    /// first caller's config fixes the list.
+    pub fn clock_named_inputs(&self, config: &CheckerConfig) -> &[NetId] {
+        let names = &config.clock.clock_names;
+        let named = |nl: &Netlist| -> Vec<NetId> {
+            nl.inputs()
+                .iter()
+                .copied()
+                .filter(|&i| nl.net_name(i).is_some_and(|n| is_clock_named(n, names)))
+                .collect()
+        };
+        let list = self.clock_named.get_or_init(|| named(self.nl));
+        debug_assert_eq!(
+            *list,
+            named(self.nl),
+            "Analysis::clock_named_inputs queried under a second config"
+        );
+        list
     }
 
     /// The clock-taint fixpoint ([`compute_taint`]) under `config`.

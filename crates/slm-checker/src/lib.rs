@@ -130,8 +130,9 @@ mod tests {
     use super::*;
     use slm_netlist::generators::{
         alu, array_multiplier, c17, clock_as_data, kogge_stone_adder, obfuscated_ring_oscillator,
-        obfuscated_tdc_delay_line, ring_oscillator, tapped_carry_chain, tdc_delay_line,
+        obfuscated_tdc_delay_line, ring_oscillator, ro_grid, tapped_carry_chain, tdc_delay_line,
     };
+    use slm_netlist::graph::combinational_loops;
     use slm_netlist::{Gate, GateKind, NetId, Netlist};
     use slm_obs::Obs;
     use slm_timing::DelayModel;
@@ -355,6 +356,31 @@ mod tests {
         assert!(f.witness.is_some());
         assert_eq!(f.span.len(), 5, "NAND + 4 inverters");
         assert!(f.detail.contains("5 nets"));
+    }
+
+    #[test]
+    fn full_scan_with_a_clock_reports_each_loop_once() {
+        // Strict timing on a cyclic design must not repeat the comb-loop
+        // pass's findings, whatever clock the tenant requests.
+        let at_100 = CheckerConfig {
+            timing: TimingConfig {
+                clock_mhz: Some(100.0),
+            },
+            ..CheckerConfig::default()
+        };
+        for nl in [ring_oscillator(6).unwrap(), ro_grid(3).unwrap()] {
+            let loops = combinational_loops(&nl);
+            let r = PassManager::full().run(&nl, &at_100);
+            let witnesses: Vec<_> = r
+                .findings
+                .iter()
+                .filter(|f| f.kind == CheckKind::CombinationalLoop)
+                .map(|f| f.witness)
+                .collect();
+            let expected: Vec<_> = loops.iter().map(|l| Some(l[0])).collect();
+            assert_eq!(witnesses, expected, "{}", nl.name());
+            assert!(r.findings.iter().all(|f| f.pass != "timing"), "{r:?}");
+        }
     }
 
     #[test]

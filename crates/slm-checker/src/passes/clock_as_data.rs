@@ -5,15 +5,6 @@ use crate::config::CheckerConfig;
 use crate::diag::{span_of, CheckKind, Finding, Severity};
 use crate::pass::{Pass, Prior};
 
-/// Strips a trailing `[index]` bus suffix and lowercases.
-fn base_name(name: &str) -> String {
-    let stem = match name.find('[') {
-        Some(i) if name.ends_with(']') => &name[..i],
-        _ => name,
-    };
-    stem.to_ascii_lowercase()
-}
-
 /// Flags clock inputs that drive combinational logic — the fourth
 /// structural check the paper names.
 ///
@@ -40,14 +31,10 @@ impl Pass for ClockAsDataPass {
         findings: &mut Vec<Finding>,
     ) {
         let nl = cx.netlist();
-        for &input in nl.inputs() {
+        for &input in cx.clock_named_inputs(config) {
             let Some(name) = nl.net_name(input) else {
                 continue;
             };
-            let base = base_name(name);
-            if !config.clock.clock_names.contains(&base) {
-                continue;
-            }
             let drives = cx.fanout().degree(input);
             if drives == 0 {
                 continue;

@@ -49,13 +49,18 @@ pub struct TaintFacts {
     pub seeds: Vec<NetId>,
 }
 
-/// Strips a trailing `[index]` bus suffix and lowercases.
-pub(crate) fn base_name(name: &str) -> String {
+/// Whether an input name is clock-named: its stem (the name with a
+/// trailing `[index]` bus suffix stripped), lowercased, equals one of
+/// `clock_names` exactly. Compares bytes in place rather than building
+/// the lowercased stem.
+pub(crate) fn is_clock_named(name: &str, clock_names: &[String]) -> bool {
     let stem = match name.find('[') {
         Some(i) if name.ends_with(']') => &name[..i],
         _ => name,
     };
-    stem.to_ascii_lowercase()
+    clock_names
+        .iter()
+        .any(|c| c.bytes().eq(stem.bytes().map(|b| b.to_ascii_lowercase())))
 }
 
 /// The clock seed nets: inputs whose base name matches
@@ -64,13 +69,11 @@ pub(crate) fn base_name(name: &str) -> String {
 /// names), and every combinational-loop member.
 pub fn clock_seeds(cx: &Analysis<'_>, config: &CheckerConfig) -> Vec<NetId> {
     let nl = cx.netlist();
-    let mut seeds = Vec::new();
+    let mut seeds = cx.clock_named_inputs(config).to_vec();
     for &input in nl.inputs() {
-        let Some(name) = nl.net_name(input) else {
-            continue;
-        };
-        if config.clock.clock_names.contains(&base_name(name))
-            || config.taint.declared_clocks.iter().any(|d| d == name)
+        if nl
+            .net_name(input)
+            .is_some_and(|name| config.taint.declared_clocks.iter().any(|d| d == name))
         {
             seeds.push(input);
         }
@@ -292,6 +295,51 @@ mod tests {
     use super::*;
     use slm_netlist::generators::{carry_sensor, clock_as_data, ring_oscillator, tdc_delay_line};
     use slm_netlist::NetlistBuilder;
+
+    #[test]
+    fn clock_naming_is_an_exact_match_of_the_lowercased_stem() {
+        // The rule as first written: strip a trailing `[i]`, lowercase,
+        // then look the result up among the names verbatim.
+        fn lowercased_stem(name: &str) -> String {
+            let stem = match name.find('[') {
+                Some(i) if name.ends_with(']') => &name[..i],
+                _ => name,
+            };
+            stem.to_ascii_lowercase()
+        }
+        let lists: [Vec<String>; 3] = [
+            crate::ClockConfig::default().clock_names,
+            vec!["CLK".into(), "Ck".into()],
+            vec!["clk[0]".into(), "".into(), "\u{e9}clk".into()],
+        ];
+        let names = [
+            "clk",
+            "CLK",
+            "Clk[3]",
+            "clk[",
+            "clk]",
+            "clk[0][1]",
+            "clock",
+            "ck_in",
+            "ck",
+            "CK[x]",
+            "[1]",
+            "",
+            "\u{c9}CLK",
+            "\u{e9}clk",
+            "clk[0]",
+            "clkk",
+        ];
+        for list in &lists {
+            for name in names {
+                assert_eq!(
+                    is_clock_named(name, list),
+                    list.contains(&lowercased_stem(name)),
+                    "{name:?} against {list:?}"
+                );
+            }
+        }
+    }
 
     fn with_declared(clocks: &[&str]) -> CheckerConfig {
         CheckerConfig {

@@ -104,6 +104,11 @@ pub fn check_timing(ann: &AnnotatedDelays, requested_mhz: f64) -> CheckReport {
 /// requested clock against STA fmax; with no clock it reports nothing.
 /// Running inside the [`PassManager`](crate::PassManager) puts the
 /// verdict under the same scan key and cache as every other pass.
+///
+/// A cyclic netlist has no STA, and its loops are the `comb-loop`
+/// pass's verdict, so the pass reports nothing there and annotates no
+/// delays: routing through [`check_timing`] would report every loop a
+/// second time.
 pub struct StrictTimingPass;
 
 impl Pass for StrictTimingPass {
@@ -122,6 +127,9 @@ impl Pass for StrictTimingPass {
         _prior: &Prior<'_>,
         findings: &mut Vec<Finding>,
     ) {
+        if !cx.loops().is_empty() {
+            return;
+        }
         if let Some(mhz) = config.timing.clock_mhz {
             let ann = DelayModel::default().annotate(cx.netlist());
             findings.extend(check_timing(&ann, mhz).findings);

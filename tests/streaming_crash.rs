@@ -99,10 +99,12 @@ mod proptests {
             let dir = scratch_dir(&format!("prop-{group}-{site_idx}-{workers}"));
             let exp = campaign().with_workers(workers);
             let mut plan = CrashPlan::none().kill_at(group, site);
-            let (result, kills, _) = run_until_complete(&exp, &dir, &mut plan);
+            let (result, kills, recovered) = run_until_complete(&exp, &dir, &mut plan);
             prop_assert_eq!(kills, 1);
             prop_assert_eq!(plan.fired(), 1);
             prop_assert_eq!(&result, reference());
+            // Only a torn commit leaves a generation to recover past.
+            prop_assert_eq!(recovered, u64::from(site == CrashSite::TornCommit));
             let _ = std::fs::remove_dir_all(&dir);
         }
 

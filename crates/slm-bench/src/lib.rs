@@ -3,12 +3,11 @@
 //! Every `[[bench]]` target in this crate is a plain `fn main()` that
 //! runs one study once (`cargo bench -p slm-bench --bench <name>`):
 //!
-//! - `figures`, `ablations` and `transport` print the figure, ablation
-//!   and fault-sweep tables EXPERIMENTS.md cites as the reproduction
-//!   record;
-//! - `campaign`, `observability`, `defense`, `streaming`, `faults_v2`,
-//!   `scan` and `service` assert their study's contract and write one
-//!   `BENCH_<name>.json` record through [`write_record!`].
+//! - `figures`, `ablations` and `streaming` print the figure, ablation
+//!   and long-horizon MTD tables EXPERIMENTS.md cites as the
+//!   reproduction record;
+//! - `observability` asserts the `slm-obs` overhead budgets and writes
+//!   `BENCH_obs.json` through [`write_record!`].
 //!
 //! Costs (end to end and per layer) are measured by the layered
 //! benchmark in `bench/`, not here. `SLM_BENCH_QUICK` shrinks every
@@ -26,16 +25,8 @@ pub fn quick() -> bool {
     std::env::var_os("SLM_BENCH_QUICK").is_some()
 }
 
-/// A fresh, empty per-process scratch directory for a study's on-disk
-/// state (ledgers, caches). The caller removes it when done.
-pub fn scratch_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("slm-bench-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
 /// Writes a study record as `BENCH_<bench>.json`:
-/// `slm_bench::write_record!("campaign", &record)`.
+/// `slm_bench::write_record!("obs", &record)`.
 ///
 /// Full runs write the committed file at the workspace root; quick runs
 /// write under `CARGO_TARGET_TMPDIR` so a smoke never overwrites the

@@ -736,23 +736,6 @@ mod tests {
     }
 
     #[test]
-    fn run_batch_matches_run_in_a_loop() {
-        let pm = PassManager::full();
-        let config = CheckerConfig::default();
-        let entries = zoo();
-        let netlists: Vec<&Netlist> = entries.iter().map(|e| &e.netlist).collect();
-        let serial: Vec<_> = netlists.iter().map(|nl| pm.run(nl, &config)).collect();
-        for workers in [1, 3, 8] {
-            let parallel = pm.run_batch(&netlists, &config, None, workers);
-            assert_eq!(parallel.len(), serial.len());
-            for (a, b) in parallel.iter().zip(&serial) {
-                assert_eq!(a.netlist, b.netlist);
-                assert_eq!(a.findings, b.findings);
-            }
-        }
-    }
-
-    #[test]
     fn list_passes_prints_the_pipeline() {
         let (out, code) = run(&argv(&["--list-passes"])).unwrap();
         assert_eq!(code, 0);

@@ -6,8 +6,9 @@
 //! from a content-addressed [`ScanCache`] ([`PassManager::scan`]).
 //! Findings are concatenated in registration order, so cached and
 //! uncached runs emit bit-identical reports — the property the scan
-//! determinism proptests pin. Parallelism lives across designs
-//! ([`PassManager::run_batch`]), never inside one scan.
+//! determinism proptests pin. Parallelism lives across designs (the
+//! callers fan [`PassManager::scan`] out over a batch), never inside
+//! one scan.
 
 use crate::analysis::Analysis;
 use crate::cache::ScanCache;
@@ -23,8 +24,7 @@ use slm_netlist::Netlist;
 /// section they own, and all shared graph facts from the [`Analysis`]
 /// context, so a [`PassManager`] can compose any subset whose
 /// dependencies are registered first. The `Send + Sync` bound is what
-/// lets one manager scan many designs concurrently
-/// ([`PassManager::run_batch`]).
+/// lets one manager scan many designs concurrently.
 pub trait Pass: Send + Sync {
     /// Short stable identifier (used in findings, suppressions, cache
     /// keys and the detection matrix).
@@ -262,21 +262,6 @@ impl PassManager {
         obs: &slm_obs::Obs,
     ) -> CheckReport {
         self.scan(nl, config, None, obs)
-    }
-
-    /// Scans a batch of netlists on up to `workers` threads, sharing
-    /// one scan cache across the batch. Reports come back in input
-    /// order, bit-identical to calling [`PassManager::run`] per design.
-    pub fn run_batch(
-        &self,
-        netlists: &[&Netlist],
-        config: &CheckerConfig,
-        cache: Option<&ScanCache>,
-        workers: usize,
-    ) -> Vec<CheckReport> {
-        slm_par::par_map(workers, netlists, |nl| {
-            self.scan(nl, config, cache, &slm_obs::Obs::null())
-        })
     }
 }
 

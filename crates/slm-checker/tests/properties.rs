@@ -331,25 +331,6 @@ proptest! {
         }
         prop_assert!(cache.hits() >= (pm.pass_names().len() * designs.len()) as u64);
     }
-
-    /// Batch scan reports do not depend on the worker count: they
-    /// serialize identically to the serial pipeline.
-    #[test]
-    fn parallel_scans_are_bit_identical(n in 2usize..32, workers in 2usize..8) {
-        let pm = PassManager::full();
-        let config = zoo_config(&["sense"]);
-        let designs: Vec<Netlist> = vec![
-            carry_sensor(n.max(4), 4).unwrap(),
-            alu(n).unwrap(),
-            tdc_delay_line(n + 16).unwrap(),
-        ];
-        let refs: Vec<&Netlist> = designs.iter().collect();
-        let serial: Vec<String> = refs.iter().map(|nl| pm.run(nl, &config).to_json()).collect();
-        let batch = pm.run_batch(&refs, &config, None, workers);
-        for (i, report) in batch.iter().enumerate() {
-            prop_assert_eq!(&report.to_json(), &serial[i], "{}", refs[i].name());
-        }
-    }
 }
 
 proptest! {

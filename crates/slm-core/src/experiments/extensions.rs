@@ -3,11 +3,11 @@
 
 use serde::{Deserialize, Serialize};
 use slm_aes::soft;
-use slm_cpa::{common_mode_polarity, BitActivity, MultiByteCpa, PostProcessor, WelchTTest};
+use slm_cpa::{common_mode_polarity, MultiByteCpa, PostProcessor, WelchTTest};
 use slm_fabric::{BenignCircuit, FabricConfig, FabricError, FenceConfig, MultiTenantFabric};
 use slm_obs::Obs;
 
-use super::cpa::{run_cpa, CpaExperiment, CpaResult, SensorSource};
+use super::cpa::{capture_pilot, reads_benign, run_cpa, CpaExperiment, CpaResult, SensorSource};
 
 /// Outcome of the full-key recovery extension.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -34,7 +34,8 @@ pub struct FullKeyResult {
 ///
 /// The capture window spans the whole final round (all four datapath
 /// columns), so every byte's leakage cycle is covered by the same
-/// traces.
+/// traces. The pilot follows the campaign engines' rule: it samples
+/// the benign sensor only for benign sources.
 ///
 /// # Errors
 ///
@@ -54,38 +55,23 @@ pub fn full_key_recovery(
     let mut fabric = MultiTenantFabric::new(&config)?;
     let true_round_key = fabric.aes().round_keys()[10];
 
-    // pilot (as in run_cpa)
-    let mut activity = BitActivity::new(fabric.endpoints());
-    let mut pilot_samples = Vec::new();
-    for _ in 0..pilot_traces {
-        let pt = fabric.random_plaintext();
-        let rec = fabric.encrypt_and_capture(pt);
-        for s in &rec.benign {
-            activity.add(s);
-        }
-        pilot_samples.extend(rec.benign);
-    }
-    let mut bits_of_interest = activity.sensitive_bits();
-    if bits_of_interest.is_empty() {
-        bits_of_interest = (0..fabric.endpoints()).collect();
-    }
-
+    let pilot = capture_pilot(&mut fabric, pilot_traces, reads_benign(source));
     let window = fabric.last_round_window();
     let points = window.len();
-    let (endpoints, processor): (Vec<usize>, Option<PostProcessor>) = match source {
-        SensorSource::TdcAll | SensorSource::TdcSingleBit(_) => (Vec::new(), None),
-        SensorSource::BenignHammingWeight => {
-            let invert = common_mode_polarity(&pilot_samples, &bits_of_interest);
+    let (endpoints, processor): (Vec<usize>, Option<PostProcessor>) = match (source, pilot.benign) {
+        (SensorSource::BenignHammingWeight, Some(b)) => {
+            let invert = common_mode_polarity(&b.samples, &b.bits_of_interest);
             (
-                bits_of_interest.clone(),
+                b.bits_of_interest,
                 Some(PostProcessor::HammingWeightAligned(invert)),
             )
         }
-        SensorSource::BenignSingleBit(sel) => {
+        (SensorSource::BenignSingleBit(sel), Some(b)) => {
             let bit =
-                sel.unwrap_or_else(|| activity.best_endpoint().unwrap_or(bits_of_interest[0]));
+                sel.unwrap_or_else(|| b.activity.best_endpoint().unwrap_or(b.bits_of_interest[0]));
             (vec![bit], Some(PostProcessor::SingleBit(0)))
         }
+        _ => (Vec::new(), None),
     };
 
     let mut multi = MultiByteCpa::new(0, points);
@@ -156,21 +142,11 @@ pub fn tvla_study(
     };
     let mut fabric = MultiTenantFabric::new(&config)?;
 
-    let mut activity = BitActivity::new(fabric.endpoints());
-    let mut pilot_samples = Vec::new();
-    for _ in 0..pilot_traces {
-        let pt = fabric.random_plaintext();
-        let rec = fabric.encrypt_and_capture(pt);
-        for s in &rec.benign {
-            activity.add(s);
-        }
-        pilot_samples.extend(rec.benign);
-    }
-    let mut bits = activity.sensitive_bits();
-    if bits.is_empty() {
-        bits = (0..fabric.endpoints()).collect();
-    }
-    let invert = common_mode_polarity(&pilot_samples, &bits);
+    let benign = capture_pilot(&mut fabric, pilot_traces, true)
+        .benign
+        .expect("the pilot read the benign sensor");
+    let bits = benign.bits_of_interest;
+    let invert = common_mode_polarity(&benign.samples, &bits);
     let processor = PostProcessor::HammingWeightAligned(invert);
 
     let window = fabric.last_round_window();

@@ -118,6 +118,7 @@ pub fn run_fault_campaign(
         let shard_config = exp.config.for_shard(spec.index);
         let mut dfa = DfaAttack::new(exp.model);
         let mut faulted = 0u64;
+        let schedule = soft::key_expansion(&shard_config.aes_key);
         let mut fabric = {
             let _span = shard_obs.span("fault.shard");
             MultiTenantFabric::new(&shard_config)?
@@ -127,7 +128,7 @@ pub fn run_fault_campaign(
             // Ciphertext-only capture: the DFA path needs no samples,
             // so the window is empty and the BRAM stays idle.
             let rec = fabric.encrypt_windowed(pt, 0..0, &[]);
-            let golden = soft::encrypt(&shard_config.aes_key, &pt);
+            let golden = soft::encrypt_round_states_with_schedule(&schedule, &pt)[soft::ROUNDS];
             if rec.ciphertext != golden {
                 faulted += 1;
             }

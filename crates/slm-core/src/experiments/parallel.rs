@@ -17,10 +17,12 @@
 //! The pilot phase (bits of interest, endpoint selection) is not
 //! sharded: it runs once on the base configuration, exactly as the
 //! serial runner's pilot does, and every shard inherits its decisions.
+//! A source that takes nothing from the pilot (`TdcAll`, a forced TDC
+//! tap) runs none.
 
 use super::cpa::{
-    assemble_result, campaign_config, geometry_setup, pilot_independent, pilot_setup,
-    record_fabric_telemetry, run_lane, CampaignSetup, CheckpointGrid, CpaExperiment, CpaResult,
+    assemble_result, campaign_config, lane_setup, record_fabric_telemetry, run_lane, CampaignSetup,
+    CheckpointGrid, CpaExperiment, CpaResult,
 };
 use serde::{Deserialize, Serialize};
 use slm_cpa::{leader_margin, CpaAttack, ProgressPoint};
@@ -138,63 +140,11 @@ pub fn run_cpa_parallel(
     let shards = exp.plan().shards();
 
     // The pilot is shared: one run on the base config decides endpoint
-    // selection and post-processing for every shard. When the source
-    // doesn't depend on pilot statistics, the shards start from the
-    // config-derived geometry right away and the pilot runs
-    // concurrently as one more task on the pool — it no longer
-    // serializes in front of the shards. Both arms make identical
-    // capture decisions, so the result is the same either way.
-    let (setup, partials): (CampaignSetup, Vec<Result<ShardPartial, FabricError>>) =
-        if pilot_independent(base.source) {
-            enum Out {
-                Pilot(Box<CampaignSetup>, MetricsFrame),
-                Shard(ShardPartial),
-            }
-            let geometry = geometry_setup(base, &config)?;
-            let tasks: Vec<Option<&ShardSpec>> = std::iter::once(None)
-                .chain(shards.iter().map(Some))
-                .collect();
-            let outs: Vec<Result<Out, FabricError>> =
-                slm_par::par_map(exp.workers, &tasks, |task| match task {
-                    None => {
-                        let pilot_obs = obs.fork();
-                        let (_pilot_fabric, full) = {
-                            let _pilot_span = pilot_obs.span("cpa.pilot");
-                            pilot_setup(base, &config)?
-                        };
-                        Ok(Out::Pilot(Box::new(full), pilot_obs.snapshot()))
-                    }
-                    Some(spec) => {
-                        capture_shard(&geometry, &config, spec, grid, obs).map(Out::Shard)
-                    }
-                });
-            let mut outs = outs.into_iter();
-            let (full_setup, pilot_frame) = match outs.next().expect("task 0 is the pilot")? {
-                Out::Pilot(setup, frame) => (*setup, frame),
-                Out::Shard(_) => unreachable!("task 0 is the pilot"),
-            };
-            // Pilot metrics fold before shard metrics, matching the
-            // serial-pilot arm's recording order.
-            obs.absorb(&pilot_frame);
-            let partials = outs
-                .map(|o| {
-                    o.map(|o| match o {
-                        Out::Shard(p) => p,
-                        Out::Pilot(..) => unreachable!("only task 0 is the pilot"),
-                    })
-                })
-                .collect();
-            (full_setup, partials)
-        } else {
-            let (_pilot_fabric, setup) = {
-                let _pilot_span = obs.span("cpa.pilot");
-                pilot_setup(base, &config)?
-            };
-            let partials = slm_par::par_map(exp.workers, &shards, |spec| {
-                capture_shard(&setup, &config, spec, grid, obs)
-            });
-            (setup, partials)
-        };
+    // selection and post-processing for every shard.
+    let setup = lane_setup(base, &config, obs, "cpa.pilot")?;
+    let partials = slm_par::par_map(exp.workers, &shards, |spec| {
+        capture_shard(&setup, &config, spec, grid, obs)
+    });
 
     // Fold shards in index order. When shard i holds a checkpoint at
     // global trace T, the campaign state at T is (all shards < i,
@@ -277,9 +227,9 @@ mod tests {
     #[test]
     fn parallel_tdc_campaign_recovers_key() {
         // (seed, checkpoints, pilot traces, shard traces, MTD bound).
-        // The second case backs the shortened 40-trace pilot: the TDC
-        // source takes only bits-of-interest metadata from the pilot,
-        // so it must still disclose well inside the budget.
+        // The second case is the benchmark's 40-trace-pilot shape; a
+        // TdcAll campaign runs no pilot, so it must disclose on the
+        // shards alone.
         for (seed, checkpoints, pilot_traces, shard_traces, mtd_bound) in
             [(7, 8, 100, 500, 4_000), (23, 4, 40, 250, 3_000)]
         {
@@ -337,7 +287,8 @@ mod tests {
         assert_eq!(f1.deterministic(), f4.deterministic());
         assert_eq!(f1.counter("cpa.traces_absorbed"), 300);
         assert_eq!(f1.spans["cpa.shard"].count, 4);
-        assert_eq!(f1.spans["cpa.pilot"].count, 1);
+        // TdcAll takes nothing from a pilot, so none runs.
+        assert!(f1.span("cpa.pilot").is_none());
         assert_eq!(f1.counter("cpa.merge_events"), 4);
         assert_eq!(f1.counter("cpa.traces_merged"), 300);
         assert_eq!(f1.histograms["cpa.checkpoint_margin"].count, 3);

@@ -53,8 +53,8 @@
 //! count.
 
 use super::cpa::{
-    assemble_result, campaign_config, pilot_setup, record_fabric_telemetry, run_lane,
-    CampaignSetup, CheckpointGrid, CpaExperiment, CpaResult, ABSORB_BATCH,
+    assemble_result, campaign_config, lane_setup, record_fabric_telemetry, run_lane, CampaignSetup,
+    CheckpointGrid, CpaExperiment, CpaResult, ABSORB_BATCH,
 };
 use serde::{Deserialize, Serialize};
 use slm_cpa::store::{
@@ -555,11 +555,8 @@ pub fn run_streaming_crashing(
     let config = campaign_config(base, tweak);
     // The pilot is not streamed: it is cheap, deterministic, and reruns
     // identically on every resume, so its decisions never need to be
-    // persisted.
-    let (_pilot_fabric, setup) = {
-        let _pilot_span = obs.span("stream.pilot");
-        pilot_setup(base, &config)?
-    };
+    // persisted. A pilot-independent source runs none.
+    let setup = lane_setup(base, &config, obs, "stream.pilot")?;
 
     let fingerprint = exp.fingerprint();
     let plan = exp.plan();

@@ -258,6 +258,25 @@ struct Resident {
     delivered: u32,
 }
 
+impl Resident {
+    /// Leaves the fabric in a terminal `status`: releases the region
+    /// and closes the tenant's record with what it was delivered and
+    /// charged.
+    fn retire(
+        self,
+        status: TenantStatus,
+        scheduler: &mut RegionScheduler,
+        records: &mut [TenantRecord],
+    ) {
+        scheduler.release(self.placement);
+        let rec = &mut records[self.id];
+        rec.status = status;
+        rec.campaigns_delivered = self.delivered;
+        rec.traces_charged = self.ledger.traces_used;
+        rec.region_rounds = self.ledger.region_rounds;
+    }
+}
+
 /// The multi-tenant fabric service.
 pub struct CloudService {
     config: ServiceConfig,
@@ -487,13 +506,9 @@ impl CloudService {
             // resident list and removed in descending order, after the
             // dispatch indexes are done being used.
             for idx in evictions {
-                let resident = residents.remove(idx);
-                scheduler.release(resident.placement);
-                let rec = &mut records[resident.id];
-                rec.status = TenantStatus::Evicted;
-                rec.campaigns_delivered = resident.delivered;
-                rec.traces_charged = resident.ledger.traces_used;
-                rec.region_rounds = resident.ledger.region_rounds;
+                residents
+                    .remove(idx)
+                    .retire(TenantStatus::Evicted, &mut scheduler, &mut records);
                 counts.evicted += 1;
                 obs.incr("cloud.evicted");
             }
@@ -502,13 +517,11 @@ impl CloudService {
             let mut i = 0;
             while i < residents.len() {
                 if residents[i].delivered >= residents[i].sub.workload.campaigns {
-                    let resident = residents.remove(i);
-                    scheduler.release(resident.placement);
-                    let rec = &mut records[resident.id];
-                    rec.status = TenantStatus::Completed;
-                    rec.campaigns_delivered = resident.delivered;
-                    rec.traces_charged = resident.ledger.traces_used;
-                    rec.region_rounds = resident.ledger.region_rounds;
+                    residents.remove(i).retire(
+                        TenantStatus::Completed,
+                        &mut scheduler,
+                        &mut records,
+                    );
                     obs.incr("cloud.completed");
                 } else {
                     residents[i].ledger.tick_round();
@@ -519,12 +532,7 @@ impl CloudService {
 
         // ---- graceful drain: whatever is still live is cancelled -----
         for resident in residents {
-            scheduler.release(resident.placement);
-            let rec = &mut records[resident.id];
-            rec.status = TenantStatus::Cancelled;
-            rec.campaigns_delivered = resident.delivered;
-            rec.traces_charged = resident.ledger.traces_used;
-            rec.region_rounds = resident.ledger.region_rounds;
+            resident.retire(TenantStatus::Cancelled, &mut scheduler, &mut records);
             counts.cancelled += 1;
             obs.incr("cloud.cancelled");
         }

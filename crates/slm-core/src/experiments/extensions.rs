@@ -1,10 +1,11 @@
 //! Extensions beyond the paper's evaluation: full 16-byte key recovery,
-//! TVLA leakage assessment, and the active-fence countermeasure study.
+//! TVLA leakage assessment, and the masking and placement countermeasure
+//! studies.
 
 use serde::{Deserialize, Serialize};
 use slm_aes::soft;
 use slm_cpa::{common_mode_polarity, MultiByteCpa, PostProcessor, WelchTTest};
-use slm_fabric::{BenignCircuit, FabricConfig, FabricError, FenceConfig, MultiTenantFabric};
+use slm_fabric::{BenignCircuit, FabricConfig, FabricError, MultiTenantFabric};
 use slm_obs::Obs;
 
 use super::cpa::{capture_pilot, reads_benign, run_cpa, CpaExperiment, CpaResult, SensorSource};
@@ -182,46 +183,6 @@ pub fn tvla_study(
     })
 }
 
-/// Did the active fence help? MTD (or best margin) with and without.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FenceStudy {
-    /// Baseline result (no fence).
-    pub without_fence: CpaResult,
-    /// Result with the fence enabled.
-    pub with_fence: CpaResult,
-    /// Fence configuration used.
-    pub fence: FenceConfig,
-}
-
-impl FenceStudy {
-    /// Whether the fence degraded the attack: either it no longer
-    /// discloses, or its MTD grew.
-    pub fn fence_effective(&self) -> bool {
-        match (self.without_fence.mtd, self.with_fence.mtd) {
-            (Some(_), None) => true,
-            (Some(a), Some(b)) => b > a,
-            _ => false,
-        }
-    }
-}
-
-/// Runs the same CPA campaign with and without an active fence — the
-/// countermeasure the paper's related work (Krautter et al. \[27\])
-/// proposes against exactly this class of sensor.
-///
-/// # Errors
-///
-/// Propagates fabric construction failures.
-pub fn fence_study(base: &CpaExperiment, fence: FenceConfig) -> Result<FenceStudy, FabricError> {
-    let without_fence = run_cpa(base, |_| {}, &Obs::null())?;
-    let with_fence = run_cpa(base, |config| config.fence = Some(fence), &Obs::null())?;
-    Ok(FenceStudy {
-        without_fence,
-        with_fence,
-        fence,
-    })
-}
-
 /// Masking study: the same campaign against an unmasked and a
 /// first-order-masked AES datapath.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -389,26 +350,6 @@ mod tests {
         assert!(
             far.mtd.is_none() || far_margin < near_margin * 0.6,
             "near margin {near_margin}, far margin {far_margin}"
-        );
-    }
-
-    #[test]
-    fn fence_degrades_tdc_attack() {
-        let base = CpaExperiment {
-            circuit: BenignCircuit::DualC6288,
-            source: SensorSource::TdcAll,
-            traces: 4_000,
-            checkpoints: 8,
-            pilot_traces: 50,
-            seed: 7,
-        };
-        let study = fence_study(&base, FenceConfig::strong()).unwrap();
-        assert!(study.without_fence.mtd.is_some(), "baseline must disclose");
-        assert!(
-            study.fence_effective(),
-            "fence must raise MTD: {:?} vs {:?}",
-            study.without_fence.mtd,
-            study.with_fence.mtd
         );
     }
 }

@@ -31,8 +31,8 @@ pub use defense_matrix::{
     DetectorReading, MatrixCell,
 };
 pub use extensions::{
-    fence_study, full_key_recovery, masking_study, placement_study, tdc_dominates, tvla_study,
-    FenceStudy, FullKeyResult, MaskingStudy, PlacementRow, TvlaResult,
+    full_key_recovery, masking_study, placement_study, tdc_dominates, tvla_study, FullKeyResult,
+    MaskingStudy, PlacementRow, TvlaResult,
 };
 pub use fault_matrix::{
     fault_matrix, run_fault_campaign, AggressorDetectorReading, FaultCampaign,

@@ -23,10 +23,11 @@
 //! Extensions beyond the paper (see EXPERIMENTS.md):
 //! [`experiments::full_key_recovery`] (16-byte key + schedule
 //! inversion), [`experiments::tvla_study`] (leakage assessment),
-//! [`experiments::fence_study`] / [`experiments::masking_study`] /
-//! [`experiments::placement_study`] (countermeasures), and
-//! [`experiments::architecture_study`] (which circuits make good
-//! sensors).
+//! [`experiments::masking_study`] / [`experiments::placement_study`]
+//! (design-time countermeasures), [`experiments::defense_matrix`]
+//! (runtime defences: active fences, supply regulation, clock jitter,
+//! and the anomaly detector), and [`experiments::architecture_study`]
+//! (which circuits make good sensors).
 //!
 //! # Quickstart
 //!

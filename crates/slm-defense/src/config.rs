@@ -105,13 +105,6 @@ pub struct LdoConfig {
     pub residual: f64,
 }
 
-impl LdoConfig {
-    /// A regulator passing `residual` of the cross-region coupling.
-    pub fn attenuating(residual: f64) -> Self {
-        LdoConfig { residual }
-    }
-}
-
 impl Default for LdoConfig {
     fn default() -> Self {
         LdoConfig { residual: 0.25 }
@@ -185,13 +178,5 @@ impl DefenseConfig {
             seed,
             ..DefenseConfig::default()
         }
-    }
-
-    /// Re-mixes the defender's seed for shard `index` of a sharded
-    /// campaign (keeps shard streams independent, mirroring what the
-    /// fabric does for its own seeds).
-    pub fn reseeded(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
     }
 }

@@ -56,8 +56,8 @@ pub use clock::{ClockSpec, Mmcm};
 pub use error::{FabricError, TransportError};
 pub use remote::{CampaignDriver, CampaignStats, QuarantinedTrace, RemoteSession, RetryPolicy};
 pub use scenario::{
-    ActivityTrace, AesActivity, CaptureRecord, FabricConfig, FabricPrototype, FenceConfig,
-    MultiTenantFabric, RoSchedule,
+    ActivityTrace, AesActivity, CaptureRecord, FabricConfig, FabricPrototype, MultiTenantFabric,
+    RoSchedule,
 };
 // `WireFault*` were historically named `Fault*`; they are the UART
 // transport adversary. The unqualified fault-injection vocabulary

@@ -41,8 +41,6 @@ pub struct FabricConfig {
     pub achieved_critical_ns: f64,
     /// The RO fluctuation-generator array.
     pub ro: RoArray,
-    /// Optional active-fence countermeasure.
-    pub fence: Option<FenceConfig>,
     /// Whether the victim AES core uses a first-order-masked datapath
     /// (the "masking" countermeasure of the side-channel literature the
     /// paper cites). Ciphertexts are unchanged; first-order CPA fails.
@@ -85,13 +83,13 @@ impl FabricConfig {
     /// The same setup re-seeded for shard `index` of a sharded
     /// campaign.
     ///
-    /// Plaintext generation, sensor jitter, TDC jitter, the active
-    /// fence and the defense (if mounted) each get an independent lane
-    /// derived with [`slm_par::mix_seed`]. The supply-noise stream
-    /// (`pdn.seed`) is *not* re-laned: the pilot and every shard fabric
-    /// replay one supply-noise sequence from their own first tick, so
-    /// shards are independent in everything but the PDN's wideband
-    /// noise. The mapping depends only on `(config, index)`, never on
+    /// Plaintext generation, sensor jitter, TDC jitter and the defense
+    /// (if deployed, its fence, clock jitter and defender TDC included)
+    /// each get an independent lane derived with [`slm_par::mix_seed`].
+    /// The supply-noise stream (`pdn.seed`) is *not* re-laned: the
+    /// pilot and every shard fabric replay one supply-noise sequence
+    /// from their own first tick, so shards are independent in
+    /// everything but the PDN's wideband noise. The mapping depends only on `(config, index)`, never on
     /// which worker executes the shard: that purity is what makes a
     /// parallel campaign bit-identical to the serial shard-by-shard
     /// run.
@@ -105,9 +103,6 @@ impl FabricConfig {
         config.seed = slm_par::mix_seed(self.seed, lane);
         config.sensor.seed = slm_par::mix_seed(self.sensor.seed, lane);
         config.tdc.seed = slm_par::mix_seed(self.tdc.seed, lane);
-        if let Some(fence) = &mut config.fence {
-            fence.seed = slm_par::mix_seed(fence.seed, lane);
-        }
         if let Some(defense) = &mut config.defense {
             defense.seed = slm_par::mix_seed(defense.seed, lane);
         }
@@ -131,7 +126,6 @@ impl Default for FabricConfig {
             synth_period_ns: 20.0,
             achieved_critical_ns: 5.2,
             ro: RoArray::paper_8000(),
-            fence: None,
             masked_aes: false,
             victim_coupling: 1.0,
             background_current_a: 0.25,
@@ -140,29 +134,6 @@ impl Default for FabricConfig {
             victim_critical_ns: 9.0,
             aggressor: None,
             seed: 0x5ca1ab1e,
-        }
-    }
-}
-
-/// An *active fence* countermeasure (Krautter et al., ICCAD 2019): a
-/// defender-controlled noise generator that draws randomized current to
-/// mask the victim's signature on the shared PDN.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct FenceConfig {
-    /// Peak fence current, amps; each tick draws uniformly in
-    /// `[0, peak]`.
-    pub peak_current_a: f64,
-    /// Noise-stream seed.
-    pub seed: u64,
-}
-
-impl FenceConfig {
-    /// A fence sized to swamp the default AES leakage (its current swing
-    /// is an order of magnitude above the per-bit signal).
-    pub fn strong() -> Self {
-        FenceConfig {
-            peak_current_a: 1.5,
-            seed: 0xfe9ce,
         }
     }
 }
@@ -372,8 +343,9 @@ pub struct MultiTenantFabric {
     /// Two coupled regions: 0 = attacker (sensors, ROs, background),
     /// 1 = victim (AES).
     pdn: MultiRegionPdn,
-    /// Capture scratch, reused across encryptions: every tick's
-    /// `[attacker, victim]` currents, then the PDN voltages over them.
+    /// Capture scratch, reused across encryptions and activity runs:
+    /// every tick's `[attacker, victim]` currents, then the PDN voltages
+    /// over them.
     capture_currents: Vec<f64>,
     capture_volts: Vec<f64>,
     /// One region's voltages gathered from `capture_volts` for a TDC
@@ -382,7 +354,6 @@ pub struct MultiTenantFabric {
     rail_volts: Vec<f64>,
     ro: RoArray,
     rng: Rng64,
-    fence_rng: Option<Rng64>,
     /// Defender-side countermeasure state, when deployed.
     defense: Option<DefenseRuntime>,
     /// Fault-injection aggressor state, when mounted.
@@ -390,7 +361,7 @@ pub struct MultiTenantFabric {
     /// Fabric ticks elapsed since construction (drives the attacker's
     /// reset/measure stimulus parity).
     tick_count: u64,
-    /// Measure-sample index within a capture for each AES cycle.
+    /// PDN step length, seconds: one 300 MHz tick.
     dt_s: f64,
     lead_in_cycles: usize,
     benign_activity_current_a: f64,
@@ -453,7 +424,6 @@ impl MultiTenantFabric {
             rail_volts: Vec::new(),
             ro: config.ro,
             rng: Rng64::new(config.seed),
-            fence_rng: config.fence.map(|f| Rng64::new(f.seed)),
             defense: config.defense.as_ref().map(DefenseRuntime::new),
             aggressor: config.aggressor.map(|spec| AggressorState {
                 spec,
@@ -523,10 +493,6 @@ impl MultiTenantFabric {
     /// Per-region currents of the next fabric tick, `[attacker, victim]`
     /// before any defense injection; advances the tick counter.
     fn next_tick_currents(&mut self, aes_cycle_current: f64) -> [f64; 2] {
-        let fence = match (&mut self.fence_rng, &self.config.fence) {
-            (Some(rng), Some(cfg)) => rng.uniform() * cfg.peak_current_a,
-            _ => 0.0,
-        };
         // The sensing circuit alternates reset/measure vectors every
         // tick, so its switching current swings around the mean with
         // tick parity. With a balanced stimulus pair (alternation 0.0)
@@ -538,13 +504,13 @@ impl MultiTenantFabric {
         // its droop reaches the victim rail through the coupling matrix,
         // which is exactly why supply regulation (LDO residual on the
         // coupling) is the arm that suppresses the faults. 0.0 when
-        // unmounted — bit-exact, same discipline as the fence term.
+        // unmounted, which leaves the sum bit-exact.
         let aggressor = match &self.aggressor {
             Some(a) => a.spec.current_a(self.tick_count),
             None => 0.0,
         };
         let attacker =
-            self.config.background_current_a + self.ro.current_a() + stimulus + fence + aggressor;
+            self.config.background_current_a + self.ro.current_a() + stimulus + aggressor;
         self.tick_count += 1;
         [attacker, aes_cycle_current]
     }
@@ -583,24 +549,8 @@ impl MultiTenantFabric {
         self.pdn.min_voltage(1)
     }
 
-    /// Steps the shared PDN one tick; returns the attacker-region
-    /// voltage (what the sensors see). The free-running counterpart of
-    /// [`Self::step_capture`], with the same defender loop per tick.
-    fn step_pdn(&mut self, aes_cycle_current: f64) -> f64 {
-        let mut currents = self.next_tick_currents(aes_cycle_current);
-        if let Some(defense) = &mut self.defense {
-            currents[1] += defense.next_injection_a();
-        }
-        let v = self.pdn.step(&currents, self.dt_s);
-        let (attacker_v, victim_v) = (v[0], v[1]);
-        if let Some(defense) = &mut self.defense {
-            defense.observe_tick(victim_v);
-        }
-        attacker_v
-    }
-
-    /// Steps the shared PDN over a capture's tick-major `currents`,
-    /// writing the voltages to `volts`.
+    /// Steps the shared PDN over the tick-major `currents` of a capture
+    /// or an activity run, writing the voltages to `volts`.
     ///
     /// Undefended, the capture is one PDN block. With a defense
     /// deployed, the defender's loop runs per tick: the fence current
@@ -660,13 +610,7 @@ impl MultiTenantFabric {
         window: Option<std::ops::Range<usize>>,
         endpoints: Option<&[usize]>,
     ) -> CaptureRecord {
-        let (ciphertext, power) = if self.config.masked_aes {
-            self.aes
-                .encrypt_with_power_masked(plaintext, &self.config.leakage, &mut self.rng)
-        } else {
-            self.aes
-                .encrypt_with_power(plaintext, &self.config.leakage, &mut self.rng)
-        };
+        let (ciphertext, power) = self.aes_power(plaintext);
         // Clock-jitter defense: a random extra lead-in shifts where the
         // leaky cycles land relative to the attacker's fixed capture
         // window, trace by trace. Zero when not deployed.
@@ -809,64 +753,80 @@ impl MultiTenantFabric {
         }
     }
 
+    /// Encrypts one block on the victim core, masked or not as
+    /// configured: the ciphertext and the core's current per AES cycle.
+    fn aes_power(&mut self, plaintext: [u8; 16]) -> ([u8; 16], Vec<f64>) {
+        let leakage = &self.config.leakage;
+        if self.config.masked_aes {
+            self.aes
+                .encrypt_with_power_masked(plaintext, leakage, &mut self.rng)
+        } else {
+            self.aes
+                .encrypt_with_power(plaintext, leakage, &mut self.rng)
+        }
+    }
+
     /// Free-runs the fabric for `samples` measure edges with the given
     /// RO schedule and AES activity — the preliminary experiments of
     /// Figs. 5–8 and 14–16.
+    ///
+    /// The run steps like a capture: every tick's currents first (the
+    /// continuous victim encrypts random blocks back to back), then the
+    /// PDN and the defender over them in the capture's segments, then
+    /// the benign sensor and one TDC block over the measure edges.
     pub fn run_activity(
         &mut self,
         schedule: Option<&RoSchedule>,
         aes: AesActivity,
         samples: usize,
     ) -> ActivityTrace {
-        let mut out = ActivityTrace {
-            benign: Vec::with_capacity(samples),
-            tdc: Vec::with_capacity(samples),
-            voltage: Vec::with_capacity(samples),
-            ro_enabled: Vec::with_capacity(samples),
-        };
-        let mut aes_power: Vec<f64> = Vec::new();
-        let mut aes_cycle = 0usize;
-        let mut tick = 0u64;
-        while out.benign.len() < samples {
-            // Advance AES state on cycle boundaries.
-            let aes_i = match aes {
-                AesActivity::Idle => self.config.leakage.idle_a,
-                AesActivity::Continuous => {
-                    if tick % Self::TICKS_PER_AES_CYCLE as u64 == 0 {
-                        if aes_cycle >= aes_power.len() {
-                            let mut pt = [0u8; 16];
-                            self.rng.fill_bytes(&mut pt);
-                            let leakage = self.config.leakage;
-                            let (_, p) = if self.config.masked_aes {
-                                self.aes
-                                    .encrypt_with_power_masked(pt, &leakage, &mut self.rng)
-                            } else {
-                                self.aes.encrypt_with_power(pt, &leakage, &mut self.rng)
-                            };
-                            aes_power = p;
-                            aes_cycle = 0;
-                        }
-                        aes_cycle += 1;
-                    }
-                    aes_power
-                        .get(aes_cycle.saturating_sub(1))
-                        .copied()
-                        .unwrap_or(self.config.leakage.idle_a)
+        let mut ro_enabled = Vec::with_capacity(samples);
+        let mut currents = std::mem::take(&mut self.capture_currents);
+        let mut volts = std::mem::take(&mut self.capture_volts);
+        currents.clear();
+        let mut power = Vec::new();
+        let mut next_cycle = 0;
+        let mut aes_i = self.config.leakage.idle_a;
+        // Measure edges are the odd ticks, so `samples` edges take
+        // twice as many ticks.
+        for tick in 0..2 * samples {
+            if aes == AesActivity::Continuous && tick % Self::TICKS_PER_AES_CYCLE == 0 {
+                if next_cycle == power.len() {
+                    let pt = self.random_plaintext();
+                    power = self.aes_power(pt).1;
+                    next_cycle = 0;
                 }
-            };
+                aes_i = power[next_cycle];
+                next_cycle += 1;
+            }
             if let Some(s) = schedule {
-                self.ro.set_enabled_fraction(s.fraction_at(tick));
+                self.ro.set_enabled_fraction(s.fraction_at(tick as u64));
             }
-            let v = self.step_pdn(aes_i);
+            currents.extend(self.next_tick_currents(aes_i));
             if tick % 2 == 1 {
-                out.benign.push(self.sensor.sample(v));
-                out.tdc.push(self.tdc.sample(v));
-                out.voltage.push(v);
-                out.ro_enabled.push(self.ro.enabled());
+                ro_enabled.push(self.ro.enabled());
             }
-            tick += 1;
         }
-        out
+        volts.resize(currents.len(), 0.0);
+        self.step_capture(&mut currents, &mut volts);
+        // The attacker rail at every odd tick.
+        let voltage: Vec<f64> = volts
+            .iter()
+            .skip(Self::REGIONS)
+            .step_by(2 * Self::REGIONS)
+            .copied()
+            .collect();
+        self.capture_currents = currents;
+        self.capture_volts = volts;
+        let benign = voltage.iter().map(|&v| self.sensor.sample(v)).collect();
+        let mut tdc = vec![0; samples];
+        self.tdc.sample_block(&voltage, &mut tdc);
+        ActivityTrace {
+            benign,
+            tdc,
+            voltage,
+            ro_enabled,
+        }
     }
 
     /// Generates a random plaintext from the fabric's seed stream.

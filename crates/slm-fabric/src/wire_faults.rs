@@ -72,37 +72,6 @@ impl WireFaultPlan {
         }
     }
 
-    /// Sets the bit-flip probability per byte.
-    pub fn with_bit_flip(mut self, p: f64) -> Self {
-        self.bit_flip = p;
-        self
-    }
-
-    /// Sets the byte-drop probability per byte.
-    pub fn with_drop(mut self, p: f64) -> Self {
-        self.drop_byte = p;
-        self
-    }
-
-    /// Sets the byte-duplication probability per byte.
-    pub fn with_dup(mut self, p: f64) -> Self {
-        self.dup_byte = p;
-        self
-    }
-
-    /// Sets the per-frame burst-noise probability and burst length cap.
-    pub fn with_burst(mut self, p: f64, max_len: usize) -> Self {
-        self.burst = p;
-        self.burst_len = max_len.max(1);
-        self
-    }
-
-    /// Sets the per-frame truncation probability.
-    pub fn with_truncate(mut self, p: f64) -> Self {
-        self.truncate = p;
-        self
-    }
-
     /// Sets the per-frame stall (whole-frame loss) probability.
     pub fn with_stall(mut self, p: f64) -> Self {
         self.stall = p;

@@ -288,16 +288,6 @@ impl BenignSensor {
         SensorSample { bits, len }
     }
 
-    /// Settled (t → ∞) value of every endpoint under the measure
-    /// stimulus. An attacker knows these from functionally simulating
-    /// their own circuit; they give each endpoint's droop polarity — a
-    /// captured value equal to `!final` means the capture edge beat the
-    /// endpoint's last transition (slow/droop side), so aligning bits as
-    /// `captured XOR final` makes every endpoint count droops positively.
-    pub fn final_values(&self) -> Vec<bool> {
-        self.waves.iter().map(Waveform::final_value).collect()
-    }
-
     /// Noise-free captured value of a single endpoint at voltage `v`.
     pub fn expected_bit(&self, endpoint: usize, v: f64) -> bool {
         let scale = self.config.law.scale(v);

@@ -61,8 +61,3 @@ pub const FS_PER_PS: u64 = 1_000;
 pub fn ps_to_fs(ps: f64) -> u64 {
     (ps * FS_PER_PS as f64).round().max(0.0) as u64
 }
-
-/// Converts internal femtoseconds back to picoseconds.
-pub fn fs_to_ps(fs: u64) -> f64 {
-    fs as f64 / FS_PER_PS as f64
-}

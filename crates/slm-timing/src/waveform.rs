@@ -60,11 +60,6 @@ impl Waveform {
     pub fn transition_count(&self) -> usize {
         self.transitions.len()
     }
-
-    /// Whether the net changes value at all during the measure cycle.
-    pub fn has_activity(&self) -> bool {
-        !self.transitions.is_empty()
-    }
 }
 
 /// Result of a two-vector simulation: one waveform per net.

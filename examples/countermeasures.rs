@@ -1,16 +1,17 @@
 //! The defender's options beyond structural checking: TVLA-based
-//! leakage audits and the active-fence countermeasure, evaluated against
-//! the benign-logic sensor.
+//! leakage audits, the defender's PRNG active fence, placement distance
+//! and masking, evaluated against the benign-logic sensor.
 //!
 //! ```sh
 //! cargo run --release --example countermeasures
 //! ```
 
 use slm_core::experiments::{
-    fence_study, full_key_recovery, masking_study, placement_study, tvla_study, CpaExperiment,
-    SensorSource,
+    full_key_recovery, masking_study, placement_study, run_cpa, tvla_study, CpaExperiment,
+    DefenseArm, SensorSource,
 };
-use slm_fabric::{BenignCircuit, FenceConfig};
+use slm_fabric::{BenignCircuit, DetectorConfig};
+use slm_obs::Obs;
 
 fn main() {
     // 1. TVLA: is there *any* detectable leakage through each sensor?
@@ -45,8 +46,9 @@ fn main() {
         );
     }
 
-    // 3. Active fence: the Krautter-style noise generator as a defence.
-    println!("\n== active fence vs the TDC attack ==");
+    // 3. Active fence: the Krautter-style noise generator as a defence,
+    //    deployed by the defender as the defense matrix's PRNG arm.
+    println!("\n== PRNG active fence (1.5 A) vs the TDC attack ==");
     let base = CpaExperiment {
         circuit: BenignCircuit::DualC6288,
         source: SensorSource::TdcAll,
@@ -55,13 +57,25 @@ fn main() {
         pilot_traces: 100,
         seed: 3,
     };
-    let study = fence_study(&base, FenceConfig::strong()).expect("fabric builds");
-    println!(
-        "without fence: mtd = {:?}   with fence: mtd = {:?}   effective: {}",
-        study.without_fence.mtd,
-        study.with_fence.mtd,
-        study.fence_effective()
-    );
+    let detector = DetectorConfig {
+        window_ticks: 4098,
+        alarm_threshold: 0.05,
+    };
+    for arm in [DefenseArm::Undefended, DefenseArm::PrngFence(1.5)] {
+        let deployment = arm.deployment(detector, 0xfe9ce);
+        let r = run_cpa(&base, |config| config.defense = deployment, &Obs::null())
+            .expect("fabric builds");
+        println!(
+            "{:<16} mtd = {:?}   margin on correct key: {:+.4}",
+            arm.label(),
+            r.mtd,
+            r.progress
+                .last()
+                .map(|p| p.margin(r.correct_key_byte))
+                .unwrap_or(0.0)
+        );
+    }
+
     // 4. Placement distance: decouple the victim's PDN region.
     println!("\n== placement distance (victim↔attacker PDN coupling) ==");
     let rows = placement_study(
@@ -106,21 +120,5 @@ fn main() {
         mstudy.unmasked.mtd,
         mstudy.masked.mtd,
         mstudy.masking_effective()
-    );
-
-    println!(
-        "fence margin on correct key: {:+.4} → {:+.4}",
-        study
-            .without_fence
-            .progress
-            .last()
-            .map(|p| p.margin(study.without_fence.correct_key_byte))
-            .unwrap_or(0.0),
-        study
-            .with_fence
-            .progress
-            .last()
-            .map(|p| p.margin(study.with_fence.correct_key_byte))
-            .unwrap_or(0.0),
     );
 }

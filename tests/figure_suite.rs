@@ -3,11 +3,10 @@
 //! `slm-bench` and the examples; these keep the shapes under test.
 
 use slm_core::experiments::{
-    activity_study, architecture_study, atpg_stimulus_study, fence_study, floorplan_views,
-    full_key_recovery, ro_response, run_cpa, stealth_audit, timing_audit, tvla_study,
-    CpaExperiment, SensorSource,
+    activity_study, architecture_study, atpg_stimulus_study, floorplan_views, full_key_recovery,
+    ro_response, run_cpa, stealth_audit, timing_audit, tvla_study, CpaExperiment, SensorSource,
 };
-use slm_fabric::{BenignCircuit, FenceConfig};
+use slm_fabric::BenignCircuit;
 use slm_obs::Obs;
 
 #[test]
@@ -191,21 +190,6 @@ fn extension_tvla_flags_both_sensors() {
     let r = tvla_study(BenignCircuit::Alu192, 5_000, 60, 30).unwrap();
     assert!(r.tdc_leaks, "TDC |t| = {}", r.tdc_max_t);
     assert!(r.benign_max_t > 3.0, "benign |t| = {}", r.benign_max_t);
-}
-
-#[test]
-fn extension_fence_countermeasure_works() {
-    let base = CpaExperiment {
-        circuit: BenignCircuit::DualC6288,
-        source: SensorSource::TdcAll,
-        traces: 4_000,
-        checkpoints: 8,
-        pilot_traces: 60,
-        seed: 31,
-    };
-    let study = fence_study(&base, FenceConfig::strong()).unwrap();
-    assert!(study.without_fence.mtd.is_some());
-    assert!(study.fence_effective());
 }
 
 #[test]

@@ -4,7 +4,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use proptest::sample::select;
 use slm_pdn::noise::Rng64;
-use slm_pdn::{MultiRegionPdn, Pdn, PdnConfig, SecondOrderFilter};
+use slm_pdn::{MultiRegionPdn, Pdn, PdnConfig, PdnTelemetry, SecondOrderFilter};
 
 const DT: f64 = 3.33e-9;
 
@@ -162,6 +162,137 @@ proptest! {
             for r in 0..regions {
                 prop_assert_eq!(blocked.min_voltage(r).to_bits(), stepped.min_voltage(r).to_bits());
                 prop_assert_eq!(blocked.voltage(r).to_bits(), stepped.voltage(r).to_bits());
+            }
+        }
+    }
+}
+
+/// A verbatim copy of the tick loop `MultiRegionPdn::step_block` ran
+/// before the kernel kept its state in registers: `Vec`-held filters,
+/// coupling, per-region minima and droop scratch, rebuilt here from
+/// public types so a change to the kernel is compared against the old
+/// arithmetic rather than against itself.
+struct ReferencePdn {
+    config: PdnConfig,
+    filters: Vec<SecondOrderFilter>,
+    coupling: Vec<f64>,
+    rng: Rng64,
+    voltages: Vec<f64>,
+    droop_scratch: Vec<f64>,
+    telemetry: PdnTelemetry,
+    region_v_min: Vec<f64>,
+    settle_band: f64,
+}
+
+impl ReferencePdn {
+    fn new(config: PdnConfig, regions: usize, coupling: Vec<Vec<f64>>) -> Self {
+        ReferencePdn {
+            filters: vec![SecondOrderFilter::new(config.f_natural_hz, config.zeta); regions],
+            coupling: coupling.concat(),
+            rng: Rng64::new(config.seed),
+            voltages: vec![config.v_nominal; regions],
+            droop_scratch: vec![0.0; regions],
+            telemetry: PdnTelemetry {
+                v_min: config.v_nominal,
+                v_max: config.v_nominal,
+                steps: 0,
+                settled_streak: 0,
+            },
+            region_v_min: vec![config.v_nominal; regions],
+            settle_band: (4.0 * config.noise_sigma_v).max(1e-3),
+            config,
+        }
+    }
+
+    fn step_block(&mut self, currents_a: &[f64], dt: f64, out: &mut [f64]) {
+        let regions = self.filters.len();
+        if out.is_empty() {
+            return;
+        }
+        let PdnConfig {
+            v_nominal,
+            r_eff,
+            r_fast,
+            noise_sigma_v,
+            ..
+        } = self.config;
+        self.rng.fill_normal_scaled(out, noise_sigma_v);
+        for (tick_i, tick_v) in currents_a
+            .chunks_exact(regions)
+            .zip(out.chunks_exact_mut(regions))
+        {
+            for ((d, f), &i) in self
+                .droop_scratch
+                .iter_mut()
+                .zip(&mut self.filters)
+                .zip(tick_i)
+            {
+                *d = f.step(r_eff * i, dt) + r_fast * i;
+            }
+            for ((v, row), vmin) in tick_v
+                .iter_mut()
+                .zip(self.coupling.chunks_exact(regions))
+                .zip(&mut self.region_v_min)
+            {
+                let mut total = 0.0;
+                for (&c, &d) in row.iter().zip(&self.droop_scratch) {
+                    total += c * d;
+                }
+                *v += v_nominal - total;
+                *vmin = vmin.min(*v);
+            }
+            let v = tick_v[0];
+            let t = &mut self.telemetry;
+            t.v_min = t.v_min.min(v);
+            t.v_max = t.v_max.max(v);
+            t.steps += 1;
+            if (v - v_nominal).abs() <= self.settle_band {
+                t.settled_streak += 1;
+            } else {
+                t.settled_streak = 0;
+            }
+        }
+        self.voltages.copy_from_slice(&out[out.len() - regions..]);
+    }
+}
+
+proptest! {
+    /// `step_block` reproduces the reference tick loop bit for bit:
+    /// voltages, telemetry, per-region minima and last voltages, for
+    /// 1–4 regions, blocks of 0–300 ticks, and a spare normal carried
+    /// into the next block whenever a block draws an odd count (a
+    /// leading one-tick block guarantees one for odd region counts).
+    #[test]
+    fn step_block_matches_reference_tick_loop(
+        regions in 1usize..5,
+        seed in any::<u64>(),
+        sigma in select(vec![0.0, 4e-4, 5e-3]),
+        blocks in vec(0usize..301, 1..6),
+    ) {
+        let mut rng = Rng64::new(seed ^ 0x5eed);
+        let coupling: Vec<Vec<f64>> = (0..regions)
+            .map(|r| (0..regions).map(|s| if r == s { 1.0 } else { rng.uniform() }).collect())
+            .collect();
+        let cfg = PdnConfig {
+            noise_sigma_v: sigma,
+            seed,
+            ..PdnConfig::default()
+        };
+        let mut pdn = MultiRegionPdn::new(cfg, regions, coupling.clone());
+        let mut reference = ReferencePdn::new(cfg, regions, coupling);
+        for ticks in std::iter::once(1).chain(blocks) {
+            let currents: Vec<f64> = (0..ticks * regions).map(|_| rng.uniform_in(0.0, 5.0)).collect();
+            let mut got = vec![f64::NAN; currents.len()];
+            let mut want = vec![f64::NAN; currents.len()];
+            pdn.step_block(&currents, DT, &mut got);
+            reference.step_block(&currents, DT, &mut want);
+            for (slot, (g, w)) in got.iter().zip(&want).enumerate() {
+                prop_assert_eq!(g.to_bits(), w.to_bits(), "{} ticks, slot {}", ticks, slot);
+            }
+            prop_assert_eq!(pdn.telemetry(), reference.telemetry);
+            for r in 0..regions {
+                prop_assert_eq!(pdn.min_voltage(r).to_bits(), reference.region_v_min[r].to_bits());
+                prop_assert_eq!(pdn.voltage(r).to_bits(), reference.voltages[r].to_bits());
             }
         }
     }

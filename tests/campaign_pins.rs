@@ -340,9 +340,14 @@ fn raw_captures_are_pinned() {
         aggressor: Some(AggressorSpec::stealthy(3.0)),
         ..raw_config()
     };
+    let masked = FabricConfig {
+        masked_aes: true,
+        ..raw_config()
+    };
     let undefended = [
         ("undefended", raw_config(), 0xed2c_3b21_153b_7add),
         ("aggressor", aggressor.clone(), 0xcf44_a458_18c3_827b),
+        ("masked AES", masked, 0x298f_6bb9_7537_562c),
     ];
     for (what, config, pinned) in undefended {
         let mut fabric = MultiTenantFabric::new(&config).expect("fabric builds");

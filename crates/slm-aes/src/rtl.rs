@@ -58,62 +58,55 @@ impl Aes32Rtl {
     /// longer depends on the real state at first order, which defeats
     /// the paper's CPA — the "masking" countermeasure its related work
     /// cites (Chari et al.; Krautter et al.).
+    ///
+    /// Each cycle draws its mask and then its noise from `rng`, so the
+    /// draws stay interleaved.
     pub fn encrypt_with_power_masked(
         &self,
         plaintext: [u8; 16],
         model: &LeakageModel,
         rng: &mut Rng64,
-    ) -> ([u8; 16], Vec<f64>) {
+    ) -> ([u8; 16], [f64; Self::CYCLES_PER_BLOCK]) {
         let states = soft::encrypt_round_states_with_schedule(&self.round_keys, &plaintext);
-        let mut trace = Vec::with_capacity(Self::CYCLES_PER_BLOCK);
-        let col = |s: &[u8; 16], c: usize| -> u32 {
-            u32::from_le_bytes([s[4 * c], s[4 * c + 1], s[4 * c + 2], s[4 * c + 3]])
-        };
+        let mut trace = [0.0; Self::CYCLES_PER_BLOCK];
         let mut mask = rng.next_u64() as u32;
-        let loaded = col(&states[0], 3) ^ mask;
-        trace.push(model.cycle_current(0, loaded, loaded, rng.normal_scaled(model.sigma_a)));
+        let loaded = column(&states[0], 3) ^ mask;
+        trace[0] = model.cycle_current(0, loaded, loaded, rng.normal_scaled(model.sigma_a));
         for r in 1..=soft::ROUNDS {
             for c in 0..4 {
                 let new_mask = rng.next_u64() as u32;
-                let old = col(&states[r - 1], c) ^ mask;
-                let new = col(&states[r], c) ^ new_mask;
-                trace.push(model.cycle_current(old, new, old, rng.normal_scaled(model.sigma_a)));
+                let old = column(&states[r - 1], c) ^ mask;
+                let new = column(&states[r], c) ^ new_mask;
+                trace[1 + 4 * (r - 1) + c] =
+                    model.cycle_current(old, new, old, rng.normal_scaled(model.sigma_a));
                 mask = new_mask;
             }
         }
-        debug_assert_eq!(trace.len(), Self::CYCLES_PER_BLOCK);
         (states[soft::ROUNDS], trace)
     }
 
     /// Encrypts one block, returning the ciphertext and the per-cycle
-    /// supply current ([`Self::CYCLES_PER_BLOCK`] entries).
+    /// supply current.
+    ///
+    /// The block's algorithmic noise is drawn up front with one
+    /// [`Rng64::fill_normal_scaled`], bit-identical to one
+    /// [`Rng64::normal_scaled`] per cycle.
     pub fn encrypt_with_power(
         &self,
         plaintext: [u8; 16],
         model: &LeakageModel,
         rng: &mut Rng64,
-    ) -> ([u8; 16], Vec<f64>) {
+    ) -> ([u8; 16], [f64; Self::CYCLES_PER_BLOCK]) {
         let states = soft::encrypt_round_states_with_schedule(&self.round_keys, &plaintext);
-        let mut trace = Vec::with_capacity(Self::CYCLES_PER_BLOCK);
-
-        let col = |s: &[u8; 16], c: usize| -> u32 {
-            u32::from_le_bytes([s[4 * c], s[4 * c + 1], s[4 * c + 2], s[4 * c + 3]])
-        };
-        let pt_col = |c: usize| -> u32 {
-            u32::from_le_bytes([
-                plaintext[4 * c],
-                plaintext[4 * c + 1],
-                plaintext[4 * c + 2],
-                plaintext[4 * c + 3],
-            ])
-        };
+        let mut trace = [0.0; Self::CYCLES_PER_BLOCK];
+        rng.fill_normal_scaled(&mut trace, model.sigma_a);
 
         // Cycle 0: load plaintext ⊕ k0 into the state register. The
         // register previously held zeros (cleared between blocks, as the
         // BRAM-captured design does); the datapath operand is the raw
         // plaintext word stream (model: last column loaded).
-        let loaded = col(&states[0], 3);
-        trace.push(model.cycle_current(0, loaded, pt_col(3), rng.normal_scaled(model.sigma_a)));
+        let loaded = column(&states[0], 3);
+        trace[0] = model.cycle_current(0, loaded, column(&plaintext, 3), trace[0]);
 
         // Rounds 1..=10, one column per cycle. During round r, column c
         // of the state register transitions from states[r-1] to
@@ -121,14 +114,19 @@ impl Aes32Rtl {
         // round input being transformed this cycle.
         for r in 1..=soft::ROUNDS {
             for c in 0..4 {
-                let old = col(&states[r - 1], c);
-                let new = col(&states[r], c);
-                trace.push(model.cycle_current(old, new, old, rng.normal_scaled(model.sigma_a)));
+                let old = column(&states[r - 1], c);
+                let new = column(&states[r], c);
+                let i = 1 + 4 * (r - 1) + c;
+                trace[i] = model.cycle_current(old, new, old, trace[i]);
             }
         }
-        debug_assert_eq!(trace.len(), Self::CYCLES_PER_BLOCK);
         (states[soft::ROUNDS], trace)
     }
+}
+
+/// Column `c` of a column-major AES state, as a little-endian word.
+fn column(s: &[u8; 16], c: usize) -> u32 {
+    u32::from_le_bytes([s[4 * c], s[4 * c + 1], s[4 * c + 2], s[4 * c + 3]])
 }
 
 #[cfg(test)]

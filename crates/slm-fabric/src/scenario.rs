@@ -490,29 +490,43 @@ impl MultiTenantFabric {
         first..last
     }
 
-    /// Per-region currents of the next fabric tick, `[attacker, victim]`
-    /// before any defense injection; advances the tick counter.
-    fn next_tick_currents(&mut self, aes_cycle_current: f64) -> [f64; 2] {
+    /// Writes the `[attacker, victim]` currents of the next `ticks`
+    /// fabric ticks into `currents`, before any defense injection, and
+    /// advances the tick counter. `ro_a(t)` and `victim_a(t)` are the RO
+    /// array's and the victim core's current at tick `t` of the block.
+    fn build_currents(
+        &mut self,
+        currents: &mut Vec<f64>,
+        ticks: usize,
+        ro_a: impl Fn(usize) -> f64,
+        victim_a: impl Fn(usize) -> f64,
+    ) {
         // The sensing circuit alternates reset/measure vectors every
         // tick, so its switching current swings around the mean with
-        // tick parity. With a balanced stimulus pair (alternation 0.0)
-        // the factor is exactly 1.0 — bitwise identity.
-        let parity = if self.tick_count % 2 == 0 { 1.0 } else { -1.0 };
-        let stimulus =
-            self.benign_activity_current_a * (1.0 + self.config.stimulus_alternation * parity);
-        // The fault-injection aggressor draws from the *attacker* region:
-        // its droop reaches the victim rail through the coupling matrix,
-        // which is exactly why supply regulation (LDO residual on the
-        // coupling) is the arm that suppresses the faults. 0.0 when
-        // unmounted, which leaves the sum bit-exact.
-        let aggressor = match &self.aggressor {
-            Some(a) => a.spec.current_a(self.tick_count),
-            None => 0.0,
-        };
-        let attacker =
-            self.config.background_current_a + self.ro.current_a() + stimulus + aggressor;
-        self.tick_count += 1;
-        [attacker, aes_cycle_current]
+        // tick parity (even ticks first). With a balanced stimulus pair
+        // (alternation 0.0) the factor is exactly 1.0 — bitwise identity.
+        let stimulus = [1.0, -1.0].map(|parity| {
+            self.benign_activity_current_a * (1.0 + self.config.stimulus_alternation * parity)
+        });
+        let background = self.config.background_current_a;
+        let first = self.tick_count;
+        currents.resize(ticks * Self::REGIONS, 0.0);
+        for (t, tick) in currents.chunks_exact_mut(Self::REGIONS).enumerate() {
+            let tick_count = first + t as u64;
+            // The fault-injection aggressor draws from the *attacker*
+            // region: its droop reaches the victim rail through the
+            // coupling matrix, which is exactly why supply regulation
+            // (LDO residual on the coupling) is the arm that suppresses
+            // the faults. 0.0 when unmounted, which leaves the sum
+            // bit-exact.
+            let aggressor = match &self.aggressor {
+                Some(a) => a.spec.current_a(tick_count),
+                None => 0.0,
+            };
+            tick[0] = background + ro_a(t) + stimulus[(tick_count % 2) as usize] + aggressor;
+            tick[1] = victim_a(t);
+        }
+        self.tick_count += ticks as u64;
     }
 
     /// Droop extrema and settling accounting of the sensed (attacker)
@@ -619,61 +633,61 @@ impl MultiTenantFabric {
             None => 0,
         };
         let lead_in = self.lead_in_cycles + jitter_cycles;
-        let total_cycles = lead_in + power.len() + Self::LEAD_OUT_CYCLES;
+        let ticks = (lead_in + power.len() + Self::LEAD_OUT_CYCLES) * Self::TICKS_PER_AES_CYCLE;
         // The whole capture's currents first, then the PDN over them,
         // then the sensors and the fault model over the voltages. Every
-        // noise stream (fence, PDN, defense, sensors) is its own RNG, so
-        // each is still consumed in tick order.
+        // noise stream (PDN, defense, sensors) is its own RNG, so each
+        // is still consumed in tick order.
         let mut currents = std::mem::take(&mut self.capture_currents);
         let mut volts = std::mem::take(&mut self.capture_volts);
-        currents.clear();
-        for c in 0..total_cycles {
-            let aes_i = if c >= lead_in && c - lead_in < power.len() {
-                power[c - lead_in]
-            } else {
-                self.config.leakage.idle_a
-            };
-            for _ in 0..Self::TICKS_PER_AES_CYCLE {
-                currents.extend(self.next_tick_currents(aes_i));
-            }
-        }
+        let ro_a = self.ro.current_a();
+        let idle_a = self.config.leakage.idle_a;
+        self.build_currents(
+            &mut currents,
+            ticks,
+            |_| ro_a,
+            |t| {
+                (t / Self::TICKS_PER_AES_CYCLE)
+                    .checked_sub(lead_in)
+                    .and_then(|c| power.get(c).copied())
+                    .unwrap_or(idle_a)
+            },
+        );
         volts.resize(currents.len(), 0.0);
         self.step_capture(&mut currents, &mut volts);
-        let mut benign = Vec::new();
+        // Measure edges are the odd ticks: edge `k` is tick `2k+1`. Only
+        // the in-window edges are visited.
+        let edges = ticks / 2;
+        let window = window.map_or(0..edges, |w| w.start.min(edges)..w.end.min(edges));
         self.rail_volts.clear();
-        let mut sample_idx = 0usize;
+        self.rail_volts
+            .extend(window.map(|k| volts[(2 * k + 1) * Self::REGIONS]));
+        let benign = self
+            .rail_volts
+            .iter()
+            .map(|&v| match endpoints {
+                Some(e) => self.sensor.sample_endpoints(v, e),
+                None => self.sensor.sample(v),
+            })
+            .collect();
         // Per-round XOR fault masks accumulated as the aggressor pushes
         // capture cycles past their derated timing (empty when no cycle
         // violates — the common case even with an aggressor mounted).
+        // The sensors and the fault model share no state, so the
+        // aggressor's pass over the victim rail runs on its own.
         let mut fault_masks: Vec<(usize, [u8; 16])> = Vec::new();
-        for (c, cycle) in volts
-            .chunks_exact(Self::TICKS_PER_AES_CYCLE * Self::REGIONS)
-            .enumerate()
-        {
-            let mut cycle_victim_vmin = f64::INFINITY;
-            for (t, tick_v) in cycle.chunks_exact(Self::REGIONS).enumerate() {
-                let (v, victim_v) = (tick_v[0], tick_v[1]);
-                cycle_victim_vmin = cycle_victim_vmin.min(victim_v);
-                let tick = c * Self::TICKS_PER_AES_CYCLE + t;
-                if tick % 2 == 1 {
-                    let in_window = window.as_ref().is_none_or(|w| w.contains(&sample_idx));
-                    if in_window {
-                        benign.push(match endpoints {
-                            Some(e) => self.sensor.sample_endpoints(v, e),
-                            None => self.sensor.sample(v),
-                        });
-                        self.rail_volts.push(v);
-                    }
-                    sample_idx += 1;
-                }
-            }
-            if self.aggressor.is_some() && c >= lead_in {
-                self.evaluate_fault_cycle(
-                    c - lead_in,
-                    cycle_victim_vmin,
-                    &plaintext,
-                    &mut fault_masks,
-                );
+        if self.aggressor.is_some() {
+            for (c, cycle) in volts
+                .chunks_exact(Self::TICKS_PER_AES_CYCLE * Self::REGIONS)
+                .enumerate()
+                .skip(lead_in)
+            {
+                let victim_vmin = cycle
+                    .iter()
+                    .skip(1)
+                    .step_by(Self::REGIONS)
+                    .fold(f64::INFINITY, |m, &v| m.min(v));
+                self.evaluate_fault_cycle(c - lead_in, victim_vmin, &plaintext, &mut fault_masks);
             }
         }
         self.capture_currents = currents;
@@ -755,7 +769,7 @@ impl MultiTenantFabric {
 
     /// Encrypts one block on the victim core, masked or not as
     /// configured: the ciphertext and the core's current per AES cycle.
-    fn aes_power(&mut self, plaintext: [u8; 16]) -> ([u8; 16], Vec<f64>) {
+    fn aes_power(&mut self, plaintext: [u8; 16]) -> ([u8; 16], [f64; Aes32Rtl::CYCLES_PER_BLOCK]) {
         let leakage = &self.config.leakage;
         if self.config.masked_aes {
             self.aes
@@ -780,32 +794,39 @@ impl MultiTenantFabric {
         aes: AesActivity,
         samples: usize,
     ) -> ActivityTrace {
-        let mut ro_enabled = Vec::with_capacity(samples);
-        let mut currents = std::mem::take(&mut self.capture_currents);
-        let mut volts = std::mem::take(&mut self.capture_volts);
-        currents.clear();
-        let mut power = Vec::new();
-        let mut next_cycle = 0;
-        let mut aes_i = self.config.leakage.idle_a;
         // Measure edges are the odd ticks, so `samples` edges take
         // twice as many ticks.
-        for tick in 0..2 * samples {
-            if aes == AesActivity::Continuous && tick % Self::TICKS_PER_AES_CYCLE == 0 {
-                if next_cycle == power.len() {
-                    let pt = self.random_plaintext();
-                    power = self.aes_power(pt).1;
-                    next_cycle = 0;
-                }
-                aes_i = power[next_cycle];
-                next_cycle += 1;
-            }
+        let ticks = 2 * samples;
+        let base_ro = self.ro;
+        let ro_at = |tick: usize| {
+            let mut ro = base_ro;
             if let Some(s) = schedule {
-                self.ro.set_enabled_fraction(s.fraction_at(tick as u64));
+                ro.set_enabled_fraction(s.fraction_at(tick as u64));
             }
-            currents.extend(self.next_tick_currents(aes_i));
-            if tick % 2 == 1 {
-                ro_enabled.push(self.ro.enabled());
+            ro
+        };
+        let ro_enabled = (0..samples).map(|k| ro_at(2 * k + 1).enabled()).collect();
+        let cycles = ticks.div_ceil(Self::TICKS_PER_AES_CYCLE);
+        let mut aes_currents = Vec::with_capacity(cycles);
+        match aes {
+            AesActivity::Idle => aes_currents.resize(cycles, self.config.leakage.idle_a),
+            AesActivity::Continuous => {
+                while aes_currents.len() < cycles {
+                    let pt = self.random_plaintext();
+                    aes_currents.extend(self.aes_power(pt).1);
+                }
             }
+        }
+        let mut currents = std::mem::take(&mut self.capture_currents);
+        let mut volts = std::mem::take(&mut self.capture_volts);
+        self.build_currents(
+            &mut currents,
+            ticks,
+            |t| ro_at(t).current_a(),
+            |t| aes_currents[t / Self::TICKS_PER_AES_CYCLE],
+        );
+        if let Some(last) = ticks.checked_sub(1) {
+            self.ro = ro_at(last);
         }
         volts.resize(currents.len(), 0.0);
         self.step_capture(&mut currents, &mut volts);

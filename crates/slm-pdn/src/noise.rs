@@ -21,7 +21,7 @@ fn splitmix64(state: &mut u64) -> u64 {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Rng64 {
     s: [u64; 4],
-    /// Cached second output of the last Box–Muller pair.
+    /// Cached second output of the last polar-method pair.
     spare_normal: Option<f64>,
 }
 
@@ -102,7 +102,8 @@ impl Rng64 {
         self.uniform() < p
     }
 
-    /// Standard normal draw (Box–Muller with cached spare).
+    /// Standard normal draw by Marsaglia's polar method: a uniform point
+    /// in the unit disc yields two normals, the second cached as a spare.
     #[inline]
     pub fn normal(&mut self) -> f64 {
         if let Some(z) = self.spare_normal.take() {

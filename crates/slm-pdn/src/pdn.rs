@@ -178,7 +178,6 @@ pub struct MultiRegionPdn {
     coupling: Vec<f64>,
     rng: Rng64,
     voltages: Vec<f64>,
-    droop_scratch: Vec<f64>,
     telemetry: PdnTelemetry,
     /// Deepest droop seen by each region — the fault-injection-relevant
     /// extremum (the victim rail's minimum decides whether derated
@@ -189,13 +188,23 @@ pub struct MultiRegionPdn {
 }
 
 impl MultiRegionPdn {
+    /// The most regions a network may have: the block kernel is
+    /// compiled once per region count, so its state fits in registers.
+    const MAX_REGIONS: usize = 4;
+
     /// Creates `regions` coupled regions with the given coupling matrix
     /// (`coupling[r][s]` = effect of region `s`'s droop on region `r`).
     ///
     /// # Panics
     ///
-    /// Panics if the matrix is not `regions × regions`.
+    /// Panics if `regions` is not in `1..=4` or the matrix is not
+    /// `regions × regions`.
     pub fn new(config: PdnConfig, regions: usize, coupling: Vec<Vec<f64>>) -> Self {
+        assert!(
+            (1..=Self::MAX_REGIONS).contains(&regions),
+            "region count {regions} outside 1..={}",
+            Self::MAX_REGIONS
+        );
         assert_eq!(coupling.len(), regions, "coupling rows");
         for row in &coupling {
             assert_eq!(row.len(), regions, "coupling columns");
@@ -205,7 +214,6 @@ impl MultiRegionPdn {
             coupling: coupling.concat(),
             rng: Rng64::new(config.seed),
             voltages: vec![config.v_nominal; regions],
-            droop_scratch: vec![0.0; regions],
             telemetry: PdnTelemetry::new(config.v_nominal),
             region_v_min: vec![config.v_nominal; regions],
             settle_band: PdnTelemetry::band(&config),
@@ -214,6 +222,10 @@ impl MultiRegionPdn {
     }
 
     /// Uniformly coupled regions (all off-diagonal entries `k`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `regions` is not in `1..=4`.
     pub fn uniform(config: PdnConfig, regions: usize, k: f64) -> Self {
         let coupling = (0..regions)
             .map(|r| (0..regions).map(|s| if r == s { 1.0 } else { k }).collect())
@@ -267,9 +279,25 @@ impl MultiRegionPdn {
     }
 
     /// The kernel behind [`MultiRegionPdn::step`] and
-    /// [`MultiRegionPdn::step_block`]; leaves `self.voltages` alone.
+    /// [`MultiRegionPdn::step_block`], compiled for the network's region
+    /// count; leaves `self.voltages` alone.
     fn run_block(&mut self, currents_a: &[f64], dt: f64, out: &mut [f64]) {
-        let regions = self.filters.len();
+        match self.regions() {
+            1 => self.run_block_for::<1>(currents_a, dt, out),
+            2 => self.run_block_for::<2>(currents_a, dt, out),
+            3 => self.run_block_for::<3>(currents_a, dt, out),
+            4 => self.run_block_for::<4>(currents_a, dt, out),
+            n => unreachable!("new admits 1..={} regions, not {n}", Self::MAX_REGIONS),
+        }
+    }
+
+    /// [`MultiRegionPdn::run_block`] for `R` regions. The filter states,
+    /// coupling, per-region minima and telemetry are copied into locals
+    /// once and written back once, so the filters' serial dependency
+    /// chain stays in registers instead of storing and reloading
+    /// through `self` every tick. The arithmetic per value and the
+    /// summation order are those of a one-tick step.
+    fn run_block_for<const R: usize>(&mut self, currents_a: &[f64], dt: f64, out: &mut [f64]) {
         let PdnConfig {
             v_nominal,
             r_eff,
@@ -277,26 +305,24 @@ impl MultiRegionPdn {
             noise_sigma_v,
             ..
         } = self.config;
+        let settle_band = self.settle_band;
+        let mut filters: [SecondOrderFilter; R] =
+            self.filters[..].try_into().expect("one filter per region");
+        let coupling: [[f64; R]; R] =
+            std::array::from_fn(|r| std::array::from_fn(|s| self.coupling[r * R + s]));
+        let mut region_v_min: [f64; R] = self.region_v_min[..]
+            .try_into()
+            .expect("one minimum per region");
+        let mut telemetry = self.telemetry;
         self.rng.fill_normal_scaled(out, noise_sigma_v);
-        for (tick_i, tick_v) in currents_a
-            .chunks_exact(regions)
-            .zip(out.chunks_exact_mut(regions))
-        {
-            for ((d, f), &i) in self
-                .droop_scratch
-                .iter_mut()
-                .zip(&mut self.filters)
-                .zip(tick_i)
-            {
+        for (tick_i, tick_v) in currents_a.chunks_exact(R).zip(out.chunks_exact_mut(R)) {
+            let mut droop = [0.0; R];
+            for ((d, f), &i) in droop.iter_mut().zip(&mut filters).zip(tick_i) {
                 *d = f.step(r_eff * i, dt) + r_fast * i;
             }
-            for ((v, row), vmin) in tick_v
-                .iter_mut()
-                .zip(self.coupling.chunks_exact(regions))
-                .zip(&mut self.region_v_min)
-            {
+            for ((v, row), vmin) in tick_v.iter_mut().zip(&coupling).zip(&mut region_v_min) {
                 let mut total = 0.0;
-                for (&c, &d) in row.iter().zip(&self.droop_scratch) {
+                for (&c, &d) in row.iter().zip(&droop) {
                     total += c * d;
                 }
                 *v += v_nominal - total;
@@ -304,9 +330,11 @@ impl MultiRegionPdn {
             }
             // Telemetry watches region 0 — the sensed (attacker-visible)
             // rail in the fabric's layout.
-            self.telemetry
-                .update(tick_v[0], v_nominal, self.settle_band);
+            telemetry.update(tick_v[0], v_nominal, settle_band);
         }
+        self.filters.copy_from_slice(&filters);
+        self.region_v_min.copy_from_slice(&region_v_min);
+        self.telemetry = telemetry;
     }
 
     /// The most recent voltage of one region.
@@ -415,6 +443,12 @@ mod tests {
     #[should_panic(expected = "coupling rows")]
     fn bad_coupling_shape_panics() {
         let _ = MultiRegionPdn::new(PdnConfig::default(), 2, vec![vec![1.0, 0.5]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "region count 5 outside 1..=4")]
+    fn more_regions_than_the_kernel_covers_panics() {
+        let _ = MultiRegionPdn::uniform(PdnConfig::default(), 5, 0.5);
     }
 
     #[test]

@@ -15,10 +15,25 @@
 //! * an in-memory map (always on), shared across threads behind a
 //!   mutex so one cache serves a whole `--jobs N` batch;
 //! * an optional on-disk tier with one file per (scan, pass) entry,
-//!   written atomically (`.tmp` + rename) with a trailing checksum.
-//!   The vendored `serde_json` has no parser, so entries use a small
-//!   hand-rolled binary codec; any unreadable, truncated or corrupt
-//!   file is treated as a miss, never an error.
+//!   written atomically (`.tmp` + rename). The vendored `serde_json`
+//!   has no parser, so entries are sealed records of the workspace
+//!   codec ([`slm_par::codec`]); any unreadable, truncated, corrupt or
+//!   older-format file is treated as a miss, never an error.
+//!
+//! Entry layout (little-endian; `str` is a `u32` byte length and UTF-8
+//! bytes, `opt<T>` a `0`/`1` presence byte and `T` when present):
+//!
+//! ```text
+//! magic "SLMK" | version u16 = 1 | count u32
+//! count × finding:
+//!   str kind | str severity | str pass | opt<u32> witness net
+//!   u32 span length | span × ( u32 net | opt<str> name )
+//!   str detail | opt<str> suppression reason
+//! fletcher-64 seal over everything above
+//! ```
+//!
+//! Kind and severity are stored as their stable string labels, so an
+//! added enum variant does not shift the encoding of the others.
 //!
 //! Cached findings are **pre-suppression**: suppression rules are part
 //! of the config hash anyway, but applying them at replay keeps the
@@ -27,32 +42,14 @@
 use crate::config::CheckerConfig;
 use crate::diag::{CheckKind, Finding, Severity, SpanNet};
 use slm_netlist::{NetId, Netlist};
+use slm_par::codec::{fnv1a, DecodeError, Reader, Writer, FNV_OFFSET};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0100_0000_01b3;
-const MAGIC: &[u8; 6] = b"SLMC1\n";
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-fn fnv_mix(h: u64, bytes: &[u8]) -> u64 {
-    let mut h = h;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
+const MAGIC: &[u8; 4] = b"SLMK";
+const VERSION: u16 = 1;
 
 /// A shared, thread-safe cache of per-pass scan results.
 pub struct ScanCache {
@@ -107,17 +104,15 @@ impl ScanCache {
     pub fn scan_key(&self, nl: &Netlist, config: &CheckerConfig) -> u64 {
         let config_json =
             serde_json::to_string(config).expect("config serialization is infallible");
-        let mut h = fnv_mix(FNV_OFFSET, &nl.content_hash().to_le_bytes());
-        h = fnv_mix(h, config_json.as_bytes());
-        h
+        fnv1a(
+            fnv1a(FNV_OFFSET, &nl.content_hash().to_le_bytes()),
+            config_json.as_bytes(),
+        )
     }
 
     /// The full entry key for one pass of one scan.
     fn entry_key(scan_key: u64, pass: &str) -> u64 {
-        fnv_mix(
-            fnv_mix(FNV_OFFSET, &scan_key.to_le_bytes()),
-            pass.as_bytes(),
-        )
+        fnv1a(fnv1a(FNV_OFFSET, &scan_key.to_le_bytes()), pass.as_bytes())
     }
 
     /// Looks up the cached findings of `pass` for `scan_key`.
@@ -161,79 +156,46 @@ fn entry_path(dir: &Path, key: u64) -> PathBuf {
     dir.join(format!("{key:016x}.slmc"))
 }
 
-// --- binary codec -------------------------------------------------------
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
-
 fn encode(findings: &[Finding]) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&(findings.len() as u32).to_le_bytes());
+    let mut w = Writer::header(MAGIC, VERSION);
+    w.u32(findings.len() as u32);
+    // An optional field: a presence byte, then the value when present.
+    let put_opt = |w: &mut Writer, s: &Option<String>| {
+        match s {
+            Some(s) => w.u8(1).str(s),
+            None => w.u8(0),
+        };
+    };
     for f in findings {
-        // Kind and severity as their stable string labels, for
-        // forward-compat across enum additions.
-        put_str(&mut out, f.kind.as_str());
-        put_str(&mut out, f.severity.as_str());
-        put_str(&mut out, &f.pass);
+        w.str(f.kind.as_str()).str(f.severity.as_str()).str(&f.pass);
         match f.witness {
-            Some(w) => {
-                out.push(1);
-                out.extend_from_slice(&w.0.to_le_bytes());
-            }
-            None => out.push(0),
-        }
-        out.extend_from_slice(&(f.span.len() as u32).to_le_bytes());
+            Some(net) => w.u8(1).u32(net.0),
+            None => w.u8(0),
+        };
+        w.u32(f.span.len() as u32);
         for s in &f.span {
-            out.extend_from_slice(&s.net.0.to_le_bytes());
-            match &s.name {
-                Some(name) => {
-                    out.push(1);
-                    put_str(&mut out, name);
-                }
-                None => out.push(0),
-            }
+            w.u32(s.net.0);
+            put_opt(&mut w, &s.name);
         }
-        put_str(&mut out, &f.detail);
-        match &f.suppressed {
-            Some(reason) => {
-                out.push(1);
-                put_str(&mut out, reason);
-            }
-            None => out.push(0),
-        }
+        w.str(&f.detail);
+        put_opt(&mut w, &f.suppressed);
     }
-    let checksum = fnv1a(&out);
-    out.extend_from_slice(&checksum.to_le_bytes());
-    out
+    w.seal()
 }
 
-struct Reader<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.at.checked_add(n)?;
-        let s = self.bytes.get(self.at..end)?;
-        self.at = end;
-        Some(s)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        Some(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
-    }
-
-    fn str(&mut self) -> Option<String> {
-        let len = self.u32()? as usize;
-        String::from_utf8(self.take(len)?.to_vec()).ok()
+/// Reads an optional field written by [`encode`].
+fn opt<T>(
+    r: &mut Reader,
+    read: impl FnOnce(&mut Reader) -> Result<T, DecodeError>,
+) -> Result<Option<T>, DecodeError> {
+    match r.u8("finding")? {
+        0 => Ok(None),
+        1 => read(r).map(Some),
+        tag => Err(DecodeError::new(
+            "finding",
+            r.offset() - 1,
+            format!("presence byte {tag}"),
+        )),
     }
 }
 
@@ -260,72 +222,39 @@ fn severity_from_str(s: &str) -> Option<Severity> {
         .find(|v| v.as_str() == s)
 }
 
-fn decode(bytes: &[u8]) -> Option<Vec<Finding>> {
-    if bytes.len() < MAGIC.len() + 8 || &bytes[..MAGIC.len()] != MAGIC {
-        return None;
-    }
-    let (body, tail) = bytes.split_at(bytes.len() - 8);
-    let checksum = u64::from_le_bytes(tail.try_into().ok()?);
-    if fnv1a(body) != checksum {
-        return None;
-    }
-    let mut r = Reader {
-        bytes: body,
-        at: MAGIC.len(),
-    };
-    let count = r.u32()? as usize;
-    // Each finding needs at least its three length-prefixed strings.
-    if count > body.len() {
-        return None;
-    }
-    let mut findings = Vec::with_capacity(count.min(1024));
-    for _ in 0..count {
-        let kind = kind_from_str(&r.str()?)?;
-        let severity = severity_from_str(&r.str()?)?;
-        let pass = r.str()?;
-        let witness = match r.u8()? {
-            0 => None,
-            1 => Some(NetId(r.u32()?)),
-            _ => return None,
-        };
-        let span_len = r.u32()? as usize;
-        if span_len > body.len() {
-            return None;
+fn decode(bytes: &[u8]) -> Result<Vec<Finding>, DecodeError> {
+    let mut r = Reader::open(bytes, MAGIC, VERSION, "scan-cache entry")?;
+    let unknown = |r: &Reader, what| DecodeError::new("finding", r.offset(), what);
+    let mut findings = Vec::new();
+    for _ in 0..r.u32("findings")? {
+        let kind = kind_from_str(&r.str("finding")?).ok_or_else(|| unknown(&r, "unknown kind"))?;
+        let severity =
+            severity_from_str(&r.str("finding")?).ok_or_else(|| unknown(&r, "unknown severity"))?;
+        let pass = r.str("finding")?;
+        let witness = opt(&mut r, |r| r.u32("finding").map(NetId))?;
+        let mut span = Vec::new();
+        for _ in 0..r.u32("finding")? {
+            span.push(SpanNet {
+                net: NetId(r.u32("finding")?),
+                name: opt(&mut r, |r| r.str("finding"))?,
+            });
         }
-        let mut span = Vec::with_capacity(span_len.min(1024));
-        for _ in 0..span_len {
-            let net = NetId(r.u32()?);
-            let name = match r.u8()? {
-                0 => None,
-                1 => Some(r.str()?),
-                _ => return None,
-            };
-            span.push(SpanNet { net, name });
-        }
-        let detail = r.str()?;
-        let suppressed = match r.u8()? {
-            0 => None,
-            1 => Some(r.str()?),
-            _ => return None,
-        };
         findings.push(Finding {
             kind,
             severity,
             pass,
             witness,
             span,
-            detail,
-            suppressed,
+            detail: r.str("finding")?,
+            suppressed: opt(&mut r, |r| r.str("finding"))?,
         });
     }
-    if r.at != body.len() {
-        return None; // trailing garbage
-    }
-    Some(findings)
+    r.seal()?;
+    Ok(findings)
 }
 
 fn read_entry(path: &Path) -> Option<Vec<Finding>> {
-    decode(&std::fs::read(path).ok()?)
+    decode(&std::fs::read(path).ok()?).ok()
 }
 
 fn write_entry(path: &Path, findings: &[Finding]) -> std::io::Result<()> {
@@ -383,12 +312,16 @@ mod tests {
         for at in [0, MAGIC.len() + 1, good.len() / 2, good.len() - 1] {
             let mut bad = good.clone();
             bad[at] ^= 0x40;
-            assert!(decode(&bad).is_none(), "flip at {at} must not decode");
+            assert!(decode(&bad).is_err(), "flip at {at} must not decode");
         }
         // Truncations at every boundary are rejected too.
         for len in [0, 3, MAGIC.len(), good.len() - 9, good.len() - 1] {
-            assert!(decode(&good[..len]).is_none(), "truncation to {len}");
+            assert!(decode(&good[..len]).is_err(), "truncation to {len}");
         }
+        // An empty entry of the retired `SLMC1\n` format, FNV-1a sealed.
+        let mut stale = b"SLMC1\n\0\0\0\0".to_vec();
+        stale.extend_from_slice(&fnv1a(FNV_OFFSET, &stale).to_le_bytes());
+        assert!(decode(&stale).is_err(), "a stale entry must not decode");
     }
 
     #[test]

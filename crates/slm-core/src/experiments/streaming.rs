@@ -64,6 +64,7 @@ use slm_cpa::store::{
 use slm_cpa::{leader_margin, CpaAttack, ProgressPoint};
 use slm_fabric::{FabricConfig, FabricError, MultiTenantFabric, TransportError};
 use slm_obs::{MetricsFrame, Obs};
+use slm_par::codec::{fnv1a, FNV_OFFSET};
 use slm_par::{ShardPlan, ShardSpec};
 use std::collections::BTreeMap;
 use std::io::Write;
@@ -157,7 +158,7 @@ impl StreamingCpa {
     /// worker-invariant) and the early-stop rule (a stop policy, not a
     /// capture parameter).
     pub fn fingerprint(&self) -> u64 {
-        fnv1a(&format!(
+        let params = format!(
             "{:?}|{:?}|pilot={}|seed={}|window={}|commit={}|tag={}",
             self.base.circuit,
             self.base.source,
@@ -166,18 +167,9 @@ impl StreamingCpa {
             self.window_traces,
             self.commit_every_windows,
             self.config_tag,
-        ))
+        );
+        fnv1a(FNV_OFFSET, params.as_bytes())
     }
-}
-
-/// FNV-1a over a parameter string — stable across runs and platforms.
-fn fnv1a(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    h
 }
 
 /// Online-MTD early stop, evaluated over the persisted progress curves

@@ -25,6 +25,7 @@
 use crate::error::FabricError;
 use serde::{Deserialize, Serialize};
 use slm_netlist::generators::ripple_carry_adder;
+use slm_par::codec::{fnv1a, FNV_OFFSET};
 use slm_timing::{DelayModel, StaEngine, VoltageDelayLaw};
 
 /// Duty-cycled current profile of a fault-injection aggressor.
@@ -111,19 +112,14 @@ impl AggressorSpec {
     /// (two distinct specs get distinct lanes with overwhelming
     /// probability; the same spec always gets the same lane).
     pub fn tag(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64; // FNV-1a offset basis
-        for w in [
+        [
             self.peak_current_a.to_bits(),
             self.on_ticks,
             self.period_ticks,
             self.phase_ticks,
-        ] {
-            for b in w.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-        h
+        ]
+        .iter()
+        .fold(FNV_OFFSET, |h, w| fnv1a(h, &w.to_le_bytes()))
     }
 }
 

@@ -1,6 +1,6 @@
 //! A small scoped worker pool for embarrassingly parallel campaign
-//! work, plus the deterministic shard planning the campaign stack
-//! shares.
+//! work, the deterministic shard planning the campaign stack shares,
+//! and the sealed-record [`codec`] every on-disk format is built on.
 //!
 //! The whole workspace is offline and dependency-free, so this crate
 //! provides the thin slice of `rayon` the campaign stack actually
@@ -21,6 +21,15 @@
 //! the worker count — so a campaign merged from shard partials is
 //! bit-identical whether it ran on one thread or sixteen.
 //!
+//! # On-disk records
+//!
+//! [`codec`] is the one little-endian writer, bounds-checked reader,
+//! Fletcher-64 seal and `magic + version` header check behind every
+//! persisted format (trace files, checkpoints, the progress log and the
+//! scan cache), plus the shared [`codec::fnv1a`] key hash. It lives in
+//! this crate because the crate has no dependencies and every crate
+//! that persists state already depends on it.
+//!
 //! # Example
 //!
 //! ```
@@ -30,6 +39,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod codec;
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -98,7 +98,7 @@ fn fig09_fig11_tdc_attacks_fast() {
 }
 
 #[test]
-#[ignore = "minutes-long: run with --ignored or via the bench harness"]
+#[ignore = "slow (about 30 s for both in the test profile): CI runs them in their own step with --ignored"]
 fn fig10_fig12_benign_alu_attacks_slow_but_succeed() {
     for source in [
         SensorSource::BenignHammingWeight,
@@ -124,7 +124,7 @@ fn fig10_fig12_benign_alu_attacks_slow_but_succeed() {
 }
 
 #[test]
-#[ignore = "minutes-long: run with --ignored or via the bench harness"]
+#[ignore = "slow (about 30 s for both in the test profile): CI runs them in their own step with --ignored"]
 fn fig17_fig18_benign_c6288_attacks_succeed() {
     // Our C6288 sensor is weaker than the paper's (its endpoint
     // responses spread over several capture points — see

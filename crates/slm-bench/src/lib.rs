@@ -1,23 +1,18 @@
-//! Shared helpers for the study benches.
+//! Shared helpers for the observability study.
 //!
-//! Every `[[bench]]` target in this crate is a plain `fn main()` that
-//! runs one study once (`cargo bench -p slm-bench --bench <name>`):
-//!
-//! - `figures`, `ablations` and `streaming` print the figure, ablation
-//!   and long-horizon MTD tables EXPERIMENTS.md cites as the
-//!   reproduction record;
-//! - `observability` asserts the `slm-obs` overhead budgets and writes
-//!   `BENCH_obs.json` through [`write_record!`].
+//! The crate's one `[[bench]]` target, `observability`, is a plain
+//! `fn main()` that runs once (`cargo bench -p slm-bench --bench
+//! observability`): it asserts the `slm-obs` overhead budgets and
+//! writes `BENCH_obs.json` through [`write_record!`].
 //!
 //! Costs (end to end and per layer) are measured by the layered
-//! benchmark in `bench/`, not here. `SLM_BENCH_QUICK` shrinks every
-//! study's budget for a smoke run; [`quick`] is the only place it is
-//! read.
+//! benchmark in `bench/`, and the paper's figure, ablation and
+//! long-horizon tables are pinned by `tests/figure_suite.rs`.
+//! `SLM_BENCH_QUICK` shrinks the study's budget for a smoke run;
+//! [`quick`] is the only place it is read.
 
 use serde::json::Value;
 use serde::Serialize;
-use slm_core::experiments::{run_cpa, CpaExperiment, CpaResult};
-use slm_obs::Obs;
 use std::path::{Path, PathBuf};
 
 /// Whether `SLM_BENCH_QUICK` asks for smoke-run budgets.
@@ -75,52 +70,9 @@ fn with_header(bench: &str, quick: bool, record: &impl Serialize) -> Value {
     Value::Object(all)
 }
 
-/// Runs a CPA experiment and prints the figure-style summary.
-pub fn run_and_report(label: &str, exp: &CpaExperiment) -> CpaResult {
-    let start = std::time::Instant::now();
-    let r = run_cpa(exp, |_| {}, &Obs::null()).expect("fabric builds");
-    let ok = r.recovered_key_byte == Some(r.correct_key_byte);
-    println!(
-        "[{label}] traces={} recovered={} mtd={:?} bits_of_interest={} selected_bit={:?} elapsed={:.1?}",
-        r.traces,
-        ok,
-        r.mtd,
-        r.bits_of_interest.len(),
-        r.selected_bit,
-        start.elapsed()
-    );
-    for p in &r.progress {
-        println!(
-            "[{label}] progress traces={} correct_peak={:+.4} best_wrong={:+.4}",
-            p.traces,
-            p.peak_corr[r.correct_key_byte as usize],
-            p.peak_corr[r.correct_key_byte as usize] - p.margin(r.correct_key_byte),
-        );
-    }
-    r
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use slm_core::experiments::SensorSource;
-    use slm_fabric::BenignCircuit;
-
-    #[test]
-    fn report_helper_runs() {
-        let r = run_and_report(
-            "smoke",
-            &CpaExperiment {
-                circuit: BenignCircuit::DualC6288,
-                source: SensorSource::TdcAll,
-                traces: 300,
-                checkpoints: 3,
-                pilot_traces: 20,
-                seed: 1,
-            },
-        );
-        assert_eq!(r.traces, 300);
-    }
 
     #[derive(Serialize)]
     struct Record {

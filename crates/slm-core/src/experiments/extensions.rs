@@ -251,17 +251,6 @@ pub fn placement_study(
         .collect()
 }
 
-/// Sanity helper for reports: true iff benign leakage is detectable but
-/// needs far more data than the TDC (the reproduction's headline
-/// relationship).
-pub fn tdc_dominates(benign: &CpaResult, tdc: &CpaResult) -> bool {
-    match (tdc.mtd, benign.mtd) {
-        (Some(t), Some(b)) => b > 5 * t,
-        (Some(_), None) => true,
-        _ => false,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -31,6 +31,7 @@ use slm_core::experiments::{
 use slm_core::report;
 use slm_fabric::{BenignCircuit, DetectorConfig, FabricConfig};
 use slm_obs::{MetricsReport, Obs};
+use slm_par::codec::{fnv1a, FNV_OFFSET};
 use std::path::Path;
 
 /// Parses `--threads N` (0 or absent = machine parallelism).
@@ -100,9 +101,7 @@ fn defense_flag() -> Option<(u64, DefenseArm)> {
     while let Some(arg) = args.next() {
         if arg == "--defense" {
             let raw = args.next().expect("--defense needs an arm name");
-            let tag = raw.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-            });
+            let tag = fnv1a(FNV_OFFSET, raw.as_bytes());
             return Some((
                 tag,
                 match raw.as_str() {

@@ -12,6 +12,10 @@
 //!
 //! The digest function is local to this file, so no pin is computed by
 //! the code under test.
+//!
+//! `Netlist::content_hash` is pinned the same way, as plain values: it
+//! names every scan-cache entry, in memory and on disk (`SLMK`), so a
+//! change to how a netlist is stored must leave each hash unchanged.
 
 use slm_core::experiments::{CpaExperiment, SensorSource, StreamingCpa};
 use slm_cpa::store::{
@@ -21,6 +25,7 @@ use slm_cpa::store::{
 };
 use slm_cpa::{CpaAttack, CpaCheckpoint, LastRoundModel, ProgressPoint};
 use slm_fabric::{AggressorSpec, BenignCircuit};
+use slm_netlist::{bench, generators, propagate_constants, Netlist};
 
 /// FNV-1a over raw bytes.
 fn digest(bytes: &[u8]) -> u64 {
@@ -134,4 +139,44 @@ fn hashed_identities_are_pinned() {
         phase_ticks: 5,
     };
     assert_eq!(spec.tag(), 0x039bd4b1c7a16d8e, "aggressor tag moved");
+}
+
+#[test]
+fn netlist_content_hashes_are_pinned() {
+    let c6288 = generators::c6288().unwrap();
+    let parsed = bench::parse(&bench::write(&c6288), "c6288_bench").unwrap();
+    let rows: [(&str, Netlist, u64); 7] = [
+        (
+            "kogge_stone_adder(64)",
+            generators::kogge_stone_adder(64).unwrap(),
+            0x2f89_8a9a_0866_0cca,
+        ),
+        (
+            "carry_sensor(64, 4)",
+            generators::carry_sensor(64, 4).unwrap(),
+            0x9dc7_bd7c_1a29_f2a3,
+        ),
+        ("c6288()", c6288.clone(), 0x62cf_73dc_8473_d115),
+        ("parsed c6288 .bench", parsed, 0xb32c_35fd_6ca4_3355),
+        (
+            "disjoint_union of two c6288",
+            Netlist::disjoint_union("dual", &[&c6288, &c6288]).unwrap(),
+            0x404f_7506_9b09_afd1,
+        ),
+        (
+            "ring_oscillator(8)",
+            generators::ring_oscillator(8).unwrap(),
+            0xbf14_a7b4_38bc_37b4,
+        ),
+        (
+            "propagate_constants(alu(16))",
+            propagate_constants(&generators::alu(16).unwrap())
+                .unwrap()
+                .0,
+            0xfecb_c0a8_69e1_e4a2,
+        ),
+    ];
+    for (what, nl, pinned) in rows {
+        assert_eq!(nl.content_hash(), pinned, "{what}: content hash moved");
+    }
 }

@@ -133,7 +133,7 @@ mod tests {
         obfuscated_tdc_delay_line, ring_oscillator, ro_grid, tapped_carry_chain, tdc_delay_line,
     };
     use slm_netlist::graph::combinational_loops;
-    use slm_netlist::{Gate, GateKind, NetId, Netlist};
+    use slm_netlist::{GateKind, NetId, Netlist};
     use slm_obs::Obs;
     use slm_timing::DelayModel;
 
@@ -197,10 +197,10 @@ mod tests {
     fn ro_grid_power_virus_flagged() {
         // 1500 independent 2-NAND cells (the classic RO grid, modelled
         // acyclically so only the array pass fires).
-        let mut gates = vec![Gate::new(GateKind::Input, vec![])];
+        let mut gates = vec![(GateKind::Input, vec![])];
         let mut names = vec![Some("en".to_string())];
         for i in 0..1500u32 {
-            gates.push(Gate::new(GateKind::Nand, vec![NetId(0), NetId(0)]));
+            gates.push((GateKind::Nand, vec![NetId(0), NetId(0)]));
             names.push(Some(format!("cell{i}")));
         }
         let nl = Netlist::from_parts("grid", gates, vec![NetId(0)], vec![], names).unwrap();

@@ -35,8 +35,7 @@ impl Pass for DelayLinePass {
     ) {
         let nl = cx.netlist();
         let is_chain_cell = |id: NetId| {
-            matches!(nl.gate(id).kind, GateKind::Buf | GateKind::Not)
-                && nl.gate(id).fanin.len() == 1
+            matches!(nl.kind(id), GateKind::Buf | GateKind::Not) && nl.gate(id).fanin.len() == 1
         };
         let mut visited = vec![false; nl.len()];
         for start in 0..nl.len() {

@@ -50,7 +50,7 @@ impl Pass for SccLoopPass {
             }
             let inverting = comp
                 .iter()
-                .filter(|&&id| nl.gate(id).kind.is_inverting())
+                .filter(|&&id| nl.kind(id).is_inverting())
                 .count();
             let behaviour = if inverting % 2 == 1 {
                 "odd inversion: oscillates"

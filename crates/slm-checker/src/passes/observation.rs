@@ -36,11 +36,7 @@ impl Pass for ObservationDensityPass {
             return;
         }
         let nl = cx.netlist();
-        let gates = nl
-            .gates()
-            .iter()
-            .filter(|g| g.kind != GateKind::Input)
-            .count();
+        let gates = nl.gates().filter(|g| g.kind != GateKind::Input).count();
         if gates < config.observation.min_gates {
             return;
         }

@@ -55,7 +55,7 @@ fn controllability(nl: &Netlist, order: &[NetId]) -> (Vec<u64>, Vec<u64>) {
             GateKind::Xor | GateKind::Xnor => {
                 // Fold the parity pairwise: cost of even / odd parity.
                 let (mut e, mut o) = (0u64, INF);
-                for &i in &g.fanin {
+                for &i in g.fanin {
                     let (a0, a1) = f(i);
                     let ne = sat(e, a0).min(sat(o, a1));
                     let no = sat(e, a1).min(sat(o, a0));
@@ -121,7 +121,7 @@ const PRUNE_BUDGET_WORDS: usize = 1 << 20;
 fn inputs_in_cone(nl: &Netlist, order: &[NetId], budget_words: usize) -> Option<Vec<u32>> {
     let mut bit = vec![u32::MAX; nl.len()];
     let mut inputs = 0u32;
-    for (i, g) in nl.gates().iter().enumerate() {
+    for (i, g) in nl.gates().enumerate() {
         if g.kind == GateKind::Input {
             bit[i] = inputs;
             inputs += 1;
@@ -142,7 +142,7 @@ fn inputs_in_cone(nl: &Netlist, order: &[NetId], budget_words: usize) -> Option<
         if b != u32::MAX {
             acc[b as usize / 64] |= 1 << (b % 64);
         }
-        for &f in &nl.gate(v).fanin {
+        for &f in nl.gate(v).fanin {
             let src = &sets[f.index() * words..][..words];
             for (a, s) in acc.iter_mut().zip(src) {
                 *a |= s;
@@ -246,7 +246,7 @@ fn walk_cones(
                 cut = true;
                 break;
             }
-            for &f in &nl.gate(v).fanin {
+            for &f in nl.gate(v).fanin {
                 if stamp[f.index()] != epoch {
                     stamp[f.index()] = epoch;
                     stack.push(f);
@@ -351,7 +351,6 @@ mod tests {
         kogge_stone_adder, obfuscated_tdc_delay_line, ripple_carry_adder, tapped_carry_chain,
         tdc_delay_line, wallace_multiplier,
     };
-    use slm_netlist::Gate;
 
     /// Nets a full walk of every deep endpoint's cone visits.
     fn full_walk_visits(nl: &Netlist, level: &[usize], min_depth: usize) -> usize {
@@ -365,7 +364,7 @@ mod tests {
             seen[o.index()] = true;
             while let Some(v) = stack.pop() {
                 total += 1;
-                for &f in &nl.gate(v).fanin {
+                for &f in nl.gate(v).fanin {
                     if !std::mem::replace(&mut seen[f.index()], true) {
                         stack.push(f);
                     }
@@ -487,9 +486,8 @@ mod tests {
             state ^= state << 17;
             state
         };
-        let mut all: Vec<Gate> = (0..inputs)
-            .map(|_| Gate::new(GateKind::Input, vec![]))
-            .collect();
+        let mut all: Vec<(GateKind, Vec<NetId>)> =
+            (0..inputs).map(|_| (GateKind::Input, vec![])).collect();
         const KINDS: [GateKind; 5] = [
             GateKind::Buf,
             GateKind::Not,
@@ -511,7 +509,7 @@ mod tests {
             if kind.arity().1 > 1 {
                 fanin.push(pick(false));
             }
-            all.push(Gate::new(kind, fanin));
+            all.push((kind, fanin));
         }
         let n = all.len();
         let outputs = (0..1 + (next() % 12) as usize)

@@ -34,7 +34,7 @@ impl SignaturePass {
             let simple_cycle = comp.iter().all(|&id| {
                 let mut seen: Option<NetId> = None;
                 let mut distinct = 0usize;
-                for &f in &nl.gate(id).fanin {
+                for &f in nl.gate(id).fanin {
                     if in_comp[f.index()] && seen != Some(f) {
                         seen = Some(f);
                         distinct += 1;
@@ -44,11 +44,11 @@ impl SignaturePass {
             });
             let stages = comp
                 .iter()
-                .filter(|&&id| nl.gate(id).kind != GateKind::Buf)
+                .filter(|&&id| nl.kind(id) != GateKind::Buf)
                 .count();
             let inverting = comp
                 .iter()
-                .filter(|&&id| nl.gate(id).kind.is_inverting())
+                .filter(|&&id| nl.kind(id).is_inverting())
                 .count();
             for &id in comp {
                 in_comp[id.index()] = false;
@@ -120,7 +120,7 @@ impl SignaturePass {
             let mut c_chain = 0u32;
             let mut c_hops = FAR;
             let mut c_last: Option<NetId> = None;
-            for &f in &g.fanin {
+            for &f in g.fanin {
                 let (fc, fh) = (chain[f.index()], hops[f.index()]);
                 if fc > c_chain || (fc == c_chain && fh < c_hops) {
                     c_chain = fc;

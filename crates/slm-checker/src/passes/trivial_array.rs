@@ -31,17 +31,12 @@ impl Pass for TrivialArrayPass {
         let nl = cx.netlist();
         let trivial = nl
             .gates()
-            .iter()
             .filter(|g| {
                 matches!(g.kind, GateKind::Not | GateKind::Buf | GateKind::Nand)
                     && g.fanin.len() <= 2
             })
             .count();
-        let total_logic = nl
-            .gates()
-            .iter()
-            .filter(|g| g.kind != GateKind::Input)
-            .count();
+        let total_logic = nl.gates().filter(|g| g.kind != GateKind::Input).count();
         if trivial >= config.array.min_cells
             && trivial as f64 >= total_logic as f64 * config.array.min_trivial_fraction
         {

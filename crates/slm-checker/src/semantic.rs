@@ -120,7 +120,7 @@ pub fn compute_taint(cx: &Analysis<'_>, config: &CheckerConfig) -> TaintFacts {
         }
         let mut t = Taint::Untainted;
         let mut d = DEPTH_UNREACHED;
-        for &f in &g.fanin {
+        for &f in g.fanin {
             t = t.max(taint[f.index()]);
             if taint[f.index()] == Taint::ClockRate {
                 d = d.min(depth[f.index()]);
@@ -273,7 +273,7 @@ pub fn compute_activity(
         let mut d = 0.0;
         let mut gl = 0.0;
         let mut cg = 0.0;
-        for (&s, &f) in sens.iter().zip(&g.fanin) {
+        for (&s, &f) in sens.iter().zip(g.fanin) {
             d += s * density[f.index()];
             gl += glitch[f.index()];
             cg += clock_glitch[f.index()];

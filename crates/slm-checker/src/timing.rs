@@ -16,7 +16,7 @@ const MAX_CHAIN_TEXT: usize = 12;
 /// `INPUT→XOR→AND→OR→…→XOR`, so a timing rejection is debuggable
 /// straight from the JSON report.
 fn gate_chain(nl: &Netlist, nets: &[NetId]) -> String {
-    let label = |id: NetId| match nl.gate(id).kind {
+    let label = |id: NetId| match nl.kind(id) {
         GateKind::Input => "INPUT",
         GateKind::And => "AND",
         GateKind::Nand => "NAND",

@@ -12,7 +12,7 @@ use slm_netlist::generators::{
     equality_comparator, kogge_stone_adder, parity_tree, ring_oscillator, ripple_carry_adder,
     tdc_delay_line, wallace_multiplier, zoo,
 };
-use slm_netlist::{Gate, GateKind, NetId, Netlist};
+use slm_netlist::{GateKind, NetId, Netlist};
 use slm_obs::Obs;
 use slm_timing::DelayModel;
 
@@ -122,10 +122,10 @@ fn random_dag(seed: u64, nets: usize) -> Netlist {
         let roll = rng.below(100);
         let gate = if v < lead || roll < 4 {
             inputs.push(NetId(v as u32));
-            Gate::new(GateKind::Input, vec![])
+            (GateKind::Input, vec![])
         } else if roll < 7 {
             let kind = [GateKind::Const0, GateKind::Const1][rng.below(2)];
-            Gate::new(kind, vec![])
+            (kind, vec![])
         } else {
             let kind = KINDS[rng.below(KINDS.len())];
             let arity = if matches!(kind, GateKind::Not | GateKind::Buf) {
@@ -145,7 +145,7 @@ fn random_dag(seed: u64, nets: usize) -> Netlist {
                     NetId((v - back) as u32)
                 })
                 .collect();
-            Gate::new(kind, fanin)
+            (kind, fanin)
         };
         gates.push(gate);
     }
@@ -168,7 +168,7 @@ fn reference_scoap(
 ) -> Option<(Severity, NetId, Vec<NetId>, String)> {
     // Fanins always precede their gate, so net order is topological.
     let mut level = vec![0usize; nl.len()];
-    for (v, g) in nl.gates().iter().enumerate() {
+    for (v, g) in nl.gates().enumerate() {
         if !g.fanin.is_empty() {
             level[v] = 1 + g.fanin.iter().map(|f| level[f.index()]).max().unwrap_or(0);
         }
@@ -185,7 +185,7 @@ fn reference_scoap(
         let mut cone = 0usize;
         while let Some(v) = stack.pop() {
             cone += 1;
-            for &f in &nl.gate(v).fanin {
+            for &f in nl.gate(v).fanin {
                 if !std::mem::replace(&mut seen[f.index()], true) {
                     stack.push(f);
                 }

@@ -16,10 +16,11 @@
 //! combinational netlist.
 
 use crate::error::NetlistError;
-use crate::gate::{Gate, GateKind, NetId};
+use crate::gate::{GateKind, NetId};
+use crate::layout::{Gates, Names};
 use crate::netlist::Netlist;
-use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::ops::Range;
 
 fn kind_from_keyword(kw: &str) -> Option<GateKind> {
     match kw.to_ascii_uppercase().as_str() {
@@ -58,14 +59,17 @@ fn kind_from_keyword(kw: &str) -> Option<GateKind> {
 /// assert_eq!(nl.eval(&[true, true]).unwrap(), vec![false]);
 /// ```
 pub fn parse(src: &str, name: &str) -> Result<Netlist, NetlistError> {
-    struct Def {
+    /// A gate definition; its fanin names are `fanin_names[fanins]`.
+    struct Def<'a> {
+        lhs: &'a str,
         kind: GateKind,
-        fanin_names: Vec<String>,
+        fanins: Range<usize>,
         line: usize,
     }
-    let mut inputs: Vec<String> = Vec::new();
-    let mut outputs: Vec<String> = Vec::new();
-    let mut defs: Vec<(String, Def)> = Vec::new();
+    let mut inputs: Vec<&str> = Vec::new();
+    let mut outputs: Vec<&str> = Vec::new();
+    let mut defs: Vec<Def> = Vec::new();
+    let mut fanin_names: Vec<&str> = Vec::new();
 
     for (lineno, raw) in src.lines().enumerate() {
         let line = lineno + 1;
@@ -74,18 +78,18 @@ pub fn parse(src: &str, name: &str) -> Result<Netlist, NetlistError> {
             continue;
         }
         let err = |message: String| NetlistError::BenchSyntax { line, message };
-        let upper = text.to_ascii_uppercase();
-        if upper.starts_with("INPUT") || upper.starts_with("OUTPUT") {
+        let is_input = starts_with_ignore_case(text, "INPUT");
+        if is_input || starts_with_ignore_case(text, "OUTPUT") {
             let open = text.find('(').ok_or_else(|| err("missing `(`".into()))?;
             let close = text.rfind(')').ok_or_else(|| err("missing `)`".into()))?;
             if close <= open {
                 return Err(err("mismatched parentheses".into()));
             }
-            let sig = text[open + 1..close].trim().to_string();
+            let sig = text[open + 1..close].trim();
             if sig.is_empty() {
                 return Err(err("empty signal name".into()));
             }
-            if upper.starts_with("INPUT") {
+            if is_input {
                 inputs.push(sig);
             } else {
                 outputs.push(sig);
@@ -96,7 +100,7 @@ pub fn parse(src: &str, name: &str) -> Result<Netlist, NetlistError> {
         let eq = text
             .find('=')
             .ok_or_else(|| err("expected `=` definition".into()))?;
-        let lhs = text[..eq].trim().to_string();
+        let lhs = text[..eq].trim();
         let rhs = text[eq + 1..].trim();
         if lhs.is_empty() {
             return Err(err("empty left-hand side".into()));
@@ -111,66 +115,63 @@ pub fn parse(src: &str, name: &str) -> Result<Netlist, NetlistError> {
             return Err(err("DFF cells are not supported".into()));
         }
         let kind = kind_from_keyword(kw).ok_or_else(|| err(format!("unknown gate `{kw}`")))?;
-        let args: Vec<String> = rhs[open + 1..close]
-            .split(',')
-            .map(|s| s.trim().to_string())
-            .filter(|s| !s.is_empty())
-            .collect();
-        defs.push((
+        let first = fanin_names.len();
+        fanin_names.extend(
+            rhs[open + 1..close]
+                .split(',')
+                .map(str::trim)
+                .filter(|s| !s.is_empty()),
+        );
+        defs.push(Def {
             lhs,
-            Def {
-                kind,
-                fanin_names: args,
-                line,
-            },
-        ));
+            kind,
+            fanins: first..fanin_names.len(),
+            line,
+        });
     }
 
     // Assign net ids: inputs first, then definitions in file order.
-    let mut ids: HashMap<String, NetId> = HashMap::new();
-    let mut gates: Vec<Gate> = Vec::new();
-    let mut net_names: Vec<Option<String>> = Vec::new();
-    let mut input_ids = Vec::new();
+    let mut gates = Gates::with_capacity(inputs.len() + defs.len(), fanin_names.len());
+    let mut names = Names::default();
     for sig in &inputs {
-        if ids.contains_key(sig) {
-            return Err(NetlistError::DuplicateName(sig.clone()));
-        }
-        let id = NetId(gates.len() as u32);
-        ids.insert(sig.clone(), id);
-        gates.push(Gate::new(GateKind::Input, vec![]));
-        net_names.push(Some(sig.clone()));
-        input_ids.push(id);
+        let id = gates.push(GateKind::Input, []);
+        names.push(id, sig);
     }
-    for (lhs, def) in &defs {
-        if ids.contains_key(lhs) {
-            return Err(NetlistError::DuplicateName(lhs.clone()));
-        }
-        let id = NetId(gates.len() as u32);
-        ids.insert(lhs.clone(), id);
-        gates.push(Gate::new(def.kind, vec![])); // fanins patched below
-        net_names.push(Some(lhs.clone()));
+    for def in &defs {
+        // Fanins are placeholders until every name is known.
+        let id = gates.push(
+            def.kind,
+            fanin_names[def.fanins.clone()].iter().map(|_| NetId(0)),
+        );
+        names.push(id, def.lhs);
     }
-    // Patch fanins now that every name is known.
-    let base = input_ids.len();
-    for (i, (_, def)) in defs.iter().enumerate() {
-        let mut fanin = Vec::with_capacity(def.fanin_names.len());
-        for fname in &def.fanin_names {
-            let &fid = ids.get(fname).ok_or_else(|| NetlistError::BenchSyntax {
+    names.seal(gates.len())?;
+    // Resolve fanins now that every name is known.
+    let base = inputs.len();
+    for (i, def) in defs.iter().enumerate() {
+        let fanin = gates.fanin_mut(base + i);
+        for (slot, fname) in fanin.iter_mut().zip(&fanin_names[def.fanins.clone()]) {
+            *slot = names.find(fname).ok_or_else(|| NetlistError::BenchSyntax {
                 line: def.line,
                 message: format!("undefined signal `{fname}`"),
             })?;
-            fanin.push(fid);
         }
-        gates[base + i].fanin = fanin;
     }
     let mut output_pairs = Vec::with_capacity(outputs.len());
-    for sig in &outputs {
-        let &id = ids
-            .get(sig)
-            .ok_or_else(|| NetlistError::UndrivenOutput(sig.clone()))?;
-        output_pairs.push((sig.clone(), id));
+    for sig in outputs {
+        let id = names
+            .find(sig)
+            .ok_or_else(|| NetlistError::UndrivenOutput(sig.to_string()))?;
+        output_pairs.push((sig.to_string(), id));
     }
-    Netlist::from_parts(name, gates, input_ids, output_pairs, net_names)
+    let input_ids = (0..inputs.len() as u32).map(NetId).collect();
+    Netlist::assemble(name.to_string(), gates, input_ids, output_pairs, names)
+}
+
+/// Whether `text` starts with `prefix`, ignoring ASCII case.
+fn starts_with_ignore_case(text: &str, prefix: &str) -> bool {
+    text.get(..prefix.len())
+        .is_some_and(|head| head.eq_ignore_ascii_case(prefix))
 }
 
 /// Serializes a netlist to `.bench` text.
@@ -206,7 +207,7 @@ pub fn write(nl: &Netlist) -> String {
             aliases.push((oname.clone(), *onet));
         }
     }
-    for (i, g) in nl.gates().iter().enumerate() {
+    for (i, g) in nl.gates().enumerate() {
         // Only primary inputs lack a keyword; the INPUT lines declare them.
         let Some(kw) = g.kind.bench_name() else {
             continue;
@@ -344,12 +345,12 @@ t = BUFF(a)
     #[test]
     fn writer_skips_inputs_anywhere_in_the_gate_list() {
         let gates = vec![
-            Gate::new(GateKind::Input, vec![]),
-            Gate::new(GateKind::Not, vec![NetId(0)]),
-            Gate::new(GateKind::Input, vec![]),
-            Gate::new(GateKind::Xor, vec![NetId(1), NetId(2)]),
-            Gate::new(GateKind::Const1, vec![]),
-            Gate::new(GateKind::And, vec![NetId(3), NetId(4)]),
+            (GateKind::Input, vec![]),
+            (GateKind::Not, vec![NetId(0)]),
+            (GateKind::Input, vec![]),
+            (GateKind::Xor, vec![NetId(1), NetId(2)]),
+            (GateKind::Const1, vec![]),
+            (GateKind::And, vec![NetId(3), NetId(4)]),
         ];
         let outputs = vec![("y".to_string(), NetId(5))];
         let nl =

@@ -1,14 +1,17 @@
 //! Incremental netlist construction.
 
 use crate::error::NetlistError;
-use crate::gate::{Gate, GateKind, NetId};
+use crate::gate::{GateKind, NetId};
+use crate::layout::{Gates, Names};
 use crate::netlist::Netlist;
-use std::collections::HashMap;
+use std::fmt::Write as _;
 
 /// Builds a [`Netlist`] gate by gate.
 ///
 /// Gates must reference already-created nets, so builder-produced netlists
-/// are acyclic by construction.
+/// are acyclic by construction. The builder writes the netlist's flat
+/// gate and name arrays as it goes and hands them over on
+/// [`NetlistBuilder::finish`].
 ///
 /// # Example
 ///
@@ -30,11 +33,10 @@ use std::collections::HashMap;
 #[derive(Debug, Clone)]
 pub struct NetlistBuilder {
     name: String,
-    gates: Vec<Gate>,
+    gates: Gates,
     inputs: Vec<NetId>,
     outputs: Vec<(String, NetId)>,
-    net_names: Vec<Option<String>>,
-    used_names: HashMap<String, NetId>,
+    names: Names,
     error: Option<NetlistError>,
 }
 
@@ -43,17 +45,15 @@ impl NetlistBuilder {
     pub fn new(name: impl Into<String>) -> Self {
         NetlistBuilder {
             name: name.into(),
-            gates: Vec::new(),
+            gates: Gates::with_capacity(0, 0),
             inputs: Vec::new(),
             outputs: Vec::new(),
-            net_names: Vec::new(),
-            used_names: HashMap::new(),
+            names: Names::default(),
             error: None,
         }
     }
 
-    fn push(&mut self, kind: GateKind, fanin: Vec<NetId>, name: Option<String>) -> NetId {
-        let id = NetId(self.gates.len() as u32);
+    fn push(&mut self, kind: GateKind, fanin: &[NetId], name: Option<&str>) -> NetId {
         let (lo, hi) = kind.arity();
         if fanin.len() < lo || fanin.len() > hi {
             self.error.get_or_insert(NetlistError::BadArity {
@@ -61,27 +61,19 @@ impl NetlistBuilder {
                 got: fanin.len(),
             });
         }
-        for &f in &fanin {
-            if f.index() >= self.gates.len() {
-                self.error.get_or_insert(NetlistError::UnknownNet(f));
-            }
+        if let Some(&f) = fanin.iter().find(|f| f.index() >= self.gates.len()) {
+            self.error.get_or_insert(NetlistError::UnknownNet(f));
         }
-        if let Some(n) = &name {
-            if self.used_names.contains_key(n) {
-                self.error
-                    .get_or_insert(NetlistError::DuplicateName(n.clone()));
-            } else {
-                self.used_names.insert(n.clone(), id);
-            }
+        let id = self.gates.push(kind, fanin.iter().copied());
+        if let Some(n) = name {
+            self.names.push(id, n);
         }
-        self.gates.push(Gate::new(kind, fanin));
-        self.net_names.push(name);
         id
     }
 
     /// Declares a named primary input and returns its net.
-    pub fn input(&mut self, name: impl Into<String>) -> NetId {
-        let id = self.push(GateKind::Input, vec![], Some(name.into()));
+    pub fn input(&mut self, name: impl AsRef<str>) -> NetId {
+        let id = self.push(GateKind::Input, &[], Some(name.as_ref()));
         self.inputs.push(id);
         id
     }
@@ -89,24 +81,24 @@ impl NetlistBuilder {
     /// Declares `width` primary inputs named `prefix[0]..prefix[width-1]`,
     /// least-significant first.
     pub fn input_bus(&mut self, prefix: &str, width: usize) -> Vec<NetId> {
+        let mut name = String::new();
         (0..width)
-            .map(|i| self.input(format!("{prefix}[{i}]")))
+            .map(|i| {
+                name.clear();
+                let _ = write!(name, "{prefix}[{i}]");
+                self.input(&name)
+            })
             .collect()
     }
 
     /// Adds an anonymous gate.
     pub fn gate(&mut self, kind: GateKind, fanin: &[NetId]) -> NetId {
-        self.push(kind, fanin.to_vec(), None)
+        self.push(kind, fanin, None)
     }
 
     /// Adds a named gate.
-    pub fn named_gate(
-        &mut self,
-        name: impl Into<String>,
-        kind: GateKind,
-        fanin: &[NetId],
-    ) -> NetId {
-        self.push(kind, fanin.to_vec(), Some(name.into()))
+    pub fn named_gate(&mut self, name: impl AsRef<str>, kind: GateKind, fanin: &[NetId]) -> NetId {
+        self.push(kind, fanin, Some(name.as_ref()))
     }
 
     /// Two-input AND.
@@ -185,26 +177,20 @@ impl NetlistBuilder {
 
     /// Whether no gates have been created yet.
     pub fn is_empty(&self) -> bool {
-        self.gates.is_empty()
+        self.gates.len() == 0
     }
 
     /// Finalizes the netlist.
     ///
     /// # Errors
     ///
-    /// Returns the first construction error encountered (bad arity,
-    /// unknown net, duplicate name).
+    /// Returns the first bad arity or unknown net encountered, else the
+    /// first name that repeats an earlier one.
     pub fn finish(self) -> Result<Netlist, NetlistError> {
         if let Some(e) = self.error {
             return Err(e);
         }
-        Netlist::from_parts(
-            self.name,
-            self.gates,
-            self.inputs,
-            self.outputs,
-            self.net_names,
-        )
+        Netlist::assemble(self.name, self.gates, self.inputs, self.outputs, self.names)
     }
 }
 

@@ -157,20 +157,18 @@ impl fmt::Display for GateKind {
     }
 }
 
-/// A single gate instance: a function applied to fanin nets.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Gate {
+/// One gate of a [`crate::Netlist`], viewed in place: the function it
+/// computes and the nets it reads.
+///
+/// A netlist stores its gates in flat arrays, so this view is handed
+/// out by value ([`crate::Netlist::gate`], [`crate::Netlist::gates`]);
+/// `fanin` borrows the netlist's shared fanin array.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Gate<'a> {
     /// The logic function of this gate.
     pub kind: GateKind,
     /// Driving nets, in positional order.
-    pub fanin: Vec<NetId>,
-}
-
-impl Gate {
-    /// Creates a gate, without arity validation (the builder validates).
-    pub fn new(kind: GateKind, fanin: Vec<NetId>) -> Self {
-        Gate { kind, fanin }
-    }
+    pub fanin: &'a [NetId],
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 
 use crate::builder::NetlistBuilder;
 use crate::error::NetlistError;
-use crate::gate::{Gate, GateKind, NetId};
+use crate::gate::{GateKind, NetId};
 use crate::netlist::Netlist;
 
 /// The ISCAS-85 C17 benchmark (6 NAND gates), built programmatically.
@@ -97,11 +97,11 @@ pub fn ring_oscillator(stages: usize) -> Result<Netlist, NetlistError> {
         ));
     }
     // Nets: 0 = enable input, 1 = NAND, 2..2+stages = inverters.
-    let mut gates = vec![Gate::new(GateKind::Input, vec![])];
+    let mut gates = vec![(GateKind::Input, vec![])];
     let last_inv = NetId((1 + stages) as u32);
-    gates.push(Gate::new(GateKind::Nand, vec![NetId(0), last_inv]));
+    gates.push((GateKind::Nand, vec![NetId(0), last_inv]));
     for i in 0..stages {
-        gates.push(Gate::new(GateKind::Not, vec![NetId((1 + i) as u32)]));
+        gates.push((GateKind::Not, vec![NetId((1 + i) as u32)]));
     }
     let mut names = vec![Some("en".to_string()), Some("ro_nand".to_string())];
     for i in 0..stages {

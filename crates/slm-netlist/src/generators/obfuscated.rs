@@ -13,7 +13,7 @@
 
 use crate::builder::NetlistBuilder;
 use crate::error::NetlistError;
-use crate::gate::{Gate, GateKind, NetId};
+use crate::gate::{GateKind, NetId};
 use crate::netlist::Netlist;
 
 /// A TDC-style observable delay line hidden from naive chain matchers.
@@ -65,14 +65,14 @@ pub fn obfuscated_ring_oscillator(stages: usize) -> Result<Netlist, NetlistError
     // 3+2i. The final BUF feeds back into the NAND.
     let last_buf = NetId((1 + 2 * stages) as u32);
     let mut gates = vec![
-        Gate::new(GateKind::Input, vec![]),
-        Gate::new(GateKind::Nand, vec![NetId(0), last_buf]),
+        (GateKind::Input, vec![]),
+        (GateKind::Nand, vec![NetId(0), last_buf]),
     ];
     let mut names = vec![Some("en".to_string()), Some("ro_nand".to_string())];
     for i in 0..stages {
         let prev = NetId((1 + 2 * i) as u32);
-        gates.push(Gate::new(GateKind::Not, vec![prev]));
-        gates.push(Gate::new(GateKind::Buf, vec![NetId((2 + 2 * i) as u32)]));
+        gates.push((GateKind::Not, vec![prev]));
+        gates.push((GateKind::Buf, vec![NetId((2 + 2 * i) as u32)]));
         names.push(Some(format!("ro_inv{i}")));
         names.push(Some(format!("ro_buf{i}")));
     }
@@ -97,14 +97,14 @@ pub fn ro_grid(cells: usize) -> Result<Netlist, NetlistError> {
             "RO grid needs at least 1 cell".into(),
         ));
     }
-    let mut gates = vec![Gate::new(GateKind::Input, vec![])];
+    let mut gates = vec![(GateKind::Input, vec![])];
     let mut names = vec![Some("en".to_string())];
     for c in 0..cells {
         let base = (1 + 3 * c) as u32;
         // NAND(en, inv2) -> inv1 -> inv2 -> back into the NAND.
-        gates.push(Gate::new(GateKind::Nand, vec![NetId(0), NetId(base + 2)]));
-        gates.push(Gate::new(GateKind::Not, vec![NetId(base)]));
-        gates.push(Gate::new(GateKind::Not, vec![NetId(base + 1)]));
+        gates.push((GateKind::Nand, vec![NetId(0), NetId(base + 2)]));
+        gates.push((GateKind::Not, vec![NetId(base)]));
+        gates.push((GateKind::Not, vec![NetId(base + 1)]));
         names.push(Some(format!("cell{c}_nand")));
         names.push(Some(format!("cell{c}_inv1")));
         names.push(Some(format!("cell{c}_inv2")));
@@ -310,9 +310,9 @@ mod tests {
         // delay-line matcher keys on is absent.
         let nl = obfuscated_tdc_delay_line(24).unwrap();
         for &(_, o) in nl.outputs() {
-            assert_eq!(nl.gate(o).kind, GateKind::Buf);
+            assert_eq!(nl.kind(o), GateKind::Buf);
             let driver = nl.gate(o).fanin[0];
-            assert!(matches!(nl.gate(driver).kind, GateKind::And | GateKind::Or));
+            assert!(matches!(nl.kind(driver), GateKind::And | GateKind::Or));
         }
     }
 
@@ -324,7 +324,7 @@ mod tests {
         assert_eq!(loops.len(), 1);
         let inverting = loops[0]
             .iter()
-            .filter(|&&id| ro.gate(id).kind.is_inverting())
+            .filter(|&&id| ro.kind(id).is_inverting())
             .count();
         assert_eq!(inverting % 2, 1, "loop must oscillate");
         assert!(obfuscated_ring_oscillator(3).is_err());

@@ -2,8 +2,9 @@
 
 use crate::error::NetlistError;
 use crate::gate::{Gate, GateKind, NetId};
-use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use crate::layout::{Gates, Names};
+use std::fmt::Write as _;
+use std::ops::Range;
 
 /// A combinational gate-level netlist.
 ///
@@ -11,20 +12,24 @@ use std::collections::HashMap;
 /// inputs are gates of kind [`GateKind::Input`]; primary outputs are a
 /// named list of nets. Construct with [`crate::NetlistBuilder`], the
 /// [`crate::bench`] parser, or one of the [`crate::generators`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// Gates live in flat arrays (one kind byte and one fanin offset per
+/// net, one shared fanin array) and names only for named nets, so a
+/// built netlist holds a fixed number of heap blocks plus one per
+/// output name, not one per gate.
+#[derive(Debug, Clone)]
 pub struct Netlist {
     name: String,
-    gates: Vec<Gate>,
+    gates: Gates,
     inputs: Vec<NetId>,
     outputs: Vec<(String, NetId)>,
-    net_names: Vec<Option<String>>,
-    name_map: HashMap<String, NetId>,
+    names: Names,
     /// Cached topological order, or the cycle that prevents one.
     topo: Topo,
 }
 
 /// A netlist's topological order, computed once at construction.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 enum Topo {
     /// Every net, fanins before fanouts.
     Order(Vec<NetId>),
@@ -35,18 +40,50 @@ enum Topo {
 impl Netlist {
     /// Assembles a netlist from raw parts, computing the topological order.
     ///
+    /// `gates` lists each gate's kind and fanins in net order; fanins
+    /// may refer forward. `net_names` names nets by position and may be
+    /// shorter than the gate list (the rest stay anonymous).
+    ///
     /// Cyclic graphs are accepted (so structural checkers can inspect
     /// them), but simulation of a cyclic netlist returns
     /// [`NetlistError::CombinationalCycle`].
-    pub fn from_parts(
+    ///
+    /// # Errors
+    ///
+    /// [`NetlistError::BadArity`] or [`NetlistError::UnknownNet`] for
+    /// the first bad gate, then [`NetlistError::UnknownNet`] for a bad
+    /// output, then [`NetlistError::DuplicateName`].
+    pub fn from_parts<F: AsRef<[NetId]>>(
         name: impl Into<String>,
-        gates: Vec<Gate>,
+        gates: impl IntoIterator<Item = (GateKind, F)>,
         inputs: Vec<NetId>,
         outputs: Vec<(String, NetId)>,
         net_names: Vec<Option<String>>,
     ) -> Result<Self, NetlistError> {
+        let gates = gates.into_iter();
+        let mut flat = Gates::with_capacity(gates.size_hint().0, 0);
+        for (kind, fanin) in gates {
+            flat.push(kind, fanin.as_ref().iter().copied());
+        }
+        let mut names = Names::default();
+        for (i, nm) in net_names.iter().enumerate().take(flat.len()) {
+            if let Some(nm) = nm {
+                names.push(NetId(i as u32), nm);
+            }
+        }
+        Netlist::assemble(name.into(), flat, inputs, outputs, names)
+    }
+
+    /// Checks the parts and takes them over as they are.
+    pub(crate) fn assemble(
+        name: String,
+        mut gates: Gates,
+        inputs: Vec<NetId>,
+        outputs: Vec<(String, NetId)>,
+        mut names: Names,
+    ) -> Result<Self, NetlistError> {
         let n = gates.len();
-        for (i, g) in gates.iter().enumerate() {
+        for g in gates.iter() {
             let (lo, hi) = g.kind.arity();
             if g.fanin.len() < lo || g.fanin.len() > hi {
                 return Err(NetlistError::BadArity {
@@ -54,42 +91,27 @@ impl Netlist {
                     got: g.fanin.len(),
                 });
             }
-            for &f in &g.fanin {
-                if f.index() >= n {
-                    return Err(NetlistError::UnknownNet(f));
-                }
-            }
-            debug_assert!(i < n);
-        }
-        for &(_, o) in &outputs {
-            if o.index() >= n {
-                return Err(NetlistError::UnknownNet(o));
+            if let Some(&f) = g.fanin.iter().find(|f| f.index() >= n) {
+                return Err(NetlistError::UnknownNet(f));
             }
         }
-        let mut name_map = HashMap::new();
-        let mut padded_names = net_names;
-        padded_names.resize(n, None);
-        for (i, nm) in padded_names.iter().enumerate() {
-            if let Some(nm) = nm {
-                if name_map.insert(nm.clone(), NetId(i as u32)).is_some() {
-                    return Err(NetlistError::DuplicateName(nm.clone()));
-                }
-            }
+        if let Some(&(_, o)) = outputs.iter().find(|(_, o)| o.index() >= n) {
+            return Err(NetlistError::UnknownNet(o));
         }
-        let mut nl = Netlist {
-            name: name.into(),
-            gates,
-            inputs,
-            outputs,
-            net_names: padded_names,
-            name_map,
-            topo: Topo::Order(Vec::new()),
-        };
-        nl.topo = match nl.compute_topological_order() {
+        names.seal(n)?;
+        gates.shrink_to_fit();
+        let topo = match compute_topological_order(&gates) {
             Ok(order) => Topo::Order(order),
             Err(witness) => Topo::Cycle(witness),
         };
-        Ok(nl)
+        Ok(Netlist {
+            name,
+            gates,
+            inputs,
+            outputs,
+            names,
+            topo,
+        })
     }
 
     /// The netlist's name (for example `"c6288"`).
@@ -97,14 +119,36 @@ impl Netlist {
         &self.name
     }
 
-    /// All gates, indexed by [`NetId::index`].
-    pub fn gates(&self) -> &[Gate] {
-        &self.gates
+    /// Views of all gates, in [`NetId::index`] order.
+    pub fn gates(&self) -> impl ExactSizeIterator<Item = Gate<'_>> + '_ {
+        self.gates.iter()
     }
 
     /// The gate driving `id`.
-    pub fn gate(&self, id: NetId) -> &Gate {
-        &self.gates[id.index()]
+    #[inline]
+    pub fn gate(&self, id: NetId) -> Gate<'_> {
+        self.gates.get(id.index())
+    }
+
+    /// The kind of the gate driving `id`; cheaper than
+    /// [`Netlist::gate`] when the fanins are not needed.
+    #[inline]
+    pub fn kind(&self, id: NetId) -> GateKind {
+        self.gates.kind(id.index())
+    }
+
+    /// The positions of `id`'s fanin edges among all
+    /// [`Netlist::edge_count`] edges: fanin `j` of `id` is edge
+    /// `fanin_edges(id).start + j`. Per-edge side tables (delays,
+    /// delayed values) index by these positions.
+    #[inline]
+    pub fn fanin_edges(&self, id: NetId) -> Range<usize> {
+        self.gates.edges(id.index())
+    }
+
+    /// Number of fanin edges over all gates.
+    pub fn edge_count(&self) -> usize {
+        self.gates.edge_count()
     }
 
     /// Number of gates (equivalently, nets).
@@ -114,7 +158,7 @@ impl Netlist {
 
     /// Whether the netlist contains no gates.
     pub fn is_empty(&self) -> bool {
-        self.gates.is_empty()
+        self.gates.len() == 0
     }
 
     /// Primary inputs in declaration order.
@@ -134,12 +178,22 @@ impl Netlist {
 
     /// The name attached to a net, if any.
     pub fn net_name(&self, id: NetId) -> Option<&str> {
-        self.net_names.get(id.index()).and_then(|n| n.as_deref())
+        self.names.get(id)
     }
 
     /// Finds a net by name.
     pub fn find(&self, name: &str) -> Option<NetId> {
-        self.name_map.get(name).copied()
+        self.names.find(name)
+    }
+
+    /// Every named net with its name, in net order.
+    pub(crate) fn named_nets(&self) -> impl Iterator<Item = (NetId, &str)> + '_ {
+        self.names.iter()
+    }
+
+    /// The name store, for a transformation that keeps every net.
+    pub(crate) fn names(&self) -> &Names {
+        &self.names
     }
 
     /// Whether the gate graph is free of combinational cycles.
@@ -159,70 +213,6 @@ impl Netlist {
         }
     }
 
-    /// Kahn's algorithm; on a cyclic graph, returns the lowest-indexed
-    /// net left with unresolved fanins, which lies on or behind a cycle.
-    fn compute_topological_order(&self) -> Result<Vec<NetId>, NetId> {
-        let n = self.gates.len();
-        let mut indegree = vec![0u32; n];
-        // Repeated fanins are counted repeatedly and decremented repeatedly,
-        // which balances out.
-        // fanout adjacency in CSR form
-
-        let mut fanout_start = vec![0u32; n + 1];
-        for g in &self.gates {
-            for &f in &g.fanin {
-                fanout_start[f.index() + 1] += 1;
-            }
-        }
-        for i in 0..n {
-            fanout_start[i + 1] += fanout_start[i];
-        }
-        let total_edges = fanout_start[n] as usize;
-        let mut fanout = vec![0u32; total_edges];
-        let mut cursor = fanout_start.clone();
-        for (gi, g) in self.gates.iter().enumerate() {
-            indegree[gi] = g.fanin.len() as u32;
-            for &f in &g.fanin {
-                fanout[cursor[f.index()] as usize] = gi as u32;
-                cursor[f.index()] += 1;
-            }
-        }
-        let mut order = Vec::with_capacity(n);
-        let mut queue: Vec<u32> = (0..n as u32)
-            .filter(|&i| indegree[i as usize] == 0)
-            .collect();
-        let mut head = 0;
-        while head < queue.len() {
-            let u = queue[head];
-            head += 1;
-            order.push(NetId(u));
-            let s = fanout_start[u as usize] as usize;
-            let e = fanout_start[u as usize + 1] as usize;
-            for &v in &fanout[s..e] {
-                indegree[v as usize] -= 1;
-                if indegree[v as usize] == 0 {
-                    queue.push(v);
-                }
-            }
-        }
-        // Every net left unordered still waits on a fanin.
-        match indegree.iter().position(|&d| d > 0) {
-            Some(i) => Err(NetId(i as u32)),
-            None => Ok(order),
-        }
-    }
-
-    /// Fanout lists for every net.
-    pub fn fanouts(&self) -> Vec<Vec<NetId>> {
-        let mut out = vec![Vec::new(); self.gates.len()];
-        for (gi, g) in self.gates.iter().enumerate() {
-            for &f in &g.fanin {
-                out[f.index()].push(NetId(gi as u32));
-            }
-        }
-        out
-    }
-
     /// Evaluates all nets for one input pattern.
     ///
     /// `inputs` must match [`Netlist::inputs`] in length and order.
@@ -239,13 +229,13 @@ impl Netlist {
             });
         }
         let order = self.topological_order()?;
-        let mut values = vec![false; self.gates.len()];
+        let mut values = vec![false; self.len()];
         for (&pi, &v) in self.inputs.iter().zip(inputs) {
             values[pi.index()] = v;
         }
         let mut fanin_buf: Vec<bool> = Vec::with_capacity(8);
         for &id in order {
-            let g = &self.gates[id.index()];
+            let g = self.gate(id);
             if g.kind == GateKind::Input {
                 continue;
             }
@@ -276,13 +266,13 @@ impl Netlist {
             });
         }
         let order = self.topological_order()?;
-        let mut values = vec![0u64; self.gates.len()];
+        let mut values = vec![0u64; self.len()];
         for (&pi, &v) in self.inputs.iter().zip(inputs) {
             values[pi.index()] = v;
         }
         let mut fanin_buf: Vec<u64> = Vec::with_capacity(8);
         for &id in order {
-            let g = &self.gates[id.index()];
+            let g = self.gate(id);
             if g.kind == GateKind::Input {
                 continue;
             }
@@ -318,18 +308,22 @@ impl Netlist {
         name: impl Into<String>,
         parts: &[&Netlist],
     ) -> Result<Netlist, NetlistError> {
-        let mut gates = Vec::new();
+        let nets = parts.iter().map(|p| p.len()).sum();
+        let edges = parts.iter().map(|p| p.edge_count()).sum();
+        let mut gates = Gates::with_capacity(nets, edges);
         let mut inputs = Vec::new();
         let mut outputs = Vec::new();
-        let mut net_names = Vec::new();
+        let mut names = Names::default();
+        let mut prefixed = String::new();
         for (i, part) in parts.iter().enumerate() {
             let base = gates.len() as u32;
             for g in part.gates() {
-                let fanin = g.fanin.iter().map(|f| NetId(f.0 + base)).collect();
-                gates.push(Gate::new(g.kind, fanin));
+                gates.push(g.kind, g.fanin.iter().map(|f| NetId(f.0 + base)));
             }
-            for k in 0..part.len() {
-                net_names.push(part.net_name(NetId(k as u32)).map(|n| format!("u{i}_{n}")));
+            for (id, n) in part.named_nets() {
+                prefixed.clear();
+                let _ = write!(prefixed, "u{i}_{n}");
+                names.push(NetId(id.0 + base), &prefixed);
             }
             inputs.extend(part.inputs().iter().map(|&p| NetId(p.0 + base)));
             outputs.extend(
@@ -338,7 +332,7 @@ impl Netlist {
                     .map(|(n, o)| (format!("u{i}_{n}"), NetId(o.0 + base))),
             );
         }
-        Netlist::from_parts(name, gates, inputs, outputs, net_names)
+        Netlist::assemble(name.into(), gates, inputs, outputs, names)
     }
 
     /// A stable FNV-1a fingerprint of the netlist's full content.
@@ -360,10 +354,10 @@ impl Netlist {
         };
         eat(self.name.as_bytes());
         eat(&[0xff]);
-        for g in &self.gates {
+        for g in self.gates() {
             eat(&[g.kind as u8, 0xfe]);
             eat(&(g.fanin.len() as u32).to_le_bytes());
-            for &f in &g.fanin {
+            for &f in g.fanin {
                 eat(&f.0.to_le_bytes());
             }
         }
@@ -378,8 +372,8 @@ impl Netlist {
             eat(&o.0.to_le_bytes());
         }
         eat(&[0xfa]);
-        for n in &self.net_names {
-            match n {
+        for i in 0..self.len() {
+            match self.net_name(NetId(i as u32)) {
                 Some(n) => {
                     eat(&[1]);
                     eat(n.as_bytes());
@@ -393,7 +387,7 @@ impl Netlist {
 
     /// The transitive fanin cone of a net, as a sorted list of net ids.
     pub fn fanin_cone(&self, root: NetId) -> Vec<NetId> {
-        let mut seen = vec![false; self.gates.len()];
+        let mut seen = vec![false; self.len()];
         let mut stack = vec![root];
         let mut cone = Vec::new();
         while let Some(id) = stack.pop() {
@@ -402,12 +396,62 @@ impl Netlist {
             }
             seen[id.index()] = true;
             cone.push(id);
-            for &f in &self.gates[id.index()].fanin {
-                stack.push(f);
-            }
+            stack.extend_from_slice(self.gate(id).fanin);
         }
         cone.sort();
         cone
+    }
+}
+
+/// Kahn's algorithm; on a cyclic graph, returns the lowest-indexed net
+/// left with unresolved fanins, which lies on or behind a cycle.
+fn compute_topological_order(gates: &Gates) -> Result<Vec<NetId>, NetId> {
+    let n = gates.len();
+    let mut indegree = vec![0u32; n];
+    // Repeated fanins are counted repeatedly and decremented repeatedly,
+    // which balances out.
+    // fanout adjacency in CSR form
+    let mut fanout_start = vec![0u32; n + 1];
+    for g in gates.iter() {
+        for &f in g.fanin {
+            fanout_start[f.index() + 1] += 1;
+        }
+    }
+    for i in 0..n {
+        fanout_start[i + 1] += fanout_start[i];
+    }
+    let total_edges = fanout_start[n] as usize;
+    let mut fanout = vec![0u32; total_edges];
+    let mut cursor = fanout_start.clone();
+    for (gi, (g, deg)) in gates.iter().zip(&mut indegree).enumerate() {
+        *deg = g.fanin.len() as u32;
+        for &f in g.fanin {
+            fanout[cursor[f.index()] as usize] = gi as u32;
+            cursor[f.index()] += 1;
+        }
+    }
+    let mut order = Vec::with_capacity(n);
+    let mut queue: Vec<u32> = (0..n as u32)
+        .filter(|&i| indegree[i as usize] == 0)
+        .collect();
+    let mut head = 0;
+    while head < queue.len() {
+        let u = queue[head];
+        head += 1;
+        order.push(NetId(u));
+        let s = fanout_start[u as usize] as usize;
+        let e = fanout_start[u as usize + 1] as usize;
+        for &v in &fanout[s..e] {
+            indegree[v as usize] -= 1;
+            if indegree[v as usize] == 0 {
+                queue.push(v);
+            }
+        }
+    }
+    // Every net left unordered still waits on a fanin.
+    match indegree.iter().position(|&d| d > 0) {
+        Some(i) => Err(NetId(i as u32)),
+        None => Ok(order),
     }
 }
 
@@ -475,8 +519,8 @@ mod tests {
     fn cyclic_netlist_detected() {
         // Build a 2-gate loop by hand: g0 = NAND(g1, g1); g1 = NAND(g0, g0)
         let gates = vec![
-            Gate::new(GateKind::Nand, vec![NetId(1), NetId(1)]),
-            Gate::new(GateKind::Nand, vec![NetId(0), NetId(0)]),
+            (GateKind::Nand, vec![NetId(1), NetId(1)]),
+            (GateKind::Nand, vec![NetId(0), NetId(0)]),
         ];
         let nl = Netlist::from_parts("loop", gates, vec![], vec![], vec![]).unwrap();
         assert!(!nl.is_acyclic());
@@ -494,9 +538,9 @@ mod tests {
     fn cycle_witness_is_kept_from_construction() {
         // a → g1 = AND(a, g2) → g2 = NOT(g1) → back into g1.
         let gates = vec![
-            Gate::new(GateKind::Input, vec![]),
-            Gate::new(GateKind::And, vec![NetId(0), NetId(2)]),
-            Gate::new(GateKind::Not, vec![NetId(1)]),
+            (GateKind::Input, vec![]),
+            (GateKind::And, vec![NetId(0), NetId(2)]),
+            (GateKind::Not, vec![NetId(1)]),
         ];
         let nl = Netlist::from_parts("loop", gates, vec![NetId(0)], vec![], vec![]).unwrap();
         let witness = |nl: &Netlist| match nl.topological_order() {
@@ -517,12 +561,12 @@ mod tests {
     #[test]
     fn cycle_witness_is_the_first_unresolved_net() {
         let gates = vec![
-            Gate::new(GateKind::Input, vec![]),
-            Gate::new(GateKind::Not, vec![NetId(0)]),
+            (GateKind::Input, vec![]),
+            (GateKind::Not, vec![NetId(0)]),
             // Hangs off the cycle below, so it never resolves either.
-            Gate::new(GateKind::Buf, vec![NetId(4)]),
-            Gate::new(GateKind::Nand, vec![NetId(1), NetId(4)]),
-            Gate::new(GateKind::Nand, vec![NetId(3), NetId(1)]),
+            (GateKind::Buf, vec![NetId(4)]),
+            (GateKind::Nand, vec![NetId(1), NetId(4)]),
+            (GateKind::Nand, vec![NetId(3), NetId(1)]),
         ];
         let nl = Netlist::from_parts("tail", gates, vec![NetId(0)], vec![], vec![]).unwrap();
         assert!(!nl.is_acyclic());
@@ -538,9 +582,28 @@ mod tests {
         let y = nl.outputs()[0].1;
         let cone = nl.fanin_cone(y);
         assert_eq!(cone.len(), nl.len()); // everything feeds y
-        let fo = nl.fanouts();
+                                          // Input `a` feeds only the first XOR.
         let a = nl.inputs()[0];
-        assert_eq!(fo[a.index()].len(), 1);
+        let readers: Vec<usize> = (0..nl.len())
+            .filter(|&i| nl.gate(NetId(i as u32)).fanin.contains(&a))
+            .collect();
+        assert_eq!(readers, [3]);
+    }
+
+    /// Fanin edges of consecutive gates tile one shared array: gate
+    /// `i`'s edges start where gate `i - 1`'s end, one per fanin.
+    #[test]
+    fn fanin_edges_tile_the_edge_array() {
+        let nl = crate::generators::c17();
+        let mut next = 0;
+        for (i, g) in nl.gates().enumerate() {
+            let edges = nl.fanin_edges(NetId(i as u32));
+            assert_eq!(edges.start, next);
+            assert_eq!(edges.len(), g.fanin.len());
+            next = edges.end;
+        }
+        assert_eq!(next, nl.edge_count());
+        assert_eq!(nl.edge_count(), 12, "six 2-input NANDs");
     }
 
     #[test]
@@ -564,10 +627,7 @@ mod tests {
 
     #[test]
     fn duplicate_names_rejected() {
-        let gates = vec![
-            Gate::new(GateKind::Input, vec![]),
-            Gate::new(GateKind::Input, vec![]),
-        ];
+        let gates = vec![(GateKind::Input, vec![]), (GateKind::Input, vec![])];
         let err = Netlist::from_parts(
             "dup",
             gates,
@@ -610,7 +670,7 @@ mod tests {
 
     #[test]
     fn bad_fanin_reference_rejected() {
-        let gates = vec![Gate::new(GateKind::Not, vec![NetId(5)])];
+        let gates = vec![(GateKind::Not, vec![NetId(5)])];
         assert!(matches!(
             Netlist::from_parts("bad", gates, vec![], vec![], vec![]),
             Err(NetlistError::UnknownNet(NetId(5)))

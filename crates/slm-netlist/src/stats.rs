@@ -74,7 +74,7 @@ impl Netlist {
         }
         let mut fanout = vec![0usize; self.len()];
         for g in self.gates() {
-            for &f in &g.fanin {
+            for &f in g.fanin {
                 fanout[f.index()] += 1;
             }
         }

@@ -8,7 +8,8 @@
 //! like sensor-stimulus rewiring — preserve function.
 
 use crate::error::NetlistError;
-use crate::gate::{Gate, GateKind, NetId};
+use crate::gate::{GateKind, NetId};
+use crate::layout::{Gates, Names};
 use crate::netlist::Netlist;
 
 /// Result of one optimization pass.
@@ -82,25 +83,20 @@ pub fn propagate_constants(nl: &Netlist) -> Result<(Netlist, PassStats), Netlist
         };
     }
     // Rebuild: constant gates become Const0/Const1 with no fanin.
-    let gates: Vec<Gate> = nl
-        .gates()
-        .iter()
-        .enumerate()
-        .map(|(i, g)| match konst[i] {
-            Some(false) if g.kind != GateKind::Input => Gate::new(GateKind::Const0, vec![]),
-            Some(true) if g.kind != GateKind::Input => Gate::new(GateKind::Const1, vec![]),
-            _ => g.clone(),
-        })
-        .collect();
-    let names = (0..nl.len())
-        .map(|i| nl.net_name(NetId(i as u32)).map(str::to_string))
-        .collect();
-    let rebuilt = Netlist::from_parts(
+    let mut gates = Gates::with_capacity(nl.len(), nl.edge_count());
+    for (g, k) in nl.gates().zip(&konst) {
+        match k {
+            Some(false) if g.kind != GateKind::Input => gates.push(GateKind::Const0, []),
+            Some(true) if g.kind != GateKind::Input => gates.push(GateKind::Const1, []),
+            _ => gates.push(g.kind, g.fanin.iter().copied()),
+        };
+    }
+    let rebuilt = Netlist::assemble(
         nl.name().to_string(),
         gates,
         nl.inputs().to_vec(),
         nl.outputs().to_vec(),
-        names,
+        nl.names().clone(),
     )?;
     let before = nl.len();
     let cleaned = sweep_dead_logic(&rebuilt)?;
@@ -130,26 +126,27 @@ pub fn sweep_dead_logic(nl: &Netlist) -> Result<Netlist, NetlistError> {
             continue;
         }
         live[id.index()] = true;
-        stack.extend(nl.gate(id).fanin.iter().copied());
+        stack.extend_from_slice(nl.gate(id).fanin);
     }
     for &pi in nl.inputs() {
         live[pi.index()] = true;
     }
     // compact ids
     let mut remap: Vec<Option<NetId>> = vec![None; nl.len()];
-    let mut gates = Vec::new();
-    let mut names = Vec::new();
-    for i in 0..nl.len() {
-        if live[i] {
-            remap[i] = Some(NetId(gates.len() as u32));
-            let g = nl.gate(NetId(i as u32));
-            gates.push(g.clone());
-            names.push(nl.net_name(NetId(i as u32)).map(str::to_string));
-        }
+    let mut kept = 0;
+    for i in (0..nl.len()).filter(|&i| live[i]) {
+        remap[i] = Some(NetId(kept));
+        kept += 1;
     }
-    for g in &mut gates {
-        for f in &mut g.fanin {
-            *f = remap[f.index()].expect("fanin of live gate is live");
+    let remapped = |f: &NetId| remap[f.index()].expect("fanin of live gate is live");
+    let mut gates = Gates::with_capacity(kept as usize, nl.edge_count());
+    for (g, _) in nl.gates().zip(&live).filter(|(_, &l)| l) {
+        gates.push(g.kind, g.fanin.iter().map(remapped));
+    }
+    let mut names = Names::default();
+    for (id, n) in nl.named_nets() {
+        if let Some(new) = remap[id.index()] {
+            names.push(new, n);
         }
     }
     let inputs = nl
@@ -162,7 +159,7 @@ pub fn sweep_dead_logic(nl: &Netlist) -> Result<Netlist, NetlistError> {
         .iter()
         .map(|(n, o)| (n.clone(), remap[o.index()].expect("outputs are live")))
         .collect();
-    Netlist::from_parts(nl.name().to_string(), gates, inputs, outputs, names)
+    Netlist::assemble(nl.name().to_string(), gates, inputs, outputs, names)
 }
 
 /// Random-simulation equivalence check: compares the outputs of two

@@ -1,0 +1,136 @@
+//! Heap footprint of a built netlist, counted by the allocator.
+//!
+//! A tenant netlist is untrusted input, so what one net costs once it
+//! is built is a bound the admission path relies on. A counting global
+//! allocator makes the figure deterministic: the bytes requested and
+//! the blocks still live after a build, less those live before it.
+//! This binary holds a single test so no other test allocates while it
+//! measures.
+
+use slm_netlist::{bench, generators, NetId, Netlist, NetlistError};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicIsize, Ordering::Relaxed};
+
+/// Live requested bytes and live blocks, over the whole process.
+static BYTES: AtomicIsize = AtomicIsize::new(0);
+static BLOCKS: AtomicIsize = AtomicIsize::new(0);
+
+struct Counting;
+
+// SAFETY: every call forwards to `System` unchanged; the counters are
+// only bookkeeping.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let p = System.alloc(layout);
+        if !p.is_null() {
+            BYTES.fetch_add(layout.size() as isize, Relaxed);
+            BLOCKS.fetch_add(1, Relaxed);
+        }
+        p
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        let p = System.alloc_zeroed(layout);
+        if !p.is_null() {
+            BYTES.fetch_add(layout.size() as isize, Relaxed);
+            BLOCKS.fetch_add(1, Relaxed);
+        }
+        p
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+        BYTES.fetch_sub(layout.size() as isize, Relaxed);
+        BLOCKS.fetch_sub(1, Relaxed);
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let p = System.realloc(ptr, layout, new_size);
+        if !p.is_null() {
+            BYTES.fetch_add(new_size as isize - layout.size() as isize, Relaxed);
+        }
+        p
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// What a built netlist keeps on the heap.
+struct Footprint {
+    nets: usize,
+    named: usize,
+    bytes: isize,
+    blocks: isize,
+}
+
+impl Footprint {
+    fn bytes_per_net(&self) -> f64 {
+        self.bytes as f64 / self.nets as f64
+    }
+}
+
+/// Builds a netlist and counts what is still allocated afterwards.
+fn measure(build: impl FnOnce() -> Result<Netlist, NetlistError>) -> Footprint {
+    let (bytes0, blocks0) = (BYTES.load(Relaxed), BLOCKS.load(Relaxed));
+    let nl = build().expect("netlist builds");
+    let (bytes, blocks) = (BYTES.load(Relaxed) - bytes0, BLOCKS.load(Relaxed) - blocks0);
+    let named = (0..nl.len())
+        .filter(|&i| nl.net_name(NetId(i as u32)).is_some())
+        .count();
+    Footprint {
+        nets: nl.len(),
+        named,
+        bytes,
+        blocks,
+    }
+}
+
+#[test]
+fn built_netlists_hold_a_bounded_number_of_bytes_and_blocks_per_net() {
+    // The text is allocated before the count starts; only the parsed
+    // netlist is measured.
+    let c6288_text = bench::write(&generators::c6288().unwrap());
+    let rows = [
+        (
+            "kogge_stone_adder(640)",
+            measure(|| generators::kogge_stone_adder(640)),
+            32.0,
+        ),
+        ("alu(256)", measure(|| generators::alu(256)), 32.0),
+        (
+            "c6288 parsed from .bench",
+            measure(|| bench::parse(&c6288_text, "c6288")),
+            64.0,
+        ),
+    ];
+    let report: Vec<String> = rows
+        .iter()
+        .map(|(what, f, _)| {
+            format!(
+                "{what}: {} nets ({} named), {:.1} B/net, {} blocks",
+                f.nets,
+                f.named,
+                f.bytes_per_net(),
+                f.blocks
+            )
+        })
+        .collect();
+    let report = report.join("\n");
+    println!("{report}");
+    // Every net of the parsed design carries its `.bench` name.
+    assert_eq!(rows[2].1.named, rows[2].1.nets);
+    for (what, f, max_bytes_per_net) in &rows {
+        assert!(
+            f.bytes_per_net() <= *max_bytes_per_net,
+            "{what}: {:.1} B/net > {max_bytes_per_net}\n{report}",
+            f.bytes_per_net()
+        );
+        assert!(
+            f.blocks <= f.named as isize + 16,
+            "{what}: {} live blocks for {} named nets\n{report}",
+            f.blocks,
+            f.named
+        );
+    }
+}

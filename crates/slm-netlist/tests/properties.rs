@@ -5,7 +5,7 @@ use slm_netlist::generators::{
     alu, array_multiplier, equality_comparator, parity_tree, ripple_carry_adder, AluOp,
 };
 use slm_netlist::graph::{collapsed_drivers, combinational_loops};
-use slm_netlist::{bench, words, Gate, GateKind, NetId, Netlist, NetlistBuilder};
+use slm_netlist::{bench, words, GateKind, NetId, Netlist, NetlistBuilder};
 
 /// The loop finder as it stood before the acyclic shortcut: a full
 /// iterative Tarjan pass, then a filter keeping components of two or
@@ -139,7 +139,7 @@ fn random_graph(seed: u64, n: usize, back_pct: u64, rings: usize, self_loops: us
         GateKind::Xor,
         GateKind::Xnor,
     ];
-    let mut gates = vec![Gate::new(GateKind::Input, vec![]); n];
+    let mut gates = vec![(GateKind::Input, vec![]); n];
     let mut inputs = Vec::new();
     for (p, &id) in perm.iter().enumerate() {
         if p < 2 {
@@ -162,7 +162,7 @@ fn random_graph(seed: u64, n: usize, back_pct: u64, rings: usize, self_loops: us
                 NetId(src as u32)
             })
             .collect();
-        gates[id] = Gate::new(kind, fanin);
+        gates[id] = (kind, fanin);
     }
     let gate_ids: Vec<usize> = perm[2.min(n)..].to_vec();
     if gate_ids.len() >= 2 {
@@ -173,14 +173,12 @@ fn random_graph(seed: u64, n: usize, back_pct: u64, rings: usize, self_loops: us
                 .collect();
             for (j, &m) in members.iter().enumerate() {
                 let to = members[(j + 1) % len];
-                gates[m] = Gate::new(GateKind::Buf, vec![NetId(to as u32)]);
+                gates[m] = (GateKind::Buf, vec![NetId(to as u32)]);
             }
         }
         for _ in 0..self_loops {
             let m = gate_ids[(next() % gate_ids.len() as u64) as usize];
-            let mut g = gates[m].clone();
-            g.fanin[0] = NetId(m as u32);
-            gates[m] = g;
+            gates[m].1[0] = NetId(m as u32);
         }
     }
     let outputs = (0..n.min(3))
@@ -300,8 +298,8 @@ proptest! {
         for (i, id) in order.iter().enumerate() {
             pos[id.index()] = i;
         }
-        for (gi, g) in nl.gates().iter().enumerate() {
-            for f in &g.fanin {
+        for (gi, g) in nl.gates().enumerate() {
+            for f in g.fanin {
                 prop_assert!(pos[f.index()] < pos[gi]);
             }
         }

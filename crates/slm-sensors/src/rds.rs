@@ -121,9 +121,9 @@ mod tests {
         // materialization is an *empty* logic netlist, which is trivially
         // clean. (A TDC materializes as a tapped buffer chain and is
         // flagged; see slm-checker.)
-        let empty =
-            slm_netlist::Netlist::from_parts("rds_logic_view", vec![], vec![], vec![], vec![])
-                .unwrap();
+        let empty = slm_netlist::NetlistBuilder::new("rds_logic_view")
+            .finish()
+            .unwrap();
         assert_eq!(empty.len(), 0, "route-throughs contribute no cells");
     }
 }

@@ -3,7 +3,7 @@
 use crate::error::TimingError;
 use crate::sta::StaResult;
 use serde::{Deserialize, Serialize};
-use slm_netlist::{GateKind, Netlist};
+use slm_netlist::{GateKind, NetId, Netlist};
 
 /// Parameters of the delay annotation: nominal per-kind gate delays plus
 /// deterministic process variation and routing spread.
@@ -80,33 +80,32 @@ impl DelayModel {
     pub fn annotate(&self, nl: &Netlist) -> AnnotatedDelays {
         let mut fanout = vec![0usize; nl.len()];
         for g in nl.gates() {
-            for f in &g.fanin {
+            for f in g.fanin {
                 fanout[f.index()] += 1;
             }
         }
         let mut gate_ps = Vec::with_capacity(nl.len());
-        let mut edge_ps = Vec::with_capacity(nl.len());
+        let mut edge_ps = Vec::with_capacity(nl.edge_count());
         let mut edge_tag = 0x1000_0000u64;
-        for (gi, g) in nl.gates().iter().enumerate() {
+        for (gi, g) in nl.gates().enumerate() {
             let base = self.base_ps(g.kind);
             if base == 0.0 {
-                // Inputs and constants are delay-free sources.
+                // Inputs and constants are delay-free sources; they
+                // have no fanin edges.
                 gate_ps.push(0.0);
-                edge_ps.push(Vec::new());
                 continue;
             }
             let load = self.per_fanout_ps * fanout[gi] as f64;
             let var = 1.0 + self.variation_frac * (2.0 * unit(self.seed, gi as u64) - 1.0);
             gate_ps.push(((base + load) * var).max(0.0));
-            let mut edges = Vec::with_capacity(g.fanin.len());
-            for _ in &g.fanin {
+            for _ in g.fanin {
                 edge_tag += 1;
                 let r = self.routing_min_ps
                     + (self.routing_max_ps - self.routing_min_ps) * unit(self.seed, edge_tag);
-                edges.push(r);
+                edge_ps.push(r);
             }
-            edge_ps.push(edges);
         }
+        debug_assert_eq!(edge_ps.len(), nl.edge_count());
         AnnotatedDelays {
             netlist: nl.clone(),
             gate_ps,
@@ -146,7 +145,9 @@ impl DelayModel {
 pub struct AnnotatedDelays {
     pub(crate) netlist: Netlist,
     pub(crate) gate_ps: Vec<f64>,
-    pub(crate) edge_ps: Vec<Vec<f64>>,
+    /// One delay per fanin edge, at the edge's
+    /// [`Netlist::fanin_edges`] position.
+    pub(crate) edge_ps: Vec<f64>,
 }
 
 impl AnnotatedDelays {
@@ -160,9 +161,10 @@ impl AnnotatedDelays {
         self.gate_ps[i]
     }
 
-    /// Routing delay of fanin edge `j` of gate `i`, ps.
-    pub fn edge_ps(&self, i: usize, j: usize) -> f64 {
-        self.edge_ps[i][j]
+    /// Routing delay of each fanin edge of gate `i`, ps, in fanin order.
+    #[inline]
+    pub fn edge_ps(&self, i: usize) -> &[f64] {
+        &self.edge_ps[self.netlist.fanin_edges(NetId(i as u32))]
     }
 
     /// Multiplies every delay by `scale`.
@@ -170,10 +172,8 @@ impl AnnotatedDelays {
         for d in &mut self.gate_ps {
             *d *= scale;
         }
-        for edges in &mut self.edge_ps {
-            for d in edges {
-                *d *= scale;
-            }
+        for d in &mut self.edge_ps {
+            *d *= scale;
         }
     }
 
@@ -237,7 +237,7 @@ mod tests {
         let nl = ripple_carry_adder(64).unwrap();
         let m = DelayModel::default();
         let ann = m.annotate(&nl);
-        for (i, g) in nl.gates().iter().enumerate() {
+        for (i, g) in nl.gates().enumerate() {
             let base = m.base_ps(g.kind);
             if base == 0.0 {
                 continue;
@@ -257,10 +257,9 @@ mod tests {
         let nl = ripple_carry_adder(32).unwrap();
         let m = DelayModel::default();
         let ann = m.annotate(&nl);
-        for edges in &ann.edge_ps {
-            for &e in edges {
-                assert!(e >= m.routing_min_ps && e <= m.routing_max_ps);
-            }
+        assert_eq!(ann.edge_ps.len(), nl.edge_count());
+        for &e in &ann.edge_ps {
+            assert!(e >= m.routing_min_ps && e <= m.routing_max_ps);
         }
     }
 

@@ -91,7 +91,7 @@ impl<'a> StaEngine<'a> {
         // CSR fanout: count, prefix-sum, fill.
         let mut fanout_start = vec![0u32; n + 1];
         for g in nl.gates() {
-            for f in &g.fanin {
+            for f in g.fanin {
                 fanout_start[f.index() + 1] += 1;
             }
         }
@@ -100,8 +100,8 @@ impl<'a> StaEngine<'a> {
         }
         let mut cursor = fanout_start.clone();
         let mut fanout = vec![0u32; fanout_start[n] as usize];
-        for (gi, g) in nl.gates().iter().enumerate() {
-            for f in &g.fanin {
+        for (gi, g) in nl.gates().enumerate() {
+            for f in g.fanin {
                 let slot = cursor[f.index()];
                 fanout[slot as usize] = gi as u32;
                 cursor[f.index()] += 1;
@@ -192,7 +192,7 @@ impl<'a> StaEngine<'a> {
     /// fanin state is bitwise idempotent. Returns whether any
     /// propagating value changed.
     fn relax(&mut self, gi: usize) -> bool {
-        let g = &self.ann.netlist().gates()[gi];
+        let g = self.ann.netlist().gate(NetId(gi as u32));
         let (arr, min_arr, crit) = if g.fanin.is_empty() {
             let launches = match self.input_pos[gi] {
                 Some(pos) => self.launch[pos as usize],
@@ -209,13 +209,13 @@ impl<'a> StaEngine<'a> {
             let mut best = f64::NEG_INFINITY;
             let mut earliest = f64::INFINITY;
             let mut best_j = 0u32;
-            for (j, &f) in g.fanin.iter().enumerate() {
-                let t = self.arrival[f.index()] + self.ann.edge_ps(gi, j);
+            for (j, (&f, &edge)) in g.fanin.iter().zip(self.ann.edge_ps(gi)).enumerate() {
+                let t = self.arrival[f.index()] + edge;
                 if t > best {
                     best = t;
                     best_j = j as u32;
                 }
-                let e = self.min_arrival[f.index()] + self.ann.edge_ps(gi, j);
+                let e = self.min_arrival[f.index()] + edge;
                 if e < earliest {
                     earliest = e;
                 }
@@ -295,7 +295,7 @@ impl<'a> StaEngine<'a> {
         let mut arrival = vec![0.0f64; nl.len()];
         for &id in self.order {
             let gi = id.index();
-            let g = &nl.gates()[gi];
+            let g = nl.gate(id);
             if g.fanin.is_empty() {
                 let launches = match self.input_pos[gi] {
                     Some(pos) => launch[pos as usize],
@@ -305,8 +305,8 @@ impl<'a> StaEngine<'a> {
                 continue;
             }
             let mut best = f64::NEG_INFINITY;
-            for (j, &f) in g.fanin.iter().enumerate() {
-                let t = arrival[f.index()] + self.ann.edge_ps(gi, j);
+            for (&f, &edge) in g.fanin.iter().zip(self.ann.edge_ps(gi)) {
+                let t = arrival[f.index()] + edge;
                 if t > best {
                     best = t;
                 }

@@ -68,13 +68,13 @@ impl StaResult {
             let mut best = f64::NEG_INFINITY;
             let mut earliest = f64::INFINITY;
             let mut best_j = 0u32;
-            for (j, &f) in g.fanin.iter().enumerate() {
-                let t = arrival[f.index()] + ann.edge_ps(id.index(), j);
+            for (j, (&f, &edge)) in g.fanin.iter().zip(ann.edge_ps(id.index())).enumerate() {
+                let t = arrival[f.index()] + edge;
                 if t > best {
                     best = t;
                     best_j = j as u32;
                 }
-                let e = min_arrival[f.index()] + ann.edge_ps(id.index(), j);
+                let e = min_arrival[f.index()] + edge;
                 if e < earliest {
                     earliest = e;
                 }

@@ -14,7 +14,7 @@ use crate::delay::AnnotatedDelays;
 use crate::error::TimingError;
 use crate::ps_to_fs;
 use serde::{Deserialize, Serialize};
-use slm_netlist::GateKind;
+use slm_netlist::{GateKind, NetId};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -161,11 +161,12 @@ pub fn simulate_transition(
         });
     }
     let initial = nl.eval_all(reset).map_err(|_| TimingError::CyclicNetlist)?;
-    // CSR fanout with edge indices.
+    // CSR fanout: each entry is a reading gate and the position of the
+    // edge among all fanin edges (`Netlist::fanin_edges`).
     let n = nl.len();
     let mut fanout_start = vec![0u32; n + 1];
     for g in nl.gates() {
-        for &f in &g.fanin {
+        for &f in g.fanin {
             fanout_start[f.index() + 1] += 1;
         }
     }
@@ -174,9 +175,10 @@ pub fn simulate_transition(
     }
     let mut fanout: Vec<(u32, u32)> = vec![(0, 0); fanout_start[n] as usize];
     let mut cursor = fanout_start.clone();
-    for (gi, g) in nl.gates().iter().enumerate() {
-        for (j, &f) in g.fanin.iter().enumerate() {
-            fanout[cursor[f.index()] as usize] = (gi as u32, j as u32);
+    for (gi, g) in nl.gates().enumerate() {
+        let edges = nl.fanin_edges(NetId(gi as u32));
+        for (&f, e) in g.fanin.iter().zip(edges) {
+            fanout[cursor[f.index()] as usize] = (gi as u32, e as u32);
             cursor[f.index()] += 1;
         }
     }
@@ -201,25 +203,21 @@ pub fn simulate_transition(
     // with it, settled values still equal the functional evaluation
     // because the last evaluation always decides the final value.
     let gate_fs: Vec<u64> = (0..n).map(|i| ps_to_fs(ann.gate_ps(i))).collect();
-    let edge_fs: Vec<Vec<u64>> = (0..n)
-        .map(|i| {
-            (0..nl.gates()[i].fanin.len())
-                .map(|j| ps_to_fs(ann.edge_ps(i, j)))
-                .collect()
-        })
+    let edge_fs: Vec<u64> = (0..n)
+        .flat_map(|i| ann.edge_ps(i).iter().map(|&d| ps_to_fs(d)))
         .collect();
-    // Local (post-edge-delay) view of each gate's fanins, settled at reset.
-    let mut edge_values: Vec<Vec<bool>> = nl
+    // Local (post-edge-delay) view of each fanin edge, settled at reset.
+    let mut edge_values: Vec<bool> = nl
         .gates()
-        .iter()
-        .map(|g| g.fanin.iter().map(|f| initial[f.index()]).collect())
+        .flat_map(|g| g.fanin.iter().map(|f| initial[f.index()]))
         .collect();
     // The single pending output event per gate: (version, value). An
     // event whose version no longer matches was cancelled.
     let mut pending: Vec<Option<(u64, bool)>> = vec![None; n];
     let mut next_version = 0u64;
 
-    /// `Arrival`: a fanin change reaches gate `gate` on edge `edge`.
+    /// `Arrival`: a fanin change reaches gate `gate` on edge `edge` (a
+    /// position among all fanin edges).
     /// `Output`: gate `gate` drives its net to `value` (if `version`
     /// still matches its pending slot).
     #[derive(Clone, Copy, PartialEq, Eq)]
@@ -272,14 +270,14 @@ pub fn simulate_transition(
                 }
                 let s = fanout_start[ni] as usize;
                 let e = fanout_start[ni + 1] as usize;
-                for &(gi, j) in &fanout[s..e] {
+                for &(gi, edge) in &fanout[s..e] {
                     push(
                         &mut heap,
                         &mut payload,
-                        t + edge_fs[gi as usize][j as usize],
+                        t + edge_fs[edge as usize],
                         Ev::Arrival {
                             gate: gi,
-                            edge: j,
+                            edge,
                             value,
                         },
                     );
@@ -287,13 +285,13 @@ pub fn simulate_transition(
             }
             Ev::Arrival { gate, edge, value } => {
                 let gi = gate as usize;
-                if edge_values[gi][edge as usize] == value {
+                if edge_values[edge as usize] == value {
                     continue;
                 }
-                edge_values[gi][edge as usize] = value;
-                let g = &nl.gates()[gi];
-                debug_assert!(g.kind != GateKind::Input);
-                let out = g.kind.eval(&edge_values[gi]);
+                edge_values[edge as usize] = value;
+                let kind = nl.gate(NetId(gate)).kind;
+                debug_assert!(kind != GateKind::Input);
+                let out = kind.eval(&edge_values[nl.fanin_edges(NetId(gate))]);
                 match pending[gi] {
                     Some((_, pv)) if pv == out => {
                         // already heading to `out`; nothing new

@@ -10,6 +10,7 @@
 
 use crate::error::NetlistError;
 use crate::gate::{Gate, GateKind, NetId};
+use crate::hash::Xxh64;
 use std::ops::Range;
 
 /// Every gate's kind and fanins: gate `i` has kind `kinds[i]` and reads
@@ -92,6 +93,14 @@ impl Gates {
                 rest = tail;
                 Gate { kind, fanin }
             })
+    }
+
+    /// Hashes the three arrays as sections, in order: kinds, fanin
+    /// offsets, fanins.
+    pub(crate) fn hash(&self, h: &mut Xxh64) {
+        h.section(&self.kinds);
+        h.section(&self.start);
+        h.section(&self.fanins);
     }
 
     /// Releases spare capacity left by incremental construction.
@@ -185,6 +194,15 @@ impl Names {
             .binary_search_by(|&id| self.name(self.slot[id.index()]).cmp(name))
             .ok()?;
         Some(self.by_name[i])
+    }
+
+    /// Hashes the store as sections, in order: name text, name ends,
+    /// per-net slots. Names are pushed in net order and the slots cover
+    /// every net once sealed, so equal names give equal arrays.
+    pub(crate) fn hash(&self, h: &mut Xxh64) {
+        h.section(self.text.as_bytes());
+        h.section(&self.ends);
+        h.section(&self.slot);
     }
 
     /// Every named net with its name, in net order.

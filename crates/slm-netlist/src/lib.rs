@@ -41,6 +41,7 @@ mod error;
 mod gate;
 pub mod generators;
 pub mod graph;
+mod hash;
 mod layout;
 mod netlist;
 mod stats;

@@ -39,6 +39,7 @@
 use crate::delay::AnnotatedDelays;
 use crate::error::TimingError;
 use crate::sta::StaResult;
+use slm_netlist::graph::FanoutIndex;
 use slm_netlist::NetId;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -55,10 +56,8 @@ pub struct StaEngine<'a> {
     order: &'a [NetId],
     /// Position of each net in `order` (worklist priority).
     topo_pos: Vec<u32>,
-    /// CSR fanout index: consumers of net `i` are
-    /// `fanout[fanout_start[i]..fanout_start[i + 1]]`.
-    fanout_start: Vec<u32>,
-    fanout: Vec<u32>,
+    /// The gates reading each net.
+    fanout: FanoutIndex,
     /// Primary-input position of net `i`, if net `i` is a primary input.
     input_pos: Vec<Option<u32>>,
     /// Current launch mask, one flag per primary input.
@@ -88,25 +87,6 @@ impl<'a> StaEngine<'a> {
         for (pos, &id) in order.iter().enumerate() {
             topo_pos[id.index()] = pos as u32;
         }
-        // CSR fanout: count, prefix-sum, fill.
-        let mut fanout_start = vec![0u32; n + 1];
-        for g in nl.gates() {
-            for f in g.fanin {
-                fanout_start[f.index() + 1] += 1;
-            }
-        }
-        for i in 0..n {
-            fanout_start[i + 1] += fanout_start[i];
-        }
-        let mut cursor = fanout_start.clone();
-        let mut fanout = vec![0u32; fanout_start[n] as usize];
-        for (gi, g) in nl.gates().enumerate() {
-            for f in g.fanin {
-                let slot = cursor[f.index()];
-                fanout[slot as usize] = gi as u32;
-                cursor[f.index()] += 1;
-            }
-        }
         let mut input_pos = vec![None; n];
         for (pos, &id) in nl.inputs().iter().enumerate() {
             input_pos[id.index()] = Some(pos as u32);
@@ -115,8 +95,7 @@ impl<'a> StaEngine<'a> {
             ann,
             order,
             topo_pos,
-            fanout_start,
-            fanout,
+            fanout: FanoutIndex::build(nl),
             input_pos,
             launch: vec![true; nl.inputs().len()],
             arrival: vec![0.0; n],
@@ -271,10 +250,8 @@ impl<'a> StaEngine<'a> {
             self.queued[gi] = false;
             relaxed += 1;
             if self.relax(gi) {
-                let lo = self.fanout_start[gi] as usize;
-                let hi = self.fanout_start[gi + 1] as usize;
-                for k in lo..hi {
-                    let consumer = self.fanout[k] as usize;
+                for &consumer in self.fanout.fanouts(NetId(gi as u32)) {
+                    let consumer = consumer.index();
                     if !self.queued[consumer] {
                         self.queued[consumer] = true;
                         heap.push(Reverse((self.topo_pos[consumer], consumer as u32)));

@@ -7,7 +7,9 @@ use std::fmt;
 ///
 /// Every gate drives exactly one net, so a `NetId` doubles as a gate
 /// identifier: `NetId(i)` names both gate `i` and the net it drives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(
+    Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
+)]
 pub struct NetId(pub u32);
 
 impl NetId {

@@ -4,7 +4,7 @@
 //! and over — every resubmission, every config rollout, every nightly
 //! re-audit. Pass results are pure functions of (netlist, config,
 //! pass), so they are cached under an FNV-1a key over the netlist's
-//! [`content hash`](slm_netlist::Netlist::content_hash), a hash of the
+//! XXH64 [`content hash`](slm_netlist::Netlist::content_hash), the
 //! serialized [`CheckerConfig`], and the pass name — the same
 //! fingerprint discipline the streaming checkpoint ledger uses. A warm
 //! cache replays findings without building the analysis context at

@@ -57,8 +57,8 @@
 //! Passes declare dependencies on earlier-registered passes
 //! ([`Pass::depends_on`]) and run in registration order; the manager
 //! replays per-pass results from a content-addressed [`ScanCache`]
-//! ([`PassManager::scan`]) keyed by FNV
-//! hashes of the netlist and config — the admission-at-traffic fast
+//! ([`PassManager::scan`]) keyed by the netlist's XXH64 content hash
+//! and an FNV-1a hash of the config — the admission-at-traffic fast
 //! path.
 //!
 //! The headline result of the reproduction's stealth experiment

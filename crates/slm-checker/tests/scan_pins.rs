@@ -6,9 +6,12 @@
 //! a clock pin. `f64` values are rendered exactly, so a digest matches
 //! only if every finding, severity, witness, span and detail string is
 //! bit-identical to the pinned run. A speed-up of any pass must leave
-//! every digest here unchanged.
+//! every digest here unchanged. `scan_keys_are_pinned` pins the
+//! scan-cache key itself, which names every entry on disk.
 
-use slm_checker::{CheckerConfig, PassManager, ScanCache, TaintConfig, TimingConfig};
+use slm_checker::{
+    CheckKind, CheckerConfig, PassManager, ScanCache, Suppression, TaintConfig, TimingConfig,
+};
 use slm_cloud::{AdmissionGate, ClockContract, TenantSubmission};
 use slm_netlist::generators::{
     alu, array_multiplier, carry_lookahead_adder, carry_select_adder, carry_sensor, clock_as_data,
@@ -231,4 +234,46 @@ fn report_debug_digest_is_pinned() {
         scan(&kogge_stone_adder(width).expect("valid width"), &at_300);
     }
     assert_pinned("report debug digest", h, 0x5761_fd09_8c99_5943);
+}
+
+/// The disk-tier cache key of one fixed netlist under four configs.
+/// `scan_key` hashes the netlist's content hash with the serialized
+/// config, so these values hold only while the config renders to the
+/// same text; a change to that encoding orphans every cache entry on
+/// disk and must show up here.
+#[test]
+fn scan_keys_are_pinned() {
+    let nl = kogge_stone_adder(16).expect("valid width");
+    let clocked = CheckerConfig {
+        taint: TaintConfig {
+            declared_clocks: vec!["sense".to_string()],
+            ..TaintConfig::default()
+        },
+        ..CheckerConfig::default()
+    };
+    let at_300 = CheckerConfig {
+        timing: TimingConfig {
+            clock_mhz: Some(300.0),
+        },
+        ..CheckerConfig::default()
+    };
+    let suppressed = CheckerConfig {
+        suppressions: vec![Suppression {
+            kind: Some(CheckKind::TimingOverclock),
+            pass: Some("timing".to_string()),
+            net_name: None,
+            reason: "vendor IP".to_string(),
+        }],
+        ..CheckerConfig::default()
+    };
+    let cache = ScanCache::in_memory();
+    let cases: [(&str, CheckerConfig, u64); 4] = [
+        ("default", CheckerConfig::default(), 0x964f_6768_fd2f_a889),
+        ("declared clock", clocked, 0x0a2e_f973_b3a0_20c3),
+        ("300 MHz", at_300, 0xacec_c2df_6b91_221f),
+        ("one suppression", suppressed, 0x4c88_7fc1_e7b0_8617),
+    ];
+    for (name, config, pinned) in &cases {
+        assert_pinned(name, cache.scan_key(&nl, config), *pinned);
+    }
 }

@@ -12,9 +12,8 @@
 //! This crate provides:
 //!
 //! * [`SecondOrderFilter`] — the discrete-time underdamped core,
-//! * [`Pdn`] — a single-region supply: current in, voltage out, with
-//!   wideband Gaussian supply noise,
-//! * [`MultiRegionPdn`] — one to four per-region filters with a
+//! * [`MultiRegionPdn`] — one to four per-region supplies (current in,
+//!   voltage out, with wideband Gaussian supply noise) joined by a
 //!   coupling matrix, for attacker/victim placement studies,
 //! * [`noise`] — a small, fast, deterministic RNG (xoshiro256++) with
 //!   Marsaglia's polar-method Gaussian, used by every stochastic
@@ -24,20 +23,21 @@
 //! # Example
 //!
 //! ```
-//! use slm_pdn::{Pdn, PdnConfig};
+//! use slm_pdn::{MultiRegionPdn, PdnConfig};
 //!
-//! let mut pdn = Pdn::new(PdnConfig::default());
+//! // Attacker (region 0) and victim (region 1), half-coupled.
+//! let mut pdn = MultiRegionPdn::uniform(PdnConfig::default(), 2, 0.5);
 //! let dt = 3.33e-9; // one 300 MHz cycle
-//! // Draw 2 A for a while: the supply droops below nominal.
-//! let mut v = 1.0;
+//! // The victim draws 2 A for a while: both rails droop below nominal,
+//! // the victim's own the most.
 //! for _ in 0..2000 {
-//!     v = pdn.step(2.0, dt);
+//!     pdn.step(&[0.0, 2.0], dt);
 //! }
-//! assert!(v < 0.99);
+//! assert!(pdn.voltage(1) < pdn.voltage(0) && pdn.voltage(0) < 0.995);
 //! // Release the load: the underdamped PDN overshoots above nominal.
 //! let mut vmax: f64 = 0.0;
 //! for _ in 0..2000 {
-//!     vmax = vmax.max(pdn.step(0.0, dt));
+//!     vmax = vmax.max(pdn.step(&[0.0, 0.0], dt)[0]);
 //! }
 //! assert!(vmax > 1.0);
 //! ```
@@ -50,4 +50,4 @@ pub mod noise;
 mod pdn;
 
 pub use filter::SecondOrderFilter;
-pub use pdn::{MultiRegionPdn, Pdn, PdnConfig, PdnTelemetry};
+pub use pdn::{MultiRegionPdn, PdnConfig, PdnTelemetry};

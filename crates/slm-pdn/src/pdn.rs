@@ -1,4 +1,4 @@
-//! Single- and multi-region PDN models.
+//! The coupled multi-region PDN model.
 
 use crate::filter::SecondOrderFilter;
 use crate::noise::Rng64;
@@ -89,70 +89,6 @@ impl PdnTelemetry {
         } else {
             self.settled_streak = 0;
         }
-    }
-}
-
-/// One shared supply: total current in, observed voltage out.
-///
-/// See the crate-level example.
-#[derive(Debug, Clone)]
-pub struct Pdn {
-    config: PdnConfig,
-    filter: SecondOrderFilter,
-    rng: Rng64,
-    last_v: f64,
-    telemetry: PdnTelemetry,
-    settle_band: f64,
-}
-
-impl Pdn {
-    /// Creates a PDN at nominal voltage.
-    pub fn new(config: PdnConfig) -> Self {
-        Pdn {
-            filter: SecondOrderFilter::new(config.f_natural_hz, config.zeta),
-            rng: Rng64::new(config.seed),
-            last_v: config.v_nominal,
-            telemetry: PdnTelemetry::new(config.v_nominal),
-            settle_band: PdnTelemetry::band(&config),
-            config,
-        }
-    }
-
-    /// The configuration this PDN was built with.
-    pub fn config(&self) -> &PdnConfig {
-        &self.config
-    }
-
-    /// Advances the PDN by `dt` seconds while `current_a` amps are drawn,
-    /// returning the observed supply voltage.
-    #[inline]
-    pub fn step(&mut self, current_a: f64, dt: f64) -> f64 {
-        let target_droop = self.config.r_eff * current_a;
-        let droop = self.filter.step(target_droop, dt);
-        self.last_v = self.config.v_nominal - droop - self.config.r_fast * current_a
-            + self.rng.normal_scaled(self.config.noise_sigma_v);
-        self.telemetry
-            .update(self.last_v, self.config.v_nominal, self.settle_band);
-        self.last_v
-    }
-
-    /// The most recently computed voltage.
-    pub fn voltage(&self) -> f64 {
-        self.last_v
-    }
-
-    /// Droop extrema and settling accounting since construction (or
-    /// the last [`Pdn::reset`]).
-    pub fn telemetry(&self) -> PdnTelemetry {
-        self.telemetry
-    }
-
-    /// Resets the dynamic state and telemetry (not the noise stream
-    /// position).
-    pub fn reset(&mut self) {
-        self.filter.reset();
-        self.last_v = self.config.v_nominal;
-        self.telemetry = PdnTelemetry::new(self.config.v_nominal);
     }
 }
 
@@ -370,13 +306,18 @@ mod tests {
         c
     }
 
+    /// One uncoupled region: the network the fabric runs.
+    fn single(cfg: PdnConfig) -> MultiRegionPdn {
+        MultiRegionPdn::uniform(cfg, 1, 0.0)
+    }
+
     #[test]
     fn steady_state_ir_drop() {
         let cfg = quiet(PdnConfig::default());
-        let mut pdn = Pdn::new(cfg);
+        let mut pdn = single(cfg);
         let mut v = 0.0;
         for _ in 0..400_000 {
-            v = pdn.step(3.0, DT);
+            v = pdn.step(&[3.0], DT)[0];
         }
         let expect = cfg.v_nominal - (cfg.r_eff + cfg.r_fast) * 3.0;
         assert!((v - expect).abs() < 1e-4, "v = {v}, expect {expect}");
@@ -384,40 +325,30 @@ mod tests {
 
     #[test]
     fn droop_then_overshoot() {
-        let mut pdn = Pdn::new(quiet(PdnConfig::default()));
+        let mut pdn = single(quiet(PdnConfig::default()));
         let mut vmin: f64 = 2.0;
         for _ in 0..3_000 {
-            vmin = vmin.min(pdn.step(4.0, DT));
+            vmin = vmin.min(pdn.step(&[4.0], DT)[0]);
         }
         assert!(vmin < 1.0 - 0.04, "droop too small: {vmin}");
         let mut vmax: f64 = 0.0;
         for _ in 0..3_000 {
-            vmax = vmax.max(pdn.step(0.0, DT));
+            vmax = vmax.max(pdn.step(&[0.0], DT)[0]);
         }
         assert!(vmax > 1.0 + 0.01, "no overshoot: {vmax}");
     }
 
     #[test]
     fn noise_present_when_configured() {
-        let mut pdn = Pdn::new(PdnConfig {
+        let mut pdn = single(PdnConfig {
             noise_sigma_v: 5e-3,
             ..PdnConfig::default()
         });
-        let vs: Vec<f64> = (0..100).map(|_| pdn.step(0.0, DT)).collect();
+        let vs: Vec<f64> = (0..100).map(|_| pdn.step(&[0.0], DT)[0]).collect();
         let mean = vs.iter().sum::<f64>() / vs.len() as f64;
         let var = vs.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / vs.len() as f64;
         assert!(var > 0.0);
         assert!(var.sqrt() < 20e-3);
-    }
-
-    #[test]
-    fn reset_restores_nominal() {
-        let mut pdn = Pdn::new(quiet(PdnConfig::default()));
-        for _ in 0..1000 {
-            pdn.step(5.0, DT);
-        }
-        pdn.reset();
-        assert_eq!(pdn.voltage(), 1.0);
     }
 
     #[test]
@@ -453,10 +384,9 @@ mod tests {
 
     #[test]
     fn telemetry_tracks_droop_and_settling() {
-        let cfg = quiet(PdnConfig::default());
-        let mut pdn = Pdn::new(cfg);
+        let mut pdn = single(quiet(PdnConfig::default()));
         for _ in 0..3_000 {
-            pdn.step(4.0, DT);
+            pdn.step(&[4.0], DT);
         }
         let loaded = pdn.telemetry();
         assert!(loaded.v_min < 1.0 - 0.04, "droop recorded: {loaded:?}");
@@ -465,14 +395,12 @@ mod tests {
         // Release the load: the rail rings, then settles; the streak
         // counts only the quiet tail.
         for _ in 0..400_000 {
-            pdn.step(0.0, DT);
+            pdn.step(&[0.0], DT);
         }
         let settled = pdn.telemetry();
         assert!(settled.v_max > 1.0 + 0.01, "overshoot recorded");
         assert!(settled.settled_streak > 0, "rail settles: {settled:?}");
         assert!(settled.settled_streak < settled.steps);
-        pdn.reset();
-        assert_eq!(pdn.telemetry(), PdnTelemetry::new(cfg.v_nominal));
     }
 
     #[test]
@@ -512,11 +440,11 @@ mod tests {
     #[test]
     fn determinism() {
         let cfg = PdnConfig::default();
-        let mut a = Pdn::new(cfg);
-        let mut b = Pdn::new(cfg);
+        let mut a = single(cfg);
+        let mut b = single(cfg);
         for i in 0..1000 {
-            let cur = (i % 7) as f64;
-            assert_eq!(a.step(cur, DT), b.step(cur, DT));
+            let cur = [(i % 7) as f64];
+            assert_eq!(a.step(&cur, DT), b.step(&cur, DT));
         }
     }
 }

@@ -4,7 +4,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use proptest::sample::select;
 use slm_pdn::noise::Rng64;
-use slm_pdn::{MultiRegionPdn, Pdn, PdnConfig, PdnTelemetry, SecondOrderFilter};
+use slm_pdn::{MultiRegionPdn, PdnConfig, PdnTelemetry, SecondOrderFilter};
 
 const DT: f64 = 3.33e-9;
 
@@ -37,10 +37,10 @@ proptest! {
     #[test]
     fn steady_state_ir_drop(current in 0.0f64..8.0, seed in any::<u64>()) {
         let cfg = quiet(seed);
-        let mut pdn = Pdn::new(cfg);
+        let mut pdn = MultiRegionPdn::uniform(cfg, 1, 0.0);
         let mut v = 0.0;
         for _ in 0..400_000 {
-            v = pdn.step(current, DT);
+            v = pdn.step(&[current], DT)[0];
         }
         let expect = cfg.v_nominal - (cfg.r_eff + cfg.r_fast) * current;
         prop_assert!((v - expect).abs() < 2e-4, "v = {v}, expect {expect}");
@@ -50,10 +50,10 @@ proptest! {
     #[test]
     fn monotone_in_load(i1 in 0.0f64..4.0, delta in 0.1f64..4.0) {
         let settle = |i: f64| {
-            let mut pdn = Pdn::new(quiet(1));
+            let mut pdn = MultiRegionPdn::uniform(quiet(1), 1, 0.0);
             let mut v = 0.0;
             for _ in 0..300_000 {
-                v = pdn.step(i, DT);
+                v = pdn.step(&[i], DT)[0];
             }
             v
         };

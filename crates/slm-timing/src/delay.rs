@@ -128,10 +128,7 @@ impl DelayModel {
         utilization: f64,
     ) -> Result<AnnotatedDelays, TimingError> {
         let mut ann = self.annotate(nl);
-        // One-shot query during calibration: the direct full pass skips
-        // the engine's fanout-index construction.
-        let sta = StaResult::compute(&ann)?;
-        let crit_ps = sta.critical_ps();
+        let crit_ps = ann.sta()?.critical_ps();
         if crit_ps > 0.0 {
             let scale = target_period_ns * 1000.0 * utilization / crit_ps;
             ann.scale(scale);
@@ -177,18 +174,15 @@ impl AnnotatedDelays {
         }
     }
 
-    /// Runs static timing analysis over this annotation.
-    ///
-    /// Delegates to the cached-state [`crate::StaEngine`] with every
-    /// input launching, which reproduces the historical full recompute
-    /// bit for bit (pinned by `engine_full_launch_matches_compute_bitwise`).
+    /// Runs static timing analysis over this annotation: one full pass
+    /// in topological order.
     ///
     /// # Errors
     ///
     /// [`TimingError::CyclicNetlist`] if the netlist has a combinational
     /// cycle.
     pub fn sta(&self) -> Result<StaResult, TimingError> {
-        crate::StaEngine::new(self).map(|e| e.to_sta_result())
+        StaResult::compute(self)
     }
 }
 

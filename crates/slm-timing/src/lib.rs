@@ -11,8 +11,9 @@
 //!   with deterministic process variation and FPGA-style routing spread,
 //! * [`VoltageDelayLaw`] — the alpha-power-law scaling of delay with
 //!   supply voltage,
-//! * [`StaResult`] — static timing analysis: arrival times, critical
-//!   path, fmax, per-endpoint slack,
+//! * [`StaResult`] — static timing analysis, one full pass per
+//!   [`AnnotatedDelays::sta`] call: latest arrival times, critical path,
+//!   fmax, per-endpoint setup slack,
 //! * [`simulate_transition`] — event-driven two-vector simulation that
 //!   yields, for every net, the full transition [`Waveform`] under a
 //!   reset→measure stimulus pair. Sampling those waveforms at the
@@ -40,14 +41,12 @@
 #![warn(missing_docs)]
 
 mod delay;
-mod engine;
 mod error;
 mod sta;
 mod voltage;
 mod waveform;
 
 pub use delay::{AnnotatedDelays, DelayModel};
-pub use engine::StaEngine;
 pub use error::TimingError;
 pub use sta::{PathSegment, StaResult};
 pub use voltage::VoltageDelayLaw;

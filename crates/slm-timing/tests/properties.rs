@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use slm_netlist::generators::{alu, array_multiplier, ripple_carry_adder, AluOp};
 use slm_netlist::words;
-use slm_timing::{simulate_transition, DelayModel, StaEngine, VoltageDelayLaw};
+use slm_timing::{simulate_transition, DelayModel, VoltageDelayLaw};
 
 proptest! {
     // Each case builds and annotates a multi-thousand-gate netlist; keep
@@ -96,41 +96,6 @@ proptest! {
         for w in waves.output_waves() {
             prop_assert_eq!(w.sampled_at(0), w.initial);
             prop_assert_eq!(w.value_at(u64::MAX), w.final_value());
-        }
-    }
-
-    /// The incremental StaEngine's dirty-propagation invariant: after an
-    /// arbitrary sequence of launch-mask flips on a random netlist under
-    /// a random delay annotation, the cached per-net arrivals are
-    /// bitwise identical to a full from-scratch recompute under the
-    /// final mask.
-    #[test]
-    fn incremental_sta_matches_full_recompute(
-        shape in 0usize..3,
-        width in 4usize..16,
-        seed in any::<u64>(),
-        flips in proptest::collection::vec(any::<u32>(), 1..12),
-    ) {
-        let nl = match shape {
-            0 => ripple_carry_adder(width).unwrap(),
-            1 => array_multiplier(width.max(4)).unwrap(),
-            _ => alu(width.max(8)).unwrap(),
-        };
-        let ann = DelayModel { seed, ..DelayModel::default() }.annotate(&nl);
-        let mut engine = StaEngine::new(&ann).unwrap();
-        let inputs = nl.inputs().len();
-        let mut mask = vec![true; inputs];
-        for flip in flips {
-            // low bit = new launch value, rest picks the input to flip
-            mask[(flip >> 1) as usize % inputs] = flip & 1 == 1;
-            engine.set_launch(&mask);
-            // Interleaved checks catch state corruption that a final-
-            // state-only comparison could mask via later flips.
-            let reference = engine.full_recompute(&mask);
-            for (id, (got, want)) in engine.arrivals_ps().iter().zip(&reference).enumerate() {
-                prop_assert_eq!(got.to_bits(), want.to_bits(),
-                    "net {} diverged: incremental {} vs full {}", id, got, want);
-            }
         }
     }
 }

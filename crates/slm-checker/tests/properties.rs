@@ -98,12 +98,12 @@ impl SplitMix {
     }
 }
 
-/// A random acyclic netlist of `nets` nets: a few primary inputs up
-/// front, inputs and constants scattered among the gates, gates whose
-/// fanins repeat freely and lean on the previous net (so long chains
-/// and chain-shaped endpoints occur), and many primary outputs, some
-/// naming the same net twice.
-fn random_dag(seed: u64, nets: usize) -> Netlist {
+/// A random acyclic netlist of `wide + nets` nets: `wide` plus a few
+/// primary inputs up front, inputs and constants scattered among the
+/// gates, gates whose fanins repeat freely and lean on the previous net
+/// (so long chains and chain-shaped endpoints occur), and many primary
+/// outputs among the last `nets` nets, some naming the same net twice.
+fn random_dag(seed: u64, wide: usize, nets: usize) -> Netlist {
     const KINDS: [GateKind; 8] = [
         GateKind::And,
         GateKind::Nand,
@@ -117,8 +117,8 @@ fn random_dag(seed: u64, nets: usize) -> Netlist {
     let mut rng = SplitMix(seed);
     let mut gates = Vec::with_capacity(nets);
     let mut inputs = Vec::new();
-    let lead = 1 + rng.below(4);
-    for v in 0..nets {
+    let lead = wide + 1 + rng.below(4);
+    for v in 0..wide + nets {
         let roll = rng.below(100);
         let gate = if v < lead || roll < 4 {
             inputs.push(NetId(v as u32));
@@ -151,11 +151,23 @@ fn random_dag(seed: u64, nets: usize) -> Netlist {
     }
     let outputs = (0..1 + rng.below(nets / 2 + 1))
         .map(|k| {
-            let at = if k == 0 { nets - 1 } else { rng.below(nets) };
+            let at = wide + if k == 0 { nets - 1 } else { rng.below(nets) };
             (format!("o{k}"), NetId(at as u32))
         })
         .collect();
     Netlist::from_parts("random_dag", gates, inputs, outputs, Vec::new()).expect("valid DAG")
+}
+
+/// Logic depth per net of a [`random_dag`], whose fanins always
+/// precede their gate, so net order is topological.
+fn levels(nl: &Netlist) -> Vec<usize> {
+    let mut level = vec![0usize; nl.len()];
+    for (v, g) in nl.gates().enumerate() {
+        if !g.fanin.is_empty() {
+            level[v] = 1 + g.fanin.iter().map(|f| level[f.index()]).max().unwrap_or(0);
+        }
+    }
+    level
 }
 
 /// The SCOAP pass's endpoint test with no shortcuts: every deep
@@ -166,13 +178,7 @@ fn reference_scoap(
     nl: &Netlist,
     config: &ScoapConfig,
 ) -> Option<(Severity, NetId, Vec<NetId>, String)> {
-    // Fanins always precede their gate, so net order is topological.
-    let mut level = vec![0usize; nl.len()];
-    for (v, g) in nl.gates().enumerate() {
-        if !g.fanin.is_empty() {
-            level[v] = 1 + g.fanin.iter().map(|f| level[f.index()]).max().unwrap_or(0);
-        }
-    }
+    let level = levels(nl);
     let mut chain = Vec::new();
     for &(_, o) in nl.outputs() {
         let depth = level[o.index()];
@@ -338,17 +344,42 @@ proptest! {
 
     /// The SCOAP pass's pruned, early-exit endpoint test decides
     /// exactly what a full cone walk decides, on arbitrary DAGs and
-    /// thresholds, zero thresholds included.
+    /// thresholds, zero thresholds included. Wide DAGs lead with more
+    /// than `64·B` inputs, where `B = ⌈depth·(1/r − 1)⌉ + 2` bits are
+    /// what the prune's rule-out test can use at threshold `r ∈ (0, 1)`
+    /// and the deepest endpoint's `depth`, so input sets far wider than
+    /// that test needs are counted.
     #[test]
     fn scoap_findings_match_the_full_cone_reference(
         seed in any::<u64>(),
         nets in 2usize..400,
+        wide in proptest::sample::select(vec![false, true]),
         min_chain_ratio in proptest::sample::select(vec![0.0, 0.25, 0.8, 1.0, 4.0]),
         min_depth in proptest::sample::select(vec![0usize, 1, 3, 12]),
         min_endpoints in proptest::sample::select(vec![0usize, 1, 2, 8]),
         min_endpoint_fraction in proptest::sample::select(vec![0.0, 0.5, 1.0]),
     ) {
-        let nl = random_dag(seed, nets);
+        let narrows = min_chain_ratio > 0.0 && min_chain_ratio < 1.0;
+        // No endpoint is deeper than the `nets` nets after the leading
+        // inputs, which bounds `B` before the DAG is drawn.
+        let bits = |depth: usize| (depth as f64 * (1.0 / min_chain_ratio - 1.0)).ceil() as usize + 2;
+        let (wide, nets) = match (wide, narrows) {
+            (false, _) => (0, nets),
+            (true, true) => (64 * bits(63) + 1, 2 + nets % 62),
+            (true, false) => (640, 2 + nets % 62),
+        };
+        let nl = random_dag(seed, wide, nets);
+        if wide > 0 && narrows {
+            let level = levels(&nl);
+            let deepest = nl
+                .outputs()
+                .iter()
+                .map(|&(_, o)| level[o.index()])
+                .filter(|&depth| depth >= min_depth)
+                .max()
+                .unwrap_or(0);
+            prop_assert!(nl.inputs().len() > 64 * bits(deepest), "seed {seed}");
+        }
         let scoap = ScoapConfig {
             min_depth,
             min_chain_ratio,

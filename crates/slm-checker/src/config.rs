@@ -319,6 +319,89 @@ pub struct CheckerConfig {
     pub suppressions: Vec<Suppression>,
 }
 
+impl CheckerConfig {
+    /// Whether `self` and `other` serialize alike: `==`, and every
+    /// float bit for bit, since `==` takes `0.0` for `-0.0` although
+    /// they render differently (and no pass is bound to treat them
+    /// alike). `NaN` is never `==`, so a config holding one is only
+    /// ever identical to nothing.
+    pub(crate) fn identical(&self, other: &Self) -> bool {
+        self == other && self.float_bits() == other.float_bits()
+    }
+
+    /// The bits of every float field. Destructured in full, so a field
+    /// added to any section fails to compile here until it is weighed.
+    fn float_bits(&self) -> [u64; 11] {
+        let CheckerConfig {
+            loops: LoopConfig { max_reported: _ },
+            delay_line:
+                DelayLineConfig {
+                    min_stages: _,
+                    min_tap_fraction,
+                },
+            array:
+                ArrayConfig {
+                    min_cells: _,
+                    min_trivial_fraction,
+                },
+            observation:
+                ObservationConfig {
+                    enable: _,
+                    density_threshold,
+                    min_gates: _,
+                },
+            clock: ClockConfig { clock_names: _ },
+            scoap:
+                ScoapConfig {
+                    min_depth: _,
+                    min_chain_ratio,
+                    min_endpoints: _,
+                    min_endpoint_fraction,
+                },
+            signature:
+                SignatureConfig {
+                    min_ring_stages: _,
+                    min_chain_stages: _,
+                    max_unobserved_gap: _,
+                    max_reported: _,
+                },
+            taint:
+                TaintConfig {
+                    declared_clocks: _,
+                    min_observed: _,
+                    min_logic_depth: _,
+                },
+            activity:
+                ActivityConfig {
+                    input_density,
+                    clock_density,
+                    tap_threshold,
+                    min_taps: _,
+                    scoap_upgrade_glitch,
+                    info_amplification,
+                },
+            bandwidth: BandwidthConfig {
+                warn_bits_per_cycle: _,
+            },
+            timing: TimingConfig { clock_mhz },
+            suppressions: _,
+        } = self;
+        [
+            min_tap_fraction.to_bits(),
+            min_trivial_fraction.to_bits(),
+            density_threshold.to_bits(),
+            min_chain_ratio.to_bits(),
+            min_endpoint_fraction.to_bits(),
+            input_density.to_bits(),
+            clock_density.to_bits(),
+            tap_threshold.to_bits(),
+            scoap_upgrade_glitch.to_bits(),
+            info_amplification.to_bits(),
+            clock_mhz.map_or(0, f64::to_bits),
+        ]
+    }
+}
+
 /// Applies the suppression rules to a finding list. `Reject` findings
 /// are never suppressed.
 pub fn apply_suppressions(config: &CheckerConfig, findings: &mut [Finding]) {

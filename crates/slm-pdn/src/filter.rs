@@ -56,12 +56,6 @@ impl SecondOrderFilter {
     pub fn output(&self) -> f64 {
         self.y
     }
-
-    /// Resets the state to rest.
-    pub fn reset(&mut self) {
-        self.y = 0.0;
-        self.y_dot = 0.0;
-    }
 }
 
 #[cfg(test)]
@@ -111,14 +105,5 @@ mod tests {
             max_abs = max_abs.max(f.step(u, DT).abs());
         }
         assert!(max_abs < 10.0, "unstable: {max_abs}");
-    }
-
-    #[test]
-    fn reset_restores_rest() {
-        let mut f = SecondOrderFilter::new(5e6, 0.3);
-        f.step(1.0, DT);
-        f.step(1.0, DT);
-        f.reset();
-        assert_eq!(f.output(), 0.0);
     }
 }

@@ -366,34 +366,55 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The candidate evaluation equals the reference per-candidate
-    /// fold exactly, for full-precision traces with negative, zero and
-    /// fractional points, sparse bins (most of the 256 empty at small
-    /// trace counts, or ciphertext bytes drawn from a few values) and
-    /// any attacked byte and bit.
+    /// fold bit for bit (a `-0.0` for a `+0.0` fails, as does a NaN),
+    /// for sparse bins (most of the 256 empty at small trace counts,
+    /// or ciphertext bytes drawn from a few values) and any attacked
+    /// byte and bit. Samples are drawn in three regimes: full-precision
+    /// with negative, zero and fractional points; small integers, as
+    /// TDC depths and Hamming weights are; and integers so large that a
+    /// point's total of |bin sums| lands within a factor of about two
+    /// either side of 2^38, the exactness limit of the transform
+    /// evaluation.
     #[test]
     fn correlations_match_reference_fold(seed in any::<u64>(),
                                          traces in 0usize..600,
                                          points in 1usize..5,
                                          ct_byte in 0usize..16,
                                          bit in 0u8..8,
-                                         byte_values in 1u64..257) {
+                                         byte_values in 1u64..257,
+                                         regime in 0u8..3) {
         let mut rng = Rng64::new(seed);
         let mut attack = CpaAttack::new(LastRoundModel { ct_byte, bit }, points);
+        // Near the limit, each of `traces` non-negative samples averages
+        // 2^38·f / traces, so a point's total lands near 2^38·f.
+        let f = rng.uniform_in(0.5, 2.0);
+        let span = (2.0 * 2f64.powi(38) * f / traces.max(1) as f64) as u64 + 1;
         let mut x = vec![0.0; points];
         for _ in 0..traces {
             let mut ct = [0u8; 16];
             rng.fill_bytes(&mut ct);
             ct[ct_byte] = rng.below(byte_values) as u8;
             for slot in x.iter_mut() {
-                *slot = match rng.below(4) {
-                    0 => 0.0,
-                    1 => -rng.uniform_in(0.0, 3.0),
-                    2 => (rng.next_u64() % 64) as f64 / 8.0 - 4.0,
-                    _ => rng.normal_scaled(2.5),
+                *slot = match regime {
+                    0 => match rng.below(4) {
+                        0 => 0.0,
+                        1 => -rng.uniform_in(0.0, 3.0),
+                        2 => (rng.next_u64() % 64) as f64 / 8.0 - 4.0,
+                        _ => rng.normal_scaled(2.5),
+                    },
+                    1 => rng.below(72) as f64 - 8.0,
+                    _ => rng.below(span) as f64,
                 };
             }
             attack.add_trace(&ct, &x);
         }
-        prop_assert!(attack.correlations() == reference_correlations(&attack));
+        let got = attack.correlations();
+        let want = reference_correlations(&attack);
+        prop_assert_eq!(got.len(), want.len());
+        for (k, (g, w)) in got.iter().zip(&want).enumerate() {
+            let g: Vec<u64> = g.iter().map(|r| r.to_bits()).collect();
+            let w: Vec<u64> = w.iter().map(|r| r.to_bits()).collect();
+            prop_assert_eq!(g, w, "candidate {}", k);
+        }
     }
 }

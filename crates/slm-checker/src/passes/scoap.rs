@@ -256,7 +256,9 @@ pub(crate) fn chain_shaped(
         .filter(|&depth| depth >= config.min_depth)
         .map(|depth| depth as f64 / config.min_chain_ratio + 2.0)
         .sum();
-    let inputs = if walk_bound > order.len() as f64 {
+    // At a ratio of zero (or NaN) the rule-out test cannot fire, so a
+    // prune would only cost its pass.
+    let inputs = if config.min_chain_ratio > 0.0 && walk_bound > order.len() as f64 {
         let bits = rule_out_bits(nl, level, config);
         inputs_in_cone(nl, order, bits, prune_budget_words)
     } else {
@@ -548,6 +550,29 @@ mod tests {
                 nl.name()
             );
         }
+    }
+
+    /// At a chain ratio of `+0.0` no endpoint can be ruled out, so no
+    /// prune is built: the scan matches the one at `-0.0`, whose
+    /// infinite-negative walk bound never built one.
+    #[test]
+    fn zero_chain_ratio_builds_no_prune() {
+        let nl = ripple_carry_adder(64).unwrap();
+        let cx = Analysis::new(&nl);
+        let level = cx.levels().unwrap();
+        let order = nl.topological_order().unwrap();
+        let [positive, negative] = [0.0, -0.0].map(|min_chain_ratio| {
+            let config = ScoapConfig {
+                min_chain_ratio,
+                ..ScoapConfig::default()
+            };
+            chain_shaped(&nl, order, level, &config, PRUNE_BUDGET_WORDS)
+        });
+        assert_eq!(positive.endpoints.len(), 60);
+        assert_eq!(positive.visits, 12_716);
+        assert_eq!(positive.endpoints, negative.endpoints);
+        assert_eq!((positive.prune_words, negative.prune_words), (0, 0));
+        assert_eq!(positive.visits, negative.visits);
     }
 
     /// A design of a `scan-cold` generator family at `width` (clamped

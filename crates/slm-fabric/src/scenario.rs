@@ -510,19 +510,17 @@ impl MultiTenantFabric {
         });
         let background = self.config.background_current_a;
         let first = self.tick_count;
+        // The fault-injection aggressor draws from the *attacker*
+        // region: its droop reaches the victim rail through the
+        // coupling matrix, which is exactly why supply regulation (LDO
+        // residual on the coupling) is the arm that suppresses the
+        // faults. Its duty phase is walked tick by tick; 0.0 when
+        // unmounted, which leaves the sum bit-exact.
+        let mut aggressor = self.aggressor.as_ref().map(|a| a.spec.currents_from(first));
         currents.resize(ticks * Self::REGIONS, 0.0);
         for (t, tick) in currents.chunks_exact_mut(Self::REGIONS).enumerate() {
             let tick_count = first + t as u64;
-            // The fault-injection aggressor draws from the *attacker*
-            // region: its droop reaches the victim rail through the
-            // coupling matrix, which is exactly why supply regulation
-            // (LDO residual on the coupling) is the arm that suppresses
-            // the faults. 0.0 when unmounted, which leaves the sum
-            // bit-exact.
-            let aggressor = match &self.aggressor {
-                Some(a) => a.spec.current_a(tick_count),
-                None => 0.0,
-            };
+            let aggressor = aggressor.as_mut().and_then(Iterator::next).unwrap_or(0.0);
             tick[0] = background + ro_a(t) + stimulus[(tick_count % 2) as usize] + aggressor;
             tick[1] = victim_a(t);
         }

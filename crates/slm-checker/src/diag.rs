@@ -177,7 +177,7 @@ impl Finding {
     }
 
     /// Whether the finding currently counts against the verdict.
-    pub fn is_active(&self) -> bool {
+    fn is_active(&self) -> bool {
         self.suppressed.is_none()
     }
 }

@@ -118,13 +118,6 @@ pub fn check_structure(nl: &Netlist) -> CheckReport {
     PassManager::structural().run(nl, &CheckerConfig::default())
 }
 
-/// Runs the combined structural + semantic pipeline with default
-/// thresholds. This is what `slm-scan` runs at admission. For explicit
-/// thresholds, call `PassManager::full().run(nl, config)`.
-pub fn check_full(nl: &Netlist) -> CheckReport {
-    PassManager::full().run(nl, &CheckerConfig::default())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -422,14 +415,14 @@ mod tests {
         assert!(r.flagged(CheckKind::ObservationBandwidth), "{r:?}");
         assert_eq!(r.max_severity(), Some(Severity::Reject));
         // without the contract declaration the taint seed disappears
-        let r = check_full(&nl);
+        let r = PassManager::full().run(&nl, &CheckerConfig::default());
         assert!(!r.flagged(CheckKind::ClockTaint), "{r:?}");
     }
 
     #[test]
     fn semantic_suite_stays_quiet_on_benign_designs() {
         for nl in [alu(192).unwrap(), array_multiplier(16).unwrap(), c17()] {
-            let r = check_full(&nl);
+            let r = PassManager::full().run(&nl, &CheckerConfig::default());
             assert!(
                 r.active().all(|f| f.severity == Severity::Info),
                 "{} semantically flagged: {:?}",
@@ -565,7 +558,7 @@ mod tests {
         let r = PassManager::full().run(&nl, &config);
         assert!(r.findings.iter().all(|f| f.pass != "clock-taint"), "{r:?}");
         // The same feed-through under the default threshold is a note.
-        let r = check_full(&nl);
+        let r = PassManager::full().run(&nl, &CheckerConfig::default());
         assert!(r.findings.iter().any(|f| f.pass == "clock-taint"), "{r:?}");
     }
 }

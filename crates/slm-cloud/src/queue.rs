@@ -61,11 +61,6 @@ impl<T> BoundedQueue<T> {
         self.items.is_empty()
     }
 
-    /// Whether the queue is at capacity.
-    pub fn is_full(&self) -> bool {
-        self.items.len() >= self.capacity
-    }
-
     /// Maximum depth.
     pub fn capacity(&self) -> usize {
         self.capacity
@@ -81,7 +76,7 @@ mod tests {
         let mut q = BoundedQueue::new(2);
         assert!(q.push(1).is_ok());
         assert!(q.push(2).is_ok());
-        assert!(q.is_full());
+        assert_eq!(q.len(), q.capacity());
         assert_eq!(q.push(3), Err(3), "rejected item comes back");
         assert_eq!(q.len(), 2);
         assert_eq!(q.pop(), Some(1), "FIFO order");

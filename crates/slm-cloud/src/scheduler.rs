@@ -97,7 +97,7 @@ impl CoResidencyPolicy {
 
     /// Whether `candidate` may join a board already hosting
     /// `neighbours`.
-    pub fn permits(&self, candidate: &Occupant, neighbours: &[&Occupant]) -> bool {
+    fn permits(&self, candidate: &Occupant, neighbours: &[&Occupant]) -> bool {
         match self.mode {
             CoResidencyMode::Open => true,
             CoResidencyMode::IsolateFlagged => neighbours.iter().all(|n| {
@@ -198,13 +198,8 @@ impl RegionScheduler {
         self.occupants.iter().filter(|o| o.is_none()).count()
     }
 
-    /// Total slots across all boards.
-    pub fn total_regions(&self) -> usize {
-        self.regions.len()
-    }
-
     /// The occupants currently resident on `board`.
-    pub fn board_occupants(&self, board: usize) -> impl Iterator<Item = &Occupant> {
+    fn board_occupants(&self, board: usize) -> impl Iterator<Item = &Occupant> {
         let start = board * self.per_board;
         self.occupants
             .iter()
@@ -237,7 +232,7 @@ mod tests {
     #[test]
     fn best_fit_is_deterministic_and_capacity_aware() {
         let mut s = sched(1);
-        assert_eq!(s.total_regions(), 4);
+        assert_eq!(s.free_regions(), 4);
         // Equal-capacity lattice: ties break to the lowest index.
         let p = s.place(occupant("a", false), 100, &CoResidencyPolicy::open());
         assert_eq!(

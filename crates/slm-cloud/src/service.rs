@@ -286,15 +286,9 @@ pub struct CloudService {
 impl CloudService {
     /// A service over an in-memory scan cache.
     pub fn new(config: ServiceConfig) -> Self {
-        Self::with_cache(config, ScanCache::in_memory())
-    }
-
-    /// A service whose admission gate warms `cache` (pass a disk-backed
-    /// [`ScanCache`] to persist scans across service restarts).
-    pub fn with_cache(config: ServiceConfig, cache: ScanCache) -> Self {
         CloudService {
             config,
-            gate: AdmissionGate::new(cache),
+            gate: AdmissionGate::new(ScanCache::in_memory()),
         }
     }
 
@@ -345,7 +339,7 @@ impl CloudService {
     ///
     /// See [`CloudService::run`]; the stall guard still applies when
     /// `round_budget` exceeds [`ServiceConfig::max_rounds`].
-    pub fn run_until(
+    fn run_until(
         &self,
         submissions: Vec<TenantSubmission>,
         round_budget: u64,

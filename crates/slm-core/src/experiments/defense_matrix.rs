@@ -152,7 +152,7 @@ pub struct MatrixCell {
 impl MatrixCell {
     /// The cell's effective MTD for ordering: disclosed campaigns rank
     /// by trace count, undisclosed ones rank past every budget.
-    pub fn effective_mtd(&self) -> u64 {
+    fn effective_mtd(&self) -> u64 {
         self.result.mtd.unwrap_or(u64::MAX)
     }
 }

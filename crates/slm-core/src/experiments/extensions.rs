@@ -1,14 +1,12 @@
-//! Extensions beyond the paper's evaluation: full 16-byte key recovery,
-//! TVLA leakage assessment, and the masking and placement countermeasure
-//! studies.
+//! Extensions beyond the paper's evaluation: full 16-byte key recovery
+//! and TVLA leakage assessment.
 
 use serde::{Deserialize, Serialize};
 use slm_aes::soft;
 use slm_cpa::{common_mode_polarity, MultiByteCpa, PostProcessor, WelchTTest};
 use slm_fabric::{BenignCircuit, FabricConfig, FabricError, MultiTenantFabric};
-use slm_obs::Obs;
 
-use super::cpa::{capture_pilot, reads_benign, run_cpa, CpaExperiment, CpaResult, SensorSource};
+use super::cpa::{capture_pilot, reads_benign, SensorSource};
 
 /// Outcome of the full-key recovery extension.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -183,78 +181,12 @@ pub fn tvla_study(
     })
 }
 
-/// Masking study: the same campaign against an unmasked and a
-/// first-order-masked AES datapath.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MaskingStudy {
-    /// Outcome against the unmasked victim.
-    pub unmasked: CpaResult,
-    /// Outcome against the masked victim.
-    pub masked: CpaResult,
-}
-
-impl MaskingStudy {
-    /// Whether masking defeated or degraded the attack.
-    pub fn masking_effective(&self) -> bool {
-        match (self.unmasked.mtd, self.masked.mtd) {
-            (Some(_), None) => true,
-            (Some(a), Some(b)) => b > a,
-            _ => false,
-        }
-    }
-}
-
-/// Runs the same CPA campaign against an unmasked and a masked AES —
-/// the "masking" countermeasure the paper's related work cites as the
-/// classic algorithmic defence.
-///
-/// # Errors
-///
-/// Propagates fabric construction failures.
-pub fn masking_study(base: &CpaExperiment) -> Result<MaskingStudy, FabricError> {
-    let unmasked = run_cpa(base, |_| {}, &Obs::null())?;
-    let masked = run_cpa(base, |config| config.masked_aes = true, &Obs::null())?;
-    Ok(MaskingStudy { unmasked, masked })
-}
-
-/// One row of the placement study.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PlacementRow {
-    /// Victim↔attacker PDN coupling used.
-    pub coupling: f64,
-    /// The campaign outcome at this coupling.
-    pub result: CpaResult,
-}
-
-/// Placement-distance study: re-runs the same CPA campaign with the
-/// victim's PDN region progressively decoupled from the attacker's —
-/// modelling greater physical separation between tenant slots, the
-/// dependence Glamočanin et al. measured on real cloud FPGAs. The
-/// attacker's best recourse against a distant victim is more traces.
-///
-/// # Errors
-///
-/// Propagates fabric construction failures.
-pub fn placement_study(
-    base: &CpaExperiment,
-    couplings: &[f64],
-) -> Result<Vec<PlacementRow>, FabricError> {
-    couplings
-        .iter()
-        .map(|&k| {
-            let result = run_cpa(base, |config| config.victim_coupling = k, &Obs::null())?;
-            Ok(PlacementRow {
-                coupling: k,
-                result,
-            })
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::{run_cpa, CpaExperiment};
     use slm_cpa::TVLA_THRESHOLD;
+    use slm_obs::Obs;
 
     #[test]
     fn full_key_recovery_via_tdc() {
@@ -297,17 +229,14 @@ mod tests {
             pilot_traces: 50,
             seed: 9,
         };
-        let study = masking_study(&base).unwrap();
+        let unmasked = run_cpa(&base, |_| {}, &Obs::null()).unwrap();
+        let masked = run_cpa(&base, |config| config.masked_aes = true, &Obs::null()).unwrap();
+        assert!(unmasked.mtd.is_some(), "unmasked baseline must disclose");
         assert!(
-            study.unmasked.mtd.is_some(),
-            "unmasked baseline must disclose"
-        );
-        assert!(
-            study.masked.mtd.is_none(),
+            masked.mtd.is_none(),
             "first-order CPA must fail against the masked datapath: {:?}",
-            study.masked.mtd
+            masked.mtd
         );
-        assert!(study.masking_effective());
     }
 
     #[test]
@@ -320,9 +249,8 @@ mod tests {
             pilot_traces: 50,
             seed: 8,
         };
-        let rows = placement_study(&base, &[1.0, 0.25]).unwrap();
-        let near = &rows[0].result;
-        let far = &rows[1].result;
+        let [near, far] = [1.0, 0.25]
+            .map(|k| run_cpa(&base, |config| config.victim_coupling = k, &Obs::null()).unwrap());
         assert!(near.mtd.is_some(), "co-located attack must disclose");
         let near_margin = near
             .progress

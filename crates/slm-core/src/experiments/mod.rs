@@ -18,7 +18,6 @@ mod parallel;
 mod preliminary;
 mod stealth_matrix;
 mod streaming;
-mod transport_study;
 
 pub use arch_study::{architecture_study, ArchRow, ArchStudy};
 pub use audits::{
@@ -30,10 +29,7 @@ pub use defense_matrix::{
     defense_matrix, DefenseArm, DefenseMatrix, DefenseMatrixExperiment, DetectorEval,
     DetectorReading, MatrixCell,
 };
-pub use extensions::{
-    full_key_recovery, masking_study, placement_study, tvla_study, FullKeyResult, MaskingStudy,
-    PlacementRow, TvlaResult,
-};
+pub use extensions::{full_key_recovery, tvla_study, FullKeyResult, TvlaResult};
 pub use fault_matrix::{
     fault_matrix, run_fault_campaign, AggressorDetectorReading, FaultCampaign,
     FaultCampaignOutcome, FaultMatrix, FaultMatrixCell, FaultMatrixExperiment,
@@ -49,7 +45,4 @@ pub use stealth_matrix::{
 pub use streaming::{
     run_streaming, run_streaming_crashing, run_streaming_with_recorded, CrashPlan, CrashSite,
     EarlyStop, StreamOutcome, StreamingCpa, StreamingError, StreamingResult,
-};
-pub use transport_study::{
-    transport_fault_study, TransportFaultRow, TransportFaultStudy, TransportFaultStudyResult,
 };

@@ -57,14 +57,15 @@ pub struct MatrixRow {
     pub report: CheckReport,
 }
 
+#[cfg(test)]
 impl MatrixRow {
     /// Whether any structural pass flagged the design.
-    pub fn structurally_flagged(&self) -> bool {
+    fn structurally_flagged(&self) -> bool {
         self.flagged_by.iter().any(|&f| f)
     }
 
     /// Whether any semantic pass flagged the design.
-    pub fn semantically_flagged(&self) -> bool {
+    fn semantically_flagged(&self) -> bool {
         self.semantic_flagged_by.iter().any(|&f| f)
     }
 }
@@ -92,7 +93,8 @@ impl StealthMatrix {
     ///   tier and is caught only semantically,
     /// * both benign-logic sensors are caught by the strict timing
     ///   check at the overclock.
-    pub fn matrix_holds(&self) -> bool {
+    #[cfg(test)]
+    fn matrix_holds(&self) -> bool {
         let verdicts = self.rows.iter().all(|row| {
             let caught = row.structurally_flagged() || row.semantically_flagged();
             let timing_ok = row.timing_flagged.unwrap_or(true);

@@ -23,11 +23,12 @@
 //! Extensions beyond the paper (see EXPERIMENTS.md):
 //! [`experiments::full_key_recovery`] (16-byte key + schedule
 //! inversion), [`experiments::tvla_study`] (leakage assessment),
-//! [`experiments::masking_study`] / [`experiments::placement_study`]
-//! (design-time countermeasures), [`experiments::defense_matrix`]
-//! (runtime defences: active fences, supply regulation, clock jitter,
-//! and the anomaly detector), and [`experiments::architecture_study`]
-//! (which circuits make good sensors).
+//! [`experiments::defense_matrix`] (runtime defences: active fences,
+//! supply regulation, clock jitter, and the anomaly detector), and
+//! [`experiments::architecture_study`] (which circuits make good
+//! sensors). The design-time countermeasures, masking and placement
+//! distance, are [`experiments::run_cpa`] with a fabric tweak
+//! (`masked_aes`, `victim_coupling`).
 //!
 //! # Quickstart
 //!

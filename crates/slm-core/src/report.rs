@@ -49,27 +49,9 @@ pub fn correlation_panel(peaks: &[f64], correct: u8) -> String {
     out
 }
 
-/// Renders the observability section of a run report: the recorded
-/// metrics as an aligned table under a heading, or a one-line note
-/// when nothing was recorded (metrics disabled).
-pub fn metrics_section(label: &str, frame: &slm_obs::MetricsFrame) -> String {
-    slm_obs::MetricsReport::new(label, frame.clone()).to_table()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn metrics_section_renders_counters() {
-        let obs = slm_obs::Obs::memory();
-        obs.incr("cpa.traces_absorbed");
-        obs.add("campaign.delivered", 9);
-        let section = metrics_section("unit", &obs.snapshot());
-        assert!(section.starts_with("# metrics: unit"));
-        assert!(section.contains("cpa.traces_absorbed"));
-        assert!(section.contains("campaign.delivered"));
-    }
 
     #[test]
     fn json_roundtrips_structures() {

@@ -605,13 +605,8 @@ impl TraceBatch {
         self.points
     }
 
-    /// Ciphertext of staged trace `t`.
-    pub fn ct_of(&self, t: usize) -> &[u8; 16] {
-        &self.cts[t]
-    }
-
     /// Sample row of staged trace `t`.
-    pub fn samples_of(&self, t: usize) -> &[f64] {
+    fn samples_of(&self, t: usize) -> &[f64] {
         &self.samples[t * self.points..(t + 1) * self.points]
     }
 
@@ -909,7 +904,6 @@ mod tests {
         batch.push([7; 16], &[1.0, 2.0]);
         attack.add_batch(&batch).unwrap();
         assert_eq!(attack.traces(), 1);
-        assert_eq!(batch.ct_of(0), &[7; 16]);
         assert_eq!(batch.samples_of(0), &[1.0, 2.0]);
         assert!(!batch.is_empty());
         batch.clear();

@@ -75,11 +75,6 @@ impl BitActivity {
         self.samples += 1;
     }
 
-    /// Times endpoint `i` changed value between consecutive samples.
-    pub fn toggle_count(&self, i: usize) -> u64 {
-        self.toggles[i]
-    }
-
     /// Fraction of samples where endpoint `i` read 1.
     pub fn mean(&self, i: usize) -> f64 {
         if self.samples == 0 {
@@ -93,11 +88,6 @@ impl BitActivity {
     pub fn variance(&self, i: usize) -> f64 {
         let p = self.mean(i);
         p * (1.0 - p)
-    }
-
-    /// All per-endpoint variances.
-    pub fn variances(&self) -> Vec<f64> {
-        (0..self.len).map(|i| self.variance(i)).collect()
     }
 
     /// Endpoints that toggled at least once — the *sensitive bits*.
@@ -250,9 +240,6 @@ mod tests {
         act.add(&sample(&[false, true, false]));
         act.add(&sample(&[false, false, true]));
         assert_eq!(act.samples(), 4);
-        assert_eq!(act.toggle_count(0), 0);
-        assert_eq!(act.toggle_count(1), 3);
-        assert_eq!(act.toggle_count(2), 1);
         assert_eq!(act.sensitive_bits(), vec![1, 2]);
         assert!((act.mean(1) - 0.5).abs() < 1e-12);
         assert!((act.variance(1) - 0.25).abs() < 1e-12);

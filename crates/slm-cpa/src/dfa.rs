@@ -24,11 +24,10 @@
 //! Voting (rather than strict set intersection) is deliberate: the
 //! fabric's aggressor occasionally trips an early round, and a single
 //! such pair would knock the true key out of an intersection forever.
-//! Pairs whose ciphertexts differ in more than
-//! [`DfaAttack::max_diff_bytes`] positions are discarded outright —
-//! an early-round avalanche flips all 16 bytes with probability
-//! ≈ (255/256)¹⁶ ≈ 0.94, while a round-9 fault touches at most the
-//! 4–12 positions its violating cycles cover.
+//! Pairs whose ciphertexts differ in more than 12 positions are
+//! discarded outright — an early-round avalanche flips all 16 bytes
+//! with probability ≈ (255/256)¹⁶ ≈ 0.94, while a round-9 fault
+//! touches at most the 4–12 positions its violating cycles cover.
 //!
 //! All accumulator state is integer counts plus an exactly-mergeable
 //! severity track, so shard partials merge associatively — the same
@@ -86,12 +85,6 @@ impl DfaModel {
             }
         }
         table
-    }
-
-    /// Number of admissible differences — the per-pair survival
-    /// probability of a wrong key is `set_size() / 255`.
-    pub fn set_size(&self) -> usize {
-        self.feasible_table().iter().filter(|&&f| f).count()
     }
 }
 
@@ -156,7 +149,7 @@ impl DfaAttack {
     /// # Panics
     ///
     /// Panics if `max_diff_bytes` is 0 or greater than 16.
-    pub fn with_max_diff_bytes(model: DfaModel, max_diff_bytes: usize) -> Self {
+    fn with_max_diff_bytes(model: DfaModel, max_diff_bytes: usize) -> Self {
         assert!(
             (1..=16).contains(&max_diff_bytes),
             "avalanche filter must keep 1..=16 byte diffs"
@@ -180,21 +173,15 @@ impl DfaAttack {
         self.model
     }
 
-    /// The avalanche-filter threshold (pairs with more differing bytes
-    /// are discarded).
-    pub fn max_diff_bytes(&self) -> usize {
-        self.max_diff_bytes
-    }
-
     /// Absorbs one (correct, faulty) ciphertext pair with severity
-    /// weight 0 — see [`DfaAttack::add_pair_weighted`].
+    /// weight 0.
     pub fn add_pair(&mut self, correct: &[u8; 16], faulty: &[u8; 16]) -> PairOutcome {
         self.add_pair_weighted(correct, faulty, 0.0)
     }
 
     /// Absorbs one pair, crediting `weight` (e.g. the capture's droop
     /// depth in volts) to the severity track if the pair is accepted.
-    pub fn add_pair_weighted(
+    fn add_pair_weighted(
         &mut self,
         correct: &[u8; 16],
         faulty: &[u8; 16],
@@ -286,7 +273,7 @@ impl DfaAttack {
     /// Last-round key byte `jd` if it is unambiguous: a unique argmax
     /// with at least 4 votes and a lead of at least 2 over the
     /// runner-up. `None` otherwise.
-    pub fn recovered_byte(&self, jd: usize) -> Option<u8> {
+    fn recovered_byte(&self, jd: usize) -> Option<u8> {
         let (best, second) = self.margin(jd);
         if best < MIN_VOTES || best < second + MIN_MARGIN {
             return None;
@@ -471,7 +458,8 @@ mod tests {
         assert!(sizes.last().unwrap() <= &sizes[0]);
         // The single-byte model would mis-rank these column faults:
         // its admissible set is a strict subset, so votes are sparser.
-        assert!(model.set_size() > DfaModel::SingleByte { max_fault_bits: 1 }.set_size());
+        let set_size = |m: DfaModel| m.feasible_table().iter().filter(|&&f| f).count();
+        assert!(set_size(model) > set_size(DfaModel::SingleByte { max_fault_bits: 1 }));
     }
 
     #[test]

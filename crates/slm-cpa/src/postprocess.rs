@@ -41,11 +41,6 @@ impl PostProcessor {
             PostProcessor::SingleBit(i) => f64::from(u8::from(sample.bit(*i))),
         }
     }
-
-    /// Reduces a whole capture sequence to a scalar trace.
-    pub fn reduce_all(&self, samples: &[SensorSample]) -> Vec<f64> {
-        samples.iter().map(|s| self.reduce(s)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -83,14 +78,5 @@ mod tests {
         let s = sample(vec![0b1011], 4);
         let p = PostProcessor::HammingWeightAligned(vec![false; 3]);
         let _ = p.reduce(&s);
-    }
-
-    #[test]
-    fn reduce_all_maps() {
-        let seq = vec![sample(vec![0b01], 2), sample(vec![0b11], 2)];
-        assert_eq!(
-            PostProcessor::HammingWeightAll.reduce_all(&seq),
-            vec![1.0, 2.0]
-        );
     }
 }

@@ -795,7 +795,7 @@ impl CheckpointLedger {
     }
 
     /// On-disk path of generation `generation`.
-    pub fn generation_path(&self, generation: u64) -> PathBuf {
+    fn generation_path(&self, generation: u64) -> PathBuf {
         self.dir.join(format!("gen-{generation:016}.slmc"))
     }
 

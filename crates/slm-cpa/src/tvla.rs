@@ -62,7 +62,7 @@ impl WelchTTest {
     }
 
     /// Welch's t statistic per point (0.0 where undefined).
-    pub fn t_values(&self) -> Vec<f64> {
+    fn t_values(&self) -> Vec<f64> {
         let (n0, n1) = (self.n[0] as f64, self.n[1] as f64);
         if self.n[0] < 2 || self.n[1] < 2 {
             return vec![0.0; self.points];

@@ -93,11 +93,6 @@ impl AggressorSpec {
         Self::square(peak_current_a, 1, 2)
     }
 
-    /// Fraction of each period spent drawing current.
-    pub fn duty_fraction(&self) -> f64 {
-        self.on_ticks as f64 / self.period_ticks as f64
-    }
-
     /// Current drawn at fabric tick `tick`, amps — a pure function, no
     /// stream state.
     pub fn current_a(&self, tick: u64) -> f64 {
@@ -250,7 +245,8 @@ impl VictimCone {
     }
 
     /// Nominal endpoint arrivals, ns, deepest first.
-    pub fn arrival_ns(&self) -> &[f64] {
+    #[cfg(test)]
+    fn arrival_ns(&self) -> &[f64] {
         &self.arrival_ns
     }
 
@@ -301,7 +297,8 @@ impl VictimCone {
 
     /// The shallowest victim voltage that still meets timing: droops
     /// below this flip at least one bit per column.
-    pub fn fault_threshold_v(&self) -> f64 {
+    #[cfg(test)]
+    fn fault_threshold_v(&self) -> f64 {
         let deepest = self.arrival_ns.first().copied().unwrap_or(0.0);
         if deepest <= 0.0 {
             return 0.0;
@@ -356,7 +353,6 @@ mod tests {
         let a = AggressorSpec::square(2.0, 3, 10);
         let on: Vec<u64> = (0..20).filter(|&t| a.current_a(t) > 0.0).collect();
         assert_eq!(on, vec![0, 1, 2, 10, 11, 12]);
-        assert_eq!(a.duty_fraction(), 0.3);
         // A phase offset slides the on-window without changing the duty.
         let shifted = AggressorSpec {
             phase_ticks: 4,

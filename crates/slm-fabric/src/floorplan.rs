@@ -28,7 +28,7 @@ pub enum CellKind {
 
 impl CellKind {
     /// Single-character glyph for ASCII rendering.
-    pub fn glyph(self) -> char {
+    fn glyph(self) -> char {
         match self {
             CellKind::Empty => '.',
             CellKind::BenignLogic => 'b',
@@ -88,11 +88,6 @@ impl Floorplan {
     /// Grid width.
     pub fn width(&self) -> usize {
         self.width
-    }
-
-    /// Grid height.
-    pub fn height(&self) -> usize {
-        self.height
     }
 
     /// The cell at `(x, y)`.
@@ -254,31 +249,6 @@ impl Floorplan {
         }
         let area = (max_x - min_x + 1) * (max_y - min_y + 1);
         count as f64 / area as f64
-    }
-
-    /// Renders the grid as a binary PPM (P6) image, `scale` pixels per
-    /// cell, using the Figs. 3/4 colour convention (benign yellow,
-    /// sensitive red, TDC green, AES lilac, RO light blue).
-    pub fn render_ppm(&self, scale: usize) -> Vec<u8> {
-        let scale = scale.max(1);
-        let (w, h) = (self.width * scale, self.height * scale);
-        let mut out = Vec::with_capacity(32 + 3 * w * h);
-        out.extend_from_slice(format!("P6\n{w} {h}\n255\n").as_bytes());
-        for py in 0..h {
-            for px in 0..w {
-                let cell = self.cell(px / scale, py / scale);
-                let rgb: [u8; 3] = match cell {
-                    CellKind::Empty => [24, 24, 28],
-                    CellKind::BenignLogic => [230, 200, 60],
-                    CellKind::SensitiveEndpoint => [220, 50, 40],
-                    CellKind::Tdc => [60, 180, 80],
-                    CellKind::Aes => [190, 130, 220],
-                    CellKind::Ro => [110, 190, 230],
-                };
-                out.extend_from_slice(&rgb);
-            }
-        }
-        out
     }
 
     /// Mean pairwise spread (RMS distance from centroid) of cells of a
@@ -448,30 +418,6 @@ mod tests {
         assert_eq!(lines.len(), 4); // 3 rows + legend
         assert!(lines[0].starts_with('T'));
         assert!(lines[3].contains("legend"));
-    }
-
-    #[test]
-    fn ppm_render_shape_and_colors() {
-        let mut fp = Floorplan::new(4, 2);
-        fp.column(
-            Rect {
-                x: 0,
-                y: 0,
-                w: 1,
-                h: 2,
-            },
-            CellKind::Tdc,
-            2,
-        );
-        let ppm = fp.render_ppm(2);
-        let header = b"P6\n8 4\n255\n";
-        assert_eq!(&ppm[..header.len()], header);
-        assert_eq!(ppm.len(), header.len() + 3 * 8 * 4);
-        // first pixel is TDC green
-        let px = &ppm[header.len()..header.len() + 3];
-        assert_eq!(px, &[60, 180, 80]);
-        // scale clamps to at least 1
-        assert!(fp.render_ppm(0).len() > 12);
     }
 
     #[test]

@@ -106,7 +106,7 @@ impl RemoteSession {
     }
 
     /// Discards any bytes in flight (between retry attempts).
-    pub fn flush_wire(&mut self) {
+    fn flush_wire(&mut self) {
         self.link.flush();
     }
 
@@ -335,7 +335,7 @@ impl CampaignDriver {
     }
 
     /// Wraps a session with an explicit retry policy.
-    pub fn with_policy(session: RemoteSession, policy: RetryPolicy) -> Self {
+    fn with_policy(session: RemoteSession, policy: RetryPolicy) -> Self {
         assert!(policy.max_attempts >= 1, "need at least one attempt");
         let key = session.fabric().config().aes_key;
         CampaignDriver {
@@ -490,11 +490,6 @@ impl CampaignDriver {
     /// Records held out of the analysis set, with their faults.
     pub fn quarantine(&self) -> &[QuarantinedTrace] {
         &self.quarantine
-    }
-
-    /// Unwraps the session (e.g. for ground-truth evaluation).
-    pub fn into_session(self) -> RemoteSession {
-        self.session
     }
 }
 

@@ -168,7 +168,7 @@ impl RoSchedule {
     }
 
     /// Enabled fraction at a given tick.
-    pub fn fraction_at(&self, tick: u64) -> f64 {
+    fn fraction_at(&self, tick: u64) -> f64 {
         if tick < self.lead_in_ticks {
             return 0.0;
         }
@@ -314,11 +314,6 @@ impl FabricPrototype {
     pub fn endpoints(&self) -> usize {
         self.waves.len()
     }
-
-    /// The timed victim cone (test access to the fault physics).
-    pub fn victim_cone(&self) -> &VictimCone {
-        &self.victim_cone
-    }
 }
 
 /// Live aggressor state: the spec, the timed cone it attacks, and the
@@ -399,7 +394,7 @@ impl MultiTenantFabric {
     /// for the prototype matching `(benign, delay_model,
     /// achieved_critical_ns)` — [`MultiTenantFabric::new`] does this via
     /// the cache.
-    pub fn from_prototype(proto: &FabricPrototype, config: &FabricConfig) -> Self {
+    fn from_prototype(proto: &FabricPrototype, config: &FabricConfig) -> Self {
         let sensor = BenignSensor::new(proto.waves.clone(), config.sensor);
         let benign_activity_current_a = proto.benign_activity_current_a;
         // Supply regulation attenuates how much of one region's current
@@ -468,7 +463,7 @@ impl MultiTenantFabric {
 
     /// The measure-sample indices during which AES cycle `c` is active —
     /// where the leakage of that cycle lands in the capture.
-    pub fn samples_for_aes_cycle(&self, c: usize) -> std::ops::Range<usize> {
+    fn samples_for_aes_cycle(&self, c: usize) -> std::ops::Range<usize> {
         let first_tick = (self.lead_in_cycles + c) * Self::TICKS_PER_AES_CYCLE;
         let last_tick = first_tick + Self::TICKS_PER_AES_CYCLE;
         // measure edges happen on odd ticks (tick % 2 == 1): sample k is

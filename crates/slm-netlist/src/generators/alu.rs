@@ -54,7 +54,7 @@ impl AluOp {
     ];
 
     /// The 3-bit opcode for this operation.
-    pub fn opcode(self) -> u8 {
+    fn opcode(self) -> u8 {
         self as u8
     }
 

@@ -265,7 +265,7 @@ impl Netlist {
 
     /// Evaluates all nets for 64 patterns at once (bit `k` of each word is
     /// pattern `k`).
-    pub fn eval_all_parallel(&self, inputs: &[u64]) -> Result<Vec<u64>, NetlistError> {
+    fn eval_all_parallel(&self, inputs: &[u64]) -> Result<Vec<u64>, NetlistError> {
         if inputs.len() != self.inputs.len() {
             return Err(NetlistError::InputCountMismatch {
                 expected: self.inputs.len(),
@@ -372,23 +372,6 @@ impl Netlist {
         h.pad();
         self.names.hash(&mut h);
         h.finish()
-    }
-
-    /// The transitive fanin cone of a net, as a sorted list of net ids.
-    pub fn fanin_cone(&self, root: NetId) -> Vec<NetId> {
-        let mut seen = vec![false; self.len()];
-        let mut stack = vec![root];
-        let mut cone = Vec::new();
-        while let Some(id) = stack.pop() {
-            if seen[id.index()] {
-                continue;
-            }
-            seen[id.index()] = true;
-            cone.push(id);
-            stack.extend_from_slice(self.gate(id).fanin);
-        }
-        cone.sort();
-        cone
     }
 }
 
@@ -550,14 +533,19 @@ mod tests {
     fn fanin_cone_and_fanouts() {
         let nl = xor_tree();
         let y = nl.outputs()[0].1;
-        let cone = nl.fanin_cone(y);
-        assert_eq!(cone.len(), nl.len()); // everything feeds y
-                                          // Input `a` feeds only the first XOR.
-        let a = nl.inputs()[0];
-        let readers: Vec<usize> = (0..nl.len())
-            .filter(|&i| nl.gate(NetId(i as u32)).fanin.contains(&a))
-            .collect();
-        assert_eq!(readers, [3]);
+        let readers_of = |net: NetId| -> Vec<usize> {
+            (0..nl.len())
+                .filter(|&i| nl.gate(NetId(i as u32)).fanin.contains(&net))
+                .collect()
+        };
+        // Everything feeds y: in an acyclic netlist every net other than
+        // the sole output has a reader, so its fanouts lead to y.
+        for i in 0..nl.len() {
+            let net = NetId(i as u32);
+            assert_eq!(readers_of(net).is_empty(), net == y, "net {i}");
+        }
+        // Input `a` feeds only the first XOR.
+        assert_eq!(readers_of(nl.inputs()[0]), [3]);
     }
 
     /// Fanin edges of consecutive gates tile one shared array: gate

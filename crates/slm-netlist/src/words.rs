@@ -41,17 +41,6 @@ pub fn limbs_to_bits(limbs: &[u64], width: usize) -> Vec<bool> {
         .collect()
 }
 
-/// Packs booleans (LSB first) into little-endian 64-bit limbs.
-pub fn bits_to_limbs(bits: &[bool]) -> Vec<u64> {
-    let mut limbs = vec![0u64; bits.len().div_ceil(64)];
-    for (i, &b) in bits.iter().enumerate() {
-        if b {
-            limbs[i / 64] |= 1 << (i % 64);
-        }
-    }
-    limbs
-}
-
 /// Counts set bits across a boolean slice (Hamming weight).
 pub fn hamming_weight(bits: &[bool]) -> u32 {
     bits.iter().map(|&b| u32::from(b)).sum()
@@ -73,7 +62,9 @@ mod tests {
         let limbs = vec![0xdead_beef_0bad_f00d, 0x0123_4567_89ab_cdef, 0xffff];
         let bits = limbs_to_bits(&limbs, 192);
         assert_eq!(bits.len(), 192);
-        assert_eq!(bits_to_limbs(&bits), limbs);
+        for (chunk, &limb) in bits.chunks(64).zip(&limbs) {
+            assert_eq!(from_bits(chunk), u128::from(limb));
+        }
     }
 
     #[test]

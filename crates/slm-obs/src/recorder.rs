@@ -243,11 +243,6 @@ impl Obs {
         Obs(Arc::new(MemoryRecorder::manual()))
     }
 
-    /// Wraps a custom recorder.
-    pub fn with_recorder(recorder: Arc<dyn Recorder>) -> Obs {
-        Obs(recorder)
-    }
-
     /// Whether recording is enabled (see [`Recorder::is_enabled`]).
     pub fn enabled(&self) -> bool {
         self.0.is_enabled()

@@ -33,7 +33,8 @@
 //! # Example
 //!
 //! ```
-//! let squares = slm_par::par_map_indexed(4, 8, |i| i * i);
+//! let items: Vec<u64> = (0..8).collect();
+//! let squares = slm_par::par_map(4, &items, |i| i * i);
 //! assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36, 49]);
 //! ```
 
@@ -65,19 +66,9 @@ pub fn resolve_workers(requested: usize) -> usize {
 }
 
 /// Maps `0..n` through `f` on up to `workers` threads, returning the
-/// results in index order.
-///
-/// Work is handed out dynamically (an atomic next-index counter), so
-/// uneven task costs balance across workers. With `workers <= 1` or
-/// `n <= 1` the map runs inline on the calling thread — no threads are
-/// spawned and no ordering question arises. `workers == 0` resolves to
-/// the machine's available parallelism.
-///
-/// # Panics
-///
-/// If `f` panics on any index, the panic is resumed on the calling
-/// thread with its original payload once all workers have stopped.
-pub fn par_map_indexed<R, F>(workers: usize, n: usize, f: F) -> Vec<R>
+/// results in index order; see [`par_map`] for scheduling and panic
+/// semantics.
+fn par_map_indexed<R, F>(workers: usize, n: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
@@ -125,7 +116,16 @@ where
 /// Maps a slice through `f` on up to `workers` threads, preserving
 /// item order in the result.
 ///
-/// See [`par_map_indexed`] for scheduling and panic semantics.
+/// Work is handed out dynamically (an atomic next-index counter), so
+/// uneven task costs balance across workers. With `workers <= 1` or
+/// fewer than two items the map runs inline on the calling thread — no
+/// threads are spawned and no ordering question arises. `workers == 0`
+/// resolves to the machine's available parallelism.
+///
+/// # Panics
+///
+/// If `f` panics on any item, the panic is resumed on the calling
+/// thread with its original payload once all workers have stopped.
 pub fn par_map<T, R, F>(workers: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,

@@ -207,20 +207,6 @@ impl BenignSensor {
         &self.config
     }
 
-    /// The endpoint values in the settled reset state.
-    pub fn reset_values(&self) -> SensorSample {
-        let mut bits = vec![0u64; self.waves.len().div_ceil(64)];
-        for (i, w) in self.waves.iter().enumerate() {
-            if w.initial {
-                bits[i / 64] |= 1 << (i % 64);
-            }
-        }
-        SensorSample {
-            bits,
-            len: self.waves.len(),
-        }
-    }
-
     /// Captures all endpoints at the measure edge under supply voltage
     /// `v`.
     pub fn sample(&mut self, v: f64) -> SensorSample {
@@ -298,7 +284,8 @@ impl BenignSensor {
     }
 
     /// Noise-free captured value of a single endpoint at voltage `v`.
-    pub fn expected_bit(&self, endpoint: usize, v: f64) -> bool {
+    #[cfg(test)]
+    fn expected_bit(&self, endpoint: usize, v: f64) -> bool {
         let scale = self.config.law.scale(v);
         let t = (self.period_fs + self.skew_fs[endpoint]) / scale;
         self.waves[endpoint].sampled_at(t.max(0.0) as u64)
@@ -306,7 +293,8 @@ impl BenignSensor {
 
     /// Endpoints whose captured value differs between two voltages —
     /// a cheap predictor of which bits a given droop makes sensitive.
-    pub fn endpoints_sensitive_between(&self, v_low: f64, v_high: f64) -> Vec<usize> {
+    #[cfg(test)]
+    fn endpoints_sensitive_between(&self, v_low: f64, v_high: f64) -> Vec<usize> {
         (0..self.len())
             .filter(|&i| self.expected_bit(i, v_low) != self.expected_bit(i, v_high))
             .collect()
@@ -376,14 +364,6 @@ mod tests {
         for w in sens.windows(2) {
             assert!(w[1] - w[0] <= 2, "band has a large gap: {sens:?}");
         }
-    }
-
-    #[test]
-    fn reset_values_match_initial() {
-        let waves = adder_waves(16);
-        let initials: Vec<bool> = waves.iter().map(|w| w.initial).collect();
-        let s = BenignSensor::new(waves, quiet_config());
-        assert_eq!(s.reset_values().to_bools(), initials);
     }
 
     #[test]

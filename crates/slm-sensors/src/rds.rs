@@ -73,14 +73,6 @@ impl RdsSensor {
     pub fn expected_depth(&self, v: f64) -> f64 {
         self.inner.expected_depth(v)
     }
-
-    /// Voltage gain: taps of depth change per volt of droop around the
-    /// operating point — the figure of merit where the RDS beats the
-    /// LUT TDC.
-    pub fn gain_taps_per_volt(&self, v: f64) -> f64 {
-        let dv = 1e-4;
-        (self.expected_depth(v + dv) - self.expected_depth(v - dv)).abs() / (2.0 * dv)
-    }
 }
 
 #[cfg(test)]
@@ -102,12 +94,14 @@ mod tests {
         // operating point.
         let rds = RdsSensor::paper_150mhz(2);
         let tdc = crate::TdcSensor::new(TdcConfig::paper_150mhz(2));
-        let v = 0.995;
-        let g_rds = rds.gain_taps_per_volt(v);
-        let g_tdc = {
-            let dv = 1e-4;
-            (tdc.expected_depth(v + dv) - tdc.expected_depth(v - dv)).abs() / (2.0 * dv)
-        };
+        // Voltage gain: taps of depth change per volt of droop around
+        // the operating point.
+        fn gain(depth: impl Fn(f64) -> f64) -> f64 {
+            let (v, dv) = (0.995, 1e-4);
+            (depth(v + dv) - depth(v - dv)).abs() / (2.0 * dv)
+        }
+        let g_rds = gain(|v| rds.expected_depth(v));
+        let g_tdc = gain(|v| tdc.expected_depth(v));
         assert!(
             g_rds > 1.5 * g_tdc,
             "RDS gain {g_rds:.0} vs TDC gain {g_tdc:.0} taps/V"

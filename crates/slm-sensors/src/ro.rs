@@ -45,7 +45,7 @@ impl RoArray {
     }
 
     /// Enables exactly `n` oscillators (clamped to the array size).
-    pub fn set_enabled(&mut self, n: usize) {
+    fn set_enabled(&mut self, n: usize) {
         self.enabled = n.min(self.count);
     }
 

@@ -286,16 +286,6 @@ impl TdcSensor {
         self.exact_samples
     }
 
-    /// Samples and expands into per-tap thermometer bits, LSB = tap 0.
-    pub fn sample_bits(&mut self, v: f64) -> u64 {
-        let depth = self.sample(v);
-        if depth >= 64 {
-            u64::MAX
-        } else {
-            (1u64 << depth) - 1
-        }
-    }
-
     /// Expected (noise-free) depth at voltage `v`.
     pub fn expected_depth(&self, v: f64) -> f64 {
         let s = self.config.law.scale(v);
@@ -346,18 +336,6 @@ mod tests {
         let mut t = quiet();
         assert_eq!(t.sample(0.5), 0);
         assert_eq!(t.sample(1.6), 64);
-        assert_eq!(t.sample_bits(1.6), u64::MAX);
-        assert_eq!(t.sample_bits(0.5), 0);
-    }
-
-    #[test]
-    fn thermometer_bits_contiguous() {
-        let mut t = TdcSensor::new(TdcConfig::paper_150mhz(3));
-        for _ in 0..200 {
-            let bits = t.sample_bits(0.99);
-            // thermometer: bits+1 must be a power of two
-            assert_eq!(bits & bits.wrapping_add(1), 0, "bits = {bits:#x}");
-        }
     }
 
     #[test]

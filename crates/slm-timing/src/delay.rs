@@ -67,7 +67,7 @@ fn unit(seed: u64, tag: u64) -> f64 {
 
 impl DelayModel {
     /// Base intrinsic delay for a gate kind, before variation and load.
-    pub fn base_ps(&self, kind: GateKind) -> f64 {
+    fn base_ps(&self, kind: GateKind) -> f64 {
         match kind {
             GateKind::Input | GateKind::Const0 | GateKind::Const1 => 0.0,
             GateKind::Not | GateKind::Buf => self.inv_ps,

@@ -41,11 +41,6 @@ impl VoltageDelayLaw {
         ((self.v_nominal - self.v_threshold) / (v - self.v_threshold)).powf(self.alpha)
     }
 
-    /// Delay at voltage `v` given the nominal delay `d0_ps`.
-    pub fn delay_ps(&self, d0_ps: f64, v: f64) -> f64 {
-        d0_ps * self.scale(v)
-    }
-
     /// Inverse of [`VoltageDelayLaw::scale`]: the voltage that produces a
     /// given scale factor. Useful for calibrating experiments.
     pub fn voltage_for_scale(&self, scale: f64) -> f64 {
@@ -99,11 +94,5 @@ mod tests {
             let s = law.scale(v);
             assert!((law.voltage_for_scale(s) - v).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn delay_scales_linearly_with_d0() {
-        let law = VoltageDelayLaw::default();
-        assert!((law.delay_ps(100.0, 0.9) - 2.0 * law.delay_ps(50.0, 0.9)).abs() < 1e-9);
     }
 }

@@ -7,8 +7,7 @@
 //! ```
 
 use slm_core::experiments::{
-    full_key_recovery, masking_study, placement_study, run_cpa, tvla_study, CpaExperiment,
-    DefenseArm, SensorSource,
+    full_key_recovery, run_cpa, tvla_study, CpaExperiment, DefenseArm, SensorSource,
 };
 use slm_fabric::{BenignCircuit, DetectorConfig};
 use slm_obs::Obs;
@@ -78,47 +77,39 @@ fn main() {
 
     // 4. Placement distance: decouple the victim's PDN region.
     println!("\n== placement distance (victim↔attacker PDN coupling) ==");
-    let rows = placement_study(
-        &CpaExperiment {
-            circuit: BenignCircuit::DualC6288,
-            source: SensorSource::TdcAll,
-            traces: 6_000,
-            checkpoints: 8,
-            pilot_traces: 100,
-            seed: 4,
-        },
-        &[1.0, 0.5, 0.25],
-    )
-    .expect("fabric builds");
+    let base = CpaExperiment {
+        traces: 6_000,
+        checkpoints: 8,
+        seed: 4,
+        ..base
+    };
     println!("{:>9} {:>10} {:>10}", "coupling", "MTD", "margin");
-    for row in &rows {
+    for coupling in [1.0, 0.5, 0.25] {
+        let r = run_cpa(
+            &base,
+            |config| config.victim_coupling = coupling,
+            &Obs::null(),
+        )
+        .expect("fabric builds");
         println!(
             "{:>9.2} {:>10} {:>10.4}",
-            row.coupling,
-            row.result.mtd.map_or("—".to_string(), |m| m.to_string()),
-            row.result
-                .progress
+            coupling,
+            r.mtd.map_or("—".to_string(), |m| m.to_string()),
+            r.progress
                 .last()
-                .map(|p| p.margin(row.result.correct_key_byte))
+                .map(|p| p.margin(r.correct_key_byte))
                 .unwrap_or(0.0)
         );
     }
 
     // 5. Boolean masking on the victim's datapath.
     println!("\n== AES masking (first-order) ==");
-    let mstudy = masking_study(&CpaExperiment {
-        circuit: BenignCircuit::DualC6288,
-        source: SensorSource::TdcAll,
-        traces: 6_000,
-        checkpoints: 8,
-        pilot_traces: 100,
-        seed: 5,
-    })
-    .expect("fabric builds");
+    let base = CpaExperiment { seed: 5, ..base };
+    let unmasked = run_cpa(&base, |_| {}, &Obs::null()).expect("fabric builds");
+    let masked =
+        run_cpa(&base, |config| config.masked_aes = true, &Obs::null()).expect("fabric builds");
     println!(
-        "unmasked: mtd = {:?}   masked: mtd = {:?}   masking effective: {}",
-        mstudy.unmasked.mtd,
-        mstudy.masked.mtd,
-        mstudy.masking_effective()
+        "unmasked: mtd = {:?}   masked: mtd = {:?}",
+        unmasked.mtd, masked.mtd
     );
 }

@@ -16,9 +16,9 @@
 use slm_atpg::{Objective, StimulusSearch};
 use slm_core::experiments::{
     activity_study, aes_pilot_activity, architecture_study, atpg_stimulus_study, floorplan_views,
-    full_key_recovery, ro_response, run_cpa, run_streaming, stealth_audit, timing_audit,
-    tvla_study, ActivityStudy, CpaExperiment, CpaResult, DefenseArm, EarlyStop, SensorSource,
-    StreamingCpa,
+    full_key_recovery, ro_response, run_cpa, run_streaming, stealth_audit, stealth_matrix,
+    timing_audit, tvla_study, ActivityStudy, CpaExperiment, CpaResult, DefenseArm, EarlyStop,
+    SensorSource, StreamingCpa,
 };
 use slm_cpa::BitActivity;
 use slm_fabric::{
@@ -283,6 +283,23 @@ fn section6_stealth_and_timing() {
             r.name
         );
     }
+}
+
+/// The README's detection matrix, from its header line to the first
+/// line that is not a table row, is the regenerated matrix byte for
+/// byte; on drift the failure prints the table to paste in.
+#[test]
+fn section6_readme_detection_matrix_is_current() {
+    let readme = include_str!("../README.md");
+    let start = readme
+        .find("| design | class |")
+        .expect("README carries the detection matrix");
+    let table: String = readme[start..]
+        .lines()
+        .take_while(|line| line.starts_with('|'))
+        .map(|line| format!("{line}\n"))
+        .collect();
+    assert_eq!(table, stealth_matrix().unwrap().markdown_table());
 }
 
 #[test]

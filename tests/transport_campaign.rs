@@ -1,11 +1,12 @@
 //! End-to-end resilience: the remote CPA campaign on a faulty wire.
 //!
-//! The acceptance bar for the fault-tolerant transport: at a byte-fault
-//! rate of 1e-4 the full remote attack completes without a panic,
-//! quarantines or retries every corrupted exchange, recovers the
-//! correct key byte with at most 2× the fault-free trace count, and a
-//! checkpoint/resume mid-campaign reproduces the uninterrupted
-//! correlation ranking exactly.
+//! The acceptance bar for the fault-tolerant transport: at byte-fault
+//! rates of 1e-4 and 1e-3 the full remote attack completes without a
+//! panic, quarantines or retries every corrupted exchange, delivers at
+//! least 90 % of its requests, pays for the retries in wire time,
+//! recovers the correct key byte with at most 2× the fault-free trace
+//! count, and a checkpoint/resume mid-campaign reproduces the
+//! uninterrupted correlation ranking exactly.
 
 use slm_aes::soft;
 use slm_cpa::store::{read_checkpoint, write_checkpoint};
@@ -73,39 +74,61 @@ fn faulty_campaign_recovers_key_within_2x_traces() {
     let (clean_attack, clean_abandoned, clean_driver) =
         run_campaign(clean_session, baseline_traces);
     assert_eq!(clean_abandoned, 0);
+    assert_eq!(clean_driver.stats().delivered, baseline_traces);
     assert_eq!(clean_driver.stats().retries, 0);
+    assert_eq!(clean_driver.stats().quarantined, 0);
     assert_eq!(clean_attack.rank_of(correct), 0, "baseline must converge");
 
-    // Same campaign at 1e-4 byte faults, budgeted at 2× the baseline:
-    // the resilient driver must deliver a converged attack well inside
-    // that budget.
-    let plan = WireFaultPlan::byte_noise(SEED, 1e-4);
-    let faulty_session = RemoteSession::with_fault_plan(&cfg, vec![], plan).unwrap();
-    let (faulty_attack, abandoned, driver) = run_campaign(faulty_session, 2 * baseline_traces);
-    assert_eq!(
-        faulty_attack.rank_of(correct),
-        0,
-        "faulty-wire attack must still converge within 2x traces"
-    );
-    let stats = driver.stats();
-    assert!(
-        stats.delivered + abandoned == 2 * baseline_traces,
-        "every request must resolve to a validated trace or a typed error"
-    );
-    // At 1e-4/byte on ~100-byte exchanges faults are certain over 4k
-    // traces; the driver must have actually exercised the retry path.
-    assert!(stats.retries > 0, "no retries at 1e-4/byte is implausible");
-    assert!(
-        driver.session().link_stats().resyncs > 0,
-        "scanner never resynced at 1e-4/byte"
-    );
-    // Quarantined records never reach the attack: delivered count is
-    // exactly what the accumulator absorbed.
-    assert_eq!(faulty_attack.traces(), stats.delivered);
-    // Backoff was charged to the wire clock.
-    if stats.retries > 0 {
+    let clean_wire_s_per_request =
+        clean_driver.session().wire_time_s() / clean_driver.stats().requested as f64;
+
+    // Same campaign on a noisy wire, budgeted at 2× the baseline: the
+    // resilient driver must deliver a converged attack well inside that
+    // budget. At 1e-4 faults per byte the retries are rare; at 1e-3
+    // every ~10th exchange is hit, yet at least 90 % of the requests
+    // still deliver.
+    for rate in [1e-4, 1e-3] {
+        let plan = WireFaultPlan::byte_noise(SEED, rate);
+        let faulty_session = RemoteSession::with_fault_plan(&cfg, vec![], plan).unwrap();
+        let (faulty_attack, abandoned, driver) = run_campaign(faulty_session, 2 * baseline_traces);
+        assert_eq!(
+            faulty_attack.rank_of(correct),
+            0,
+            "faulty-wire attack at {rate}/byte must still converge within 2x traces"
+        );
+        let stats = driver.stats();
+        assert!(
+            stats.delivered + abandoned == 2 * baseline_traces,
+            "every request must resolve to a validated trace or a typed error"
+        );
+        assert!(
+            stats.delivered >= stats.requested * 9 / 10,
+            "{rate}/byte delivered only {} of {}",
+            stats.delivered,
+            stats.requested
+        );
+        // At >= 1e-4/byte on ~100-byte exchanges faults are certain over
+        // 4k traces; the driver must have actually exercised the retry
+        // path.
+        assert!(
+            stats.retries > 0,
+            "no retries at {rate}/byte is implausible"
+        );
+        assert!(
+            driver.session().link_stats().resyncs > 0,
+            "scanner never resynced at {rate}/byte"
+        );
+        // Quarantined records never reach the attack: delivered count is
+        // exactly what the accumulator absorbed.
+        assert_eq!(faulty_attack.traces(), stats.delivered);
+        // Backoff was charged to the wire clock: the retry loop pays in
+        // wire time per request, never in correctness.
         assert!(stats.backoff_s > 0.0);
         assert!(driver.session().wire_time_s() > stats.backoff_s);
+        assert!(
+            driver.session().wire_time_s() / stats.requested as f64 > clean_wire_s_per_request,
+            "{rate}/byte must cost more wire time per request than the clean run"
+        );
     }
 }
 

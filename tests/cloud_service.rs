@@ -3,7 +3,8 @@
 //! designs place and complete, a hundred-plus concurrent campaigns
 //! drain under tight quotas and queue backpressure without deadlock,
 //! and the whole service — report *and* deterministic metrics — is
-//! bit-identical at 1/2/4/8 workers (property-tested).
+//! bit-identical at 1/2/4/8 workers (property-tested) and pinned by
+//! digest on one fixed run.
 
 use proptest::prelude::*;
 use slm_cloud::{
@@ -211,6 +212,40 @@ proptest! {
     }
 }
 
+/// FNV-1a over the `Debug` rendering of `value`.
+fn digest(value: &impl std::fmt::Debug) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for b in format!("{value:?}").bytes() {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0100_0000_01b3);
+    }
+    h
+}
+
+/// Exact-value pin of a whole service run: the report and the
+/// deterministic metrics of the determinism mix (four CPA tenants, the
+/// fault tenant and the denied specimen) at a fixed seed. Intake moves
+/// three tenants a round and the dispatch budget is four, so the run
+/// spans several rounds and the budget caps the first dispatch (three
+/// placed tenants want six campaigns). A change to how campaigns are
+/// scheduled onto workers must leave both digests unchanged.
+#[test]
+fn service_report_is_pinned() {
+    for workers in [1, 2] {
+        let (report, frame) = run_mix(0x5eed, 4, workers);
+        assert!(report.rounds >= 3, "{} rounds", report.rounds);
+        assert_eq!((report.campaigns_delivered, report.denied), (9, 1));
+        let got = (digest(&report), digest(&frame));
+        assert_eq!(
+            got,
+            (0x18df_2b19_8d94_e65d, 0xa979_44ea_cd88_aa6e),
+            "{workers} workers: digests ({:#018x}, {:#018x})",
+            got.0,
+            got.1
+        );
+    }
+}
+
 #[test]
 fn recorded_metrics_cover_every_stage() {
     let service = CloudService::new(ServiceConfig {
@@ -242,6 +277,9 @@ fn recorded_metrics_cover_every_stage() {
     assert!(frame.span("cloud.scheduler.place").is_some());
     assert!(frame.span("cloud.campaign").is_some());
     assert_eq!(report.campaigns_delivered, 2);
+    let span_count = |name: &str| frame.span(name).map_or(0, |s| s.count);
+    assert_eq!(span_count("cloud.campaign"), report.campaigns_delivered);
+    assert_eq!(span_count("cloud.round"), report.rounds);
 }
 
 #[test]

@@ -17,10 +17,10 @@
 //!   explicit [`CoResidencyPolicy`]: attacker/victim pairing is a
 //!   scenario the operator opts into, never an accident.
 //! * **Campaign runtime** — placed tenants drive capture/defense
-//!   campaigns (CPA or PDN fault injection) on an `slm-par`-backed
-//!   fan-out, with per-tenant quotas (lifetime traces, per-round rate,
-//!   region lease), preemption on exhaustion, load shedding on queue
-//!   overflow, and graceful drain.
+//!   campaigns (CPA or PDN fault injection), planned round by round
+//!   and run on one `slm-par` pool, with per-tenant quotas (lifetime
+//!   traces, per-round rate, region lease), preemption on exhaustion,
+//!   load shedding on queue overflow, and graceful drain.
 //! * **Observability** — every stage records `cloud.*` counters,
 //!   queue-depth gauges, an admission-latency histogram (in logical
 //!   rounds) and spans through `slm-obs`.

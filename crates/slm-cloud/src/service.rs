@@ -7,12 +7,13 @@
 //! The loop is the service's logical clock. Every decision — intake
 //! order, admission verdicts, placements, dispatch order, eviction —
 //! is a pure function of the submission sequence, the [`ServiceConfig`]
-//! and its seed. Parallelism lives strictly *inside* a round:
-//! admission scans and campaign executions fan out over
-//! [`slm_par::par_map`] (order-preserving), each task seeds its own
-//! lane via [`slm_par::mix_seed`], and per-task metric frames are
-//! absorbed in task order. Consequently the same submissions + seed
-//! produce a bit-identical [`ServiceReport`] — and worker-invariant
+//! and its seed. No campaign outcome feeds a decision, so rounds only
+//! plan: each round's admission scans fan out over [`slm_par::par_map`]
+//! (order-preserving), and every dispatched campaign runs after the
+//! loop on one pool, seeded per lane via [`slm_par::mix_seed`], its
+//! metric frame absorbed in dispatch order. Consequently the same
+//! submissions + seed produce a bit-identical [`ServiceReport`] — and
+//! worker-invariant
 //! [`deterministic`](slm_obs::MetricsFrame::deterministic) metrics —
 //! at any worker count. The admission-latency histogram records
 //! *rounds*, not wall time, for the same reason; wall-clock latency is
@@ -40,7 +41,7 @@ use crate::admission::{AdmissionDecision, AdmissionGate, AdmissionVerdict};
 use crate::queue::BoundedQueue;
 use crate::quota::{QuotaDecision, QuotaLedger};
 use crate::scheduler::{CoResidencyPolicy, Occupant, Placement, RegionScheduler};
-use crate::submission::{CampaignKind, TenantSubmission};
+use crate::submission::{CampaignKind, TenantSubmission, WorkloadSpec};
 
 /// Service-wide tunables. Everything here is part of the determinism
 /// key: two runs with equal configs, seeds and submissions match
@@ -70,7 +71,8 @@ pub struct ServiceConfig {
     /// Rounds after which a non-empty service errors out as stalled
     /// (deadlock guard; generous by default).
     pub max_rounds: u64,
-    /// Worker threads for in-round fan-out (0 = machine parallelism).
+    /// Worker threads for admission scans and campaigns (0 = machine
+    /// parallelism).
     pub workers: usize,
     /// Master seed; campaign lanes split from it deterministically.
     pub seed: u64,
@@ -309,7 +311,8 @@ impl CloudService {
     ///
     /// # Errors
     ///
-    /// [`ServiceError::Fabric`] if a campaign's fabric fails to build,
+    /// [`ServiceError::Fabric`] for the first campaign, in dispatch
+    /// order, whose fabric fails to build; otherwise
     /// [`ServiceError::Stalled`] if the deadlock guard trips.
     pub fn run(&self, submissions: Vec<TenantSubmission>) -> Result<ServiceReport, ServiceError> {
         self.run_recorded(submissions, &Obs::null())
@@ -387,6 +390,9 @@ impl CloudService {
 
         let mut round: u64 = 0;
         let mut counts = Tally::default();
+        // Every campaign planned, in dispatch order: (id, workload, index).
+        let mut dispatched: Vec<(usize, WorkloadSpec, u32)> = Vec::new();
+        let mut stalled = None;
 
         while !(intake.is_empty()
             && admission_queue.is_empty()
@@ -397,7 +403,8 @@ impl CloudService {
                 break;
             }
             if round >= cfg.max_rounds {
-                return Err(ServiceError::Stalled { round });
+                stalled = Some(round);
+                break;
             }
             round += 1;
             let _round_span = obs.span("cloud.round");
@@ -485,16 +492,14 @@ impl CloudService {
             residents.sort_by_key(|r| r.id);
             obs.gauge("cloud.regions.free", scheduler.free_regions() as f64);
 
-            // ---- dispatch: round-robin campaigns under quota ---------
+            // ---- dispatch: plan round-robin campaigns under quota ----
             let (dispatch, evictions) = plan_dispatch(cfg, &residents);
-            let outcomes = self.execute_batch(&residents, &dispatch, obs)?;
-            for (&(resident_idx, _campaign), outcome) in dispatch.iter().zip(outcomes) {
+            for (resident_idx, campaign) in dispatch {
                 let resident = &mut residents[resident_idx];
                 resident.ledger.charge(resident.sub.workload.traces);
                 resident.delivered += 1;
-                counts.delivered += 1;
                 obs.incr("cloud.campaigns.delivered");
-                records[resident.id].outcomes.push(outcome);
+                dispatched.push((resident.id, resident.sub.workload, campaign));
             }
             // Evictions are planned as indexes into the pre-dispatch
             // resident list and removed in descending order, after the
@@ -524,6 +529,24 @@ impl CloudService {
             }
         }
 
+        // ---- execution: one pool runs every planned campaign; the
+        // first failure in dispatch order wins over a stall ------------
+        let results = slm_par::par_map(cfg.workers, &dispatched, |&(id, workload, campaign)| {
+            let task_obs = obs.fork();
+            let outcome = {
+                let _span = task_obs.span("cloud.campaign");
+                self.run_campaign(id, &workload, campaign)
+            };
+            (outcome, task_obs.snapshot())
+        });
+        for (&(id, ..), (outcome, frame)) in dispatched.iter().zip(results) {
+            obs.absorb(&frame);
+            records[id].outcomes.push(outcome?);
+        }
+        if let Some(round) = stalled {
+            return Err(ServiceError::Stalled { round });
+        }
+
         // ---- graceful drain: whatever is still live is cancelled -----
         for resident in residents {
             resident.retire(TenantStatus::Cancelled, &mut scheduler, &mut records);
@@ -543,7 +566,7 @@ impl CloudService {
         Ok(ServiceReport {
             tenants: records,
             rounds: round,
-            campaigns_delivered: counts.delivered,
+            campaigns_delivered: dispatched.len() as u64,
             admitted: counts.admitted,
             denied: counts.denied,
             evicted: counts.evicted,
@@ -596,41 +619,16 @@ impl CloudService {
         slots.into_iter().map(|i| decisions[i].clone()).collect()
     }
 
-    /// Executes a dispatch batch in parallel, one campaign per task,
-    /// frames absorbed in dispatch order.
-    fn execute_batch(
-        &self,
-        residents: &[Resident],
-        dispatch: &[(usize, u32)],
-        obs: &Obs,
-    ) -> Result<Vec<CampaignOutcome>, ServiceError> {
-        let results = slm_par::par_map(self.config.workers, dispatch, |&(idx, campaign)| {
-            let resident = &residents[idx];
-            let task_obs = obs.fork();
-            let outcome = {
-                let _span = task_obs.span("cloud.campaign");
-                self.run_campaign(resident, campaign)
-            };
-            (outcome, task_obs.snapshot())
-        });
-        let mut outcomes = Vec::with_capacity(results.len());
-        for (outcome, frame) in results {
-            obs.absorb(&frame);
-            outcomes.push(outcome?);
-        }
-        Ok(outcomes)
-    }
-
-    /// Runs one campaign for a resident tenant. The seed lane is a
+    /// Runs campaign `campaign` of submission `id`. The seed lane is a
     /// pure function of the master seed, the submission index and the
     /// campaign index — never of scheduling.
     fn run_campaign(
         &self,
-        resident: &Resident,
+        id: usize,
+        workload: &WorkloadSpec,
         campaign: u32,
     ) -> Result<CampaignOutcome, FabricError> {
-        let workload = &resident.sub.workload;
-        let lane = ((resident.id as u64) << 32) | campaign as u64;
+        let lane = ((id as u64) << 32) | campaign as u64;
         let seed = slm_par::mix_seed(self.config.seed, lane);
         let defense = workload
             .defense
@@ -695,7 +693,6 @@ struct Tally {
     evicted: u64,
     shed: u64,
     cancelled: u64,
-    delivered: u64,
 }
 
 /// Plans this round's dispatch: round-robin over residents in

@@ -54,7 +54,7 @@ pub use bram::BramCapture;
 pub use circuit::{BenignCircuit, BuiltCircuit};
 pub use clock::{ClockSpec, Mmcm};
 pub use error::{FabricError, TransportError};
-pub use remote::{CampaignDriver, CampaignStats, QuarantinedTrace, RemoteSession, RetryPolicy};
+pub use remote::{CampaignDriver, CampaignStats, QuarantinedTrace, RemoteSession};
 pub use scenario::{
     ActivityTrace, AesActivity, CaptureRecord, FabricConfig, FabricPrototype, MultiTenantFabric,
     RoSchedule,

@@ -258,15 +258,15 @@ impl RemoteSession {
 
 /// Retry budget and backoff schedule for a capture campaign.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryPolicy {
+pub(crate) struct RetryPolicy {
     /// Attempts per trace, including the first (must be ≥ 1).
-    pub max_attempts: u32,
+    max_attempts: u32,
     /// Backoff before the first retry, seconds.
-    pub base_backoff_s: f64,
+    base_backoff_s: f64,
     /// Multiplier applied to the backoff after each retry.
-    pub backoff_factor: f64,
+    backoff_factor: f64,
     /// Backoff ceiling, seconds.
-    pub max_backoff_s: f64,
+    max_backoff_s: f64,
 }
 
 impl Default for RetryPolicy {
@@ -329,7 +329,8 @@ pub struct CampaignDriver {
 }
 
 impl CampaignDriver {
-    /// Wraps a session with the default [`RetryPolicy`].
+    /// Wraps a session with the default retry policy: four attempts
+    /// per trace, backoff from 5 ms doubling up to 100 ms.
     pub fn new(session: RemoteSession) -> Self {
         Self::with_policy(session, RetryPolicy::default())
     }

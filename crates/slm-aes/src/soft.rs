@@ -1,7 +1,10 @@
 //! Software reference AES-128 (FIPS-197).
 //!
-//! Byte-oriented and branch-free on secrets in the table-lookup sense
-//! only; this is a *reference model* for a hardware victim, not a
+//! The state is column-major: byte `i` is row `i % 4` of column `i / 4`.
+//! Forward rounds run on the four column words with T-tables (SubBytes,
+//! ShiftRows and MixColumns as four lookups per column); the inverse
+//! cipher is byte-oriented. Branch-free on secrets in the table-lookup
+//! sense only; this is a *reference model* for a hardware victim, not a
 //! side-channel-hardened software implementation.
 
 /// The AES S-box.
@@ -38,8 +41,38 @@ pub const INV_SBOX: [u8; 256] = {
 /// Number of rounds for AES-128.
 pub const ROUNDS: usize = 10;
 
-fn xtime(b: u8) -> u8 {
+const fn xtime(b: u8) -> u8 {
     (b << 1) ^ (((b >> 7) & 1) * 0x1b)
+}
+
+/// Four state bytes of one column, row 0 in the low byte.
+type Words = [u32; 4];
+
+/// MixColumns of a column holding `b` in row `row` and zeros elsewhere:
+/// `b` times column `row` of the matrix `[2 3 1 1; 1 2 3 1; 1 1 2 3;
+/// 3 1 1 2]`, whose columns are rotations of the first.
+const fn mix_single(b: u8, row: usize) -> u32 {
+    let b2 = xtime(b);
+    u32::from_le_bytes([b2, b, b, b2 ^ b]).rotate_left(8 * row as u32)
+}
+
+/// The forward round tables: `TE[r][x]` is the column word that byte
+/// `x` in row `r` of a round's input contributes after SubBytes,
+/// ShiftRows and MixColumns.
+const TE: [[u32; 256]; 4] = forward_tables();
+
+const fn forward_tables() -> [[u32; 256]; 4] {
+    let mut te = [[0u32; 256]; 4];
+    let mut r = 0;
+    while r < 4 {
+        let mut x = 0;
+        while x < 256 {
+            te[r][x] = mix_single(SBOX[x], r);
+            x += 1;
+        }
+        r += 1;
+    }
+    te
 }
 
 fn mul(a: u8, mut b: u8) -> u8 {
@@ -100,26 +133,9 @@ fn add_round_key(state: &mut [u8; 16], rk: &[u8; 16]) {
     }
 }
 
-fn sub_bytes(state: &mut [u8; 16]) {
-    for s in state.iter_mut() {
-        *s = SBOX[*s as usize];
-    }
-}
-
 fn inv_sub_bytes(state: &mut [u8; 16]) {
     for s in state.iter_mut() {
         *s = INV_SBOX[*s as usize];
-    }
-}
-
-/// Byte index of the state (column-major: byte `i` is row `i % 4`,
-/// column `i / 4`) after ShiftRows moves it.
-fn shift_rows(state: &mut [u8; 16]) {
-    let old = *state;
-    for c in 0..4 {
-        for r in 0..4 {
-            state[4 * c + r] = old[4 * ((c + r) % 4) + r];
-        }
     }
 }
 
@@ -129,21 +145,6 @@ fn inv_shift_rows(state: &mut [u8; 16]) {
         for r in 0..4 {
             state[4 * ((c + r) % 4) + r] = old[4 * c + r];
         }
-    }
-}
-
-fn mix_columns(state: &mut [u8; 16]) {
-    for c in 0..4 {
-        let col = [
-            state[4 * c],
-            state[4 * c + 1],
-            state[4 * c + 2],
-            state[4 * c + 3],
-        ];
-        state[4 * c] = mul(col[0], 2) ^ mul(col[1], 3) ^ col[2] ^ col[3];
-        state[4 * c + 1] = col[0] ^ mul(col[1], 2) ^ mul(col[2], 3) ^ col[3];
-        state[4 * c + 2] = col[0] ^ col[1] ^ mul(col[2], 2) ^ mul(col[3], 3);
-        state[4 * c + 3] = mul(col[0], 3) ^ col[1] ^ col[2] ^ mul(col[3], 2);
     }
 }
 
@@ -162,21 +163,78 @@ fn inv_mix_columns(state: &mut [u8; 16]) {
     }
 }
 
+fn words(block: &[u8; 16]) -> Words {
+    std::array::from_fn(|c| {
+        u32::from_le_bytes([
+            block[4 * c],
+            block[4 * c + 1],
+            block[4 * c + 2],
+            block[4 * c + 3],
+        ])
+    })
+}
+
+fn bytes(state: &Words) -> [u8; 16] {
+    let mut out = [0u8; 16];
+    for (chunk, w) in out.chunks_exact_mut(4).zip(state) {
+        chunk.copy_from_slice(&w.to_le_bytes());
+    }
+    out
+}
+
+/// Byte `row` of column `col` after ShiftRows: row `r` of column `c`
+/// comes from column `(c + r) % 4`.
+#[inline(always)]
+fn shifted(state: &Words, col: usize, row: usize) -> usize {
+    (state[(col + row) % 4] >> (8 * row)) as u8 as usize
+}
+
+/// One full round — SubBytes, ShiftRows, MixColumns and AddRoundKey —
+/// as four T-table lookups per column.
+#[inline(always)]
+fn round(state: &Words, round_key: &Words) -> Words {
+    std::array::from_fn(|c| {
+        TE[0][shifted(state, c, 0)]
+            ^ TE[1][shifted(state, c, 1)]
+            ^ TE[2][shifted(state, c, 2)]
+            ^ TE[3][shifted(state, c, 3)]
+            ^ round_key[c]
+    })
+}
+
+/// The final round: SubBytes, ShiftRows and AddRoundKey.
+#[inline(always)]
+fn final_round(state: &Words, round_key: &Words) -> Words {
+    std::array::from_fn(|c| {
+        u32::from_le_bytes(std::array::from_fn(|r| SBOX[shifted(state, c, r)])) ^ round_key[c]
+    })
+}
+
+/// Runs the cipher under the key schedule `rk`, handing the state to
+/// `after_round(r, state)` right after round `r`'s AddRoundKey (round 0
+/// = the initial key addition, round 10 = the ciphertext); returns the
+/// ciphertext, including anything `after_round` changed.
+#[inline(always)]
+fn encrypt_rounds(
+    rk: &[[u8; 16]; ROUNDS + 1],
+    plaintext: &[u8; 16],
+    mut after_round: impl FnMut(usize, &mut Words),
+) -> [u8; 16] {
+    let (p, k0) = (words(plaintext), words(&rk[0]));
+    let mut state: Words = std::array::from_fn(|c| p[c] ^ k0[c]);
+    after_round(0, &mut state);
+    for (r, round_key) in rk.iter().enumerate().take(ROUNDS).skip(1) {
+        state = round(&state, &words(round_key));
+        after_round(r, &mut state);
+    }
+    state = final_round(&state, &words(&rk[ROUNDS]));
+    after_round(ROUNDS, &mut state);
+    bytes(&state)
+}
+
 /// Encrypts one block.
 pub fn encrypt(key: &[u8; 16], plaintext: &[u8; 16]) -> [u8; 16] {
-    let rk = key_expansion(key);
-    let mut state = *plaintext;
-    add_round_key(&mut state, &rk[0]);
-    for round_key in rk.iter().take(ROUNDS).skip(1) {
-        sub_bytes(&mut state);
-        shift_rows(&mut state);
-        mix_columns(&mut state);
-        add_round_key(&mut state, round_key);
-    }
-    sub_bytes(&mut state);
-    shift_rows(&mut state);
-    add_round_key(&mut state, &rk[ROUNDS]);
-    state
+    encrypt_rounds(&key_expansion(key), plaintext, |_, _| {})
 }
 
 /// Decrypts one block.
@@ -215,20 +273,7 @@ pub fn encrypt_round_states_with_schedule(
     plaintext: &[u8; 16],
 ) -> [[u8; 16]; ROUNDS + 1] {
     let mut out = [[0u8; 16]; ROUNDS + 1];
-    let mut state = *plaintext;
-    add_round_key(&mut state, &rk[0]);
-    out[0] = state;
-    for r in 1..ROUNDS {
-        sub_bytes(&mut state);
-        shift_rows(&mut state);
-        mix_columns(&mut state);
-        add_round_key(&mut state, &rk[r]);
-        out[r] = state;
-    }
-    sub_bytes(&mut state);
-    shift_rows(&mut state);
-    add_round_key(&mut state, &rk[ROUNDS]);
-    out[ROUNDS] = state;
+    encrypt_rounds(rk, plaintext, |r, state| out[r] = bytes(state));
     out
 }
 
@@ -247,31 +292,15 @@ pub fn encrypt_with_state_faults(
     plaintext: &[u8; 16],
     faults: &[(usize, [u8; 16])],
 ) -> [u8; 16] {
-    fn apply(state: &mut [u8; 16], faults: &[(usize, [u8; 16])], round: usize) {
+    encrypt_rounds(&key_expansion(key), plaintext, |round, state| {
         for (r, mask) in faults {
             if *r == round {
-                for (s, m) in state.iter_mut().zip(mask) {
+                for (s, m) in state.iter_mut().zip(words(mask)) {
                     *s ^= m;
                 }
             }
         }
-    }
-    let rk = key_expansion(key);
-    let mut state = *plaintext;
-    add_round_key(&mut state, &rk[0]);
-    apply(&mut state, faults, 0);
-    for (r, round_key) in rk.iter().enumerate().take(ROUNDS).skip(1) {
-        sub_bytes(&mut state);
-        shift_rows(&mut state);
-        mix_columns(&mut state);
-        add_round_key(&mut state, round_key);
-        apply(&mut state, faults, r);
-    }
-    sub_bytes(&mut state);
-    shift_rows(&mut state);
-    add_round_key(&mut state, &rk[ROUNDS]);
-    apply(&mut state, faults, ROUNDS);
-    state
+    })
 }
 
 /// Encrypts one block with a single-byte fault `delta` XORed into state
@@ -295,22 +324,12 @@ pub fn encrypt_with_premix_fault(
         "MixColumns runs in rounds 1..=9"
     );
     assert!(byte < 16);
-    let rk = key_expansion(key);
-    let mut state = *plaintext;
-    add_round_key(&mut state, &rk[0]);
-    for (r, round_key) in rk.iter().enumerate().take(ROUNDS).skip(1) {
-        sub_bytes(&mut state);
-        shift_rows(&mut state);
-        if r == round {
-            state[byte] ^= delta;
-        }
-        mix_columns(&mut state);
-        add_round_key(&mut state, round_key);
-    }
-    sub_bytes(&mut state);
-    shift_rows(&mut state);
-    add_round_key(&mut state, &rk[ROUNDS]);
-    state
+    // MixColumns and AddRoundKey are linear, so the fault reaches the
+    // state after round `round` as its MixColumns image in its column.
+    let col = byte / 4;
+    let mut mask = [0u8; 16];
+    mask[4 * col..4 * col + 4].copy_from_slice(&mix_single(delta, byte % 4).to_le_bytes());
+    encrypt_with_state_faults(key, plaintext, &[(round, mask)])
 }
 
 /// Recovers the original 128-bit cipher key from the last round key by

@@ -116,3 +116,122 @@ proptest! {
         }
     }
 }
+
+/// A verbatim copy of the byte-wise forward round `soft` ran before its
+/// rounds became T-table lookups on column words.
+mod bytewise {
+    use slm_aes::soft::{gf_mul as mul, key_expansion, ROUNDS, SBOX};
+
+    fn add_round_key(state: &mut [u8; 16], rk: &[u8; 16]) {
+        for (s, k) in state.iter_mut().zip(rk) {
+            *s ^= k;
+        }
+    }
+
+    fn sub_bytes(state: &mut [u8; 16]) {
+        for s in state.iter_mut() {
+            *s = SBOX[*s as usize];
+        }
+    }
+
+    fn shift_rows(state: &mut [u8; 16]) {
+        let old = *state;
+        for c in 0..4 {
+            for r in 0..4 {
+                state[4 * c + r] = old[4 * ((c + r) % 4) + r];
+            }
+        }
+    }
+
+    fn mix_columns(state: &mut [u8; 16]) {
+        for c in 0..4 {
+            let col = [
+                state[4 * c],
+                state[4 * c + 1],
+                state[4 * c + 2],
+                state[4 * c + 3],
+            ];
+            state[4 * c] = mul(col[0], 2) ^ mul(col[1], 3) ^ col[2] ^ col[3];
+            state[4 * c + 1] = col[0] ^ mul(col[1], 2) ^ mul(col[2], 3) ^ col[3];
+            state[4 * c + 2] = col[0] ^ col[1] ^ mul(col[2], 2) ^ mul(col[3], 3);
+            state[4 * c + 3] = mul(col[0], 3) ^ col[1] ^ col[2] ^ mul(col[3], 2);
+        }
+    }
+
+    /// The round states, with `faults` XORed in after each round's
+    /// AddRoundKey and `premix` (round, byte, delta) XORed in before
+    /// that round's MixColumns.
+    pub fn round_states(
+        key: &[u8; 16],
+        plaintext: &[u8; 16],
+        faults: &[(usize, [u8; 16])],
+        premix: Option<(usize, usize, u8)>,
+    ) -> [[u8; 16]; ROUNDS + 1] {
+        fn apply(state: &mut [u8; 16], faults: &[(usize, [u8; 16])], round: usize) {
+            for (r, mask) in faults {
+                if *r == round {
+                    for (s, m) in state.iter_mut().zip(mask) {
+                        *s ^= m;
+                    }
+                }
+            }
+        }
+        let rk = key_expansion(key);
+        let mut out = [[0u8; 16]; ROUNDS + 1];
+        let mut state = *plaintext;
+        add_round_key(&mut state, &rk[0]);
+        apply(&mut state, faults, 0);
+        out[0] = state;
+        for r in 1..ROUNDS {
+            sub_bytes(&mut state);
+            shift_rows(&mut state);
+            if let Some((round, byte, delta)) = premix {
+                if r == round {
+                    state[byte] ^= delta;
+                }
+            }
+            mix_columns(&mut state);
+            add_round_key(&mut state, &rk[r]);
+            apply(&mut state, faults, r);
+            out[r] = state;
+        }
+        sub_bytes(&mut state);
+        shift_rows(&mut state);
+        add_round_key(&mut state, &rk[ROUNDS]);
+        apply(&mut state, faults, ROUNDS);
+        out[ROUNDS] = state;
+        out
+    }
+}
+
+proptest! {
+    /// The T-table rounds match the byte-wise round: every round state,
+    /// the ciphertext, state faults in up to three random rounds, and a
+    /// single-byte fault before a random round's MixColumns.
+    #[test]
+    fn word_rounds_match_the_bytewise_round(
+        key in any::<[u8; 16]>(),
+        pt in any::<[u8; 16]>(),
+        fault_rounds in proptest::collection::vec(0usize..=soft::ROUNDS, 0..4),
+        masks in proptest::collection::vec(any::<[u8; 16]>(), 3),
+        premix_round in 1usize..soft::ROUNDS,
+        premix_byte in 0usize..16,
+        delta in any::<u8>(),
+    ) {
+        let states = bytewise::round_states(&key, &pt, &[], None);
+        prop_assert_eq!(soft::encrypt_round_states(&key, &pt), states);
+        prop_assert_eq!(soft::encrypt(&key, &pt), states[soft::ROUNDS]);
+        let rk = soft::key_expansion(&key);
+        prop_assert_eq!(soft::encrypt_round_states_with_schedule(&rk, &pt), states);
+        let faults: Vec<(usize, [u8; 16])> = fault_rounds.into_iter().zip(masks).collect();
+        prop_assert_eq!(
+            soft::encrypt_with_state_faults(&key, &pt, &faults),
+            bytewise::round_states(&key, &pt, &faults, None)[soft::ROUNDS]
+        );
+        let premix = (premix_round, premix_byte, delta);
+        prop_assert_eq!(
+            soft::encrypt_with_premix_fault(&key, &pt, premix_round, premix_byte, delta),
+            bytewise::round_states(&key, &pt, &[], Some(premix))[soft::ROUNDS]
+        );
+    }
+}

@@ -559,7 +559,9 @@ impl MultiTenantFabric {
     /// Steps the shared PDN over the tick-major `currents` of a capture
     /// or an activity run, writing the voltages to `volts`.
     ///
-    /// Undefended, the capture is one PDN block. With a defense
+    /// Undefended, the capture is one PDN block, of which the caller
+    /// reads the ticks in `observed` (see
+    /// [`MultiRegionPdn::step_block`]). With a defense
     /// deployed, the defender's loop runs per tick: the fence current
     /// drawn for a tick loads the victim region *before* the step, and
     /// the defender's TDC observes the settled victim rail *after* it
@@ -570,11 +572,17 @@ impl MultiTenantFabric {
     /// are added with one [`DefenseRuntime::inject_segment`] before it
     /// is stepped, and its victim voltages observed with one
     /// [`DefenseRuntime::observe_segment`] after, bit-identical to
-    /// alternating the two tick by tick.
-    fn step_capture(&mut self, currents: &mut [f64], volts: &mut [f64]) {
+    /// alternating the two tick by tick. The defender reads every tick,
+    /// so every segment is observed whole.
+    fn step_capture(
+        &mut self,
+        currents: &mut [f64],
+        volts: &mut [f64],
+        observed: std::ops::Range<usize>,
+    ) {
         let dt = self.dt_s;
         let Some(defense) = &mut self.defense else {
-            self.pdn.step_block(currents, dt, volts);
+            self.pdn.step_block(currents, dt, volts, observed);
             return;
         };
         let mut start = 0;
@@ -584,7 +592,9 @@ impl MultiTenantFabric {
                 .min(start + Self::REGIONS * defense.feedback_horizon());
             let segment = &mut currents[start..end];
             defense.inject_segment(segment.iter_mut().skip(1).step_by(Self::REGIONS));
-            self.pdn.step_block(segment, dt, &mut volts[start..end]);
+            let ticks = segment.len() / Self::REGIONS;
+            self.pdn
+                .step_block(segment, dt, &mut volts[start..end], 0..ticks);
             self.rail_volts.clear();
             self.rail_volts
                 .extend(volts[start..end].iter().skip(1).step_by(Self::REGIONS));
@@ -646,12 +656,21 @@ impl MultiTenantFabric {
                     .unwrap_or(idle_a)
             },
         );
-        volts.resize(currents.len(), 0.0);
-        self.step_capture(&mut currents, &mut volts);
         // Measure edges are the odd ticks: edge `k` is tick `2k+1`. Only
-        // the in-window edges are visited.
+        // the in-window edges are visited. An undefended windowed
+        // capture without an aggressor reads nothing else, so the PDN
+        // may skip the noise of every other tick; the defender and the
+        // fault model read every tick.
         let edges = ticks / 2;
+        let windowed = window.is_some() && self.defense.is_none() && self.aggressor.is_none();
         let window = window.map_or(0..edges, |w| w.start.min(edges)..w.end.min(edges));
+        let observed = if windowed {
+            2 * window.start + 1..2 * window.end
+        } else {
+            0..ticks
+        };
+        volts.resize(currents.len(), 0.0);
+        self.step_capture(&mut currents, &mut volts, observed);
         self.rail_volts.clear();
         self.rail_volts
             .extend(window.map(|k| volts[(2 * k + 1) * Self::REGIONS]));
@@ -822,7 +841,7 @@ impl MultiTenantFabric {
             self.ro = ro_at(last);
         }
         volts.resize(currents.len(), 0.0);
-        self.step_capture(&mut currents, &mut volts);
+        self.step_capture(&mut currents, &mut volts, 0..ticks);
         // The attacker rail at every odd tick.
         let voltage: Vec<f64> = volts
             .iter()
@@ -1187,6 +1206,54 @@ mod tests {
                 assert_eq!(full.fault_telemetry(), tdc_only.fault_telemetry(), "{what}");
             }
         }
+        // Narrow windows: an undefended capture reads only its window's
+        // measure edges, so the PDN skips the noise transform of most
+        // other ticks. With jitter- and drift-free sensors every depth
+        // and bit is a pure function of the edge voltage, so the
+        // windowed fabric's edges must match the full capture's.
+        let mut config = small_config();
+        config.tdc.jitter_ps = 0.0;
+        config.sensor.jitter_sigma_ps = 0.0;
+        config.sensor.drift_sigma_ps = 0.0;
+        let mut full = MultiTenantFabric::new(&config).unwrap();
+        let mut windowed = MultiTenantFabric::new(&config).unwrap();
+        let edges = full.samples_per_encryption() as u64;
+        let endpoints = [0, 5, 17, 40, 63];
+        let mut picks = Rng64::new(0x3d9e);
+        for i in 0..240 {
+            let window = match i % 3 {
+                0 => full.last_round_window(),
+                1 => {
+                    let (a, b) = (picks.below(edges + 1), picks.below(edges + 1));
+                    a.min(b) as usize..a.max(b) as usize
+                }
+                _ => 0..0,
+            };
+            let pt = full.random_plaintext();
+            assert_eq!(pt, windowed.random_plaintext(), "plaintext {i}");
+            let a = full.encrypt_and_capture(pt);
+            let b = windowed.encrypt_windowed(pt, window.clone(), &endpoints);
+            assert_eq!(a.ciphertext, b.ciphertext, "ciphertext {i}");
+            assert_eq!(b.tdc, a.tdc[window.clone()], "tdc {i}, window {window:?}");
+            assert_eq!(b.benign.len(), window.len(), "edges {i}");
+            for (k, sample) in window.clone().zip(&b.benign) {
+                for (slot, &e) in endpoints.iter().enumerate() {
+                    assert_eq!(sample.bit(slot), a.benign[k].bit(e), "capture {i} edge {k}");
+                }
+            }
+            assert_eq!(
+                full.pdn_telemetry(),
+                windowed.pdn_telemetry(),
+                "capture {i}"
+            );
+            assert_eq!(
+                full.victim_min_voltage().to_bits(),
+                windowed.victim_min_voltage().to_bits(),
+                "capture {i}"
+            );
+        }
+        assert_eq!(full.pdn.skipped_ticks(), 0, "full captures read every tick");
+        assert!(windowed.pdn.skipped_ticks() > 0, "windowed captures skip");
     }
 
     #[test]
@@ -1412,6 +1479,25 @@ mod tests {
             quiet.alarm_windows, 0,
             "benign activity false-alarmed: max score {}",
             quiet.max_score
+        );
+    }
+
+    /// A windowed DualC6288 + TDC capture (the `TdcAll` campaign's)
+    /// skips the supply-noise transform of at least 85 % of its ticks,
+    /// so a change cannot silently fall back to the exact PDN kernel.
+    #[test]
+    fn windowed_captures_skip_most_supply_noise_transforms() {
+        let mut fabric = MultiTenantFabric::new(&small_config()).unwrap();
+        let window = fabric.last_round_window();
+        for _ in 0..300 {
+            let pt = fabric.random_plaintext();
+            fabric.encrypt_windowed(pt, window.clone(), &[]);
+        }
+        let ticks = fabric.pdn_telemetry().steps;
+        let skipped = fabric.pdn.skipped_ticks();
+        assert!(
+            skipped * 100 >= ticks * 85,
+            "{skipped} of {ticks} ticks skipped"
         );
     }
 

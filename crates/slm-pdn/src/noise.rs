@@ -158,6 +158,21 @@ impl Rng64 {
             }
         };
         let pairs = out.len() / 2;
+        self.pack_polar_pairs(&mut out[..2 * pairs]);
+        for pair in out.chunks_exact_mut(2) {
+            [pair[0], pair[1]] = polar_scaled(pair[0], pair[1], sigma);
+        }
+        if out.len() % 2 == 1 {
+            out[2 * pairs] = self.normal() * sigma;
+        }
+    }
+
+    /// The first phase of [`Rng64::fill_normal_scaled`]: packs one
+    /// accepted polar candidate `(u, v)` into each slot pair of `out`
+    /// (even length), consuming the stream as the polar method does.
+    pub(crate) fn pack_polar_pairs(&mut self, out: &mut [f64]) {
+        debug_assert_eq!(out.len() % 2, 0, "whole pairs");
+        let pairs = out.len() / 2;
         let mut j = 0;
         while j < pairs {
             let u = 2.0 * self.uniform() - 1.0;
@@ -167,16 +182,12 @@ impl Rng64 {
             out[2 * j + 1] = v;
             j += (s > 0.0 && s < 1.0) as usize;
         }
-        for pair in out.chunks_exact_mut(2) {
-            let (u, v) = (pair[0], pair[1]);
-            let s = u * u + v * v;
-            let k = (-2.0 * s.ln() / s).sqrt();
-            pair[0] = u * k * sigma;
-            pair[1] = v * k * sigma;
-        }
-        if out.len() % 2 == 1 {
-            out[2 * pairs] = self.normal() * sigma;
-        }
+    }
+
+    /// Whether a spare normal from the last polar pair is cached, so the
+    /// next draw consumes no stream.
+    pub(crate) fn has_spare(&self) -> bool {
+        self.spare_normal.is_some()
     }
 
     /// Fills `buf` with random bytes (for plaintext generation).
@@ -186,6 +197,15 @@ impl Rng64 {
             chunk.copy_from_slice(&w[..chunk.len()]);
         }
     }
+}
+
+/// The second phase of [`Rng64::fill_normal_scaled`]: the polar
+/// transform of an accepted candidate `(u, v)`, scaled by `sigma`.
+#[inline]
+pub(crate) fn polar_scaled(u: f64, v: f64, sigma: f64) -> [f64; 2] {
+    let s = u * u + v * v;
+    let k = (-2.0 * s.ln() / s).sqrt();
+    [u * k * sigma, v * k * sigma]
 }
 
 #[cfg(test)]

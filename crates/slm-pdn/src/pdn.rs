@@ -1,8 +1,10 @@
 //! The coupled multi-region PDN model.
 
 use crate::filter::SecondOrderFilter;
-use crate::noise::Rng64;
+use crate::noise::{self, Rng64};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
+use std::sync::OnceLock;
 
 /// Electrical parameters of a PDN region.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -81,15 +83,73 @@ impl PdnTelemetry {
 
     #[inline]
     fn update(&mut self, v: f64, v_nominal: f64, band: f64) {
-        self.v_min = self.v_min.min(v);
-        self.v_max = self.v_max.max(v);
+        self.widen(v);
         self.steps += 1;
-        if (v - v_nominal).abs() <= band {
+        if Self::settled(v, v_nominal, band) {
             self.settled_streak += 1;
         } else {
             self.settled_streak = 0;
         }
     }
+
+    /// Folds `v` into the extrema.
+    #[inline]
+    fn widen(&mut self, v: f64) {
+        self.v_min = self.v_min.min(v);
+        self.v_max = self.v_max.max(v);
+    }
+
+    #[inline]
+    fn settled(v: f64, v_nominal: f64, band: f64) -> bool {
+        (v - v_nominal).abs() <= band
+    }
+}
+
+/// The tick loop's register-resident state (see
+/// [`MultiRegionPdn::tick_state`]).
+struct TickState<const R: usize> {
+    v_nominal: f64,
+    r_eff: f64,
+    r_fast: f64,
+    dt: f64,
+    settle_band: f64,
+    filters: [SecondOrderFilter; R],
+    coupling: [[f64; R]; R],
+    region_v_min: [f64; R],
+    telemetry: PdnTelemetry,
+}
+
+impl<const R: usize> TickState<R> {
+    /// Steps the filters by one tick of per-region currents `tick_i`
+    /// and returns each region's noise-free voltage
+    /// `v_nominal − Σ c·d`, summed in region order.
+    #[inline(always)]
+    fn quiet_voltages(&mut self, tick_i: &[f64]) -> [f64; R] {
+        let mut droop = [0.0; R];
+        for ((d, f), &i) in droop.iter_mut().zip(&mut self.filters).zip(tick_i) {
+            *d = f.step(self.r_eff * i, self.dt) + self.r_fast * i;
+        }
+        std::array::from_fn(|r| {
+            let mut total = 0.0;
+            for (&c, &d) in self.coupling[r].iter().zip(&droop) {
+                total += c * d;
+            }
+            self.v_nominal - total
+        })
+    }
+}
+
+/// `√(2(j+1)·ln 2)·(1 + 2⁻³⁰)` for `j` in `0..1022`: the bound on a
+/// unit polar normal drawn from a pair with `s ∈ [2^−(j+1), 2^−j)`,
+/// with margin for rounding (see `MultiRegionPdn::run_windowed_block`).
+fn noise_bounds() -> &'static [f64; 1022] {
+    static BOUNDS: OnceLock<[f64; 1022]> = OnceLock::new();
+    BOUNDS.get_or_init(|| {
+        std::array::from_fn(|j| {
+            (2.0 * (j + 1) as f64 * std::f64::consts::LN_2).sqrt()
+                * (1.0 + 1.0 / (1u64 << 30) as f64)
+        })
+    })
 }
 
 /// Several PDN regions with cross-coupling.
@@ -121,6 +181,10 @@ pub struct MultiRegionPdn {
     /// cost of one compare per region.
     region_v_min: Vec<f64>,
     settle_band: f64,
+    /// Scratch of `run_windowed_block`: the ticks it must compute
+    /// exactly, with their noise-free voltages.
+    pending: Vec<(usize, [f64; 2])>,
+    skipped_ticks: u64,
 }
 
 impl MultiRegionPdn {
@@ -153,6 +217,8 @@ impl MultiRegionPdn {
             telemetry: PdnTelemetry::new(config.v_nominal),
             region_v_min: vec![config.v_nominal; regions],
             settle_band: PdnTelemetry::band(&config),
+            pending: Vec::new(),
+            skipped_ticks: 0,
             config,
         }
     }
@@ -192,26 +258,56 @@ impl MultiRegionPdn {
     /// Advances all regions by one `dt` tick per row of `currents_a`,
     /// writing each tick's per-region voltages to the same row of `out`.
     ///
-    /// Both slices are tick-major (`[tick][region]`, flattened). The
-    /// result is bit-identical to calling [`MultiRegionPdn::step`] once
-    /// per tick: the block's noise is drawn up front in the same stream
-    /// order ([`Rng64::fill_normal_scaled`]), and each voltage is
-    /// `noise + (v_nominal − Σ c·d)`, the per-tick sum with its two
-    /// terms commuted.
+    /// Both slices are tick-major (`[tick][region]`, flattened).
+    /// `observed` is the range of ticks (block-relative) whose voltages
+    /// the caller reads; the slots of `out` for ticks outside it, except
+    /// the last tick, are left unspecified. Everything else is
+    /// bit-identical to calling [`MultiRegionPdn::step`] once per tick:
+    /// the observed voltages, [`MultiRegionPdn::voltage`], the telemetry,
+    /// the per-region minima and the noise stream, so the next block is
+    /// too. The block's noise is drawn up front in the same stream order
+    /// ([`Rng64::fill_normal_scaled`]), and each voltage is
+    /// `noise + (v_nominal − Σ c·d)`, the per-tick sum with its two terms
+    /// commuted. A block whose unobserved ticks can be certified away
+    /// skips their noise transform (see `run_windowed_block`); a caller
+    /// that reads every tick passes `0..ticks`.
     ///
     /// # Panics
     ///
     /// Panics if the slices differ in length or are not a whole number
     /// of ticks.
-    pub fn step_block(&mut self, currents_a: &[f64], dt: f64, out: &mut [f64]) {
+    pub fn step_block(
+        &mut self,
+        currents_a: &[f64],
+        dt: f64,
+        out: &mut [f64],
+        observed: Range<usize>,
+    ) {
         let regions = self.filters.len();
         assert_eq!(currents_a.len(), out.len(), "currents and voltages");
         assert_eq!(out.len() % regions, 0, "whole ticks");
         if out.is_empty() {
             return;
         }
-        self.run_block(currents_a, dt, out);
+        // The last tick is always computed: it is `voltage()`.
+        let last = out.len() / regions - 1;
+        let reads_all = observed.start == 0 && observed.end >= last;
+        if !reads_all
+            && regions == 2
+            && !self.rng.has_spare()
+            && self.config.noise_sigma_v.is_normal()
+        {
+            self.run_windowed_block(currents_a, dt, out, observed);
+        } else {
+            self.run_block(currents_a, dt, out);
+        }
         self.voltages.copy_from_slice(&out[out.len() - regions..]);
+    }
+
+    /// Ticks whose noise transform a block with unobserved ticks has
+    /// skipped since construction.
+    pub fn skipped_ticks(&self) -> u64 {
+        self.skipped_ticks
     }
 
     /// The kernel behind [`MultiRegionPdn::step`] and
@@ -227,50 +323,175 @@ impl MultiRegionPdn {
         }
     }
 
-    /// [`MultiRegionPdn::run_block`] for `R` regions. The filter states,
-    /// coupling, per-region minima and telemetry are copied into locals
-    /// once and written back once, so the filters' serial dependency
-    /// chain stays in registers instead of storing and reloading
-    /// through `self` every tick. The arithmetic per value and the
-    /// summation order are those of a one-tick step.
+    /// [`MultiRegionPdn::run_block`] for `R` regions: the block's noise,
+    /// then one pass of the tick loop over it.
     fn run_block_for<const R: usize>(&mut self, currents_a: &[f64], dt: f64, out: &mut [f64]) {
-        let PdnConfig {
-            v_nominal,
-            r_eff,
-            r_fast,
-            noise_sigma_v,
-            ..
-        } = self.config;
-        let settle_band = self.settle_band;
-        let mut filters: [SecondOrderFilter; R] =
-            self.filters[..].try_into().expect("one filter per region");
-        let coupling: [[f64; R]; R] =
-            std::array::from_fn(|r| std::array::from_fn(|s| self.coupling[r * R + s]));
-        let mut region_v_min: [f64; R] = self.region_v_min[..]
-            .try_into()
-            .expect("one minimum per region");
-        let mut telemetry = self.telemetry;
-        self.rng.fill_normal_scaled(out, noise_sigma_v);
+        let mut state = self.tick_state::<R>(dt);
+        self.rng.fill_normal_scaled(out, self.config.noise_sigma_v);
         for (tick_i, tick_v) in currents_a.chunks_exact(R).zip(out.chunks_exact_mut(R)) {
-            let mut droop = [0.0; R];
-            for ((d, f), &i) in droop.iter_mut().zip(&mut filters).zip(tick_i) {
-                *d = f.step(r_eff * i, dt) + r_fast * i;
-            }
-            for ((v, row), vmin) in tick_v.iter_mut().zip(&coupling).zip(&mut region_v_min) {
-                let mut total = 0.0;
-                for (&c, &d) in row.iter().zip(&droop) {
-                    total += c * d;
-                }
-                *v += v_nominal - total;
+            let quiet = state.quiet_voltages(tick_i);
+            for ((v, q), vmin) in tick_v.iter_mut().zip(quiet).zip(&mut state.region_v_min) {
+                *v += q;
                 *vmin = vmin.min(*v);
             }
             // Telemetry watches region 0 — the sensed (attacker-visible)
             // rail in the fabric's layout.
-            telemetry.update(tick_v[0], v_nominal, settle_band);
+            state
+                .telemetry
+                .update(tick_v[0], state.v_nominal, state.settle_band);
         }
-        self.filters.copy_from_slice(&filters);
-        self.region_v_min.copy_from_slice(&region_v_min);
-        self.telemetry = telemetry;
+        self.store_tick_state(&state);
+    }
+
+    /// The tick loop's state for `R` regions, copied into locals once
+    /// per block and written back once
+    /// ([`MultiRegionPdn::store_tick_state`]), so the filters' serial
+    /// dependency chain stays in registers instead of storing and
+    /// reloading through `self` every tick.
+    fn tick_state<const R: usize>(&self, dt: f64) -> TickState<R> {
+        let PdnConfig {
+            v_nominal,
+            r_eff,
+            r_fast,
+            ..
+        } = self.config;
+        TickState {
+            v_nominal,
+            r_eff,
+            r_fast,
+            dt,
+            settle_band: self.settle_band,
+            filters: self.filters[..].try_into().expect("one filter per region"),
+            coupling: std::array::from_fn(|r| std::array::from_fn(|s| self.coupling[r * R + s])),
+            region_v_min: self.region_v_min[..]
+                .try_into()
+                .expect("one minimum per region"),
+            telemetry: self.telemetry,
+        }
+    }
+
+    fn store_tick_state<const R: usize>(&mut self, state: &TickState<R>) {
+        self.filters.copy_from_slice(&state.filters);
+        self.region_v_min.copy_from_slice(&state.region_v_min);
+        self.telemetry = state.telemetry;
+    }
+
+    /// The kernel for a two-region block with unobserved ticks, no
+    /// spare normal cached and a normal, nonzero `σ`: each tick owns
+    /// exactly one polar pair, slots `(2t, 2t+1)`. It runs in three
+    /// passes and skips the polar transform (`ln`, `sqrt`, a division)
+    /// of every tick it can certify.
+    ///
+    /// 1. [`Rng64::pack_polar_pairs`] packs the accepted `(u, v)`
+    ///    candidates exactly as [`Rng64::fill_normal_scaled`] does.
+    /// 2. The tick loop runs the filters and computes each tick's
+    ///    noise-free voltages `q_r = v_nominal − Σ c·d`, the same values
+    ///    the one-pass kernel adds the noise to. For an unobserved tick
+    ///    that is not the last, it bounds the noise from the binary
+    ///    exponent of `s = u² + v²`: with `s ∈ [2^−(j+1), 2^−j)`,
+    ///    `|u|, |v| ≤ √s` gives `|noise| ≤ σ·√(−2 ln s) ≤
+    ///    σ·√(2(j+1)·ln 2) = B`, read from [`noise_bounds`] (`j` in
+    ///    `0..1022`; a subnormal `s` gets no bound). Every voltage is
+    ///    `v = fl(noise + q)`, and correctly rounded addition is
+    ///    monotone, so `fl(q − B) ≤ v ≤ fl(q + B)`, and the settle test's
+    ///    `fl(v − v_nominal)` is bracketed the same way. The tick is
+    ///    skipped when these brackets prove that it moves neither
+    ///    region's minimum nor the telemetry's `v_min` / `v_max` as they
+    ///    stood before the block (strictly inside them: later ticks
+    ///    only widen the extrema, so a skipped tick is never the
+    ///    extremum), and that it decides the settle test one way.
+    ///    Undecided ticks are queued with their `q`.
+    /// 3. The queued ticks get the exact transform
+    ///    ([`noise::polar_scaled`]) and `v = noise + q`, folded into the
+    ///    minima and extrema in tick order. `settled_streak` restarts
+    ///    after the last unsettled tick, skipped or exact.
+    ///
+    /// The bound covers the rounding of the computed transform: `ln`
+    /// within two ulps, the division, the `sqrt`, the two products and
+    /// the rounding of `s` itself (`|u| ≤ √s/(1−ε)`) add less than
+    /// `8ε`, ε = 2⁻⁵³, and the table carries a `2⁻³⁰` relative margin
+    /// that also absorbs its own rounding and the product with `|σ|`.
+    /// The stream is consumed exactly as by the one-pass kernel, the
+    /// last tick is always exact (it is `voltage()`), and the filter
+    /// state never depends on the noise, so the next block is
+    /// bit-identical too.
+    fn run_windowed_block(
+        &mut self,
+        currents_a: &[f64],
+        dt: f64,
+        out: &mut [f64],
+        observed: Range<usize>,
+    ) {
+        let sigma = self.config.noise_sigma_v;
+        let ticks = out.len() / 2;
+        self.rng.pack_polar_pairs(out);
+        let bounds = noise_bounds();
+        let sigma_abs = sigma.abs();
+        let mut state = self.tick_state::<2>(dt);
+        let TickState {
+            v_nominal,
+            settle_band,
+            region_v_min: floor,
+            telemetry: PdnTelemetry { v_min, v_max, .. },
+            ..
+        } = state;
+        self.pending.resize(ticks, (0, [0.0; 2]));
+        let mut queued = 0;
+        // One past the last tick certified unsettled; 0 for none.
+        let mut unsettled_end = 0;
+        for (t, (tick_i, pair)) in currents_a
+            .chunks_exact(2)
+            .zip(out.chunks_exact(2))
+            .enumerate()
+        {
+            let quiet = state.quiet_voltages(tick_i);
+            let s = pair[0] * pair[0] + pair[1] * pair[1];
+            // `s ∈ (0, 1)`: its biased exponent is at most 1022.
+            let j = 1022usize.wrapping_sub((s.to_bits() >> 52) as usize);
+            let bound = sigma_abs * bounds.get(j).copied().unwrap_or(f64::INFINITY);
+            let lo = [quiet[0] - bound, quiet[1] - bound];
+            let hi = quiet[0] + bound;
+            let (dev_lo, dev_hi) = (lo[0] - v_nominal, hi - v_nominal);
+            let settled = dev_lo >= -settle_band && dev_hi <= settle_band;
+            let unsettled = dev_hi < -settle_band || dev_lo > settle_band;
+            let skip = t + 1 < ticks
+                && !observed.contains(&t)
+                && lo[0] > v_min
+                && lo[0] > floor[0]
+                && lo[1] > floor[1]
+                && hi < v_max
+                && (settled || unsettled);
+            self.pending[queued] = (t, quiet);
+            queued += usize::from(!skip);
+            if skip && unsettled {
+                unsettled_end = t + 1;
+            }
+        }
+        for &(t, quiet) in &self.pending[..queued] {
+            let pair = &mut out[2 * t..2 * t + 2];
+            let noise = noise::polar_scaled(pair[0], pair[1], sigma);
+            for (((v, n), q), vmin) in pair
+                .iter_mut()
+                .zip(noise)
+                .zip(quiet)
+                .zip(&mut state.region_v_min)
+            {
+                *v = n + q;
+                *vmin = vmin.min(*v);
+            }
+            state.telemetry.widen(pair[0]);
+            if !PdnTelemetry::settled(pair[0], v_nominal, settle_band) {
+                unsettled_end = unsettled_end.max(t + 1);
+            }
+        }
+        let telemetry = &mut state.telemetry;
+        telemetry.steps += ticks as u64;
+        telemetry.settled_streak = match unsettled_end {
+            0 => telemetry.settled_streak + ticks as u64,
+            end => (ticks - end) as u64,
+        };
+        self.skipped_ticks += (ticks - queued) as u64;
+        self.store_tick_state(&state);
     }
 
     /// The most recent voltage of one region.
@@ -435,6 +656,35 @@ mod tests {
         assert!(droop1 < droop0 / 2.0, "coupled rail: {droop1} vs {droop0}");
         // Region 0's extremum agrees with the legacy telemetry.
         assert_eq!(net.min_voltage(0), net.telemetry().v_min);
+    }
+
+    /// A skipped tick certified unsettled restarts the settle streak.
+    /// On a resistive rail (`r_eff = 0`, no ringing) a one-tick load
+    /// spike inside the extrema an earlier block set is far outside the
+    /// settle band, and the idle ticks around it settle.
+    #[test]
+    fn skipped_unsettled_ticks_restart_the_settle_streak() {
+        let cfg = PdnConfig {
+            r_eff: 0.0,
+            ..PdnConfig::default()
+        };
+        let mut windowed = MultiRegionPdn::uniform(cfg, 2, 0.5);
+        let mut full = windowed.clone();
+        let mut currents = vec![0.0; 200];
+        currents[..4].copy_from_slice(&[-0.5, -0.5, 3.0, 3.0]);
+        let mut out = vec![0.0; 200];
+        windowed.step_block(&currents, DT, &mut out, 0..100);
+        full.step_block(&currents, DT, &mut out, 0..100);
+        currents[..4].fill(0.0);
+        currents[100..102].fill(1.0);
+        for _ in 0..4 {
+            windowed.step_block(&currents, DT, &mut out, 0..0);
+            full.step_block(&currents, DT, &mut out, 0..100);
+            assert_eq!(windowed.telemetry(), full.telemetry());
+        }
+        let streak = full.telemetry().settled_streak;
+        assert!(streak > 0 && streak < 50, "streak {streak}");
+        assert!(windowed.skipped_ticks() > 300);
     }
 
     #[test]

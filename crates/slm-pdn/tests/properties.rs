@@ -151,7 +151,7 @@ proptest! {
         for ticks in splits {
             let currents: Vec<f64> = (0..ticks * regions).map(|_| rng.uniform_in(0.0, 5.0)).collect();
             let mut out = vec![f64::NAN; currents.len()];
-            blocked.step_block(&currents, DT, &mut out);
+            blocked.step_block(&currents, DT, &mut out, 0..ticks);
             for (tick_i, tick_v) in currents.chunks_exact(regions).zip(out.chunks_exact(regions)) {
                 let want = stepped.step(tick_i, DT);
                 for (got, want) in tick_v.iter().zip(want) {
@@ -284,7 +284,7 @@ proptest! {
             let currents: Vec<f64> = (0..ticks * regions).map(|_| rng.uniform_in(0.0, 5.0)).collect();
             let mut got = vec![f64::NAN; currents.len()];
             let mut want = vec![f64::NAN; currents.len()];
-            pdn.step_block(&currents, DT, &mut got);
+            pdn.step_block(&currents, DT, &mut got, 0..ticks);
             reference.step_block(&currents, DT, &mut want);
             for (slot, (g, w)) in got.iter().zip(&want).enumerate() {
                 prop_assert_eq!(g.to_bits(), w.to_bits(), "{} ticks, slot {}", ticks, slot);
@@ -295,5 +295,110 @@ proptest! {
                 prop_assert_eq!(pdn.voltage(r).to_bits(), reference.voltages[r].to_bits());
             }
         }
+    }
+}
+
+/// The ticks a property case reads from a block of `ticks`: none, one,
+/// all, or a random sub-range, chosen by `pick`.
+fn observed_range(ticks: usize, pick: u64) -> std::ops::Range<usize> {
+    let at = |k: u64| (k % (ticks as u64 + 1)) as usize;
+    match pick % 4 {
+        1 if ticks > 0 => {
+            let t = at(pick >> 2).min(ticks - 1);
+            t..t + 1
+        }
+        0 | 1 => 0..0,
+        2 => 0..ticks,
+        _ => {
+            let (a, b) = (at(pick >> 2), at(pick >> 32));
+            a.min(b)..a.max(b)
+        }
+    }
+}
+
+proptest! {
+    /// A block that reads only its `observed` ticks matches a fully
+    /// observed block bit for bit: the observed voltages, `voltage()`,
+    /// telemetry and per-region minima after each block, and a whole
+    /// block after the last. Covers 1–4 regions, σ = 0, a spare normal
+    /// carried in (the leading one-tick block caches one for odd region
+    /// counts), random currents, a ramp from rest (every tick a new
+    /// extremum, so nothing certifies) and one-tick load spikes on a
+    /// resistive rail (a certified-unsettled tick between settled ones,
+    /// which the settle streak must see), and observed ranges that are
+    /// empty, one tick, the whole block or a random sub-range.
+    #[test]
+    fn observed_ticks_match_a_fully_observed_block(
+        regions in 1usize..5,
+        seed in any::<u64>(),
+        sigma in select(vec![0.0, 4e-4, 5e-3]),
+        profile in 0u8..3,
+        lens in vec(0usize..200, 1..8),
+        picks in vec(any::<u64>(), 8),
+    ) {
+        let mut rng = Rng64::new(seed ^ 0x0b5e);
+        let coupling: Vec<Vec<f64>> = (0..regions)
+            .map(|r| (0..regions).map(|s| if r == s { 1.0 } else { rng.uniform() }).collect())
+            .collect();
+        let cfg = PdnConfig {
+            noise_sigma_v: sigma,
+            seed,
+            r_eff: if profile == 2 { 0.0 } else { PdnConfig::default().r_eff },
+            ..PdnConfig::default()
+        };
+        let mut windowed = MultiRegionPdn::new(cfg, regions, coupling.clone());
+        let mut full = MultiRegionPdn::new(cfg, regions, coupling);
+        let mut elapsed = 0;
+        let mut currents_for = |ticks: usize, rng: &mut Rng64| -> Vec<f64> {
+            let currents = (0..ticks * regions)
+                .map(|k| {
+                    let tick = elapsed + k / regions;
+                    match profile {
+                        0 => rng.uniform_in(0.0, 5.0),
+                        1 => 0.002 * tick as f64,
+                        _ => match tick {
+                            0 => -0.5,
+                            1 => 3.0,
+                            t if t % 50 == 0 => 1.0,
+                            _ => 0.0,
+                        },
+                    }
+                })
+                .collect();
+            elapsed += ticks;
+            currents
+        };
+        let blocks = std::iter::once((1, 2)).chain(lens.into_iter().zip(picks));
+        for (ticks, pick) in blocks {
+            let currents = currents_for(ticks, &mut rng);
+            let observed = observed_range(ticks, pick);
+            let mut got = vec![f64::NAN; currents.len()];
+            let mut want = vec![f64::NAN; currents.len()];
+            windowed.step_block(&currents, DT, &mut got, observed.clone());
+            full.step_block(&currents, DT, &mut want, 0..ticks);
+            for t in observed {
+                for r in 0..regions {
+                    let slot = t * regions + r;
+                    prop_assert_eq!(got[slot].to_bits(), want[slot].to_bits(), "{} ticks, slot {}", ticks, slot);
+                }
+            }
+            prop_assert_eq!(windowed.telemetry(), full.telemetry());
+            for r in 0..regions {
+                prop_assert_eq!(windowed.min_voltage(r).to_bits(), full.min_voltage(r).to_bits());
+                prop_assert_eq!(windowed.voltage(r).to_bits(), full.voltage(r).to_bits());
+            }
+        }
+        if regions != 2 || sigma == 0.0 {
+            prop_assert_eq!(windowed.skipped_ticks(), 0, "only two noisy regions skip");
+        }
+        let currents = currents_for(50, &mut rng);
+        let mut got = vec![f64::NAN; currents.len()];
+        let mut want = vec![f64::NAN; currents.len()];
+        windowed.step_block(&currents, DT, &mut got, 0..50);
+        full.step_block(&currents, DT, &mut want, 0..50);
+        for (slot, (g, w)) in got.iter().zip(&want).enumerate() {
+            prop_assert_eq!(g.to_bits(), w.to_bits(), "next block, slot {}", slot);
+        }
+        prop_assert_eq!(windowed.telemetry(), full.telemetry());
     }
 }

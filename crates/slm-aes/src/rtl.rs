@@ -13,7 +13,6 @@ use slm_pdn::noise::Rng64;
 /// feeds into the shared PDN.
 #[derive(Debug, Clone)]
 pub struct Aes32Rtl {
-    key: [u8; 16],
     round_keys: [[u8; 16]; soft::ROUNDS + 1],
 }
 
@@ -25,15 +24,8 @@ impl Aes32Rtl {
     /// time, like a key loaded into the victim bitstream).
     pub fn new(key: [u8; 16]) -> Self {
         Aes32Rtl {
-            key,
             round_keys: soft::key_expansion(&key),
         }
-    }
-
-    /// The secret key (test/evaluation access — a real victim would not
-    /// expose this; the attack's success is judged against it).
-    pub fn key(&self) -> &[u8; 16] {
-        &self.key
     }
 
     /// The expanded round keys.

@@ -109,7 +109,7 @@ pub struct SpanNet {
 
 impl SpanNet {
     /// Builds the span entry for `id` in `nl`.
-    pub fn of(nl: &Netlist, id: NetId) -> Self {
+    fn of(nl: &Netlist, id: NetId) -> Self {
         SpanNet {
             net: id,
             name: nl.net_name(id).map(str::to_owned),

@@ -27,13 +27,6 @@ pub enum AdmissionVerdict {
     Denied,
 }
 
-impl AdmissionVerdict {
-    /// Whether the tenant gets fabric at all.
-    pub fn admitted(self) -> bool {
-        !matches!(self, AdmissionVerdict::Denied)
-    }
-}
-
 /// The gate's full answer for one submission.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AdmissionDecision {

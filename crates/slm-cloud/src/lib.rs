@@ -44,9 +44,7 @@ pub mod submission;
 pub use admission::{AdmissionDecision, AdmissionGate, AdmissionVerdict};
 pub use queue::BoundedQueue;
 pub use quota::{QuotaDecision, QuotaLedger};
-pub use scheduler::{
-    CoResidencyMode, CoResidencyPolicy, Occupant, Placement, RegionScheduler, RegionSpec,
-};
+pub use scheduler::{CoResidencyMode, CoResidencyPolicy, Occupant, Placement, RegionScheduler};
 pub use service::{
     CampaignOutcome, CloudService, ServiceConfig, ServiceError, ServiceReport, TenantRecord,
     TenantStatus,

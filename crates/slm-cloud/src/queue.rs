@@ -41,11 +41,6 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    /// Removes and returns the oldest item.
-    pub fn pop(&mut self) -> Option<T> {
-        self.items.pop_front()
-    }
-
     /// Removes every item, oldest first.
     pub fn drain_all(&mut self) -> Vec<T> {
         self.items.drain(..).collect()
@@ -60,11 +55,6 @@ impl<T> BoundedQueue<T> {
     pub fn is_empty(&self) -> bool {
         self.items.is_empty()
     }
-
-    /// Maximum depth.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
 }
 
 #[cfg(test)]
@@ -76,17 +66,15 @@ mod tests {
         let mut q = BoundedQueue::new(2);
         assert!(q.push(1).is_ok());
         assert!(q.push(2).is_ok());
-        assert_eq!(q.len(), q.capacity());
         assert_eq!(q.push(3), Err(3), "rejected item comes back");
         assert_eq!(q.len(), 2);
-        assert_eq!(q.pop(), Some(1), "FIFO order");
-        assert!(q.push(3).is_ok(), "popping frees a slot");
+        assert_eq!(q.drain_all(), vec![1, 2], "FIFO order");
+        assert!(q.push(3).is_ok(), "draining frees the slots");
     }
 
     #[test]
     fn capacity_clamps_to_one() {
         let mut q = BoundedQueue::new(0);
-        assert_eq!(q.capacity(), 1);
         assert!(q.push('a').is_ok());
         assert_eq!(q.push('b'), Err('b'));
     }

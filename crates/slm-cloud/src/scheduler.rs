@@ -18,7 +18,7 @@ use slm_fabric::floorplan::{Floorplan, Rect};
 
 /// One schedulable partial-reconfiguration slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RegionSpec {
+struct RegionSpec {
     /// Board the slot lives on.
     pub board: usize,
     /// Slot index within the board.
@@ -182,17 +182,6 @@ impl RegionScheduler {
         self.occupants[i].take()
     }
 
-    /// The occupant of a slot.
-    pub fn occupant(&self, placement: Placement) -> Option<&Occupant> {
-        self.flat_index(placement)
-            .and_then(|i| self.occupants[i].as_ref())
-    }
-
-    /// Every slot, in `(board, region)` order.
-    pub fn regions(&self) -> &[RegionSpec] {
-        &self.regions
-    }
-
     /// Number of unoccupied slots.
     pub fn free_regions(&self) -> usize {
         self.occupants.iter().filter(|o| o.is_none()).count()
@@ -256,14 +245,13 @@ mod tests {
     #[test]
     fn oversized_demand_is_refused_and_release_frees() {
         let mut s = sched(1);
-        let cap = s.regions()[0].capacity_cells;
+        let cap = s.regions[0].capacity_cells;
         assert!(s
             .place(occupant("big", false), cap + 1, &CoResidencyPolicy::open())
             .is_none());
         let p = s
             .place(occupant("a", false), cap, &CoResidencyPolicy::open())
             .unwrap();
-        assert_eq!(s.occupant(p).unwrap().tenant, "a");
         assert_eq!(s.release(p).unwrap().tenant, "a");
         assert_eq!(s.free_regions(), 4);
         assert!(s.release(p).is_none(), "double release is a no-op");

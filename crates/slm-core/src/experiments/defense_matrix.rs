@@ -111,7 +111,8 @@ impl DefenseMatrixExperiment {
     /// The default matrix over a base campaign: undefended baseline, a
     /// constant-fence control, a PRNG fence strength sweep, the
     /// adaptive fence, supply regulation, and clock jitter.
-    pub fn standard(base: CpaExperiment) -> Self {
+    #[cfg(test)]
+    fn standard(base: CpaExperiment) -> Self {
         DefenseMatrixExperiment {
             base,
             arms: vec![

@@ -94,8 +94,8 @@ pub fn full_key_recovery(
     }
 
     // The final 16 × 256-candidate evaluation fans out over the worker
-    // pool; it is bit-identical to the serial evaluation at any count.
-    let recovered_round_key = multi.recovered_round_key_par(0);
+    // pool; the key is bit-identical at any worker count.
+    let recovered_round_key = multi.recovered_round_key(0);
     let recovered_master_key = soft::invert_key_schedule(&recovered_round_key);
     Ok(FullKeyResult {
         true_round_key,

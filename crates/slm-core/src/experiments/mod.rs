@@ -36,12 +36,9 @@ pub use fault_matrix::{
 };
 pub use parallel::{run_cpa_parallel, run_cpa_parallel_recorded, ParallelCpa};
 pub use preliminary::{
-    activity_study, bit_census, bit_variance, ro_response, ActivityStudy, CensusResult, RoResponse,
-    VarianceResult,
+    activity_study, ro_response, ActivityStudy, CensusResult, RoResponse, VarianceResult,
 };
-pub use stealth_matrix::{
-    stealth_matrix, MatrixRow, StealthMatrix, OVERCLOCK_MHZ, SYNTH_CRITICAL_NS,
-};
+pub use stealth_matrix::{stealth_matrix, MatrixRow, StealthMatrix};
 pub use streaming::{
     run_streaming, run_streaming_crashing, run_streaming_with_recorded, CrashPlan, CrashSite,
     EarlyStop, StreamOutcome, StreamingCpa, StreamingError, StreamingResult,

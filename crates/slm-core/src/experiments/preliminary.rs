@@ -208,32 +208,6 @@ pub fn activity_study(
     Ok(ActivityStudy { census, variance })
 }
 
-/// Convenience wrapper returning only the census (Figs. 7/15).
-///
-/// # Errors
-///
-/// Propagates fabric construction failures.
-pub fn bit_census(
-    circuit: BenignCircuit,
-    samples: usize,
-    seed: u64,
-) -> Result<CensusResult, FabricError> {
-    Ok(activity_study(circuit, samples, seed)?.census)
-}
-
-/// Convenience wrapper returning only the variance ranking (Figs. 8/16).
-///
-/// # Errors
-///
-/// Propagates fabric construction failures.
-pub fn bit_variance(
-    circuit: BenignCircuit,
-    samples: usize,
-    seed: u64,
-) -> Result<VarianceResult, FabricError> {
-    Ok(activity_study(circuit, samples, seed)?.variance)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -316,7 +290,9 @@ mod tests {
 
     #[test]
     fn variance_ranks_a_best_bit() {
-        let v = bit_variance(BenignCircuit::DualC6288, 2_000, 4).unwrap();
+        let v = activity_study(BenignCircuit::DualC6288, 2_000, 4)
+            .unwrap()
+            .variance;
         assert!(!v.rows.is_empty());
         let best = v.best_aes_endpoint.expect("AES must perturb some bit");
         let best_var = v

@@ -28,11 +28,11 @@ use slm_timing::DelayModel;
 const SENSOR_DESIGNS: [&str; 2] = ["alu192", "dual_c6288"];
 
 /// The overclock frequency the strict check must catch, MHz.
-pub const OVERCLOCK_MHZ: f64 = 300.0;
+const OVERCLOCK_MHZ: f64 = 300.0;
 
 /// Critical-path target the sensors are "synthesized" at, ns (matches
 /// the timing audit: ~192 MHz, comfortably meeting a 50 MHz clock).
-pub const SYNTH_CRITICAL_NS: f64 = 5.2;
+const SYNTH_CRITICAL_NS: f64 = 5.2;
 
 /// One zoo design's row in the matrix.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -50,7 +50,7 @@ pub struct MatrixRow {
     /// Per-semantic-pass verdict, aligned with
     /// [`StealthMatrix::semantic_passes`].
     pub semantic_flagged_by: Vec<bool>,
-    /// Strict-timing verdict at [`OVERCLOCK_MHZ`]; only populated for
+    /// Strict-timing verdict at 300 MHz; only populated for
     /// the benign sensor designs.
     pub timing_flagged: Option<bool>,
     /// The full scan report (witnesses, spans, details).

@@ -12,8 +12,8 @@
 //! | Figs. 3/4 (floorplans) | [`experiments::floorplan_views`] |
 //! | Figs. 5/14 (raw toggling bits under ROs) | [`experiments::ro_response`] |
 //! | Fig. 6 (TDC vs post-processed ALU) | [`experiments::ro_response`] |
-//! | Figs. 7/15 (sensitive-bit census) | [`experiments::bit_census`] |
-//! | Figs. 8/16 (per-bit variance) | [`experiments::bit_variance`] |
+//! | Figs. 7/15 (sensitive-bit census) | [`experiments::activity_study`] (`census`) |
+//! | Figs. 8/16 (per-bit variance) | [`experiments::activity_study`] (`variance`) |
 //! | Figs. 9–13, 17, 18 (CPA) | [`experiments::run_cpa`] (serial), [`experiments::run_cpa_parallel`] (sharded), [`experiments::run_streaming`] (checkpointed) |
 //! | Stealth discussion (Sec. VI) | [`experiments::stealth_audit`] |
 //! | Structural-evasion matrix (Sec. VI) | [`experiments::stealth_matrix`] |
@@ -59,8 +59,8 @@ pub mod experiments;
 pub mod report;
 
 pub use experiments::{
-    atpg_stimulus_study, bit_census, bit_variance, defense_matrix, floorplan_views, ro_response,
-    run_cpa, stealth_audit, stealth_matrix, timing_audit, CensusResult, CpaExperiment, CpaResult,
-    DefenseArm, DefenseMatrix, DefenseMatrixExperiment, RoResponse, SensorSource, StealthAudit,
-    StealthMatrix, TimingAudit, VarianceResult,
+    atpg_stimulus_study, defense_matrix, floorplan_views, ro_response, run_cpa, stealth_audit,
+    stealth_matrix, timing_audit, CensusResult, CpaExperiment, CpaResult, DefenseArm,
+    DefenseMatrix, DefenseMatrixExperiment, RoResponse, SensorSource, StealthAudit, StealthMatrix,
+    TimingAudit, VarianceResult,
 };

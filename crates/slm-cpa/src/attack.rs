@@ -78,16 +78,6 @@ impl CpaAttack {
         }
     }
 
-    /// The hypothesis model under attack.
-    pub fn model(&self) -> &LastRoundModel {
-        &self.model
-    }
-
-    /// Number of points per trace.
-    pub fn points(&self) -> usize {
-        self.points
-    }
-
     /// Number of traces absorbed so far.
     pub fn traces(&self) -> u64 {
         self.traces
@@ -565,11 +555,6 @@ pub struct TraceBatch {
 }
 
 impl TraceBatch {
-    /// An empty batch for traces of `points` samples each.
-    pub fn new(points: usize) -> Self {
-        Self::with_capacity(points, 0)
-    }
-
     /// An empty batch with room for `traces` traces.
     pub fn with_capacity(points: usize, traces: usize) -> Self {
         TraceBatch {
@@ -598,11 +583,6 @@ impl TraceBatch {
     /// Whether the batch holds no traces.
     pub fn is_empty(&self) -> bool {
         self.cts.is_empty()
-    }
-
-    /// Points per trace.
-    pub fn points(&self) -> usize {
-        self.points
     }
 
     /// Sample row of staged trace `t`.
@@ -889,7 +869,7 @@ mod tests {
     #[test]
     fn batch_rejects_wrong_point_count_and_empty_is_noop() {
         let mut attack = CpaAttack::new(LastRoundModel::paper_target(), 2);
-        let bad = TraceBatch::new(3);
+        let bad = TraceBatch::with_capacity(3, 0);
         assert!(matches!(
             attack.add_batch(&bad),
             Err(crate::CpaError::PointCountMismatch {
@@ -898,9 +878,9 @@ mod tests {
             })
         ));
         let before = attack.clone();
-        attack.add_batch(&TraceBatch::new(2)).unwrap();
+        attack.add_batch(&TraceBatch::with_capacity(2, 0)).unwrap();
         assert_eq!(attack, before);
-        let mut batch = TraceBatch::new(2);
+        let mut batch = TraceBatch::with_capacity(2, 0);
         batch.push([7; 16], &[1.0, 2.0]);
         attack.add_batch(&batch).unwrap();
         assert_eq!(attack.traces(), 1);

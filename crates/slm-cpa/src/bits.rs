@@ -41,11 +41,6 @@ impl BitActivity {
         self.len == 0
     }
 
-    /// Number of samples absorbed.
-    pub fn samples(&self) -> u64 {
-        self.samples
-    }
-
     /// Absorbs one sensor sample.
     ///
     /// # Panics
@@ -76,7 +71,7 @@ impl BitActivity {
     }
 
     /// Fraction of samples where endpoint `i` read 1.
-    pub fn mean(&self, i: usize) -> f64 {
+    fn mean(&self, i: usize) -> f64 {
         if self.samples == 0 {
             0.0
         } else {
@@ -239,7 +234,7 @@ mod tests {
         act.add(&sample(&[false, false, false]));
         act.add(&sample(&[false, true, false]));
         act.add(&sample(&[false, false, true]));
-        assert_eq!(act.samples(), 4);
+        assert_eq!(act.samples, 4);
         assert_eq!(act.sensitive_bits(), vec![1, 2]);
         assert!((act.mean(1) - 0.5).abs() < 1e-12);
         assert!((act.variance(1) - 0.25).abs() < 1e-12);

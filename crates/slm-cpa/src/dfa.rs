@@ -29,9 +29,8 @@
 //! with probability ≈ (255/256)¹⁶ ≈ 0.94, while a round-9 fault
 //! touches at most the 4–12 positions its violating cycles cover.
 //!
-//! All accumulator state is integer counts plus an exactly-mergeable
-//! severity track, so shard partials merge associatively — the same
-//! contract the CPA accumulators honour.
+//! All accumulator state is integer counts, so shard partials merge
+//! associatively — the same contract the CPA accumulators honour.
 
 use serde::{Deserialize, Serialize};
 use slm_aes::soft;
@@ -110,26 +109,21 @@ pub enum PairOutcome {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DfaAttack {
     model: DfaModel,
-    max_diff_bytes: usize,
     /// 256 entries; rebuilt from `model` on deserialize? No — carried,
     /// it is tiny and keeps the struct self-contained.
     feasible: Vec<bool>,
     /// `votes[jd * 256 + k]`: pairs for which key candidate `k` at
     /// ciphertext position `jd` produced an admissible difference.
     votes: Vec<u32>,
-    /// Accepted difference equations per ciphertext byte (how many
-    /// pairs actually voted on that position).
-    equations: Vec<u32>,
     pairs_accepted: u64,
     pairs_unfaulted: u64,
     pairs_discarded: u64,
-    /// Sum of caller-supplied severity weights over accepted pairs
-    /// (e.g. droop depth in volts). Dyadic-rational weights make this
-    /// exactly associative under merge, like the CPA bins.
-    severity_sum: f64,
-    /// Largest severity weight seen on an accepted pair.
-    severity_max: f64,
 }
+
+/// Pairs whose ciphertexts differ in more bytes than this are discarded
+/// as avalanches (a round-9-only fault covers at most 3 columns in
+/// practice).
+const MAX_DIFF_BYTES: usize = 12;
 
 /// Minimum votes before a byte counts as recovered.
 const MIN_VOTES: u32 = 4;
@@ -138,66 +132,30 @@ const MIN_MARGIN: u32 = 2;
 
 impl DfaAttack {
     /// A fresh accumulator for `model`, discarding pairs that differ
-    /// in more than 12 ciphertext bytes (an avalanche signature; a
-    /// round-9-only fault covers at most 3 columns in practice).
+    /// in more than 12 ciphertext bytes (an avalanche signature).
     pub fn new(model: DfaModel) -> Self {
-        Self::with_max_diff_bytes(model, 12)
-    }
-
-    /// [`DfaAttack::new`] with an explicit avalanche-filter threshold.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_diff_bytes` is 0 or greater than 16.
-    fn with_max_diff_bytes(model: DfaModel, max_diff_bytes: usize) -> Self {
-        assert!(
-            (1..=16).contains(&max_diff_bytes),
-            "avalanche filter must keep 1..=16 byte diffs"
-        );
         DfaAttack {
             model,
-            max_diff_bytes,
             feasible: model.feasible_table(),
             votes: vec![0; 16 * 256],
-            equations: vec![0; 16],
             pairs_accepted: 0,
             pairs_unfaulted: 0,
             pairs_discarded: 0,
-            severity_sum: 0.0,
-            severity_max: 0.0,
         }
     }
 
-    /// The configured fault model.
-    pub fn model(&self) -> DfaModel {
-        self.model
-    }
-
-    /// Absorbs one (correct, faulty) ciphertext pair with severity
-    /// weight 0.
+    /// Absorbs one (correct, faulty) ciphertext pair.
     pub fn add_pair(&mut self, correct: &[u8; 16], faulty: &[u8; 16]) -> PairOutcome {
-        self.add_pair_weighted(correct, faulty, 0.0)
-    }
-
-    /// Absorbs one pair, crediting `weight` (e.g. the capture's droop
-    /// depth in volts) to the severity track if the pair is accepted.
-    fn add_pair_weighted(
-        &mut self,
-        correct: &[u8; 16],
-        faulty: &[u8; 16],
-        weight: f64,
-    ) -> PairOutcome {
         let diffs: Vec<usize> = (0..16).filter(|&i| correct[i] != faulty[i]).collect();
         if diffs.is_empty() {
             self.pairs_unfaulted += 1;
             return PairOutcome::Unfaulted;
         }
-        if diffs.len() > self.max_diff_bytes {
+        if diffs.len() > MAX_DIFF_BYTES {
             self.pairs_discarded += 1;
             return PairOutcome::Discarded;
         }
         for &jd in &diffs {
-            self.equations[jd] += 1;
             for k in 0..256usize {
                 let d9 = soft::INV_SBOX[(correct[jd] ^ k as u8) as usize]
                     ^ soft::INV_SBOX[(faulty[jd] ^ k as u8) as usize];
@@ -207,8 +165,6 @@ impl DfaAttack {
             }
         }
         self.pairs_accepted += 1;
-        self.severity_sum += weight;
-        self.severity_max = self.severity_max.max(weight);
         PairOutcome::Accepted(diffs.len())
     }
 
@@ -219,20 +175,6 @@ impl DfaAttack {
             self.pairs_unfaulted,
             self.pairs_discarded,
         )
-    }
-
-    /// Difference equations absorbed for ciphertext byte `jd`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `jd >= 16`.
-    pub fn equations(&self, jd: usize) -> u32 {
-        self.equations[jd]
-    }
-
-    /// Sum and max of severity weights over accepted pairs.
-    pub fn severity(&self) -> (f64, f64) {
-        (self.severity_sum, self.severity_max)
     }
 
     /// Vote counts of the best and runner-up candidates for byte `jd`.
@@ -257,7 +199,7 @@ impl DfaAttack {
     /// # Panics
     ///
     /// Panics if `jd >= 16`.
-    pub fn candidates(&self, jd: usize) -> Vec<u8> {
+    fn candidates(&self, jd: usize) -> Vec<u8> {
         assert!(jd < 16);
         let lane = &self.votes[jd * 256..(jd + 1) * 256];
         let best = lane.iter().copied().max().unwrap_or(0);
@@ -309,35 +251,27 @@ impl DfaAttack {
     }
 
     /// Folds another accumulator into this one, as if its pairs had
-    /// been absorbed here. Votes and pair counts are integer sums and
-    /// the severity track is (sum, max), so merging shard partials in
-    /// shard order reproduces the serial run bit for bit — the same
-    /// determinism contract as [`crate::CpaAttack::try_merge`].
+    /// been absorbed here. Votes and pair counts are integer sums, so
+    /// merging shard partials in shard order reproduces the serial run
+    /// bit for bit — the same determinism contract as
+    /// [`crate::CpaAttack::try_merge`].
     ///
     /// # Errors
     ///
-    /// [`CpaError::IncompatibleMerge`] when the fault models or
-    /// avalanche filters differ; this accumulator is unchanged.
+    /// [`CpaError::IncompatibleMerge`] when the fault models differ;
+    /// this accumulator is unchanged.
     pub fn try_merge(&mut self, other: &DfaAttack) -> Result<(), CpaError> {
-        if self.model != other.model || self.max_diff_bytes != other.max_diff_bytes {
+        if self.model != other.model {
             return Err(CpaError::IncompatibleMerge {
-                detail: format!(
-                    "dfa {:?}/≤{} vs {:?}/≤{}",
-                    self.model, self.max_diff_bytes, other.model, other.max_diff_bytes
-                ),
+                detail: format!("dfa {:?} vs {:?}", self.model, other.model),
             });
         }
         for (a, b) in self.votes.iter_mut().zip(&other.votes) {
             *a += b;
         }
-        for (a, b) in self.equations.iter_mut().zip(&other.equations) {
-            *a += b;
-        }
         self.pairs_accepted += other.pairs_accepted;
         self.pairs_unfaulted += other.pairs_unfaulted;
         self.pairs_discarded += other.pairs_discarded;
-        self.severity_sum += other.severity_sum;
-        self.severity_max = self.severity_max.max(other.severity_max);
         Ok(())
     }
 }
@@ -389,9 +323,6 @@ mod tests {
         assert_eq!(dfa.recovered_round_key(), Some(k10));
         assert_eq!(dfa.recovered_master_key(), Some(KEY));
         assert_eq!(dfa.recovered_bytes(), 16);
-        // Every pair produced exactly one equation.
-        let total: u32 = (0..16).map(|jd| dfa.equations(jd)).sum();
-        assert_eq!(u64::from(total), dfa.pair_counts().0);
     }
 
     #[test]
@@ -482,10 +413,8 @@ mod tests {
         let mut a = DfaAttack::new(DfaModel::SingleByte { max_fault_bits: 2 });
         let b = DfaAttack::new(DfaModel::SingleByte { max_fault_bits: 3 });
         let c = DfaAttack::new(DfaModel::DiagonalRound9 { max_fault_bits: 2 });
-        let d = DfaAttack::with_max_diff_bytes(DfaModel::SingleByte { max_fault_bits: 2 }, 4);
         assert!(a.try_merge(&b).is_err());
         assert!(a.try_merge(&c).is_err());
-        assert!(a.try_merge(&d).is_err());
         let e = DfaAttack::new(DfaModel::SingleByte { max_fault_bits: 2 });
         assert!(a.try_merge(&e).is_ok());
     }
@@ -497,13 +426,13 @@ mod tests {
         let model = DfaModel::SingleByte { max_fault_bits: 2 };
         let mut serial = DfaAttack::new(model);
         for (c, f) in &pairs {
-            serial.add_pair_weighted(c, f, 0.125);
+            serial.add_pair(c, f);
         }
         let mut merged = DfaAttack::new(model);
         for chunk in pairs.chunks(37) {
             let mut shard = DfaAttack::new(model);
             for (c, f) in chunk {
-                shard.add_pair_weighted(c, f, 0.125);
+                shard.add_pair(c, f);
             }
             merged.try_merge(&shard).unwrap();
         }

@@ -34,7 +34,7 @@
 //! length fails as `InvalidData` naming its section and byte offset,
 //! never as a panic or an allocation the bytes cannot back.
 //!
-//! **Accumulator checkpoint** (`"SLMC"`, version [`CHECKPOINT_VERSION`]):
+//! **Accumulator checkpoint** (`"SLMC"`, version 1):
 //!
 //! ```text
 //! offset  size            field
@@ -51,7 +51,7 @@
 //! ```
 //!
 //! **Streaming campaign checkpoint** (`"SLMS"`, version
-//! [`STREAM_CHECKPOINT_VERSION`]): everything a streaming campaign
+//! 2): everything a streaming campaign
 //! needs to resume — exact-once window accounting, nested accumulator
 //! checkpoints, and a pointer into the campaign's progress log:
 //!
@@ -76,7 +76,7 @@
 //! check; there is no migration.
 //!
 //! **Progress log** (`progress.slmp` in the ledger directory, `"SLMP"`,
-//! version [`PROGRESS_LOG_VERSION`]): an append-only journal of the
+//! version 1): an append-only journal of the
 //! progress points, one record per commit:
 //!
 //! ```text
@@ -127,16 +127,16 @@ use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
 /// Current trace-file format version.
-pub const TRACE_FILE_VERSION: u16 = 1;
+const TRACE_FILE_VERSION: u16 = 1;
 
 /// Current checkpoint format version.
-pub const CHECKPOINT_VERSION: u16 = 1;
+const CHECKPOINT_VERSION: u16 = 1;
 
 /// Current streaming-campaign checkpoint format version.
-pub const STREAM_CHECKPOINT_VERSION: u16 = 2;
+const STREAM_CHECKPOINT_VERSION: u16 = 2;
 
 /// Current progress-log format version.
-pub const PROGRESS_LOG_VERSION: u16 = 1;
+const PROGRESS_LOG_VERSION: u16 = 1;
 
 /// File name of the progress log inside a ledger directory.
 pub const PROGRESS_LOG_FILE: &str = "progress.slmp";
@@ -247,11 +247,6 @@ impl<W: Write> TraceWriter<W> {
         self.emit(rec.as_bytes())?;
         self.count += 1;
         Ok(())
-    }
-
-    /// Number of traces written so far.
-    pub fn count(&self) -> u64 {
-        self.count
     }
 
     /// Writes the trailer (count + checksum) and returns the sink.
@@ -804,7 +799,7 @@ impl CheckpointLedger {
     /// # Errors
     ///
     /// Propagates directory listing failures.
-    pub fn generations(&self) -> io::Result<Vec<u64>> {
+    fn generations(&self) -> io::Result<Vec<u64>> {
         let mut gens = Vec::new();
         for entry in std::fs::read_dir(&self.dir)? {
             let path = entry?.path();
@@ -948,7 +943,7 @@ mod tests {
             let pts: Vec<f64> = r.points.iter().map(|&p| f64::from(p)).collect();
             w.write_trace(&r.ciphertext, &pts).unwrap();
         }
-        assert_eq!(w.count(), 100);
+        assert_eq!(w.count, 100);
         let bytes = w.finish().unwrap();
         let back = read_traces(&bytes[..]).unwrap();
         assert_eq!(back, records);

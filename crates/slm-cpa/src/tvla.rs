@@ -33,16 +33,6 @@ impl WelchTTest {
         }
     }
 
-    /// Number of points per trace.
-    pub fn points(&self) -> usize {
-        self.points
-    }
-
-    /// Traces absorbed in class `fixed` (true) / `random` (false).
-    pub fn count(&self, fixed: bool) -> u64 {
-        self.n[usize::from(fixed)]
-    }
-
     /// Absorbs one trace into a class (Welford update).
     ///
     /// # Panics
@@ -128,8 +118,7 @@ mod tests {
         let mut t = WelchTTest::new(1);
         t.add(true, &[1.0]);
         assert_eq!(t.t_values(), vec![0.0]);
-        assert_eq!(t.count(true), 1);
-        assert_eq!(t.count(false), 0);
+        assert_eq!(t.n, [0, 1], "[random, fixed] class counts");
     }
 
     #[test]

@@ -81,11 +81,6 @@ impl AlternationDetector {
         }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &DetectorConfig {
-        &self.config
-    }
-
     /// Feeds one per-tick sensor readout (thermometer depth in taps).
     /// Returns the window score when this readout completes a window.
     pub fn observe(&mut self, depth: u32) -> Option<f64> {
@@ -143,11 +138,6 @@ impl AlternationDetector {
     pub fn alarm_events(&self) -> u64 {
         self.alarm_events
     }
-
-    /// Whether the most recent window raised the alarm.
-    pub fn alarmed(&self) -> bool {
-        self.alarmed
-    }
 }
 
 #[cfg(test)]
@@ -184,7 +174,7 @@ mod tests {
         }
         assert_eq!(d.windows(), 1);
         assert!(d.last_score().abs() < 1e-12, "score = {}", d.last_score());
-        assert!(!d.alarmed());
+        assert!(!d.alarmed);
     }
 
     #[test]
@@ -197,7 +187,7 @@ mod tests {
             score = d.observe(if t % 2 == 0 { 32 } else { 30 }).or(score);
         }
         assert_eq!(score, Some(2.0));
-        assert!(d.alarmed());
+        assert!(d.alarmed);
         assert_eq!(d.alarm_windows(), 1);
         assert_eq!(d.alarm_events(), 1);
     }

@@ -95,11 +95,6 @@ impl DefenseRuntime {
         }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &DefenseConfig {
-        &self.config
-    }
-
     /// Draws the fence current for the upcoming tick, amperes. Consumes
     /// exactly one modulation draw per tick when a PRNG-modulated fence
     /// is deployed (none for constant or absent fences), keeping the
@@ -220,19 +215,9 @@ impl DefenseRuntime {
         }
     }
 
-    /// Whether the adaptive fence is currently armed at full power.
-    pub fn armed(&self) -> bool {
-        self.armed
-    }
-
     /// The defender's TDC (read access for monitoring planes).
     pub fn sensor(&self) -> &TdcSensor {
         &self.sensor
-    }
-
-    /// The detector (read access for monitoring planes).
-    pub fn detector(&self) -> &AlternationDetector {
-        &self.detector
     }
 
     /// Telemetry accumulated so far.
@@ -318,7 +303,7 @@ mod tests {
             assert_eq!(rt.next_injection_a(), 0.0);
             rt.observe_tick(1.0);
         }
-        assert!(!rt.armed());
+        assert!(!rt.armed);
 
         // Rail alternating by ±4 mV (≈ ±2 taps) every tick: the window
         // score jumps past the trigger and the fence arms.
@@ -326,7 +311,7 @@ mod tests {
             rt.next_injection_a();
             rt.observe_tick(if t % 2 == 0 { 1.004 } else { 0.996 });
         }
-        assert!(rt.armed(), "score {}", rt.detector().last_score());
+        assert!(rt.armed, "score {}", rt.detector.last_score());
         // Armed fence now actually injects.
         let armed_draws: Vec<f64> = (0..20).map(|_| rt.next_injection_a()).collect();
         assert!(armed_draws.iter().any(|&a| a > 0.1));
@@ -336,7 +321,7 @@ mod tests {
         for _ in 0..60 {
             rt.observe_tick(1.0);
         }
-        assert!(!rt.armed());
+        assert!(!rt.armed);
         assert!(rt.telemetry().alarm_events >= 1);
     }
 
@@ -433,9 +418,9 @@ mod tests {
                     let volts: Vec<f64> = (0..len)
                         .map(|i| rail_voltage(tick + i as u64, currents[i]))
                         .collect();
-                    let armed_before = segmented.armed();
+                    let armed_before = segmented.armed;
                     segmented.observe_segment(&volts);
-                    arming_flips += usize::from(segmented.armed() != armed_before);
+                    arming_flips += usize::from(segmented.armed != armed_before);
                     for (i, &v) in volts.iter().enumerate() {
                         let amps = ticked.next_injection_a();
                         assert_eq!(amps.to_bits(), currents[i].to_bits());
@@ -444,8 +429,8 @@ mod tests {
                     }
                     tick += len as u64;
                     assert_eq!(segmented.telemetry(), ticked.telemetry());
-                    assert_eq!(segmented.detector(), ticked.detector());
-                    assert_eq!(segmented.armed(), ticked.armed());
+                    assert_eq!(segmented.detector, ticked.detector);
+                    assert_eq!(segmented.armed, ticked.armed);
                     assert_eq!(segmented.fence_rng, ticked.fence_rng);
                 }
                 if matches!(fence.map(|f| f.mode), Some(FenceMode::Adaptive(_))) {

@@ -59,7 +59,7 @@ impl AggressorSpec {
     /// # Panics
     ///
     /// Panics if `period_ticks` is zero or `on_ticks > period_ticks`.
-    pub fn square(peak_current_a: f64, on_ticks: u64, period_ticks: u64) -> Self {
+    fn square(peak_current_a: f64, on_ticks: u64, period_ticks: u64) -> Self {
         assert!(period_ticks > 0, "aggressor period must be positive");
         assert!(on_ticks <= period_ticks, "on-phase exceeds period");
         AggressorSpec {
@@ -248,11 +248,6 @@ impl VictimCone {
     #[cfg(test)]
     fn arrival_ns(&self) -> &[f64] {
         &self.arrival_ns
-    }
-
-    /// The delay-vs-voltage law the cone is derated with.
-    pub fn law(&self) -> &VoltageDelayLaw {
-        &self.law
     }
 
     /// XOR fault mask for one AES column captured while the victim rail
@@ -466,7 +461,7 @@ mod tests {
         // and the non-finite and negative rails, for both cone depths
         // and all four rotations.
         let cone = VictimCone::build(&DelayModel::default(), 9.0, 10.0).unwrap();
-        let law = cone.law();
+        let law = &cone.law;
         let mut anchors = Vec::new();
         for depth in [1.0, ROUND10_CONE_FRACTION] {
             for arrival in cone.arrival_ns() {
@@ -514,7 +509,7 @@ mod tests {
             "{full} vs {threshold}"
         );
         let last_threshold = cone
-            .law()
+            .law
             .voltage_for_scale(10.0 / (cone.arrival_ns()[0] * ROUND10_CONE_FRACTION));
         assert!(last > last_threshold && last - last_threshold < 1e-8);
         assert!(last < full && full < 1.0);
@@ -548,7 +543,7 @@ mod tests {
         let ann = model.annotate_for_period(&nl, 9.0, 1.0).unwrap();
         for v in [0.97, 0.945, 0.93, 0.91] {
             let mut derated = ann.clone();
-            derated.scale(cone.law().scale(v));
+            derated.scale(cone.law.scale(v));
             let violating = derated
                 .sta()
                 .unwrap()

@@ -8,70 +8,39 @@ use serde::{Deserialize, Serialize};
 /// as a trace along with the ciphertext".
 ///
 /// A 7-series 36 Kb BRAM stores 1024 × 36-bit words; the model counts
-/// capacity in 64-bit sample words and either drops new samples or
-/// errors on overflow depending on `strict`.
+/// capacity in 64-bit sample words and refuses a write that would
+/// overflow.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BramCapture {
     depth_words: usize,
-    strict: bool,
     data: Vec<u64>,
-    dropped: usize,
 }
 
 impl BramCapture {
     /// Creates a capture buffer holding `depth_words` 64-bit words.
-    pub fn new(depth_words: usize, strict: bool) -> Self {
+    fn new(depth_words: usize) -> Self {
         BramCapture {
             depth_words,
-            strict,
             data: Vec::new(),
-            dropped: 0,
         }
     }
 
     /// Capacity of one Zynq-7020 36 Kb block RAM in 64-bit words.
     pub fn single_bram36() -> Self {
-        Self::new(36 * 1024 / 64, false)
-    }
-
-    /// Words currently stored.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Whether the buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// Words that did not fit (non-strict mode).
-    pub fn dropped(&self) -> usize {
-        self.dropped
-    }
-
-    /// Remaining capacity in words.
-    pub fn free(&self) -> usize {
-        self.depth_words - self.data.len()
+        Self::new(36 * 1024 / 64)
     }
 
     /// Appends sample words.
     ///
     /// # Errors
     ///
-    /// In strict mode, [`FabricError::CaptureOverflow`] when the buffer
-    /// would overflow (nothing is written). In non-strict mode the
-    /// overflowing words are counted in [`BramCapture::dropped`].
+    /// [`FabricError::CaptureOverflow`] when the buffer would overflow
+    /// (nothing is written).
     pub fn push(&mut self, words: &[u64]) -> Result<(), FabricError> {
         if self.data.len() + words.len() > self.depth_words {
-            if self.strict {
-                return Err(FabricError::CaptureOverflow {
-                    depth: self.depth_words,
-                });
-            }
-            let fit = self.depth_words - self.data.len();
-            self.data.extend_from_slice(&words[..fit]);
-            self.dropped += words.len() - fit;
-            return Ok(());
+            return Err(FabricError::CaptureOverflow {
+                depth: self.depth_words,
+            });
         }
         self.data.extend_from_slice(words);
         Ok(())
@@ -79,7 +48,6 @@ impl BramCapture {
 
     /// Drains the buffer, returning all stored words (the UART readout).
     pub fn drain(&mut self) -> Vec<u64> {
-        self.dropped = 0;
         std::mem::take(&mut self.data)
     }
 }
@@ -90,37 +58,26 @@ mod tests {
 
     #[test]
     fn push_and_drain() {
-        let mut b = BramCapture::new(4, true);
+        let mut b = BramCapture::new(4);
         b.push(&[1, 2]).unwrap();
         b.push(&[3]).unwrap();
-        assert_eq!(b.len(), 3);
-        assert_eq!(b.free(), 1);
         assert_eq!(b.drain(), vec![1, 2, 3]);
-        assert!(b.is_empty());
+        assert!(b.drain().is_empty());
     }
 
     #[test]
     fn strict_overflow_errors_atomically() {
-        let mut b = BramCapture::new(2, true);
+        let mut b = BramCapture::new(2);
         b.push(&[1]).unwrap();
         let err = b.push(&[2, 3]).unwrap_err();
         assert!(matches!(err, FabricError::CaptureOverflow { depth: 2 }));
-        assert_eq!(b.len(), 1, "failed push must not partially write");
-    }
-
-    #[test]
-    fn lossy_overflow_counts_drops() {
-        let mut b = BramCapture::new(2, false);
-        b.push(&[1, 2, 3, 4]).unwrap();
-        assert_eq!(b.len(), 2);
-        assert_eq!(b.dropped(), 2);
-        assert_eq!(b.drain(), vec![1, 2]);
-        assert_eq!(b.dropped(), 0);
+        assert_eq!(b.drain(), vec![1], "failed push must not partially write");
     }
 
     #[test]
     fn bram36_capacity() {
-        let b = BramCapture::single_bram36();
-        assert_eq!(b.free(), 576);
+        let mut b = BramCapture::single_bram36();
+        b.push(&[0; 576]).unwrap();
+        assert!(b.push(&[0]).is_err());
     }
 }

@@ -1,4 +1,7 @@
-//! MMCM clock synthesis model.
+//! MMCM clock synthesis model: the paper's Section IV setup claim that
+//! the board's 125 MHz reference yields every clock the experiments use.
+//! No campaign synthesizes its clock, so the model is compiled for its
+//! tests only.
 
 use crate::error::FabricError;
 use serde::{Deserialize, Serialize};
@@ -6,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// A synthesized clock: the requested and actually-achievable frequency
 /// plus the divider settings that realize it.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ClockSpec {
+struct ClockSpec {
     /// Requested frequency, MHz.
     pub requested_mhz: f64,
     /// Achieved frequency, MHz.
@@ -21,7 +24,7 @@ pub struct ClockSpec {
 
 impl ClockSpec {
     /// Period of the achieved clock in femtoseconds.
-    pub fn period_fs(&self) -> u64 {
+    fn period_fs(&self) -> u64 {
         (1e9 / self.actual_mhz).round() as u64
     }
 }
@@ -37,7 +40,7 @@ impl ClockSpec {
 /// logic synthesized at 50 MHz — without anything structural changing in
 /// its netlist.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Mmcm {
+struct Mmcm {
     /// Reference input frequency, MHz.
     pub f_ref_mhz: f64,
     /// Minimum VCO frequency, MHz.
@@ -63,7 +66,7 @@ impl Mmcm {
     ///
     /// [`FabricError::UnachievableClock`] when no divider combination
     /// lands within 0.5 % of the request.
-    pub fn synthesize(&self, freq_mhz: f64) -> Result<ClockSpec, FabricError> {
+    fn synthesize(&self, freq_mhz: f64) -> Result<ClockSpec, FabricError> {
         let mut best: Option<ClockSpec> = None;
         for d in 1..=8u32 {
             for m in 2..=64u32 {

@@ -71,7 +71,7 @@ pub struct Floorplan {
 
 impl Floorplan {
     /// An empty grid.
-    pub fn new(width: usize, height: usize) -> Self {
+    fn new(width: usize, height: usize) -> Self {
         Floorplan {
             width,
             height,
@@ -85,13 +85,8 @@ impl Floorplan {
         Self::new(50, 50)
     }
 
-    /// Grid width.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
     /// The cell at `(x, y)`.
-    pub fn cell(&self, x: usize, y: usize) -> CellKind {
+    fn cell(&self, x: usize, y: usize) -> CellKind {
         self.cells[y * self.width + x]
     }
 
@@ -250,28 +245,6 @@ impl Floorplan {
         let area = (max_x - min_x + 1) * (max_y - min_y + 1);
         count as f64 / area as f64
     }
-
-    /// Mean pairwise spread (RMS distance from centroid) of cells of a
-    /// kind — quantifies "scattered vs compact" between the benign
-    /// sensor and the TDC.
-    pub fn spread(&self, kind: CellKind) -> f64 {
-        let pts: Vec<(f64, f64)> = (0..self.cells.len())
-            .filter(|&i| self.cells[i] == kind)
-            .map(|i| ((i % self.width) as f64, (i / self.width) as f64))
-            .collect();
-        if pts.is_empty() {
-            return 0.0;
-        }
-        let (cx, cy) = (
-            pts.iter().map(|p| p.0).sum::<f64>() / pts.len() as f64,
-            pts.iter().map(|p| p.1).sum::<f64>() / pts.len() as f64,
-        );
-        (pts.iter()
-            .map(|&(x, y)| (x - cx).powi(2) + (y - cy).powi(2))
-            .sum::<f64>()
-            / pts.len() as f64)
-            .sqrt()
-    }
 }
 
 #[cfg(test)]
@@ -372,9 +345,6 @@ mod tests {
             fp.density(CellKind::Tdc),
             fp.density(CellKind::BenignLogic)
         );
-        // spread still distinguishes direction: the scatter covers a
-        // larger area around its centroid per cell placed
-        assert!(fp.spread(CellKind::BenignLogic) > 0.0);
         assert_eq!(fp.density(CellKind::Aes), 0.0);
     }
 

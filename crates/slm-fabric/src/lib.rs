@@ -3,16 +3,12 @@
 //! This crate glues the substrates together into the paper's
 //! experimental setup (Fig. 2):
 //!
-//! * [`Mmcm`] — clock generation from the board's 125 MHz reference,
-//!   with 7-series-style VCO constraints (the 50/100/150/300 MHz domains
-//!   the experiments use),
 //! * [`BenignCircuit`] — the two victim-tenant circuits the paper
 //!   misuses (the 192-bit ALU and two parallel C6288 multipliers), with
 //!   their reset/measure stimulus pairs,
 //! * [`MultiTenantFabric`] — the electrical co-simulation: AES victim,
 //!   RO array, TDC and benign sensor all sharing one PDN, stepped on a
 //!   300 MHz tick,
-//! * [`BramCapture`] — on-chip trace buffering with bounded depth,
 //! * [`UartLink`] — the framed workstation transport,
 //! * [`RemoteSession`] — the complete workstation↔FPGA round trip
 //!   (plaintext down, ciphertext + BRAM-staged trace back),
@@ -41,6 +37,7 @@
 pub mod aggressor;
 mod bram;
 mod circuit;
+#[cfg(test)]
 mod clock;
 mod error;
 pub mod floorplan;
@@ -50,11 +47,9 @@ mod uart;
 mod wire_faults;
 
 pub use aggressor::{AggressorSpec, FaultTelemetry, VictimCone};
-pub use bram::BramCapture;
 pub use circuit::{BenignCircuit, BuiltCircuit};
-pub use clock::{ClockSpec, Mmcm};
 pub use error::{FabricError, TransportError};
-pub use remote::{CampaignDriver, CampaignStats, QuarantinedTrace, RemoteSession};
+pub use remote::{CampaignDriver, CampaignStats, RemoteSession};
 pub use scenario::{
     ActivityTrace, AesActivity, CaptureRecord, FabricConfig, FabricPrototype, MultiTenantFabric,
     RoSchedule,
@@ -70,4 +65,4 @@ pub use slm_defense::{
     AdaptivePolicy, AlternationDetector, ClockJitterConfig, DefenseConfig, DefenseRuntime,
     DefenseTelemetry, DetectorConfig, FenceMode, FenceSpec, LdoConfig,
 };
-pub use uart::{crc16, DecodeOutcome, LinkStats, UartFrame, UartLink};
+pub use uart::{DecodeOutcome, LinkStats, UartFrame, UartLink};

@@ -169,7 +169,7 @@ impl RemoteSession {
     /// One capture, staged through BRAM and serialized as a response
     /// body: `ct | n_samples u8 | words_per_sample u8 | words LE`.
     /// `None` when the capture overflows the BRAM (the request is
-    /// dropped and the staging buffer left clean for the retry).
+    /// dropped; a refused write leaves the staging buffer empty).
     fn encode_record(&mut self, pt: [u8; 16]) -> Option<Vec<u8>> {
         let rec = self
             .fabric
@@ -184,7 +184,6 @@ impl RemoteSession {
             words.extend_from_slice(&s.bits);
         }
         if self.bram.push(&words).is_err() {
-            let _ = self.bram.drain();
             return None;
         }
         let staged = self.bram.drain();
@@ -280,18 +279,6 @@ impl Default for RetryPolicy {
     }
 }
 
-/// A trace that arrived structurally intact but failed validation, held
-/// out of the analysis set.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QuarantinedTrace {
-    /// Zero-based index of the capture request in the campaign.
-    pub trace_index: u64,
-    /// Which attempt (1-based) produced the bad record.
-    pub attempt: u32,
-    /// Why it was quarantined.
-    pub error: TransportError,
-}
-
 /// Campaign-level accounting.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CampaignStats {
@@ -314,7 +301,8 @@ pub struct CampaignStats {
 /// evaluation rig knows the victim key — this is the standard
 /// ground-truth check during characterization) and the trace geometry
 /// must be self-consistent. A record that fails validation is
-/// quarantined — recorded with its fault, never analyzed — and the
+/// quarantined — counted in [`CampaignStats::quarantined`], never
+/// analyzed — and the
 /// request is retried. Transport faults retry with exponential backoff;
 /// the backoff is charged to the simulated wire clock so campaign cost
 /// stays honest.
@@ -323,7 +311,6 @@ pub struct CampaignDriver {
     session: RemoteSession,
     policy: RetryPolicy,
     key: [u8; 16],
-    quarantine: Vec<QuarantinedTrace>,
     stats: CampaignStats,
     obs: Obs,
 }
@@ -343,7 +330,6 @@ impl CampaignDriver {
             session,
             policy,
             key,
-            quarantine: Vec::new(),
             stats: CampaignStats::default(),
             obs: Obs::null(),
         }
@@ -391,7 +377,6 @@ impl CampaignDriver {
 
     /// The retry/validate/quarantine loop behind [`CampaignDriver::capture`].
     fn capture_inner(&mut self, plaintext: [u8; 16]) -> Result<CaptureRecord, FabricError> {
-        let trace_index = self.stats.requested;
         self.stats.requested += 1;
         self.obs.incr("campaign.requested");
         let mut backoff = self.policy.base_backoff_s;
@@ -421,11 +406,6 @@ impl CampaignDriver {
                         return Ok(rec);
                     }
                     Err(error) => {
-                        self.quarantine.push(QuarantinedTrace {
-                            trace_index,
-                            attempt,
-                            error: error.clone(),
-                        });
                         self.stats.quarantined += 1;
                         self.obs.incr("campaign.quarantined");
                         last = error;
@@ -486,11 +466,6 @@ impl CampaignDriver {
     /// Campaign accounting so far.
     pub fn stats(&self) -> &CampaignStats {
         &self.stats
-    }
-
-    /// Records held out of the analysis set, with their faults.
-    pub fn quarantine(&self) -> &[QuarantinedTrace] {
-        &self.quarantine
     }
 }
 
@@ -619,7 +594,6 @@ mod tests {
         assert_eq!(stats.delivered, 5);
         assert_eq!(stats.retries, 0);
         assert_eq!(stats.quarantined, 0);
-        assert!(driver.quarantine().is_empty());
     }
 
     #[test]

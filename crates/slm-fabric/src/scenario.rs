@@ -284,7 +284,7 @@ impl FabricPrototype {
     /// is what lets `for_shard` reseeds hit. Build errors are not
     /// cached. The cache is process-global and bounded: it resets once
     /// it holds 32 distinct prototypes (campaigns use one or two).
-    pub fn cached(config: &FabricConfig) -> Result<Arc<Self>, FabricError> {
+    fn cached(config: &FabricConfig) -> Result<Arc<Self>, FabricError> {
         static CACHE: OnceLock<Mutex<HashMap<String, Arc<FabricPrototype>>>> = OnceLock::new();
         let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
         let key = format!(
@@ -308,11 +308,6 @@ impl FabricPrototype {
         Ok(Arc::clone(
             map.entry(key).or_insert_with(|| Arc::clone(&proto)),
         ))
-    }
-
-    /// Number of endpoint waveforms.
-    pub fn endpoints(&self) -> usize {
-        self.waves.len()
     }
 }
 
@@ -533,12 +528,6 @@ impl MultiTenantFabric {
     /// alarms), when a defense is deployed.
     pub fn defense_telemetry(&self) -> Option<&DefenseTelemetry> {
         self.defense.as_ref().map(DefenseRuntime::telemetry)
-    }
-
-    /// The live defense runtime, when deployed (read access for
-    /// monitoring planes and tests).
-    pub fn defense(&self) -> Option<&DefenseRuntime> {
-        self.defense.as_ref()
     }
 
     /// Ground-truth fault-injection accounting, when an aggressor is
@@ -987,7 +976,7 @@ mod tests {
                 cached.encrypt_and_capture(pt)
             );
         }
-        assert_eq!(proto.endpoints(), config.benign.endpoints());
+        assert_eq!(proto.waves.len(), config.benign.endpoints());
     }
 
     #[test]
@@ -1516,7 +1505,7 @@ mod tests {
             let pt = fabric.random_plaintext();
             attacker_samples += fabric.encrypt_and_capture(pt).tdc.len() as u64;
         }
-        let defender = fabric.defense().unwrap();
+        let defender = fabric.defense.as_ref().unwrap();
         let ticks = defender.telemetry().ticks;
         assert!(ticks > 30_000, "{ticks} defender ticks");
         let exact = defender.sensor().exact_samples();

@@ -20,7 +20,7 @@ use std::collections::VecDeque;
 
 /// CRC-16/CCITT-FALSE: polynomial 0x1021, initial value 0xFFFF, no
 /// reflection, no final XOR. `crc16(b"123456789") == 0x29B1`.
-pub fn crc16(bytes: &[u8]) -> u16 {
+fn crc16(bytes: &[u8]) -> u16 {
     let mut crc: u16 = 0xffff;
     for &b in bytes {
         crc ^= (b as u16) << 8;
@@ -74,13 +74,13 @@ impl UartFrame {
     /// Frame sync marker.
     pub const SYNC: u8 = 0xa5;
     /// Bytes before the payload: sync + seq + len.
-    pub const HEADER_LEN: usize = 4;
+    const HEADER_LEN: usize = 4;
     /// Bytes after the payload: the CRC-16.
-    pub const TRAILER_LEN: usize = 2;
+    const TRAILER_LEN: usize = 2;
     /// Largest payload the protocol carries. A header declaring more is
     /// corrupt — without this bound a flipped length bit would make the
     /// receiver wait forever for a 64 KiB frame that never comes.
-    pub const MAX_PAYLOAD: usize = 8192;
+    const MAX_PAYLOAD: usize = 8192;
 
     /// Creates a frame.
     pub fn new(seq: u8, payload: Vec<u8>) -> Self {
@@ -228,7 +228,7 @@ impl UartLink {
     /// length frame takes to arrive. If the head of the buffer still
     /// has not become a complete frame after this much wire time with
     /// no new bytes, whatever it is, it is not a frame.
-    pub const DEFAULT_RESYNC_TIMEOUT_BYTES: u64 =
+    const DEFAULT_RESYNC_TIMEOUT_BYTES: u64 =
         (UartFrame::HEADER_LEN + UartFrame::MAX_PAYLOAD + UartFrame::TRAILER_LEN) as u64;
 
     /// Creates a clean link at the given baud rate (10 bits per byte on

@@ -185,11 +185,6 @@ impl WireFaultInjector {
     pub fn stats(&self) -> &WireFaultStats {
         &self.stats
     }
-
-    /// The plan this injector executes.
-    pub fn plan(&self) -> &WireFaultPlan {
-        &self.plan
-    }
 }
 
 #[cfg(test)]

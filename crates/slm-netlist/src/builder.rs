@@ -116,11 +116,6 @@ impl NetlistBuilder {
         self.gate(GateKind::Xor, &[a, b])
     }
 
-    /// Two-input NAND.
-    pub fn nand2(&mut self, a: NetId, b: NetId) -> NetId {
-        self.gate(GateKind::Nand, &[a, b])
-    }
-
     /// Two-input NOR.
     pub fn nor2(&mut self, a: NetId, b: NetId) -> NetId {
         self.gate(GateKind::Nor, &[a, b])

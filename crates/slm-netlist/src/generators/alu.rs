@@ -16,7 +16,7 @@ use serde::{Deserialize, Serialize};
 use super::adder::full_adder;
 
 /// Number of opcode input bits.
-pub const ALU_OPCODE_BITS: usize = 3;
+const ALU_OPCODE_BITS: usize = 3;
 
 /// Operations implemented by the generated ALU, with their opcode values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]

@@ -21,7 +21,7 @@ mod misc;
 mod obfuscated;
 
 pub use adder::{ripple_carry_adder, ripple_carry_adder_with_cin};
-pub use alu::{alu, alu192, AluOp, ALU_OPCODE_BITS};
+pub use alu::{alu, alu192, AluOp};
 pub use arch::{carry_lookahead_adder, carry_select_adder, kogge_stone_adder, wallace_multiplier};
 pub use c6288::{array_multiplier, c6288};
 pub use misc::{c17, equality_comparator, parity_tree, ring_oscillator, tdc_delay_line};

@@ -53,4 +53,4 @@ pub use error::NetlistError;
 pub use gate::{Gate, GateKind, NetId};
 pub use netlist::Netlist;
 pub use stats::{DepthProfile, NetlistStats};
-pub use transform::{check_equivalence, propagate_constants, sweep_dead_logic, PassStats};
+pub use transform::{propagate_constants, PassStats};

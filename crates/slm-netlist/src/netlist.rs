@@ -173,11 +173,6 @@ impl Netlist {
         &self.outputs
     }
 
-    /// Net ids of the primary outputs in declaration order.
-    pub fn output_nets(&self) -> Vec<NetId> {
-        self.outputs.iter().map(|&(_, id)| id).collect()
-    }
-
     /// The name attached to a net, if any.
     pub fn net_name(&self, id: NetId) -> Option<&str> {
         self.names.get(id)

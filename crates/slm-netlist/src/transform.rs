@@ -21,13 +21,6 @@ pub struct PassStats {
     pub gates_after: usize,
 }
 
-impl PassStats {
-    /// Gates removed.
-    pub fn removed(&self) -> usize {
-        self.gates_before - self.gates_after
-    }
-}
-
 /// Propagates constants: gates whose value is fixed by `Const0`/`Const1`
 /// fanins (or by constant-forcing inputs, e.g. `AND(x, 0)`) are replaced
 /// by constants, iterating to a fixed point; the result is then
@@ -117,7 +110,7 @@ pub fn propagate_constants(nl: &Netlist) -> Result<(Netlist, PassStats), Netlist
 /// # Errors
 ///
 /// Fails on cyclic netlists.
-pub fn sweep_dead_logic(nl: &Netlist) -> Result<Netlist, NetlistError> {
+fn sweep_dead_logic(nl: &Netlist) -> Result<Netlist, NetlistError> {
     nl.topological_order()?;
     let mut live = vec![false; nl.len()];
     let mut stack: Vec<NetId> = nl.outputs().iter().map(|&(_, o)| o).collect();
@@ -175,7 +168,8 @@ pub fn sweep_dead_logic(nl: &Netlist) -> Result<Netlist, NetlistError> {
 ///
 /// Returns `Ok(None)` when equivalent, `Ok(Some(pattern))` with a
 /// counterexample input assignment otherwise.
-pub fn check_equivalence(
+#[cfg(test)]
+fn check_equivalence(
     a: &Netlist,
     b: &Netlist,
     rounds: usize,
@@ -227,7 +221,7 @@ mod tests {
         b.output("y", y);
         let nl = b.finish().unwrap();
         let (opt, stats) = propagate_constants(&nl).unwrap();
-        assert!(stats.removed() >= 1, "{stats:?}");
+        assert!(stats.gates_after < stats.gates_before, "{stats:?}");
         // still functionally x
         assert_eq!(opt.eval(&[true]).unwrap(), vec![true]);
         assert_eq!(opt.eval(&[false]).unwrap(), vec![false]);

@@ -41,11 +41,6 @@ pub fn limbs_to_bits(limbs: &[u64], width: usize) -> Vec<bool> {
         .collect()
 }
 
-/// Counts set bits across a boolean slice (Hamming weight).
-pub fn hamming_weight(bits: &[bool]) -> u32 {
-    bits.iter().map(|&b| u32::from(b)).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -73,11 +68,5 @@ mod tests {
         assert_eq!(bits.len(), 66);
         assert!(bits[63]);
         assert!(!bits[64]); // missing limb reads as zero
-    }
-
-    #[test]
-    fn hamming() {
-        assert_eq!(hamming_weight(&to_bits(0xff, 16)), 8);
-        assert_eq!(hamming_weight(&[]), 0);
     }
 }

@@ -230,16 +230,6 @@ impl MetricsFrame {
         }
     }
 
-    /// The merged frame of a set of shard frames, folded in iteration
-    /// order (callers pass shards in index order).
-    pub fn merged<'a>(parts: impl IntoIterator<Item = &'a MetricsFrame>) -> MetricsFrame {
-        let mut total = MetricsFrame::default();
-        for part in parts {
-            total.absorb(part);
-        }
-        total
-    }
-
     /// A copy with every wall-clock-dependent field zeroed: span
     /// durations go to 0 while span *counts* survive. Everything else
     /// in a frame is already a pure function of the campaign plan, so
@@ -295,8 +285,14 @@ mod tests {
             f
         };
         let shards: Vec<MetricsFrame> = (1..=5).map(|i| shard(i as f64)).collect();
-        let a = MetricsFrame::merged(&shards);
-        let b = MetricsFrame::merged(&shards);
+        let merged = || {
+            let mut total = MetricsFrame::default();
+            for part in &shards {
+                total.absorb(part);
+            }
+            total
+        };
+        let (a, b) = (merged(), merged());
         assert_eq!(a, b);
         assert_eq!(a.counter("traces"), 15);
         assert_eq!(a.histograms["backoff"].count, 10);

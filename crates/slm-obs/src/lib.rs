@@ -6,7 +6,7 @@
 //! # Model
 //!
 //! Instrumented code holds an [`Obs`] handle (a cheap `Arc` clone; the
-//! default is the [`NullRecorder`], one virtual call per event and
+//! default is the null recorder, one virtual call per event and
 //! nothing kept). Enabling metrics means passing [`Obs::memory`] (wall
 //! clock) or [`Obs::manual`] (logical clock, reproducible span
 //! durations) instead; nothing else in the pipeline changes.
@@ -50,5 +50,5 @@ mod recorder;
 mod report;
 
 pub use frame::{GaugeAgg, HistAgg, MetricsFrame, SpanAgg};
-pub use recorder::{MemoryRecorder, NullRecorder, Obs, Recorder, SpanGuard};
+pub use recorder::{Obs, Recorder, SpanGuard};
 pub use report::MetricsReport;

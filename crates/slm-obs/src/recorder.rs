@@ -17,7 +17,7 @@ const SINK_SHARDS: usize = 8;
 /// handle can be shared across worker threads (the parallel campaign
 /// and scan paths) or cloned into retry loops. The default implementation of
 /// every recording method is a no-op, which is what makes
-/// [`NullRecorder`] trivial and instrumentation zero-cost when
+/// the null recorder trivial and instrumentation zero-cost when
 /// disabled: the only price on the null path is one virtual call.
 pub trait Recorder: std::fmt::Debug + Send + Sync {
     /// Whether this recorder keeps anything. Instrumented code may
@@ -63,7 +63,7 @@ pub trait Recorder: std::fmt::Debug + Send + Sync {
 
 /// The disabled recorder: keeps nothing, costs one virtual call.
 #[derive(Debug, Default)]
-pub struct NullRecorder;
+struct NullRecorder;
 
 impl Recorder for NullRecorder {
     fn fork(&self) -> Arc<dyn Recorder> {
@@ -116,7 +116,7 @@ impl ClockSource {
 /// folded last, keeping the snapshot a deterministic function of what
 /// was recorded and the fold order.
 #[derive(Debug)]
-pub struct MemoryRecorder {
+struct MemoryRecorder {
     stripes: Vec<Mutex<MetricsFrame>>,
     absorbed: Mutex<MetricsFrame>,
     clock: ClockSource,
@@ -124,12 +124,12 @@ pub struct MemoryRecorder {
 
 impl MemoryRecorder {
     /// An enabled recorder on the wall clock.
-    pub fn wall() -> Self {
+    fn wall() -> Self {
         Self::with_clock(ClockSource::Wall(Instant::now()))
     }
 
     /// An enabled recorder on the deterministic logical clock.
-    pub fn manual() -> Self {
+    fn manual() -> Self {
         Self::with_clock(ClockSource::Manual(AtomicU64::new(0)))
     }
 

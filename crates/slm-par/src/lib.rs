@@ -191,18 +191,6 @@ impl ShardPlan {
         }
     }
 
-    /// A plan that splits `total` units into at most `parts` shards of
-    /// near-equal size: the shard size rounds *up*
-    /// (`total.div_ceil(parts)`), so the split is exact — shards
-    /// partition `total`, no shard is empty, and the plan never grows
-    /// an extra degenerately small trailing shard the way a
-    /// floor-divided size does (e.g. 1000 into 16 parts: floor gives
-    /// 17 shards with an 8-trace tail; this gives 16 shards of 63/55).
-    /// With `total < parts` the plan degenerates to one-unit shards.
-    pub fn balanced(total: u64, parts: u64) -> Self {
-        ShardPlan::new(total, total.div_ceil(parts.max(1)))
-    }
-
     /// Number of shards in the plan.
     pub fn shard_count(&self) -> usize {
         usize::try_from(self.total.div_ceil(self.shard_size)).expect("shard count fits usize")
@@ -232,7 +220,8 @@ mod tests {
     fn balanced_split_is_exact_over_edge_counts() {
         for total in [0u64, 1, 2, 15, 16, 17, 31, 100, 999, 1000, 1001] {
             for parts in [1u64, 2, 3, 15, 16, 17, 64] {
-                let plan = ShardPlan::balanced(total, parts);
+                // at most `parts` shards of near-equal size
+                let plan = ShardPlan::new(total, total.div_ceil(parts));
                 let shards = plan.shards();
                 assert_eq!(
                     shards.iter().map(|s| s.traces).sum::<u64>(),
@@ -264,9 +253,9 @@ mod tests {
             }
         }
         assert_eq!(
-            ShardPlan::balanced(10, 0).shards().len(),
-            1,
-            "parts=0 clamps"
+            ShardPlan::new(10, 0).shards().len(),
+            10,
+            "shard size 0 clamps to 1"
         );
     }
 

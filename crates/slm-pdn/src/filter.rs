@@ -51,11 +51,6 @@ impl SecondOrderFilter {
         }
         self.y
     }
-
-    /// Current output without advancing time.
-    pub fn output(&self) -> f64 {
-        self.y
-    }
 }
 
 #[cfg(test)]

@@ -236,7 +236,7 @@ impl MultiRegionPdn {
     }
 
     /// Number of regions.
-    pub fn regions(&self) -> usize {
+    fn regions(&self) -> usize {
         self.filters.len()
     }
 

@@ -202,11 +202,6 @@ impl BenignSensor {
         self.waves.is_empty()
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &BenignSensorConfig {
-        &self.config
-    }
-
     /// Captures all endpoints at the measure edge under supply voltage
     /// `v`.
     pub fn sample(&mut self, v: f64) -> SensorSample {

@@ -8,10 +8,10 @@
 //!   baseline the benign sensors are compared against.
 //! * [`RdsSensor`] — the routing-delay sensor of the paper's related
 //!   work \[15\]: interconnect-based, with no netlist footprint at all,
-//! * [`RoArray`] / [`RoSensor`] — ring oscillators, used by the paper in
-//!   two roles: an 8000-RO array as a *controlled voltage-fluctuation
-//!   generator* (a power virus), and — for completeness — the classic
-//!   RO-counter sensor of Fig. 1 (left).
+//! * [`RoArray`] — ring oscillators, used by the paper as an 8000-RO
+//!   *controlled voltage-fluctuation generator* (a power virus); the
+//!   classic RO-counter sensor of Fig. 1 (left) is modelled only in the
+//!   module's tests.
 //! * [`BenignSensor`] — the paper's contribution: any overclocked benign
 //!   circuit, alternating a reset/measure stimulus pair; each primary
 //!   output is a path endpoint whose captured value depends on whether
@@ -50,5 +50,5 @@ mod tdc;
 
 pub use benign::{BenignSensor, BenignSensorConfig, SensorSample};
 pub use rds::RdsSensor;
-pub use ro::{RoArray, RoSensor};
+pub use ro::RoArray;
 pub use tdc::{TdcConfig, TdcSensor};

@@ -26,8 +26,8 @@ use slm_timing::VoltageDelayLaw;
 /// # Example
 ///
 /// ```
-/// use slm_sensors::RdsSensor;
-/// let mut rds = RdsSensor::paper_150mhz(1);
+/// use slm_sensors::{RdsSensor, TdcSensor};
+/// let mut rds = TdcSensor::new(*RdsSensor::paper_150mhz(1).config());
 /// let idle = rds.sample(1.0);
 /// let droop = rds.sample(0.98);
 /// assert!(droop < idle);
@@ -63,16 +63,6 @@ impl RdsSensor {
     pub fn config(&self) -> &TdcConfig {
         self.inner.config()
     }
-
-    /// Samples the thermometer depth at supply voltage `v`.
-    pub fn sample(&mut self, v: f64) -> u32 {
-        self.inner.sample(v)
-    }
-
-    /// Noise-free expected depth at `v`.
-    pub fn expected_depth(&self, v: f64) -> f64 {
-        self.inner.expected_depth(v)
-    }
 }
 
 #[cfg(test)]
@@ -83,9 +73,9 @@ mod tests {
     #[test]
     fn rds_tracks_voltage() {
         let mut rds = RdsSensor::paper_150mhz(1);
-        let idle = rds.expected_depth(1.0);
+        let idle = rds.inner.expected_depth(1.0);
         assert!((28.0..=34.0).contains(&idle), "idle depth = {idle}");
-        assert!(rds.sample(0.97) < rds.sample(1.02));
+        assert!(rds.inner.sample(0.97) < rds.inner.sample(1.02));
     }
 
     #[test]
@@ -100,7 +90,7 @@ mod tests {
             let (v, dv) = (0.995, 1e-4);
             (depth(v + dv) - depth(v - dv)).abs() / (2.0 * dv)
         }
-        let g_rds = gain(|v| rds.expected_depth(v));
+        let g_rds = gain(|v| rds.inner.expected_depth(v));
         let g_tdc = gain(|v| tdc.expected_depth(v));
         assert!(
             g_rds > 1.5 * g_tdc,

@@ -1,9 +1,7 @@
-//! Ring-oscillator models: the RO array power virus and the classic
-//! RO-counter sensor.
+//! Ring-oscillator models: the RO array power virus, and (in the tests
+//! only, since no experiment reads one) the classic RO-counter sensor.
 
 use serde::{Deserialize, Serialize};
-use slm_pdn::noise::Rng64;
-use slm_timing::VoltageDelayLaw;
 
 /// An array of enableable ring oscillators used as a controlled
 /// current load — the paper's "8000 ROs" fluctuation generator.
@@ -66,50 +64,52 @@ impl RoArray {
     }
 }
 
-/// The classic RO-counter sensor (Fig. 1 left): count oscillations in a
-/// fixed window; the count tracks voltage because RO frequency falls
-/// with gate delay.
-///
-/// Included for completeness of the sensor taxonomy; the paper uses ROs
-/// only as a load generator, and `slm-checker` flags this structure as
-/// malicious (it needs a combinational loop).
-#[derive(Debug, Clone)]
-pub struct RoSensor {
-    /// Oscillation frequency at nominal voltage, Hz.
-    pub f0_hz: f64,
-    /// Voltage→delay law.
-    pub law: VoltageDelayLaw,
-    rng: Rng64,
-    phase: f64,
-}
-
-impl RoSensor {
-    /// Creates a sensor with the given nominal frequency.
-    pub fn new(f0_hz: f64, law: VoltageDelayLaw, seed: u64) -> Self {
-        RoSensor {
-            f0_hz,
-            law,
-            rng: Rng64::new(seed),
-            phase: 0.0,
-        }
-    }
-
-    /// Counts oscillations over a window of `window_s` seconds at
-    /// voltage `v`, carrying fractional phase across windows.
-    pub fn count(&mut self, v: f64, window_s: f64) -> u32 {
-        let f = self.f0_hz / self.law.scale(v);
-        // ±0.2 % cycle-to-cycle jitter
-        let jitter = 1.0 + self.rng.normal_scaled(0.002);
-        self.phase += f * window_s * jitter;
-        let whole = self.phase.floor();
-        self.phase -= whole;
-        whole as u32
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use slm_pdn::noise::Rng64;
+    use slm_timing::VoltageDelayLaw;
+
+    /// The classic RO-counter sensor (Fig. 1 left): count oscillations in a
+    /// fixed window; the count tracks voltage because RO frequency falls
+    /// with gate delay.
+    ///
+    /// Included for completeness of the sensor taxonomy; the paper uses ROs
+    /// only as a load generator, and `slm-checker` flags this structure as
+    /// malicious (it needs a combinational loop).
+    #[derive(Debug, Clone)]
+    struct RoSensor {
+        /// Oscillation frequency at nominal voltage, Hz.
+        f0_hz: f64,
+        /// Voltage→delay law.
+        law: VoltageDelayLaw,
+        rng: Rng64,
+        phase: f64,
+    }
+
+    impl RoSensor {
+        /// Creates a sensor with the given nominal frequency.
+        fn new(f0_hz: f64, law: VoltageDelayLaw, seed: u64) -> Self {
+            RoSensor {
+                f0_hz,
+                law,
+                rng: Rng64::new(seed),
+                phase: 0.0,
+            }
+        }
+
+        /// Counts oscillations over a window of `window_s` seconds at
+        /// voltage `v`, carrying fractional phase across windows.
+        fn count(&mut self, v: f64, window_s: f64) -> u32 {
+            let f = self.f0_hz / self.law.scale(v);
+            // ±0.2 % cycle-to-cycle jitter
+            let jitter = 1.0 + self.rng.normal_scaled(0.002);
+            self.phase += f * window_s * jitter;
+            let whole = self.phase.floor();
+            self.phase -= whole;
+            whole as u32
+        }
+    }
 
     #[test]
     fn array_enable_clamps() {

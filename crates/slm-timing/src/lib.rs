@@ -54,7 +54,7 @@ pub use waveform::{simulate_transition, TransitionWaves, Waveform};
 
 /// Femtoseconds per picosecond; event simulation uses integer
 /// femtoseconds internally for exact, platform-independent ordering.
-pub const FS_PER_PS: u64 = 1_000;
+const FS_PER_PS: u64 = 1_000;
 
 /// Converts picoseconds to the internal femtosecond tick count.
 pub fn ps_to_fs(ps: f64) -> u64 {

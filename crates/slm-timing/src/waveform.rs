@@ -71,11 +71,6 @@ pub struct TransitionWaves {
 }
 
 impl TransitionWaves {
-    /// Waveform of an arbitrary net.
-    pub fn wave(&self, net: slm_netlist::NetId) -> &Waveform {
-        &self.waves[net.index()]
-    }
-
     /// Waveforms of the primary outputs, in declaration order.
     pub fn output_waves(&self) -> Vec<&Waveform> {
         self.output_nets

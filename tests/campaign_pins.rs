@@ -213,7 +213,7 @@ fn aggressor_fault_campaign_is_pinned() {
     };
     let out = run_fault_campaign(&exp, &Obs::null()).expect("fabric builds");
     assert!(out.faulted > 0, "the calibrated aggressor faults");
-    assert_pinned("aggressor fault campaign", &out, 0xabde_857d_eca7_72f1);
+    assert_pinned("aggressor fault campaign", &out, 0x0753_2a39_3338_dc3d);
 }
 
 #[test]

@@ -3,7 +3,7 @@
 
 use serde::{Deserialize, Serialize};
 use slm_aes::soft;
-use slm_cpa::{common_mode_polarity, MultiByteCpa, PostProcessor, WelchTTest};
+use slm_cpa::{common_mode_polarity, CpaAttack, MultiByteCpa, PostProcessor, WelchTTest};
 use slm_fabric::{BenignCircuit, FabricConfig, FabricError, MultiTenantFabric};
 
 use super::cpa::{capture_pilot, reads_benign, SensorSource};
@@ -93,17 +93,27 @@ pub fn full_key_recovery(
         multi.add_trace(&rec.ciphertext, &point_buf);
     }
 
-    // The final 16 × 256-candidate evaluation fans out over the worker
-    // pool; the key is bit-identical at any worker count.
-    let recovered_round_key = multi.recovered_round_key(0);
+    // One 16 × 256-candidate evaluation, fanned out over the worker
+    // pool and bit-identical at any worker count, gives the key, the
+    // correct-byte count and the ranks.
+    let peaks = multi.peak_correlations(0);
+    let recovered_round_key = MultiByteCpa::round_key_of(&peaks);
     let recovered_master_key = soft::invert_key_schedule(&recovered_round_key);
     Ok(FullKeyResult {
         true_round_key,
         recovered_round_key,
         recovered_master_key,
         master_key_correct: recovered_master_key == config.aes_key,
-        correct_bytes: multi.correct_bytes(&true_round_key),
-        ranks: multi.ranks(&true_round_key).to_vec(),
+        correct_bytes: recovered_round_key
+            .iter()
+            .zip(&true_round_key)
+            .filter(|(a, b)| a == b)
+            .count(),
+        ranks: peaks
+            .iter()
+            .zip(&true_round_key)
+            .map(|(peak, &k)| CpaAttack::rank_in(peak, k))
+            .collect(),
         traces,
     })
 }

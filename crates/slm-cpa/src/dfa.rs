@@ -228,7 +228,7 @@ impl DfaAttack {
     }
 
     /// The full last-round key, if all 16 bytes are unambiguous.
-    pub fn recovered_round_key(&self) -> Option<[u8; 16]> {
+    fn recovered_round_key(&self) -> Option<[u8; 16]> {
         let mut k10 = [0u8; 16];
         for (jd, slot) in k10.iter_mut().enumerate() {
             *slot = self.recovered_byte(jd)?;

@@ -39,36 +39,21 @@ impl MultiByteCpa {
         }
     }
 
-    /// The recovered last round key: each byte's leading candidate.
-    /// The 16 × 256-candidate correlation evaluation is spread across
-    /// `workers` threads (0 = machine parallelism); each byte is
-    /// evaluated exactly as one thread would, so the key is
-    /// bit-identical at any worker count.
-    pub fn recovered_round_key(&self, workers: usize) -> [u8; 16] {
-        let peaks = slm_par::par_map(workers, &self.attacks, CpaAttack::peak_correlations);
-        let mut k10 = [0u8; 16];
-        for (k, peak) in k10.iter_mut().zip(&peaks) {
-            *k = CpaAttack::best_of(peak).0;
-        }
-        k10
+    /// Every byte's peak |r| over its 256 candidates, in byte order:
+    /// the one evaluation of all sixteen attacks. The 16 × 256-candidate
+    /// evaluation is spread across `workers` threads (0 = machine
+    /// parallelism); each byte is evaluated exactly as one thread
+    /// would, so the surfaces are bit-identical at any worker count.
+    /// Derive the key with [`MultiByteCpa::round_key_of`] and a true
+    /// byte's rank with [`CpaAttack::rank_in`].
+    pub fn peak_correlations(&self, workers: usize) -> Vec<[f64; 256]> {
+        slm_par::par_map(workers, &self.attacks, CpaAttack::peak_correlations)
     }
 
-    /// How many bytes of the true last round key currently lead.
-    pub fn correct_bytes(&self, true_k10: &[u8; 16]) -> usize {
-        self.recovered_round_key(1)
-            .iter()
-            .zip(true_k10)
-            .filter(|(a, b)| a == b)
-            .count()
-    }
-
-    /// Per-byte rank of the true key byte (0 = leading).
-    pub fn ranks(&self, true_k10: &[u8; 16]) -> [usize; 16] {
-        let mut out = [0usize; 16];
-        for (b, attack) in self.attacks.iter().enumerate() {
-            out[b] = attack.rank_of(true_k10[b]);
-        }
-        out
+    /// The last round key an evaluation recovers: each byte's leading
+    /// candidate ([`CpaAttack::best_of`]).
+    pub fn round_key_of(peaks: &[[f64; 256]]) -> [u8; 16] {
+        std::array::from_fn(|b| CpaAttack::best_of(&peaks[b]).0)
     }
 }
 
@@ -98,20 +83,21 @@ mod tests {
             }
             multi.add_trace(&ct, &[leak + rng.normal_scaled(2.0)]);
         }
-        assert_eq!(multi.recovered_round_key(1), k10);
+        let peaks = multi.peak_correlations(1);
+        assert_eq!(MultiByteCpa::round_key_of(&peaks), k10);
         assert_eq!(soft::invert_key_schedule(&k10), key);
-        assert_eq!(multi.correct_bytes(&k10), 16);
-        assert_eq!(multi.ranks(&k10), [0; 16]);
+        for (peak, &k) in peaks.iter().zip(&k10) {
+            assert_eq!(CpaAttack::rank_in(peak, k), 0);
+        }
     }
 
     #[test]
     fn partial_recovery_counts() {
-        let k10 = [7u8; 16];
         let multi = MultiByteCpa::new(0, 1);
-        // untrained attacks lead with candidate 0 everywhere
-        let correct = multi.correct_bytes(&k10);
-        assert_eq!(correct, 0);
-        let all_zero = multi.correct_bytes(&[0u8; 16]);
-        assert_eq!(all_zero, 16);
+        // Untrained attacks tie every candidate, so each byte leads
+        // with candidate 0 and every candidate ranks first.
+        let peaks = multi.peak_correlations(1);
+        assert_eq!(MultiByteCpa::round_key_of(&peaks), [0u8; 16]);
+        assert!(peaks.iter().all(|p| CpaAttack::rank_in(p, 7) == 0));
     }
 }

@@ -131,11 +131,11 @@ proptest! {
                 s.add_trace(&ct, &[x]);
             }
         }
-        let recovered = multi.recovered_round_key(1);
-        let ranks = multi.ranks(&k10);
+        let peaks = multi.peak_correlations(1);
+        let recovered = MultiByteCpa::round_key_of(&peaks);
         for (b, s) in single.iter().enumerate() {
             prop_assert_eq!(recovered[b], s.best_candidate().0);
-            prop_assert_eq!(ranks[b], s.rank_of(k10[b]));
+            prop_assert_eq!(CpaAttack::rank_in(&peaks[b], k10[b]), s.rank_of(k10[b]));
         }
     }
 
@@ -283,8 +283,8 @@ proptest! {
         prop_assert_eq!(batched.traces(), total as u64);
     }
 
-    /// The sixteen-byte key evaluation is bit-identical at every
-    /// worker count.
+    /// The sixteen-byte evaluation is bit-identical at every worker
+    /// count.
     #[test]
     fn multibyte_key_is_worker_count_invariant(seed in any::<u64>(), traces in 1usize..400) {
         let mut rng = Rng64::new(seed);
@@ -294,9 +294,12 @@ proptest! {
             rng.fill_bytes(&mut ct);
             multi.add_trace(&ct, &[rng.normal()]);
         }
-        let serial = multi.recovered_round_key(1);
+        let bits = |peaks: Vec<[f64; 256]>| -> Vec<u64> {
+            peaks.iter().flatten().map(|p| p.to_bits()).collect()
+        };
+        let serial = bits(multi.peak_correlations(1));
         for workers in 2..=8 {
-            prop_assert_eq!(multi.recovered_round_key(workers), serial, "{} workers", workers);
+            prop_assert_eq!(bits(multi.peak_correlations(workers)), serial.clone(), "{} workers", workers);
         }
     }
 }

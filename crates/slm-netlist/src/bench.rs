@@ -18,24 +18,31 @@
 use crate::error::NetlistError;
 use crate::gate::{GateKind, NetId};
 use crate::layout::{Gates, Names};
-use crate::netlist::Netlist;
+use crate::netlist::{check_parts, Netlist};
 use std::fmt::Write as _;
 use std::ops::Range;
 
+/// Gate keywords, matched ignoring ASCII case.
+const KEYWORDS: [(&str, GateKind); 12] = [
+    ("AND", GateKind::And),
+    ("NAND", GateKind::Nand),
+    ("OR", GateKind::Or),
+    ("NOR", GateKind::Nor),
+    ("XOR", GateKind::Xor),
+    ("XNOR", GateKind::Xnor),
+    ("NOT", GateKind::Not),
+    ("INV", GateKind::Not),
+    ("BUFF", GateKind::Buf),
+    ("BUF", GateKind::Buf),
+    ("CONST0", GateKind::Const0),
+    ("CONST1", GateKind::Const1),
+];
+
 fn kind_from_keyword(kw: &str) -> Option<GateKind> {
-    match kw.to_ascii_uppercase().as_str() {
-        "AND" => Some(GateKind::And),
-        "NAND" => Some(GateKind::Nand),
-        "OR" => Some(GateKind::Or),
-        "NOR" => Some(GateKind::Nor),
-        "XOR" => Some(GateKind::Xor),
-        "XNOR" => Some(GateKind::Xnor),
-        "NOT" | "INV" => Some(GateKind::Not),
-        "BUFF" | "BUF" => Some(GateKind::Buf),
-        "CONST0" => Some(GateKind::Const0),
-        "CONST1" => Some(GateKind::Const1),
-        _ => None,
-    }
+    KEYWORDS
+        .iter()
+        .find(|(k, _)| k.eq_ignore_ascii_case(kw))
+        .map(|&(_, kind)| kind)
 }
 
 /// Parses `.bench` source text into a [`Netlist`].
@@ -145,13 +152,13 @@ pub fn parse(src: &str, name: &str) -> Result<Netlist, NetlistError> {
         );
         names.push(id, def.lhs);
     }
-    names.seal(gates.len())?;
+    let index = names.seal(gates.len())?;
     // Resolve fanins now that every name is known.
     let base = inputs.len();
     for (i, def) in defs.iter().enumerate() {
         let fanin = gates.fanin_mut(base + i);
         for (slot, fname) in fanin.iter_mut().zip(&fanin_names[def.fanins.clone()]) {
-            *slot = names.find(fname).ok_or_else(|| NetlistError::BenchSyntax {
+            *slot = index.find(fname).ok_or_else(|| NetlistError::BenchSyntax {
                 line: def.line,
                 message: format!("undefined signal `{fname}`"),
             })?;
@@ -159,13 +166,20 @@ pub fn parse(src: &str, name: &str) -> Result<Netlist, NetlistError> {
     }
     let mut output_pairs = Vec::with_capacity(outputs.len());
     for sig in outputs {
-        let id = names
+        let id = index
             .find(sig)
             .ok_or_else(|| NetlistError::UndrivenOutput(sig.to_string()))?;
         output_pairs.push((sig.to_string(), id));
     }
+    check_parts(&gates, &output_pairs)?;
     let input_ids = (0..inputs.len() as u32).map(NetId).collect();
-    Netlist::assemble(name.to_string(), gates, input_ids, output_pairs, names)
+    Ok(Netlist::from_sealed(
+        name.to_string(),
+        gates,
+        input_ids,
+        output_pairs,
+        names,
+    ))
 }
 
 /// Whether `text` starts with `prefix`, ignoring ASCII case.

@@ -3,7 +3,7 @@
 //! A netlist holds a fixed number of heap blocks whatever its size:
 //! [`Gates`] keeps one kind byte and one fanin offset per net plus one
 //! shared fanin array, and [`Names`] keeps the names of named nets in
-//! one string with a per-net slot and two per-name index arrays. The
+//! one string with a per-net slot and one per-name end offset. The
 //! builder, the `.bench` parser and the transformations write these
 //! arrays directly, and a [`crate::Netlist`] takes them over as they
 //! are.
@@ -11,6 +11,7 @@
 use crate::error::NetlistError;
 use crate::gate::{Gate, GateKind, NetId};
 use crate::hash::Xxh64;
+use std::hash::{BuildHasher, RandomState};
 use std::ops::Range;
 
 /// Every gate's kind and fanins: gate `i` has kind `kinds[i]` and reads
@@ -111,23 +112,23 @@ impl Gates {
     }
 }
 
-/// Marks an unnamed net in [`Names::slot`].
+/// Marks an unnamed net in [`Names::slot`] and an empty bucket in a
+/// [`NameIndex`].
 const UNNAMED: u32 = u32::MAX;
 
-/// The names of a netlist's named nets, one copy each, looked up both
-/// ways.
+/// The names of a netlist's named nets, one copy each.
 ///
 /// The `k`-th named net, in net order, is called
 /// `text[ends[k - 1]..ends[k]]`, and `slot` maps every net to its `k`
-/// (or [`UNNAMED`]), so a lookup by net is two loads. `by_name` lists
-/// the named nets sorted by name (ties by net), so a lookup by name is
-/// a binary search and duplicates sit side by side.
+/// (or [`UNNAMED`]), so a lookup by net is two loads. A lookup by name
+/// is a scan: the one caller that resolves many names, the `.bench`
+/// parser, uses the [`NameIndex`] that [`Names::seal`] builds, and the
+/// index is dropped with the build.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Names {
     text: String,
     slot: Vec<u32>,
     ends: Vec<u32>,
-    by_name: Vec<NetId>,
 }
 
 impl Names {
@@ -151,31 +152,19 @@ impl Names {
         &self.text[start..self.ends[k as usize] as usize]
     }
 
-    /// Finishes a store for `nets` nets after the last [`Names::push`]:
-    /// builds the by-name index.
+    /// Finishes a store for `nets` nets after the last [`Names::push`]
+    /// and returns an index by name for the rest of the build.
     ///
     /// # Errors
     ///
     /// [`NetlistError::DuplicateName`] for the first name, in net order,
     /// that repeats an earlier one.
-    pub(crate) fn seal(&mut self, nets: usize) -> Result<(), NetlistError> {
+    pub(crate) fn seal(&mut self, nets: usize) -> Result<NameIndex<'_>, NetlistError> {
         self.slot.resize(nets, UNNAMED);
-        let mut by_name: Vec<NetId> = self.iter().map(|(id, _)| id).collect();
-        let name = |id: NetId| self.name(self.slot[id.index()]);
-        by_name.sort_unstable_by(|&a, &b| name(a).cmp(name(b)).then(a.cmp(&b)));
-        let first_repeat = by_name
-            .windows(2)
-            .filter(|w| name(w[0]) == name(w[1]))
-            .map(|w| w[1])
-            .min();
-        if let Some(id) = first_repeat {
-            return Err(NetlistError::DuplicateName(name(id).into()));
-        }
-        self.by_name = by_name;
         self.text.shrink_to_fit();
         self.slot.shrink_to_fit();
         self.ends.shrink_to_fit();
-        Ok(())
+        NameIndex::build(self)
     }
 
     /// The name of `net`, if it has one.
@@ -187,13 +176,10 @@ impl Names {
         }
     }
 
-    /// The net called `name`. Only meaningful after [`Names::seal`].
+    /// The first net, in net order, called `name`: a scan of every
+    /// net.
     pub(crate) fn find(&self, name: &str) -> Option<NetId> {
-        let i = self
-            .by_name
-            .binary_search_by(|&id| self.name(self.slot[id.index()]).cmp(name))
-            .ok()?;
-        Some(self.by_name[i])
+        self.iter().find(|&(_, n)| n == name).map(|(id, _)| id)
     }
 
     /// Hashes the store as sections, in order: name text, name ends,
@@ -215,6 +201,63 @@ impl Names {
     }
 }
 
+/// A hash index from name to net over a sealed [`Names`], alive only
+/// while a netlist is being built.
+///
+/// Open addressing with linear probing over a power-of-two table at
+/// most half full; a bucket holds a net index or [`UNNAMED`]. Names
+/// are hashed with a per-process random key, so a tenant who picks
+/// the names of an uploaded design cannot pick their buckets. No
+/// result depends on the key: a lookup only compares names, and
+/// nothing reads the table's layout.
+pub(crate) struct NameIndex<'a> {
+    names: &'a Names,
+    key: RandomState,
+    buckets: Vec<u32>,
+}
+
+impl<'a> NameIndex<'a> {
+    /// Indexes every named net in net order.
+    ///
+    /// # Errors
+    ///
+    /// [`NetlistError::DuplicateName`] for the first name that is
+    /// already indexed.
+    fn build(names: &'a Names) -> Result<Self, NetlistError> {
+        let mut index = NameIndex {
+            names,
+            key: RandomState::new(),
+            buckets: vec![UNNAMED; (2 * names.ends.len()).next_power_of_two()],
+        };
+        for (net, name) in names.iter() {
+            match index.probe(name) {
+                Ok(_) => return Err(NetlistError::DuplicateName(name.into())),
+                Err(empty) => index.buckets[empty] = net.0,
+            }
+        }
+        Ok(index)
+    }
+
+    /// The bucket holding `name`, or else the empty bucket where it
+    /// would go.
+    fn probe(&self, name: &str) -> Result<usize, usize> {
+        let mask = self.buckets.len() - 1;
+        let mut b = self.key.hash_one(name) as usize & mask;
+        loop {
+            match self.buckets[b] {
+                UNNAMED => return Err(b),
+                net if self.names.name(self.names.slot[net as usize]) == name => return Ok(b),
+                _ => b = (b + 1) & mask,
+            }
+        }
+    }
+
+    /// The net called `name`.
+    pub(crate) fn find(&self, name: &str) -> Option<NetId> {
+        self.probe(name).ok().map(|b| NetId(self.buckets[b]))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,7 +267,8 @@ mod tests {
         for &(net, name) in names {
             store.push(NetId(net), name);
         }
-        store.seal(9).map(|()| store)
+        store.seal(9)?;
+        Ok(store)
     }
 
     #[test]

@@ -79,41 +79,38 @@ impl Netlist {
     /// Checks the parts and takes them over as they are.
     pub(crate) fn assemble(
         name: String,
-        mut gates: Gates,
+        gates: Gates,
         inputs: Vec<NetId>,
         outputs: Vec<(String, NetId)>,
         mut names: Names,
     ) -> Result<Self, NetlistError> {
-        let n = gates.len();
-        for g in gates.iter() {
-            let (lo, hi) = g.kind.arity();
-            if g.fanin.len() < lo || g.fanin.len() > hi {
-                return Err(NetlistError::BadArity {
-                    kind: g.kind,
-                    got: g.fanin.len(),
-                });
-            }
-            if let Some(&f) = g.fanin.iter().find(|f| f.index() >= n) {
-                return Err(NetlistError::UnknownNet(f));
-            }
-        }
-        if let Some(&(_, o)) = outputs.iter().find(|(_, o)| o.index() >= n) {
-            return Err(NetlistError::UnknownNet(o));
-        }
-        names.seal(n)?;
+        check_parts(&gates, &outputs)?;
+        names.seal(gates.len())?;
+        Ok(Netlist::from_sealed(name, gates, inputs, outputs, names))
+    }
+
+    /// Takes over parts that [`check_parts`] accepted, with names
+    /// already sealed, and computes the topological order.
+    pub(crate) fn from_sealed(
+        name: String,
+        mut gates: Gates,
+        inputs: Vec<NetId>,
+        outputs: Vec<(String, NetId)>,
+        names: Names,
+    ) -> Self {
         gates.shrink_to_fit();
         let topo = match compute_topological_order(&gates) {
             Ok(order) => Topo::Order(order),
             Err(witness) => Topo::Cycle(witness),
         };
-        Ok(Netlist {
+        Netlist {
             name,
             gates,
             inputs,
             outputs,
             names,
             topo,
-        })
+        }
     }
 
     /// The netlist's name (for example `"c6288"`).
@@ -178,7 +175,8 @@ impl Netlist {
         self.names.get(id)
     }
 
-    /// Finds a net by name.
+    /// Finds a net by name: a scan over every net, since a built
+    /// netlist keeps no index by name.
     pub fn find(&self, name: &str) -> Option<NetId> {
         self.names.find(name)
     }
@@ -368,6 +366,33 @@ impl Netlist {
         self.names.hash(&mut h);
         h.finish()
     }
+}
+
+/// Checks every gate's arity and fanins, then every output, against
+/// a netlist of `gates.len()` nets.
+///
+/// # Errors
+///
+/// [`NetlistError::BadArity`] or [`NetlistError::UnknownNet`] for the
+/// first bad gate, then [`NetlistError::UnknownNet`] for a bad output.
+pub(crate) fn check_parts(gates: &Gates, outputs: &[(String, NetId)]) -> Result<(), NetlistError> {
+    let n = gates.len();
+    for g in gates.iter() {
+        let (lo, hi) = g.kind.arity();
+        if g.fanin.len() < lo || g.fanin.len() > hi {
+            return Err(NetlistError::BadArity {
+                kind: g.kind,
+                got: g.fanin.len(),
+            });
+        }
+        if let Some(&f) = g.fanin.iter().find(|f| f.index() >= n) {
+            return Err(NetlistError::UnknownNet(f));
+        }
+    }
+    if let Some(&(_, o)) = outputs.iter().find(|(_, o)| o.index() >= n) {
+        return Err(NetlistError::UnknownNet(o));
+    }
+    Ok(())
 }
 
 /// Kahn's algorithm; on a cyclic graph, returns the lowest-indexed net

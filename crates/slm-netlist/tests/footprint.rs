@@ -3,7 +3,8 @@
 //! A tenant netlist is untrusted input, so what one net costs once it
 //! is built is a bound the admission path relies on. A counting global
 //! allocator makes the figure deterministic: the bytes requested and
-//! the blocks still live after a build, less those live before it.
+//! the blocks still live after a build, less those live before it, and
+//! the blocks a `.bench` parse allocates on the way.
 //! This binary holds a single test so no other test allocates while it
 //! measures.
 
@@ -14,6 +15,15 @@ use std::sync::atomic::{AtomicIsize, Ordering::Relaxed};
 /// Live requested bytes and live blocks, over the whole process.
 static BYTES: AtomicIsize = AtomicIsize::new(0);
 static BLOCKS: AtomicIsize = AtomicIsize::new(0);
+/// Blocks allocated so far, freed or not, over the whole process.
+static ALLOCS: AtomicIsize = AtomicIsize::new(0);
+/// The most live bytes seen since the last reset.
+static PEAK: AtomicIsize = AtomicIsize::new(0);
+
+/// Adds `delta` live bytes and raises the peak to match.
+fn grow(delta: isize) {
+    PEAK.fetch_max(BYTES.fetch_add(delta, Relaxed) + delta, Relaxed);
+}
 
 struct Counting;
 
@@ -23,8 +33,9 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let p = System.alloc(layout);
         if !p.is_null() {
-            BYTES.fetch_add(layout.size() as isize, Relaxed);
+            grow(layout.size() as isize);
             BLOCKS.fetch_add(1, Relaxed);
+            ALLOCS.fetch_add(1, Relaxed);
         }
         p
     }
@@ -32,8 +43,9 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         let p = System.alloc_zeroed(layout);
         if !p.is_null() {
-            BYTES.fetch_add(layout.size() as isize, Relaxed);
+            grow(layout.size() as isize);
             BLOCKS.fetch_add(1, Relaxed);
+            ALLOCS.fetch_add(1, Relaxed);
         }
         p
     }
@@ -47,7 +59,7 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         let p = System.realloc(ptr, layout, new_size);
         if !p.is_null() {
-            BYTES.fetch_add(new_size as isize - layout.size() as isize, Relaxed);
+            grow(new_size as isize - layout.size() as isize);
         }
         p
     }
@@ -88,9 +100,10 @@ fn measure(build: impl FnOnce() -> Result<Netlist, NetlistError>) -> Footprint {
 
 #[test]
 fn built_netlists_hold_a_bounded_number_of_bytes_and_blocks_per_net() {
-    // The text is allocated before the count starts; only the parsed
+    // The texts are allocated before the count starts; only the parsed
     // netlist is measured.
     let c6288_text = bench::write(&generators::c6288().unwrap());
+    let ksa_text = bench::write(&generators::kogge_stone_adder(640).unwrap());
     let rows = [
         (
             "kogge_stone_adder(640)",
@@ -131,6 +144,32 @@ fn built_netlists_hold_a_bounded_number_of_bytes_and_blocks_per_net() {
             "{what}: {} live blocks for {} named nets\n{report}",
             f.blocks,
             f.named
+        );
+    }
+    // A parse allocates a fixed number of blocks plus one name per
+    // output, however many lines the text has, and its peak heap is
+    // linear in the text.
+    for (what, text) in [
+        ("c6288", &c6288_text),
+        ("kogge_stone_adder(640)", &ksa_text),
+    ] {
+        let (before, live) = (ALLOCS.load(Relaxed), BYTES.load(Relaxed));
+        PEAK.store(live, Relaxed);
+        let nl = bench::parse(text, what).expect("text parses");
+        let allocs = ALLOCS.load(Relaxed) - before;
+        let peak = (PEAK.load(Relaxed) - live) as f64 / text.len() as f64;
+        let outputs = nl.outputs().len() as isize;
+        println!(
+            "{what} parsed: {allocs} allocations, {outputs} outputs, peak {peak:.1} B per byte"
+        );
+        assert!(
+            allocs <= outputs + 32,
+            "{what}: {allocs} allocations to parse {} lines with {outputs} outputs",
+            text.lines().count()
+        );
+        assert!(
+            peak <= 8.0,
+            "{what}: parse peaks at {peak:.1} B per byte of text"
         );
     }
 }

@@ -5,7 +5,7 @@ use slm_netlist::generators::{
     alu, array_multiplier, equality_comparator, parity_tree, ripple_carry_adder, AluOp,
 };
 use slm_netlist::graph::{collapsed_drivers, combinational_loops};
-use slm_netlist::{bench, words, GateKind, NetId, Netlist, NetlistBuilder};
+use slm_netlist::{bench, words, GateKind, NetId, Netlist, NetlistBuilder, NetlistError};
 
 /// The loop finder as it stood before the acyclic shortcut: a full
 /// iterative Tarjan pass, then a filter keeping components of two or
@@ -333,6 +333,28 @@ proptest! {
     }
 }
 
+/// Duplicate-name detection as it stood with a sorted name index: the
+/// named nets sorted by name (ties by net), and the first repeat, in
+/// net order, is the lowest later net of two adjacent equal names.
+/// Kept as the oracle for the hash-indexed seal.
+fn reference_seal(names: &[Option<String>]) -> Result<(), NetlistError> {
+    let mut by_name: Vec<(&str, usize)> = names
+        .iter()
+        .enumerate()
+        .filter_map(|(i, n)| Some((n.as_deref()?, i)))
+        .collect();
+    by_name.sort_unstable();
+    match by_name
+        .windows(2)
+        .filter(|w| w[0].0 == w[1].0)
+        .map(|w| w[1].1)
+        .min()
+    {
+        Some(i) => Err(NetlistError::DuplicateName(names[i].clone().unwrap())),
+        None => Ok(()),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -365,5 +387,39 @@ proptest! {
     ) {
         let nl = random_graph(seed, n, back_pct, rings, 0);
         prop_assert_eq!(collapsed_drivers(&nl), reference_collapse(&nl));
+    }
+
+    /// Sealing a name store gives what the sorting reference gives: the
+    /// same first duplicate, or else every named net found by its
+    /// name. Names repeat, are empty, or share a long prefix.
+    #[test]
+    fn seal_matches_a_sorting_reference(
+        picks in proptest::collection::vec(any::<u32>(), 0..64),
+        spread in proptest::sample::select(vec![2u32, 16, 256, 1 << 20]),
+    ) {
+        const PREFIXES: [&str; 3] = ["", "u0_carry_chain_tap_", "u0_carry_chain_tap_x"];
+        let names: Vec<Option<String>> = picks
+            .iter()
+            .map(|&p| match p % 64 {
+                0..=7 => None,
+                8 => Some(String::new()),
+                _ => Some(format!("{}{}", PREFIXES[(p >> 6) as usize % 3], (p >> 8) % spread)),
+            })
+            .collect();
+        let gates = vec![(GateKind::Const0, []); names.len()];
+        let built = Netlist::from_parts("names", gates, vec![], vec![], names.clone());
+        match reference_seal(&names) {
+            Err(dup) => prop_assert_eq!(built.unwrap_err(), dup),
+            Ok(()) => {
+                let nl = built.unwrap();
+                for (i, name) in names.iter().enumerate() {
+                    let id = NetId(i as u32);
+                    prop_assert_eq!(nl.net_name(id), name.as_deref());
+                    if let Some(name) = name {
+                        prop_assert_eq!(nl.find(name), Some(id));
+                    }
+                }
+            }
+        }
     }
 }

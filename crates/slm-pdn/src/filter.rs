@@ -42,14 +42,30 @@ impl SecondOrderFilter {
         self.y += dt * self.y_dot;
         // Flush-to-zero: once settled, the state decays into denormal
         // territory where x86 FP ops run ~100× slower — a real-time trap
-        // for a filter stepped hundreds of millions of times.
-        if self.y_dot.abs() < 1e-18 {
-            self.y_dot = 0.0;
+        // for a filter stepped hundreds of millions of times. `+0.0`
+        // needs no flush, so a state at rest takes the predicted branch
+        // and the serial `y_dot → y` chain carries no compare-and-mask.
+        if self.y_dot.abs() < 1e-18 && self.y_dot.to_bits() != 0 {
+            self.y_dot = flush_to_zero(self.y_dot);
         }
-        if self.y.abs() < 1e-18 {
-            self.y = 0.0;
+        if self.y.abs() < 1e-18 && self.y.to_bits() != 0 {
+            self.y = flush_to_zero(self.y);
         }
         self.y
+    }
+}
+
+/// `+0.0` for `|x| < 1e-18`, else `x`. Out of line and cold, so the
+/// tests in [`SecondOrderFilter::step`] stay branches instead of being
+/// folded into selects; it tests `x` again so that its result is not a
+/// constant the compiler could fold back into the caller.
+#[cold]
+#[inline(never)]
+fn flush_to_zero(x: f64) -> f64 {
+    if x.abs() < 1e-18 {
+        0.0
+    } else {
+        x
     }
 }
 

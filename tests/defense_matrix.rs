@@ -9,14 +9,18 @@
 
 use proptest::prelude::*;
 use slm_core::experiments::{
-    defense_matrix, run_cpa, CpaExperiment, DefenseArm, DefenseMatrix, DefenseMatrixExperiment,
-    SensorSource,
+    defense_matrix, run_cpa, CpaExperiment, CpaResult, DefenseArm, DefenseMatrix,
+    DefenseMatrixExperiment, SensorSource,
 };
 use slm_fabric::{
     BenignCircuit, ClockJitterConfig, DefenseConfig, DetectorConfig, FabricConfig, FenceSpec,
     LdoConfig, MultiTenantFabric,
 };
 use slm_obs::{MetricsFrame, Obs};
+
+#[path = "pin_digest.rs"]
+mod pin_digest;
+use pin_digest::Fnv;
 
 fn defended_config(seed: u64, fence_peak: f64, jitter: u32, ldo: bool) -> FabricConfig {
     let mut defense = DefenseConfig {
@@ -68,8 +72,8 @@ proptest! {
     }
 }
 
-fn quick_matrix(seed: u64, workers: usize) -> (DefenseMatrix, MetricsFrame) {
-    let exp = DefenseMatrixExperiment {
+fn quick_experiment(seed: u64, workers: usize) -> DefenseMatrixExperiment {
+    DefenseMatrixExperiment {
         base: CpaExperiment {
             circuit: BenignCircuit::DualC6288,
             source: SensorSource::TdcAll,
@@ -93,9 +97,12 @@ fn quick_matrix(seed: u64, workers: usize) -> (DefenseMatrix, MetricsFrame) {
         },
         detector_samples: 1500,
         workers,
-    };
+    }
+}
+
+fn quick_matrix(seed: u64, workers: usize) -> (DefenseMatrix, MetricsFrame) {
     let obs = Obs::memory();
-    let matrix = defense_matrix(&exp, &obs).expect("fabric builds");
+    let matrix = defense_matrix(&quick_experiment(seed, workers), &obs).expect("fabric builds");
     (matrix, obs.snapshot())
 }
 
@@ -187,4 +194,57 @@ fn seeded_defense_arms_and_matrix_are_pinned() {
     assert_eq!(matrix.detector.benign.windows, 4);
     assert_eq!(matrix.detector.benign.alarm_windows, 0);
     assert!(matrix.detector.discriminates());
+}
+
+fn digest_cpa(h: &mut Fnv, r: &CpaResult) {
+    h.u64(u64::from(r.correct_key_byte));
+    h.opt(r.recovered_key_byte.map(u64::from));
+    h.opt(r.mtd);
+    h.u64(r.progress.len() as u64);
+    for point in &r.progress {
+        h.u64(point.traces);
+        h.u64(point.peak_corr.len() as u64);
+        point.peak_corr.iter().for_each(|&c| h.f64(c));
+    }
+    h.u64(r.final_peaks.len() as u64);
+    r.final_peaks.iter().for_each(|&c| h.f64(c));
+    h.u64(r.bits_of_interest.len() as u64);
+    r.bits_of_interest.iter().for_each(|&b| h.u64(b as u64));
+    h.opt(r.selected_bit.map(|b| b as u64));
+    h.u64(r.traces);
+}
+
+fn matrix_digest(matrix: &DefenseMatrix) -> u64 {
+    let mut h = Fnv::new();
+    h.u64(matrix.cells.len() as u64);
+    for cell in &matrix.cells {
+        h.arm(&cell.arm);
+        digest_cpa(&mut h, &cell.result);
+        h.f64(cell.injected_mean_a);
+        h.u64(cell.alarm_windows);
+    }
+    h.reading(&matrix.detector.attacker);
+    h.reading(&matrix.detector.benign);
+    h.0
+}
+
+/// Exact-value pin of the quick six-arm matrix: every public result
+/// field (each cell's progress curve, peaks and defense telemetry, and
+/// both detector readings) and the deterministic view of its metrics.
+/// A null handle must return the same matrix.
+#[test]
+fn quick_defense_matrix_is_pinned() {
+    let (matrix, frame) = quick_matrix(19, 2);
+    let null = defense_matrix(&quick_experiment(19, 2), &Obs::null()).expect("fabric builds");
+    assert_eq!(matrix, null, "a null handle changed the matrix");
+
+    let result = matrix_digest(&matrix);
+    let mut h = Fnv::new();
+    h.frame(&frame);
+    let metrics = h.0;
+    assert_eq!(
+        (result, metrics),
+        (0xab57_04e7_e0ba_1f22, 0xad24_6657_b8fd_e06b),
+        "result digest {result:#018x}, metrics digest {metrics:#018x}"
+    );
 }

@@ -7,12 +7,16 @@
 
 use proptest::prelude::*;
 use slm_core::experiments::{
-    fault_matrix, run_fault_campaign, DefenseArm, FaultCampaign, FaultCampaignOutcome,
+    fault_matrix, run_fault_campaign, DefenseArm, FaultCampaign, FaultCampaignOutcome, FaultMatrix,
     FaultMatrixExperiment,
 };
 use slm_cpa::DfaModel;
 use slm_fabric::{AggressorSpec, BenignCircuit, FabricConfig};
 use slm_obs::Obs;
+
+#[path = "pin_digest.rs"]
+mod pin_digest;
+use pin_digest::Fnv;
 
 fn campaign(seed: u64, captures: u64, shard_captures: u64, workers: usize) -> FaultCampaignOutcome {
     let exp = FaultCampaign {
@@ -242,4 +246,77 @@ fn diagonal_round9_model_recovers_through_the_wider_candidate_set() {
     assert_eq!(cold.faults_per_1k, 0.0, "LDO must suppress all faults");
     assert_eq!(cold.recovered_bytes, 0);
     assert_eq!(cold.recovered_key, None);
+}
+
+fn digest_aggressor(h: &mut Fnv, aggressor: &Option<AggressorSpec>) {
+    h.opt(aggressor.map(|a| a.on_ticks));
+    if let Some(a) = aggressor {
+        h.f64(a.peak_current_a);
+        h.u64(a.period_ticks);
+        h.u64(a.phase_ticks);
+    }
+}
+
+fn matrix_digest(matrix: &FaultMatrix) -> u64 {
+    let mut h = Fnv::new();
+    h.u64(matrix.cells.len() as u64);
+    for cell in &matrix.cells {
+        digest_aggressor(&mut h, &cell.aggressor);
+        h.arm(&cell.arm);
+        h.f64(cell.faults_per_1k);
+        h.u64(cell.pairs_accepted);
+        h.u64(cell.pairs_discarded);
+        h.u64(cell.recovered_bytes as u64);
+        h.opt(cell.recovered_key.map(|_| 16));
+        cell.recovered_key
+            .iter()
+            .flatten()
+            .for_each(|&b| h.u64(u64::from(b)));
+        h.f64(cell.min_victim_v);
+        h.u64(cell.alarm_windows);
+    }
+    h.u64(matrix.detector.len() as u64);
+    for row in &matrix.detector {
+        digest_aggressor(&mut h, &row.aggressor);
+        h.reading(&row.reading);
+    }
+    h.0
+}
+
+/// Exact-value pin of a quick three-row, three-column matrix: every
+/// public cell field, every per-row detector reading, and the
+/// deterministic view of its metrics. A null handle must return the
+/// same matrix.
+#[test]
+fn quick_fault_matrix_is_pinned() {
+    let exp = FaultMatrixExperiment {
+        aggressors: vec![
+            None,
+            Some(AggressorSpec::stealthy(3.0)),
+            Some(AggressorSpec::tick_rate(3.0)),
+        ],
+        arms: vec![
+            DefenseArm::Undefended,
+            DefenseArm::PrngFence(1.5),
+            DefenseArm::Ldo(0.25),
+        ],
+        captures: 200,
+        shard_captures: 50,
+        detector_samples: 4200,
+        workers: 2,
+        ..FaultMatrixExperiment::standard(29)
+    };
+    let obs = Obs::memory();
+    let matrix = fault_matrix(&exp, &obs).unwrap();
+    assert_eq!(matrix, fault_matrix(&exp, &Obs::null()).unwrap());
+
+    let result = matrix_digest(&matrix);
+    let mut h = Fnv::new();
+    h.frame(&obs.snapshot());
+    let metrics = h.0;
+    assert_eq!(
+        (result, metrics),
+        (0x77fc_3517_3aa1_cd4b, 0x4fc8_5f8e_0d5e_a67c),
+        "result digest {result:#018x}, metrics digest {metrics:#018x}"
+    );
 }

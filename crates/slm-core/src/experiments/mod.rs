@@ -7,12 +7,18 @@
 //! which fabric a lane runs on and how lane accumulators are folded.
 //! Each engine has one entry point taking the fabric-configuration
 //! tweak and the observability handle.
+//!
+//! Every fan-out over matrix cells or campaign shards runs through one
+//! crate-private function, `fan_out`: each item forks the recorder,
+//! runs inside one named span on its fork, and its frame folds back in
+//! item order; the first error in item order wins.
 
 mod arch_study;
 mod audits;
 mod cpa;
 mod defense_matrix;
 mod extensions;
+mod fan_out;
 mod fault_matrix;
 mod parallel;
 mod preliminary;

@@ -14,6 +14,11 @@
 //! a parallel campaign is therefore `workers = 1` over the same plan,
 //! not the single-fabric [`run_cpa`](super::cpa::run_cpa) stream.
 //!
+//! Shards run on the experiments' one observed fan-out (`fan_out`):
+//! each shard forks the recorder, runs inside one `cpa.shard` span on
+//! its fork, its frame folds back in shard order, and the first
+//! failing shard in shard order is the error.
+//!
 //! The pilot phase (bits of interest, endpoint selection) is not
 //! sharded: it runs once on the base configuration, exactly as the
 //! serial runner's pilot does, and every shard inherits its decisions.
@@ -24,10 +29,11 @@ use super::cpa::{
     assemble_result, campaign_config, lane_setup, record_fabric_telemetry, run_lane, CampaignSetup,
     CheckpointGrid, CpaExperiment, CpaResult,
 };
+use super::fan_out::fan_out;
 use serde::{Deserialize, Serialize};
 use slm_cpa::{leader_margin, CpaAttack, ProgressPoint};
 use slm_fabric::{FabricConfig, FabricError, MultiTenantFabric};
-use slm_obs::{MetricsFrame, Obs};
+use slm_obs::Obs;
 use slm_par::{ShardPlan, ShardSpec};
 
 /// A sharded, multi-threaded CPA campaign.
@@ -72,20 +78,16 @@ impl ParallelCpa {
 }
 
 /// Per-shard capture output: accumulators snapshotted at every global
-/// checkpoint that falls inside the shard, plus the finished partials
-/// and the shard's private metrics frame (folded in shard order, so
-/// merged metrics are worker-count invariant too).
+/// checkpoint that falls inside the shard, plus the finished partials.
 struct ShardPartial {
     snapshots: Vec<(u64, Vec<CpaAttack>)>,
     attacks: Vec<CpaAttack>,
-    frame: MetricsFrame,
 }
 
 /// Captures one shard: the lane kernel on the shard's own re-seeded
 /// fabric over the shard's global trace range, snapshotting the
-/// accumulators at every global checkpoint inside it. Records into a
-/// private fork of `obs`; the frame travels with the partial and is
-/// folded in shard order by the caller.
+/// accumulators at every global checkpoint inside it. Records into the
+/// shard's fork `obs`.
 fn capture_shard(
     setup: &CampaignSetup,
     config: &FabricConfig,
@@ -93,38 +95,29 @@ fn capture_shard(
     grid: CheckpointGrid,
     obs: &Obs,
 ) -> Result<ShardPartial, FabricError> {
-    let shard_obs = obs.fork();
     let mut snapshots: Vec<(u64, Vec<CpaAttack>)> = Vec::new();
-    let (fabric, attacks) = {
-        let _span = shard_obs.span("cpa.shard");
-        let mut fabric = {
-            let _build_span = shard_obs.span("cpa.build");
-            MultiTenantFabric::new(&config.for_shard(spec.index))?
-        };
-        // A progress checkpoint is a *global* trace count; the shard
-        // holding it snapshots its local state there, and the caller's
-        // prefix-merge completes it.
-        let range = spec.start..spec.start + spec.traces;
-        let attacks = run_lane(&mut fabric, setup, range, grid, &shard_obs, |t, attacks| {
-            snapshots.push((t, attacks.to_vec()));
-        });
-        (fabric, attacks)
+    let mut fabric = {
+        let _build_span = obs.span("cpa.build");
+        MultiTenantFabric::new(&config.for_shard(spec.index))?
     };
-    record_fabric_telemetry(&fabric, &shard_obs);
-    Ok(ShardPartial {
-        snapshots,
-        attacks,
-        frame: shard_obs.snapshot(),
-    })
+    // A progress checkpoint is a *global* trace count; the shard holding
+    // it snapshots its local state there, and the caller's prefix-merge
+    // completes it.
+    let range = spec.start..spec.start + spec.traces;
+    let attacks = run_lane(&mut fabric, setup, range, grid, obs, |t, attacks| {
+        snapshots.push((t, attacks.to_vec()));
+    });
+    record_fabric_telemetry(&fabric, obs);
+    Ok(ShardPartial { snapshots, attacks })
 }
 
 /// Runs a sharded CPA campaign on a worker pool.
 ///
 /// `tweak` edits the base fabric configuration once, before the pilot
 /// and before shard re-seeding (pass `|_| {}` for none). Each shard
-/// records into a forked sibling of `obs`; the shard frames are folded
-/// back in shard index order, so the merged metrics — like the
-/// campaign result itself — are bit-identical at any worker count.
+/// runs under a `cpa.shard` span on its own fork of `obs`; the shard
+/// frames fold back in shard index order, so the merged metrics — like
+/// the campaign result itself — are bit-identical at any worker count.
 ///
 /// # Errors
 ///
@@ -142,9 +135,9 @@ pub fn run_cpa_parallel(
     // The pilot is shared: one run on the base config decides endpoint
     // selection and post-processing for every shard.
     let setup = lane_setup(base, &config, obs, "cpa.pilot")?;
-    let partials = slm_par::par_map(exp.workers, &shards, |spec| {
-        capture_shard(&setup, &config, spec, grid, obs)
-    });
+    let partials = fan_out(exp.workers, &shards, "cpa.shard", obs, |spec, shard_obs| {
+        capture_shard(&setup, &config, spec, grid, shard_obs)
+    })?;
 
     // Fold shards in index order. When shard i holds a checkpoint at
     // global trace T, the campaign state at T is (all shards < i,
@@ -155,8 +148,6 @@ pub fn run_cpa_parallel(
     let mut progress_per: Vec<Vec<ProgressPoint>> =
         vec![Vec::with_capacity(base.checkpoints); setup.single_bit_slots];
     for partial in partials {
-        let partial = partial?;
-        obs.absorb(&partial.frame);
         for (global, snapshot) in &partial.snapshots {
             let _eval_span = obs.span("cpa.eval");
             for (slot, snap) in snapshot.iter().enumerate() {

@@ -9,8 +9,8 @@
 
 use proptest::prelude::*;
 use slm_core::experiments::{
-    defense_matrix, run_cpa, CpaExperiment, CpaResult, DefenseArm, DefenseMatrix,
-    DefenseMatrixExperiment, SensorSource,
+    defense_matrix, run_cpa, CpaExperiment, DefenseArm, DefenseMatrix, DefenseMatrixExperiment,
+    SensorSource,
 };
 use slm_fabric::{
     BenignCircuit, ClockJitterConfig, DefenseConfig, DetectorConfig, FabricConfig, FenceSpec,
@@ -196,30 +196,12 @@ fn seeded_defense_arms_and_matrix_are_pinned() {
     assert!(matrix.detector.discriminates());
 }
 
-fn digest_cpa(h: &mut Fnv, r: &CpaResult) {
-    h.u64(u64::from(r.correct_key_byte));
-    h.opt(r.recovered_key_byte.map(u64::from));
-    h.opt(r.mtd);
-    h.u64(r.progress.len() as u64);
-    for point in &r.progress {
-        h.u64(point.traces);
-        h.u64(point.peak_corr.len() as u64);
-        point.peak_corr.iter().for_each(|&c| h.f64(c));
-    }
-    h.u64(r.final_peaks.len() as u64);
-    r.final_peaks.iter().for_each(|&c| h.f64(c));
-    h.u64(r.bits_of_interest.len() as u64);
-    r.bits_of_interest.iter().for_each(|&b| h.u64(b as u64));
-    h.opt(r.selected_bit.map(|b| b as u64));
-    h.u64(r.traces);
-}
-
 fn matrix_digest(matrix: &DefenseMatrix) -> u64 {
     let mut h = Fnv::new();
     h.u64(matrix.cells.len() as u64);
     for cell in &matrix.cells {
         h.arm(&cell.arm);
-        digest_cpa(&mut h, &cell.result);
+        h.cpa(&cell.result);
         h.f64(cell.injected_mean_a);
         h.u64(cell.alarm_windows);
     }

@@ -1,9 +1,14 @@
-//! The digest both matrix pin tests share: FNV-1a over a stream of
-//! little-endian words, with every `f64` taken by its bits, so a digest
-//! matches only a bit-identical value. Nothing here hashes `Debug`
+//! The digest the campaign and matrix pin tests share: FNV-1a over a
+//! stream of little-endian words, with every `f64` taken by its bits,
+//! so a digest matches only a bit-identical value. Results are hashed
+//! field by field through their public API; nothing here hashes `Debug`
 //! text, so a private field never moves a pin.
 
-use slm_core::experiments::{DefenseArm, DetectorReading};
+// Each pin test uses the part of the digest its results need.
+#![allow(dead_code)]
+
+use slm_core::experiments::{CpaResult, DefenseArm, DetectorReading};
+use slm_cpa::DfaAttack;
 use slm_obs::MetricsFrame;
 
 /// An FNV-1a digest in progress.
@@ -66,6 +71,48 @@ impl Fnv {
                 self.u64(u64::from(c));
             }
         }
+    }
+
+    /// Every public field of a campaign result: key byte, recovered
+    /// byte, MTD, each progress point's peaks, final peaks, the pilot's
+    /// endpoint choice and the trace count.
+    pub fn cpa(&mut self, r: &CpaResult) {
+        self.u64(u64::from(r.correct_key_byte));
+        self.opt(r.recovered_key_byte.map(u64::from));
+        self.opt(r.mtd);
+        self.u64(r.progress.len() as u64);
+        for point in &r.progress {
+            self.u64(point.traces);
+            self.u64(point.peak_corr.len() as u64);
+            point.peak_corr.iter().for_each(|&c| self.f64(c));
+        }
+        self.u64(r.final_peaks.len() as u64);
+        r.final_peaks.iter().for_each(|&c| self.f64(c));
+        self.u64(r.bits_of_interest.len() as u64);
+        r.bits_of_interest.iter().for_each(|&b| self.u64(b as u64));
+        self.opt(r.selected_bit.map(|b| b as u64));
+        self.u64(r.traces);
+    }
+
+    /// A DFA accumulator through what it answers: pair counts, each
+    /// byte's best and runner-up vote counts, and the master key.
+    pub fn dfa(&mut self, dfa: &DfaAttack) {
+        let (accepted, unfaulted, discarded) = dfa.pair_counts();
+        [accepted, unfaulted, discarded]
+            .into_iter()
+            .for_each(|v| self.u64(v));
+        for jd in 0..16 {
+            let (best, second) = dfa.margin(jd);
+            self.u64(u64::from(best));
+            self.u64(u64::from(second));
+        }
+        let master = dfa.recovered_master_key();
+        self.u64(u64::from(master.is_some()));
+        master.iter().for_each(|k| self.key(k));
+    }
+
+    pub fn key(&mut self, key: &[u8; 16]) {
+        key.iter().for_each(|&b| self.u64(u64::from(b)));
     }
 
     pub fn reading(&mut self, r: &DetectorReading) {

@@ -1,6 +1,6 @@
-//! One property over every sealed on-disk format: the `SLMT` trace
-//! file, the `SLMC` accumulator checkpoint, the `SLMS` stream
-//! checkpoint, the `SLMP` progress log and the `SLMK` scan-cache entry.
+//! One property over every sealed on-disk format: the `SLMC`
+//! accumulator checkpoint, the `SLMS` stream checkpoint, the `SLMP`
+//! progress log and the `SLMK` scan-cache entry.
 //!
 //! Each format contributes the bytes of one valid value and a function
 //! that decodes bytes and encodes the result again. For every format
@@ -19,9 +19,8 @@ use proptest::prelude::*;
 use slm_aes::soft;
 use slm_checker::{span_of, CheckKind, Finding, ScanCache, Severity};
 use slm_cpa::store::{
-    read_checkpoint, read_stream_checkpoint, read_traces, replay_progress_log, write_checkpoint,
-    write_stream_checkpoint, LogPrefix, ProgressLog, StreamCheckpoint, TraceWriter,
-    PROGRESS_LOG_FILE,
+    read_checkpoint, read_stream_checkpoint, replay_progress_log, write_checkpoint,
+    write_stream_checkpoint, LogPrefix, ProgressLog, StreamCheckpoint, PROGRESS_LOG_FILE,
 };
 use slm_cpa::{CpaAttack, LastRoundModel, ProgressPoint};
 use slm_netlist::NetId;
@@ -55,30 +54,6 @@ fn in_scratch<T>(f: impl FnOnce(&Path) -> T) -> T {
     let out = f(&dir);
     let _ = std::fs::remove_dir_all(&dir);
     out
-}
-
-fn trace_file() -> Format {
-    let mut rng = Rng64::new(3);
-    let mut w = TraceWriter::new(Vec::new(), 3).unwrap();
-    for _ in 0..5 {
-        let mut ct = [0u8; 16];
-        rng.fill_bytes(&mut ct);
-        let points: Vec<f64> = (0..3).map(|_| f64::from(rng.normal() as f32)).collect();
-        w.write_trace(&ct, &points).unwrap();
-    }
-    Format {
-        name: "SLMT trace file",
-        bytes: w.finish().unwrap(),
-        reencode: Box::new(|bytes| {
-            let records = read_traces(bytes).map_err(|e| e.to_string())?;
-            let mut w = TraceWriter::new(Vec::new(), records[0].points.len() as u16).unwrap();
-            for r in &records {
-                let points: Vec<f64> = r.points.iter().map(|&p| f64::from(p)).collect();
-                w.write_trace(&r.ciphertext, &points).unwrap();
-            }
-            Ok(w.finish().unwrap())
-        }),
-    }
 }
 
 fn accumulator_checkpoint() -> Format {
@@ -221,7 +196,6 @@ fn formats() -> &'static [Format] {
     static FORMATS: OnceLock<Vec<Format>> = OnceLock::new();
     FORMATS.get_or_init(|| {
         vec![
-            trace_file(),
             accumulator_checkpoint(),
             stream_checkpoint(),
             progress_log(),

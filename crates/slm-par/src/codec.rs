@@ -16,7 +16,7 @@
 //! the input is never trusted for an allocation: a forged count fails
 //! as a short read.
 //!
-//! The users are the trace file, the accumulator and stream
+//! The users are the accumulator and stream
 //! checkpoints and the progress log of `slm_cpa::store`, and the
 //! scan-cache entries of `slm_checker`. The progress log chains one
 //! [`Fletcher64`] per record instead of sealing the file once.
@@ -116,11 +116,6 @@ impl Writer {
 
     /// Appends a `u64`.
     pub fn u64(&mut self, v: u64) -> &mut Self {
-        self.bytes(&v.to_le_bytes())
-    }
-
-    /// Appends an `f32`.
-    pub fn f32(&mut self, v: f32) -> &mut Self {
         self.bytes(&v.to_le_bytes())
     }
 
@@ -259,7 +254,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Bytes left to read.
-    pub fn remaining(&self) -> usize {
+    fn remaining(&self) -> usize {
         self.data.len() - self.at
     }
 

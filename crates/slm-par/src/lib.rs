@@ -25,8 +25,8 @@
 //!
 //! [`codec`] is the one little-endian writer, bounds-checked reader,
 //! Fletcher-64 seal and `magic + version` header check behind every
-//! persisted format (trace files, checkpoints, the progress log and the
-//! scan cache), plus the shared [`codec::fnv1a`] key hash. It lives in
+//! persisted format (checkpoints, the progress log and the scan
+//! cache), plus the shared [`codec::fnv1a`] key hash. It lives in
 //! this crate because the crate has no dependencies and every crate
 //! that persists state already depends on it.
 //!

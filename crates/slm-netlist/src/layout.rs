@@ -4,9 +4,8 @@
 //! [`Gates`] keeps one kind byte and one fanin offset per net plus one
 //! shared fanin array, and [`Names`] keeps the names of named nets in
 //! one string with a per-net slot and one per-name end offset. The
-//! builder, the `.bench` parser and the transformations write these
-//! arrays directly, and a [`crate::Netlist`] takes them over as they
-//! are.
+//! builder and the `.bench` parser write these arrays directly, and a
+//! [`crate::Netlist`] takes them over as they are.
 
 use crate::error::NetlistError;
 use crate::gate::{Gate, GateKind, NetId};

@@ -45,7 +45,8 @@ mod hash;
 mod layout;
 mod netlist;
 mod stats;
-pub mod transform;
+#[cfg(test)]
+mod transform;
 pub mod words;
 
 pub use builder::NetlistBuilder;
@@ -53,4 +54,3 @@ pub use error::NetlistError;
 pub use gate::{Gate, GateKind, NetId};
 pub use netlist::Netlist;
 pub use stats::{DepthProfile, NetlistStats};
-pub use transform::{propagate_constants, PassStats};

@@ -191,11 +191,6 @@ impl Netlist {
         &self.gates
     }
 
-    /// The name store, for a transformation that keeps every net.
-    pub(crate) fn names(&self) -> &Names {
-        &self.names
-    }
-
     /// Whether the gate graph is free of combinational cycles.
     pub fn is_acyclic(&self) -> bool {
         matches!(self.topo, Topo::Order(_))

@@ -506,7 +506,8 @@ impl Drop for StopOnDrop<'_> {
 }
 
 /// Captures one window: the lane kernel on the window's own re-seeded
-/// fabric over the window's global trace range.
+/// fabric over the window's global trace range, all of it inside one
+/// `stream.window` span on the window's fork.
 fn capture_window(
     setup: &CampaignSetup,
     config: &FabricConfig,
@@ -515,13 +516,14 @@ fn capture_window(
     obs: &Obs,
 ) -> Result<WindowPartial, FabricError> {
     let w_obs = obs.fork();
-    let mut fabric = {
+    let attacks = {
         let _span = w_obs.span("stream.window");
-        MultiTenantFabric::new(&config.for_shard(spec.index))?
+        let mut fabric = MultiTenantFabric::new(&config.for_shard(spec.index))?;
+        let range = spec.start..spec.start + spec.traces;
+        let attacks = run_lane(&mut fabric, setup, range, grid, &w_obs, |_, _| {});
+        record_fabric_telemetry(&fabric, &w_obs);
+        attacks
     };
-    let range = spec.start..spec.start + spec.traces;
-    let attacks = run_lane(&mut fabric, setup, range, grid, &w_obs, |_, _| {});
-    record_fabric_telemetry(&fabric, &w_obs);
     Ok(WindowPartial {
         attacks,
         frame: w_obs.snapshot(),
@@ -872,6 +874,26 @@ mod tests {
         .with_window(60)
         .with_commit_every(2)
         .with_workers(1)
+    }
+
+    #[test]
+    fn each_window_span_encloses_its_capture_and_absorb() {
+        let dir = scratch_dir("window-span");
+        let obs = Obs::manual();
+        let r = run_streaming(&small_exp(21).with_workers(2), &dir, |_| {}, &obs).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        let frame = obs.snapshot();
+        let window = frame.spans["stream.window"];
+        let (capture, absorb) = (frame.spans["cpa.capture"], frame.spans["cpa.absorb"]);
+        assert_eq!(window.count, r.windows);
+        // Each window's fork reads its logical clock once per span open
+        // and close: the window span reads it first and last, around
+        // two reads per nested span. A span that closed before the
+        // capture would be one tick long.
+        let nested = capture.count + absorb.count;
+        assert!(nested >= 2 * r.windows, "{nested} nested spans");
+        assert_eq!(window.total_ns, 2 * nested + r.windows);
+        assert_eq!(capture.total_ns + absorb.total_ns, nested);
     }
 
     #[test]

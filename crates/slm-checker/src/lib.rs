@@ -111,11 +111,13 @@ pub use pass::{Pass, PassManager, Prior};
 pub use timing::{check_timing, StrictTimingPass};
 
 use slm_netlist::Netlist;
+use slm_obs::Obs;
 
 /// Runs the full structural pipeline with default thresholds. For
-/// explicit thresholds, call `PassManager::structural().run(nl, config)`.
+/// explicit thresholds, call `PassManager::structural().run(nl, config,
+/// obs)`.
 pub fn check_structure(nl: &Netlist) -> CheckReport {
-    PassManager::structural().run(nl, &CheckerConfig::default())
+    PassManager::structural().run(nl, &CheckerConfig::default(), &Obs::null())
 }
 
 #[cfg(test)]
@@ -127,7 +129,6 @@ mod tests {
     };
     use slm_netlist::graph::combinational_loops;
     use slm_netlist::{GateKind, NetId, Netlist};
-    use slm_obs::Obs;
     use slm_timing::DelayModel;
 
     #[test]
@@ -162,7 +163,7 @@ mod tests {
         let tdc = tdc_delay_line(50_000).unwrap();
         let mut pm = PassManager::empty();
         pm.push(Box::new(passes::DelayLinePass));
-        let r = pm.run(&tdc, &CheckerConfig::default());
+        let r = pm.run(&tdc, &CheckerConfig::default(), &Obs::null());
         assert!(r.flagged(CheckKind::DelayLineSensor));
     }
 
@@ -267,7 +268,7 @@ mod tests {
             ..CheckerConfig::default()
         };
         let rca = slm_netlist::generators::ripple_carry_adder(64).unwrap();
-        let r = PassManager::structural().run(&rca, &config);
+        let r = PassManager::structural().run(&rca, &config, &Obs::null());
         assert!(
             r.flagged(CheckKind::ObservationDensity),
             "the heuristic must (wrongly) flag the plain adder: {r:?}"
@@ -275,7 +276,9 @@ mod tests {
         // while the big ALU, whose outputs are a tiny fraction of its
         // logic, passes even the aggressive heuristic
         let alu = alu(192).unwrap();
-        assert!(PassManager::structural().run(&alu, &config).is_clean());
+        assert!(PassManager::structural()
+            .run(&alu, &config, &Obs::null())
+            .is_clean());
         // and it stays off by default
         assert!(check_structure(&rca).is_clean());
     }
@@ -295,7 +298,7 @@ mod tests {
             }],
             ..CheckerConfig::default()
         };
-        let r = PassManager::structural().run(&rca, &config);
+        let r = PassManager::structural().run(&rca, &config, &Obs::null());
         assert!(r.is_clean(), "suppressed Warn no longer dirties: {r:?}");
         assert!(
             r.findings.iter().any(|f| f.suppressed.is_some()),
@@ -311,7 +314,7 @@ mod tests {
             }],
             ..CheckerConfig::default()
         };
-        let r = PassManager::structural().run(&ro, &config);
+        let r = PassManager::structural().run(&ro, &config, &Obs::null());
         assert!(!r.is_clean());
         assert!(r.flagged(CheckKind::CombinationalLoop));
     }
@@ -363,7 +366,7 @@ mod tests {
         };
         for nl in [ring_oscillator(6).unwrap(), ro_grid(3).unwrap()] {
             let loops = combinational_loops(&nl);
-            let r = PassManager::full().run(&nl, &at_100);
+            let r = PassManager::full().run(&nl, &at_100, &Obs::null());
             let witnesses: Vec<_> = r
                 .findings
                 .iter()
@@ -383,7 +386,9 @@ mod tests {
         assert_eq!(pm.pass_names(), vec!["comb-loop"]);
         let tdc = tdc_delay_line(64).unwrap();
         // only the loop pass runs: the TDC sails through
-        assert!(pm.run(&tdc, &CheckerConfig::default()).is_clean());
+        assert!(pm
+            .run(&tdc, &CheckerConfig::default(), &Obs::null())
+            .is_clean());
         let names = PassManager::structural().pass_names();
         assert_eq!(names.len(), 7);
         assert!(names.contains(&"scoap-sensor") && names.contains(&"signature"));
@@ -409,20 +414,20 @@ mod tests {
             },
             ..CheckerConfig::default()
         };
-        let r = PassManager::full().run(&nl, &config);
+        let r = PassManager::full().run(&nl, &config, &Obs::null());
         assert!(r.flagged(CheckKind::ClockTaint), "{r:?}");
         assert!(r.flagged(CheckKind::SwitchingActivity), "{r:?}");
         assert!(r.flagged(CheckKind::ObservationBandwidth), "{r:?}");
         assert_eq!(r.max_severity(), Some(Severity::Reject));
         // without the contract declaration the taint seed disappears
-        let r = PassManager::full().run(&nl, &CheckerConfig::default());
+        let r = PassManager::full().run(&nl, &CheckerConfig::default(), &Obs::null());
         assert!(!r.flagged(CheckKind::ClockTaint), "{r:?}");
     }
 
     #[test]
     fn semantic_suite_stays_quiet_on_benign_designs() {
         for nl in [alu(192).unwrap(), array_multiplier(16).unwrap(), c17()] {
-            let r = PassManager::full().run(&nl, &CheckerConfig::default());
+            let r = PassManager::full().run(&nl, &CheckerConfig::default(), &Obs::null());
             assert!(
                 r.active().all(|f| f.severity == Severity::Info),
                 "{} semantically flagged: {:?}",
@@ -520,7 +525,7 @@ mod tests {
             },
             ..CheckerConfig::default()
         };
-        let r = PassManager::full().run(&alu(32).unwrap(), &config);
+        let r = PassManager::full().run(&alu(32).unwrap(), &config, &Obs::null());
         assert!(r.findings.iter().all(|f| f.pass != "scoap-sensor"), "{r:?}");
     }
 
@@ -533,7 +538,7 @@ mod tests {
             },
             ..CheckerConfig::default()
         };
-        let r = PassManager::full().run(&alu(32).unwrap(), &config);
+        let r = PassManager::full().run(&alu(32).unwrap(), &config, &Obs::null());
         // Only the reconvergence note remains.
         assert!(r.is_clean(), "{r:?}");
         assert!(r.active().all(|f| f.severity == Severity::Info), "{r:?}");
@@ -555,10 +560,10 @@ mod tests {
             },
             ..CheckerConfig::default()
         };
-        let r = PassManager::full().run(&nl, &config);
+        let r = PassManager::full().run(&nl, &config, &Obs::null());
         assert!(r.findings.iter().all(|f| f.pass != "clock-taint"), "{r:?}");
         // The same feed-through under the default threshold is a note.
-        let r = PassManager::full().run(&nl, &CheckerConfig::default());
+        let r = PassManager::full().run(&nl, &CheckerConfig::default(), &Obs::null());
         assert!(r.findings.iter().any(|f| f.pass == "clock-taint"), "{r:?}");
     }
 }

@@ -246,22 +246,23 @@ impl PassManager {
 
     /// Scans `nl`: builds the shared [`Analysis`] once, runs every
     /// pass in registration order, then applies the suppression rules
-    /// (which never hide a `Reject`).
-    pub fn run(&self, nl: &Netlist, config: &CheckerConfig) -> CheckReport {
-        self.run_recorded(nl, config, &slm_obs::Obs::null())
+    /// (which never hide a `Reject`). Records a wall-time span per pass
+    /// (named after the pass) and counts post-suppression active
+    /// findings by severity (`checker.findings.info` / `.warn` /
+    /// `.reject`).
+    pub fn run(&self, nl: &Netlist, config: &CheckerConfig, obs: &slm_obs::Obs) -> CheckReport {
+        self.scan(nl, config, None, obs)
     }
 
-    /// [`PassManager::run`] with an observability handle: records a
-    /// wall-time span per pass (named after the pass) and counts
-    /// post-suppression active findings by severity
-    /// (`checker.findings.info` / `.warn` / `.reject`).
+    /// [`PassManager::run`] under the name the `bench/` package calls.
+    #[doc(hidden)]
     pub fn run_recorded(
         &self,
         nl: &Netlist,
         config: &CheckerConfig,
         obs: &slm_obs::Obs,
     ) -> CheckReport {
-        self.scan(nl, config, None, obs)
+        self.run(nl, config, obs)
     }
 }
 

@@ -8,6 +8,7 @@
 
 use slm_checker::{check_structure, CheckKind, CheckerConfig, PassManager};
 use slm_netlist::generators::{ring_oscillator, tdc_delay_line};
+use slm_obs::Obs;
 
 /// Compares a report against its golden file, with a diff-friendly
 /// failure message.
@@ -62,7 +63,7 @@ fn suppressed_finding_keeps_its_record_in_the_golden() {
         net_name: None,
         reason: "audited: measurement column for tenant A".to_string(),
     });
-    let report = PassManager::structural().run(&nl, &config);
+    let report = PassManager::structural().run(&nl, &config, &Obs::null());
     assert_golden(
         &report.to_json(),
         include_str!("golden/tdc_delay_line_16_suppressed.json"),

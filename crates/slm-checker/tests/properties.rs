@@ -295,7 +295,7 @@ proptest! {
                 suppressions: rules.clone(),
                 ..zoo_config(entry.declared_clocks)
             };
-            let report = pm.run(&entry.netlist, &config);
+            let report = pm.run(&entry.netlist, &config, &Obs::null());
             for f in &report.findings {
                 if f.severity >= Severity::Reject {
                     prop_assert!(
@@ -329,7 +329,7 @@ proptest! {
         let config = zoo_config(&["sense"]);
         let cache = ScanCache::in_memory();
         for nl in &designs {
-            let plain = pm.run(nl, &config);
+            let plain = pm.run(nl, &config, &Obs::null());
             let cold = pm.scan(nl, &config, Some(&cache), &Obs::null());
             let warm = pm.scan(nl, &config, Some(&cache), &Obs::null());
             prop_assert_eq!(plain.to_json(), cold.to_json(), "{}", nl.name());
@@ -392,7 +392,7 @@ proptest! {
         };
         let mut pm = PassManager::empty();
         pm.push(Box::new(passes::ScoapSensorPass));
-        let report = pm.run(&nl, &config);
+        let report = pm.run(&nl, &config, &Obs::null());
         let got = report.findings.first().map(|f| {
             (
                 f.severity,

@@ -20,6 +20,7 @@ use slm_netlist::generators::{
     tapped_carry_chain, tdc_delay_line, wallace_multiplier, zoo,
 };
 use slm_netlist::{Netlist, NetlistError};
+use slm_obs::Obs;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
@@ -49,7 +50,7 @@ fn scan_digest(designs: &[Netlist]) -> u64 {
     let mut h = FNV_OFFSET;
     for nl in designs {
         for config in &configs() {
-            h = fnv1a(h, pm.run(nl, config).to_json().as_bytes());
+            h = fnv1a(h, pm.run(nl, config, &Obs::null()).to_json().as_bytes());
         }
     }
     h
@@ -210,7 +211,10 @@ fn report_debug_digest_is_pinned() {
     let config = CheckerConfig::default();
     let mut h = FNV_OFFSET;
     let mut scan = |nl: &Netlist, config: &CheckerConfig| {
-        h = fnv1a(h, format!("{:?}", pm.run(nl, config)).as_bytes());
+        h = fnv1a(
+            h,
+            format!("{:?}", pm.run(nl, config, &Obs::null())).as_bytes(),
+        );
     };
     for entry in zoo() {
         scan(&entry.netlist, &config);

@@ -89,9 +89,7 @@ fn main() {
     ];
 
     let obs = Obs::memory();
-    let report = service
-        .run_recorded(submissions, &obs)
-        .expect("service drains");
+    let report = service.run(submissions, &obs).expect("service drains");
 
     println!("== admission & placement ==");
     println!(

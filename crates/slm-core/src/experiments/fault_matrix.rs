@@ -297,14 +297,6 @@ impl FaultMatrix {
             .iter()
             .find(|c| c.aggressor == aggressor && c.arm == *arm)
     }
-
-    /// The detector reading for an aggressor row, if it ran.
-    pub fn detector_for(
-        &self,
-        aggressor: Option<AggressorSpec>,
-    ) -> Option<&AggressorDetectorReading> {
-        self.detector.iter().find(|d| d.aggressor == aggressor)
-    }
 }
 
 /// A stable per-row seed lane: 0 for the aggressor-free control row,

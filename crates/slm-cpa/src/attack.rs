@@ -37,7 +37,7 @@ impl LastRoundModel {
     /// bit for a trace whose attacked ciphertext byte XOR candidate is
     /// `v`. Candidate `k` maps bin `c` to `table[c ^ k]`, so one table
     /// serves all 256 candidates of a correlation evaluation.
-    pub fn hypothesis_table(&self) -> [bool; 256] {
+    fn hypothesis_table(&self) -> [bool; 256] {
         let mut table = [false; 256];
         for (v, slot) in table.iter_mut().enumerate() {
             *slot = (INV_SBOX[v] >> self.bit) & 1 == 1;
@@ -90,24 +90,18 @@ impl CpaAttack {
     /// Panics if `samples.len()` differs from the configured point count.
     #[inline]
     pub fn add_trace(&mut self, ct: &[u8; 16], samples: &[f64]) {
-        assert_eq!(samples.len(), self.points, "trace point count mismatch");
-        self.add_trace_unchecked(ct, samples);
+        self.try_add_trace(ct, samples)
+            .expect("trace point count mismatch");
     }
 
-    /// Absorbs one trace, rejecting a malformed one instead of
-    /// panicking.
-    ///
-    /// Campaign code paths feed the accumulator from a transport; a
-    /// frame that passes CRC and geometry validation can still carry
-    /// the wrong number of points. This variant lets the caller
-    /// quarantine such a record and keep the campaign alive.
+    /// Absorbs one trace, or rejects a malformed one.
     ///
     /// # Errors
     ///
     /// [`CpaError::PointCountMismatch`] when `samples.len()` differs
     /// from the configured point count; the accumulator is unchanged.
     #[inline]
-    pub fn try_add_trace(&mut self, ct: &[u8; 16], samples: &[f64]) -> Result<(), CpaError> {
+    fn try_add_trace(&mut self, ct: &[u8; 16], samples: &[f64]) -> Result<(), CpaError> {
         if samples.len() != self.points {
             return Err(CpaError::PointCountMismatch {
                 expected: self.points,
@@ -422,18 +416,9 @@ impl CpaAttack {
         s1
     }
 
-    /// The candidate with the highest peak |r| and that correlation.
-    pub fn best_candidate(&self) -> (u8, f64) {
-        Self::best_of(&self.peak_correlations())
-    }
-
-    /// Ranking position of `key` (0 = leading candidate).
-    pub fn rank_of(&self, key: u8) -> usize {
-        Self::rank_in(&self.peak_correlations(), key)
-    }
-
-    /// [`CpaAttack::best_candidate`] on an already evaluated peak-|r|
-    /// surface: the first candidate holding the maximum.
+    /// The candidate with the highest peak |r| on an evaluated peak-|r|
+    /// surface ([`CpaAttack::peak_correlations`]), and that correlation:
+    /// the first candidate holding the maximum.
     pub fn best_of(peaks: &[f64]) -> (u8, f64) {
         let mut best = 0usize;
         for k in 1..peaks.len() {
@@ -444,8 +429,8 @@ impl CpaAttack {
         (best as u8, peaks[best])
     }
 
-    /// [`CpaAttack::rank_of`] on an already evaluated peak-|r| surface:
-    /// how many candidates lead `key` strictly.
+    /// Ranking position of `key` on an evaluated peak-|r| surface (0 =
+    /// leading candidate): how many candidates lead `key` strictly.
     pub fn rank_in(peaks: &[f64], key: u8) -> usize {
         let target = peaks[key as usize];
         peaks.iter().filter(|&&p| p > target).count()
@@ -674,10 +659,10 @@ mod tests {
     #[test]
     fn recovers_key_with_moderate_noise() {
         let (attack, k) = run_attack(1.5, 3000, 11);
-        let (best, peak) = attack.best_candidate();
+        let (best, peak) = CpaAttack::best_of(&attack.peak_correlations());
         assert_eq!(best, k);
         assert!(peak > 0.1, "peak = {peak}");
-        assert_eq!(attack.rank_of(k), 0);
+        assert_eq!(CpaAttack::rank_in(&attack.peak_correlations(), k), 0);
     }
 
     #[test]
@@ -685,7 +670,10 @@ mod tests {
         let (attack, k) = run_attack(60.0, 200, 12);
         // With SNR ~1/60 and 200 traces the correct key should not be
         // reliably distinguished.
-        assert!(attack.rank_of(k) > 0, "attack should not have converged");
+        assert!(
+            CpaAttack::rank_in(&attack.peak_correlations(), k) > 0,
+            "attack should not have converged"
+        );
     }
 
     #[test]
@@ -963,7 +951,11 @@ mod tests {
             "digests {:#018x?}",
             digests
         );
-        assert_eq!(long.rank_of(0x3c), 0, "the leak is recoverable");
+        assert_eq!(
+            CpaAttack::rank_in(&long.peak_correlations(), 0x3c),
+            0,
+            "the leak is recoverable"
+        );
         let huge_total = (0..256).map(|c| huge.bin_sum[c * 7].abs()).sum::<f64>();
         assert!(huge_total > 2f64.powi(38), "past the exact-transform limit");
     }

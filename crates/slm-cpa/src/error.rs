@@ -1,11 +1,7 @@
 //! Typed errors for the accumulator layer.
 
 /// A trace or accumulator whose shape disagrees with the attack it was
-/// offered to.
-///
-/// Campaign code paths use [`crate::CpaAttack::try_add_trace`] so a
-/// malformed frame that slips past transport validation is quarantined
-/// by the caller instead of aborting the process mid-campaign.
+/// offered to. The accumulator is left unchanged.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CpaError {
     /// A trace arrived with the wrong number of points.

@@ -34,7 +34,7 @@
 //!     let h = f64::from(u8::from(model.hypothesis(&ct, k10[3])));
 //!     attack.add_trace(&ct, &[h + rng.normal_scaled(2.0)]);
 //! }
-//! let (best, _) = attack.best_candidate();
+//! let (best, _) = CpaAttack::best_of(&attack.peak_correlations());
 //! assert_eq!(best, k10[3]);
 //! ```
 
@@ -55,7 +55,7 @@ pub use attack::{leader_margin, CpaAttack, CpaCheckpoint, LastRoundModel, TraceB
 pub use bits::{common_mode_polarity, BitActivity, BitCensus};
 pub use dfa::{DfaAttack, DfaModel, PairOutcome};
 pub use error::CpaError;
-pub use mtd::{measurements_to_disclosure, rank_progress, ProgressPoint};
+pub use mtd::{measurements_to_disclosure, ProgressPoint};
 pub use multibyte::MultiByteCpa;
 pub use postprocess::PostProcessor;
 pub use tvla::{WelchTTest, TVLA_THRESHOLD};

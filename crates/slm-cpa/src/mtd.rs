@@ -51,21 +51,6 @@ impl ProgressPoint {
     }
 }
 
-/// Rank of the correct key at every checkpoint — the "guessing entropy"
-/// trajectory (rank 0 = disclosed). Complements
-/// [`measurements_to_disclosure`] with how *close* an unconverged attack
-/// got.
-pub fn rank_progress(progress: &[ProgressPoint], key: u8) -> Vec<(u64, usize)> {
-    progress
-        .iter()
-        .map(|p| {
-            let target = p.peak_corr[key as usize];
-            let rank = p.peak_corr.iter().filter(|&&c| c > target).count();
-            (p.traces, rank)
-        })
-        .collect()
-}
-
 /// The first checkpoint from which the correct key leads at every later
 /// checkpoint — the number the paper reports as "revealed after about
 /// N traces". `None` if the key never stabilizes in the lead.
@@ -80,6 +65,7 @@ pub fn measurements_to_disclosure(progress: &[ProgressPoint], key: u8) -> Option
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CpaAttack;
 
     fn point(traces: u64, correct: f64, other: f64) -> ProgressPoint {
         let mut peak_corr = vec![other; 256];
@@ -121,12 +107,15 @@ mod tests {
 
     #[test]
     fn rank_trajectory() {
-        let progress = vec![
+        let progress = [
             point(100, 0.1, 0.2), // everyone else higher → rank 255
             point(200, 0.3, 0.2), // leads → rank 0
         ];
-        let ranks = rank_progress(&progress, 42);
-        assert_eq!(ranks, vec![(100, 255), (200, 0)]);
+        let ranks: Vec<usize> = progress
+            .iter()
+            .map(|p| CpaAttack::rank_in(&p.peak_corr, 42))
+            .collect();
+        assert_eq!(ranks, [255, 0]);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 use proptest::prelude::*;
 use slm_aes::soft;
 use slm_cpa::{
-    measurements_to_disclosure, rank_progress, CpaAttack, LastRoundModel, MultiByteCpa,
-    ProgressPoint, TraceBatch, WelchTTest,
+    measurements_to_disclosure, CpaAttack, LastRoundModel, MultiByteCpa, ProgressPoint, TraceBatch,
+    WelchTTest,
 };
 use slm_pdn::noise::Rng64;
 
@@ -29,7 +29,7 @@ proptest! {
             let h = f64::from(u8::from(model.hypothesis(&ct, k10[ct_byte])));
             attack.add_trace(&ct, &[h + rng.normal_scaled(1.0)]);
         }
-        let (best, peak) = attack.best_candidate();
+        let (best, peak) = CpaAttack::best_of(&attack.peak_correlations());
         prop_assert_eq!(best, k10[ct_byte]);
         prop_assert!(peak > 0.2, "peak = {peak}");
     }
@@ -80,8 +80,8 @@ proptest! {
         }
     }
 
-    /// MTD is consistent with rank_progress: at and after the MTD
-    /// checkpoint, the correct key has rank 0.
+    /// MTD is consistent with the key's rank at each checkpoint: at and
+    /// after the MTD checkpoint, the correct key has rank 0.
     #[test]
     fn mtd_consistent_with_ranks(seed in any::<u64>()) {
         let mut rng = Rng64::new(seed);
@@ -99,9 +99,9 @@ proptest! {
             })
             .collect();
         let mtd = measurements_to_disclosure(&progress, key);
-        let ranks = rank_progress(&progress, key);
         if let Some(at) = mtd {
-            for &(traces, rank) in &ranks {
+            for p in &progress {
+                let (traces, rank) = (p.traces, CpaAttack::rank_in(&p.peak_corr, key));
                 if traces >= at {
                     prop_assert_eq!(rank, 0, "rank nonzero after MTD at trace {}", traces);
                 }
@@ -134,8 +134,12 @@ proptest! {
         let peaks = multi.peak_correlations(1);
         let recovered = MultiByteCpa::round_key_of(&peaks);
         for (b, s) in single.iter().enumerate() {
-            prop_assert_eq!(recovered[b], s.best_candidate().0);
-            prop_assert_eq!(CpaAttack::rank_in(&peaks[b], k10[b]), s.rank_of(k10[b]));
+            let single_peaks = s.peak_correlations();
+            prop_assert_eq!(recovered[b], CpaAttack::best_of(&single_peaks).0);
+            prop_assert_eq!(
+                CpaAttack::rank_in(&peaks[b], k10[b]),
+                CpaAttack::rank_in(&single_peaks, k10[b])
+            );
         }
     }
 
@@ -324,7 +328,15 @@ fn reference_correlations(attack: &CpaAttack) -> Vec<Vec<f64>> {
     let denom_x: Vec<f64> = (0..points)
         .map(|p| (n * cp.sum_sq[p] - total_sum[p] * total_sum[p]).sqrt())
         .collect();
-    let hyp = cp.model.hypothesis_table();
+    // Entry `v`: the hypothesis for a ciphertext byte `v` under
+    // candidate 0, so candidate `k` maps bin `c` to `hyp[c ^ k]`.
+    let hyp: Vec<bool> = (0..=255u8)
+        .map(|v| {
+            let mut ct = [0u8; 16];
+            ct[cp.model.ct_byte] = v;
+            cp.model.hypothesis(&ct, 0)
+        })
+        .collect();
     (0..256usize)
         .map(|k| {
             let mut n1 = 0u64;

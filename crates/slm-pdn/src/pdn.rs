@@ -173,6 +173,7 @@ pub struct MultiRegionPdn {
     /// Row-major `regions × regions` coupling matrix.
     coupling: Vec<f64>,
     rng: Rng64,
+    /// The buffer [`MultiRegionPdn::step`] returns its voltages in.
     voltages: Vec<f64>,
     telemetry: PdnTelemetry,
     /// Deepest droop seen by each region — the fault-injection-relevant
@@ -263,7 +264,7 @@ impl MultiRegionPdn {
     /// the caller reads; the slots of `out` for ticks outside it, except
     /// the last tick, are left unspecified. Everything else is
     /// bit-identical to calling [`MultiRegionPdn::step`] once per tick:
-    /// the observed voltages, [`MultiRegionPdn::voltage`], the telemetry,
+    /// the observed voltages, the last tick's voltages, the telemetry,
     /// the per-region minima and the noise stream, so the next block is
     /// too. The block's noise is drawn up front in the same stream order
     /// ([`Rng64::fill_normal_scaled`]), and each voltage is
@@ -289,7 +290,7 @@ impl MultiRegionPdn {
         if out.is_empty() {
             return;
         }
-        // The last tick is always computed: it is `voltage()`.
+        // The last tick is always computed.
         let last = out.len() / regions - 1;
         let reads_all = observed.start == 0 && observed.end >= last;
         if !reads_all
@@ -301,7 +302,6 @@ impl MultiRegionPdn {
         } else {
             self.run_block(currents_a, dt, out);
         }
-        self.voltages.copy_from_slice(&out[out.len() - regions..]);
     }
 
     /// Ticks whose noise transform a block with unobserved ticks has
@@ -492,11 +492,6 @@ impl MultiRegionPdn {
         };
         self.skipped_ticks += (ticks - queued) as u64;
         self.store_tick_state(&state);
-    }
-
-    /// The most recent voltage of one region.
-    pub fn voltage(&self, region: usize) -> f64 {
-        self.voltages[region]
     }
 
     /// The deepest droop observed at one region since construction.

@@ -87,11 +87,6 @@ impl SensorSample {
             .map(|(a, b)| (a ^ b).count_ones())
             .sum()
     }
-
-    /// Expands into booleans.
-    pub fn to_bools(&self) -> Vec<bool> {
-        (0..self.len).map(|i| self.bit(i)).collect()
-    }
 }
 
 /// A benign circuit misused as a voltage sensor.
@@ -396,10 +391,8 @@ mod tests {
         let smp = s.sample(1.0);
         assert_eq!(smp.len, 65); // 64 sums + carry out
         assert_eq!(smp.bits.len(), 2);
-        let bools = smp.to_bools();
-        assert_eq!(bools.len(), 65);
         assert_eq!(
-            bools.iter().filter(|&&b| b).count() as u32,
+            (0..smp.len).filter(|&i| smp.bit(i)).count() as u32,
             smp.hamming_weight()
         );
     }

@@ -34,7 +34,8 @@ impl RoArray {
     }
 
     /// Creates an array with all oscillators disabled.
-    pub fn new(count: usize, current_per_ro_a: f64) -> Self {
+    #[cfg(test)]
+    fn new(count: usize, current_per_ro_a: f64) -> Self {
         RoArray {
             count,
             current_per_ro_a,
@@ -67,6 +68,7 @@ impl RoArray {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use slm_pdn::noise::Rng64;
     use slm_timing::VoltageDelayLaw;
 
@@ -151,5 +153,17 @@ mod tests {
         let c1 = s.count(1.0, 0.6e-6);
         let c2 = s.count(1.0, 0.6e-6);
         assert_eq!(c1 + c2, 1, "got {c1} then {c2}");
+    }
+
+    proptest! {
+        /// RO array current is linear in the enabled count.
+        #[test]
+        fn ro_array_linear(count in 1usize..10_000, frac in 0.0f64..1.0) {
+            let mut a = RoArray::new(count, 0.25e-3);
+            a.set_enabled_fraction(frac);
+            let expect = a.enabled() as f64 * 0.25e-3;
+            prop_assert!((a.current_a() - expect).abs() < 1e-12);
+            prop_assert!(a.enabled() <= count);
+        }
     }
 }

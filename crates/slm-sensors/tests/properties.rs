@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use slm_netlist::generators::ripple_carry_adder;
 use slm_netlist::words;
-use slm_sensors::{BenignSensor, BenignSensorConfig, RoArray, TdcConfig, TdcSensor};
+use slm_sensors::{BenignSensor, BenignSensorConfig, TdcConfig, TdcSensor};
 use slm_timing::{simulate_transition, DelayModel};
 
 fn adder_sensor(jitter_ps: f64, seed: u64) -> BenignSensor {
@@ -88,16 +88,6 @@ proptest! {
         }
     }
 
-    /// RO array current is linear in the enabled count.
-    #[test]
-    fn ro_array_linear(count in 1usize..10_000, frac in 0.0f64..1.0) {
-        let mut a = RoArray::new(count, 0.25e-3);
-        a.set_enabled_fraction(frac);
-        let expect = a.enabled() as f64 * 0.25e-3;
-        prop_assert!((a.current_a() - expect).abs() < 1e-12);
-        prop_assert!(a.enabled() <= count);
-    }
-
     /// Sample packing: hamming_weight equals the popcount of the packed
     /// words for arbitrary endpoints.
     #[test]
@@ -106,10 +96,8 @@ proptest! {
         let smp = s.sample(f64::from(v_mils) / 1000.0);
         let popcount: u32 = smp.bits.iter().map(|w| w.count_ones()).sum();
         prop_assert_eq!(popcount, smp.hamming_weight());
-        let bools = smp.to_bools();
-        prop_assert_eq!(bools.len(), smp.len);
         prop_assert_eq!(
-            bools.iter().filter(|&&b| b).count() as u32,
+            (0..smp.len).filter(|&i| smp.bit(i)).count() as u32,
             smp.hamming_weight()
         );
     }

@@ -29,14 +29,6 @@ pub struct Waveform {
 }
 
 impl Waveform {
-    /// Value after all transitions at or before `t_fs`.
-    pub fn value_at(&self, t_fs: u64) -> bool {
-        match self.transitions.partition_point(|&(t, _)| t <= t_fs) {
-            0 => self.initial,
-            n => self.transitions[n - 1].1,
-        }
-    }
-
     /// Value a register samples on a capture edge at `t_fs`: transitions
     /// landing exactly on the edge miss setup, so only strictly earlier
     /// transitions count.
@@ -48,7 +40,8 @@ impl Waveform {
     }
 
     /// Fully-settled final value.
-    pub fn final_value(&self) -> bool {
+    #[cfg(test)]
+    fn final_value(&self) -> bool {
         self.transitions.last().map_or(self.initial, |&(_, v)| v)
     }
 
@@ -58,7 +51,7 @@ impl Waveform {
     }
 
     /// Number of transitions (hazards included).
-    pub fn transition_count(&self) -> usize {
+    fn transition_count(&self) -> usize {
         self.transitions.len()
     }
 }
@@ -354,8 +347,6 @@ mod tests {
             initial: false,
             transitions: vec![(100, true), (200, false)],
         };
-        assert!(!w.value_at(99));
-        assert!(w.value_at(100)); // inclusive
         assert!(!w.sampled_at(100)); // strict: setup missed
         assert!(w.sampled_at(150));
         assert!(!w.sampled_at(250));

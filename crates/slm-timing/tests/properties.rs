@@ -23,7 +23,11 @@ proptest! {
         let mut measure = words::to_bits(a as u128, 16);
         measure.extend(words::to_bits(b as u128, 16));
         let waves = simulate_transition(&ann, &reset, &measure).unwrap();
-        let settled: Vec<bool> = waves.output_waves().iter().map(|w| w.final_value()).collect();
+        let settled: Vec<bool> = waves
+            .output_waves()
+            .iter()
+            .map(|w| w.sampled_at(w.settle_time_fs() + 1))
+            .collect();
         prop_assert_eq!(settled, nl.eval(&measure).unwrap());
     }
 
@@ -65,7 +69,7 @@ proptest! {
         let w1 = simulate_transition(&base, &reset, &measure).unwrap();
         let w2 = simulate_transition(&scaled, &reset, &measure).unwrap();
         for (u, v) in w1.output_waves().iter().zip(w2.output_waves()) {
-            prop_assert_eq!(u.transition_count(), v.transition_count());
+            prop_assert_eq!(u.transitions.len(), v.transitions.len());
             for (&(t1, b1), &(t2, b2)) in u.transitions.iter().zip(&v.transitions) {
                 prop_assert_eq!(b1, b2);
                 let expect = (t1 as f64 * k).round();
@@ -95,7 +99,8 @@ proptest! {
         let waves = simulate_transition(&ann, &reset, &measure).unwrap();
         for w in waves.output_waves() {
             prop_assert_eq!(w.sampled_at(0), w.initial);
-            prop_assert_eq!(w.value_at(u64::MAX), w.final_value());
+            let last = w.transitions.last().map_or(w.initial, |&(_, v)| v);
+            prop_assert_eq!(w.sampled_at(w.settle_time_fs() + 1), last);
         }
     }
 }

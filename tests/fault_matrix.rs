@@ -146,16 +146,18 @@ fn detector_flags_blatant_duty_cycle_and_misses_stealthy_burst() {
         ..FaultMatrixExperiment::standard(11)
     };
     let matrix = fault_matrix(&exp, &Obs::null()).unwrap();
+    let detector_for = |aggressor| {
+        let row = matrix.detector.iter().find(|d| d.aggressor == aggressor);
+        row.expect("every aggressor row ran")
+    };
 
     // No aggressor: the monitoring plane stays quiet (no false alarms).
-    let baseline = matrix.detector_for(None).unwrap();
+    let baseline = detector_for(None);
     assert!(!baseline.detected(), "false alarm with no aggressor");
 
     // The blatant tick-rate duty cycle is exactly the alternation
     // signature the detector keys on: every window alarms, loudly.
-    let blatant = matrix
-        .detector_for(Some(AggressorSpec::tick_rate(3.0)))
-        .unwrap();
+    let blatant = detector_for(Some(AggressorSpec::tick_rate(3.0)));
     assert!(blatant.detected(), "tick-rate aggressor must alarm");
     assert!(
         blatant.reading.max_score > 10.0 * exp.detector.alarm_threshold,
@@ -169,9 +171,7 @@ fn detector_flags_blatant_duty_cycle_and_misses_stealthy_burst() {
     // baseline) while still faulting the victim hard enough for full
     // key recovery. Duty-cycle parity, not amplitude, is what the
     // detector sees.
-    let stealthy = matrix
-        .detector_for(Some(AggressorSpec::stealthy(3.0)))
-        .unwrap();
+    let stealthy = detector_for(Some(AggressorSpec::stealthy(3.0)));
     assert!(
         !stealthy.detected(),
         "stealthy burst unexpectedly detected (score {})",

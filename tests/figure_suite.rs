@@ -568,8 +568,8 @@ fn extension_rds_outperforms_tdc() {
 #[test]
 fn extension_architecture_study_shapes() {
     let s = architecture_study(32).unwrap();
-    let rca = s.row("rca64").unwrap();
-    let csel = s.row("csel64").unwrap();
+    let row = |name| s.rows.iter().find(|r| r.name == name).unwrap();
+    let (rca, csel) = (row("rca64"), row("csel64"));
     assert!(rca.usable_periods > csel.usable_periods);
     assert!(csel.best_count >= rca.best_count);
 }

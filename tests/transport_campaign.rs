@@ -27,6 +27,11 @@ fn fabric_config() -> FabricConfig {
     }
 }
 
+/// The rank of `key` (0 = leading) on the attack's peak correlations.
+fn rank(attack: &CpaAttack, key: u8) -> usize {
+    CpaAttack::rank_in(&attack.peak_correlations(), key)
+}
+
 /// Runs a TDC campaign over the given session, absorbing every
 /// validated trace into a fresh CPA attack. Returns the attack, the
 /// number of abandoned requests, and the driver for its stats.
@@ -47,12 +52,10 @@ fn run_campaign(session: RemoteSession, traces: u64) -> (CpaAttack, u64, Campaig
                     *dst = f64::from(d);
                 }
                 // A validated frame always carries a full window; a
-                // short one would be a framing bug, and `try_add_trace`
-                // turns it into a quarantine instead of an abort.
+                // short one would be a framing bug, which `add_trace`
+                // rejects with a panic.
                 let samples = &buf[..rec.tdc.len().min(buf.len())];
-                attack
-                    .try_add_trace(&rec.ciphertext, samples)
-                    .expect("validated frames carry full windows");
+                attack.add_trace(&rec.ciphertext, samples);
             }
             Err(FabricError::Transport(TransportError::RetriesExhausted { .. })) => {
                 abandoned += 1;
@@ -77,7 +80,7 @@ fn faulty_campaign_recovers_key_within_2x_traces() {
     assert_eq!(clean_driver.stats().delivered, baseline_traces);
     assert_eq!(clean_driver.stats().retries, 0);
     assert_eq!(clean_driver.stats().quarantined, 0);
-    assert_eq!(clean_attack.rank_of(correct), 0, "baseline must converge");
+    assert_eq!(rank(&clean_attack, correct), 0, "baseline must converge");
 
     let clean_wire_s_per_request =
         clean_driver.session().wire_time_s() / clean_driver.stats().requested as f64;
@@ -92,7 +95,7 @@ fn faulty_campaign_recovers_key_within_2x_traces() {
         let faulty_session = RemoteSession::with_fault_plan(&cfg, vec![], plan).unwrap();
         let (faulty_attack, abandoned, driver) = run_campaign(faulty_session, 2 * baseline_traces);
         assert_eq!(
-            faulty_attack.rank_of(correct),
+            rank(&faulty_attack, correct),
             0,
             "faulty-wire attack at {rate}/byte must still converge within 2x traces"
         );
@@ -176,8 +179,14 @@ fn checkpoint_resume_reproduces_uninterrupted_ranking() {
     let resumed_peaks = resumed.peak_correlations();
     let unbroken_peaks = unbroken.peak_correlations();
     assert_eq!(resumed_peaks, unbroken_peaks);
-    assert_eq!(resumed.best_candidate(), unbroken.best_candidate());
+    assert_eq!(
+        CpaAttack::best_of(&resumed_peaks),
+        CpaAttack::best_of(&unbroken_peaks)
+    );
     for k in 0..=255u8 {
-        assert_eq!(resumed.rank_of(k), unbroken.rank_of(k));
+        assert_eq!(
+            CpaAttack::rank_in(&resumed_peaks, k),
+            CpaAttack::rank_in(&unbroken_peaks, k)
+        );
     }
 }

@@ -4,6 +4,13 @@
 //! says why it stays public. An item only its own file reads should drop
 //! `pub`; one only its own tests read should go, or be `#[cfg(test)]`.
 //!
+//! A second census runs without the files under `tests/` and
+//! `crates/*/tests/` as readers. An item that only those test files
+//! read stays public only with a `TEST_ONLY` entry naming the
+//! EXPERIMENTS row and test it reproduces, the test hook it serves, or
+//! the named test it is an oracle for. `#[cfg(test)]` modules inside
+//! `src` still count as readers in both censuses.
+//!
 //! The census covers `pub fn`, `pub struct`, `pub enum`, `pub trait`,
 //! `pub type`, `pub const` and `pub static` (associated constants too),
 //! outside `#[cfg(test)]` items and function bodies. A reader is judged
@@ -42,6 +49,162 @@ const ALLOWLIST: &[(&str, &str, &str)] = &[(
     "write_record_to",
     "the exported `write_record!` macro expands to it in the calling crate",
 )];
+
+/// `(file, item, reason)` for each public item that only tests read,
+/// for [`every_public_item_has_a_non_test_reader`]. `item` is `T::m` for
+/// a method, or `"*"` for every public item of the file. A reason names
+/// the EXPERIMENTS row and test the item reproduces, the test hook it
+/// serves, or the named test it is an oracle for.
+const TEST_ONLY: &[(&str, &str, &str)] = &[
+    // The transport path: EXPERIMENTS "Full transport path", reproduced
+    // by `tests/transport_campaign.rs` and
+    // `end_to_end.rs::key_recovery_through_the_uart_transport`.
+    (
+        "crates/slm-fabric/src/remote.rs",
+        "*",
+        "EXPERIMENTS \"Full transport path\": tests/transport_campaign.rs",
+    ),
+    (
+        "crates/slm-fabric/src/uart.rs",
+        "*",
+        "EXPERIMENTS \"Full transport path\": tests/transport_campaign.rs",
+    ),
+    (
+        "crates/slm-fabric/src/wire_faults.rs",
+        "*",
+        "EXPERIMENTS \"Full transport path\": tests/transport_campaign.rs",
+    ),
+    (
+        "crates/slm-cpa/src/store.rs",
+        "write_checkpoint",
+        "hook: the single-attack SLMC resume of \
+         transport_campaign.rs::checkpoint_resume_reproduces_uninterrupted_ranking",
+    ),
+    (
+        "crates/slm-cpa/src/store.rs",
+        "read_checkpoint",
+        "hook: the single-attack SLMC resume of \
+         transport_campaign.rs::checkpoint_resume_reproduces_uninterrupted_ranking",
+    ),
+    (
+        "crates/slm-sensors/src/rds.rs",
+        "*",
+        "EXPERIMENTS \"RDS sensor\": figure_suite.rs::extension_rds_outperforms_tdc",
+    ),
+    (
+        "crates/slm-core/src/experiments/stealth_matrix.rs",
+        "*",
+        "EXPERIMENTS \"Semantic power-taint suite\": \
+         figure_suite.rs::section6_readme_detection_matrix_is_current",
+    ),
+    (
+        "crates/slm-core/src/experiments/streaming.rs",
+        "StreamingCpa::with_early_stop",
+        "EXPERIMENTS \"Streaming long-horizon MTD\": \
+         figure_suite.rs::long_horizon_defense_mtds_are_pinned",
+    ),
+    (
+        "crates/slm-core/src/experiments/cpa.rs",
+        "aes_pilot_activity",
+        "EXPERIMENTS Figs. 10, 12, 13: figure_suite.rs::fig10_fig12_fig13_benign_alu_attacks",
+    ),
+    (
+        "crates/slm-core/src/experiments/defense_matrix.rs",
+        "DefenseMatrix::fence_mtd_monotonic",
+        "EXPERIMENTS \"Defense matrix\": \
+         defense_matrix.rs::seeded_defense_arms_and_matrix_are_pinned",
+    ),
+    (
+        "crates/slm-core/src/experiments/defense_matrix.rs",
+        "DetectorEval::discriminates",
+        "EXPERIMENTS \"Defense matrix\": \
+         defense_matrix.rs::seeded_defense_arms_and_matrix_are_pinned",
+    ),
+    // Kill/resume hooks of tests/streaming_crash.rs.
+    (
+        "crates/slm-core/src/experiments/streaming.rs",
+        "run_streaming_crashing",
+        "hook: the kill/resume engine of tests/streaming_crash.rs",
+    ),
+    (
+        "crates/slm-core/src/experiments/streaming.rs",
+        "CrashPlan",
+        "hook: the kill sites of tests/streaming_crash.rs",
+    ),
+    (
+        "crates/slm-core/src/experiments/streaming.rs",
+        "CrashPlan::none",
+        "hook: the kill sites of tests/streaming_crash.rs",
+    ),
+    (
+        "crates/slm-core/src/experiments/streaming.rs",
+        "CrashPlan::kill_at",
+        "hook: the kill sites of tests/streaming_crash.rs",
+    ),
+    (
+        "crates/slm-core/src/experiments/streaming.rs",
+        "CrashPlan::fail_window",
+        "hook: the kill sites of tests/streaming_crash.rs",
+    ),
+    (
+        "crates/slm-core/src/experiments/streaming.rs",
+        "CrashPlan::fired",
+        "hook: the kill sites of tests/streaming_crash.rs",
+    ),
+    (
+        "crates/slm-core/src/experiments/streaming.rs",
+        "CrashSite",
+        "hook: the kill sites of tests/streaming_crash.rs",
+    ),
+    (
+        "crates/slm-core/src/experiments/streaming.rs",
+        "StreamOutcome",
+        "hook: what a killed run of tests/streaming_crash.rs returns",
+    ),
+    (
+        "crates/slm-core/src/experiments/streaming.rs",
+        "StreamingCpa::fingerprint",
+        "hook: the ledger identity format_pins.rs::hashed_identities_are_pinned pins",
+    ),
+    (
+        "crates/slm-timing/src/sta.rs",
+        "StaResult::arrival_ps",
+        "hook: the per-net arrivals sta_pins.rs::sta_results_are_pinned digests",
+    ),
+    (
+        "crates/slm-netlist/src/generators/adder.rs",
+        "ripple_carry_adder_with_cin",
+        "hook: a generator family scan_pins.rs::report_debug_digest_is_pinned scans",
+    ),
+    // Reference oracles.
+    (
+        "crates/slm-aes/src/soft.rs",
+        "decrypt",
+        "oracle: the inverse cipher of slm-aes properties.rs::encrypt_decrypt_roundtrip",
+    ),
+    (
+        "crates/slm-aes/src/soft.rs",
+        "SBOX",
+        "oracle: the byte-wise round of slm-aes \
+         properties.rs::word_rounds_match_the_bytewise_round",
+    ),
+    (
+        "crates/slm-netlist/src/generators/alu.rs",
+        "AluOp::reference",
+        "oracle: the word-level ALU of slm-netlist properties.rs::alu_matches_reference",
+    ),
+    (
+        "crates/slm-cpa/src/attack.rs",
+        "LastRoundModel::hypothesis",
+        "oracle: the planted leakage of slm-cpa properties.rs::cpa_recovers_any_planted_key",
+    ),
+    (
+        "crates/slm-fabric/src/scenario.rs",
+        "MultiTenantFabric::samples_per_encryption",
+        "oracle: the capture length of slm-fabric \
+         properties.rs::capture_geometry_invariant",
+    ),
+];
 
 /// This file, which names the allowlisted items without reading them.
 const CENSUS: &str = "tests/public_surface.rs";
@@ -494,7 +657,8 @@ fn source(file: &str, text: &str) -> (Source, Vec<Item>) {
 
 /// The public items of `crates/*/src` in `files` that no other file
 /// reads, directly or through a read item's signature, as
-/// `(file, line, item)`; `allowed` items count as read.
+/// `(file, line, item)`. `allowed` items count as read; an entry whose
+/// item is `"*"` covers every item of its file.
 fn unread(files: &[(String, String)], allowed: &[(&str, &str)]) -> Vec<(String, usize, String)> {
     let mut sources = Vec::new();
     let mut items = Vec::new();
@@ -507,7 +671,11 @@ fn unread(files: &[(String, String)], allowed: &[(&str, &str)]) -> Vec<(String, 
     }
     let mut read: Vec<bool> = items
         .iter()
-        .map(|item| allowed.contains(&(item.file.as_str(), item.display().as_str())))
+        .map(|item| {
+            allowed
+                .iter()
+                .any(|&(f, n)| f == item.file && (n == "*" || n == item.display()))
+        })
         .collect();
     // A file that reads an item, or names a type, can call methods on
     // the types its signature or `pub` fields name
@@ -568,15 +736,15 @@ fn unread(files: &[(String, String)], allowed: &[(&str, &str)]) -> Vec<(String, 
         .collect()
 }
 
-#[test]
-fn every_public_item_has_a_reader_outside_its_file() {
+/// Every `.rs` file the census reads, as `(path from the root, text)`.
+fn census_files() -> Vec<(String, String)> {
     let root = repo_root();
     let mut paths = Vec::new();
     for dir in ["crates", "tests", "examples", "bench/src"] {
         rust_files(&root.join(dir), &mut paths);
     }
     assert!(paths.len() > 100, "census found only {} files", paths.len());
-    let files: Vec<(String, String)> = paths
+    paths
         .iter()
         .map(|p| {
             let rel = p.strip_prefix(&root).expect("under the root");
@@ -584,8 +752,21 @@ fn every_public_item_has_a_reader_outside_its_file() {
             (rel, fs::read_to_string(p).expect("readable source"))
         })
         .filter(|(rel, _)| rel != CENSUS)
-        .collect();
+        .collect()
+}
 
+/// Whether `file` is a test file: under `tests/` or `crates/*/tests/`.
+fn is_test_file(file: &str) -> bool {
+    file.starts_with("tests/")
+        || file
+            .strip_prefix("crates/")
+            .and_then(|r| r.split_once('/'))
+            .is_some_and(|(_, rest)| rest.starts_with("tests/"))
+}
+
+#[test]
+fn every_public_item_has_a_reader_outside_its_file() {
+    let files = census_files();
     let mut orphans = Vec::new();
     let mut allowed = Vec::new();
     for (file, line, item) in unread(&files, &[]) {
@@ -606,6 +787,39 @@ fn every_public_item_has_a_reader_outside_its_file() {
         assert!(
             allowed.contains(&(file.to_string(), name.to_string())),
             "stale allowlist entry: {file} {name} is gone or now has a reader"
+        );
+    }
+}
+
+#[test]
+fn every_public_item_has_a_non_test_reader() {
+    let files: Vec<(String, String)> = census_files()
+        .into_iter()
+        .filter(|(file, _)| !is_test_file(file))
+        .collect();
+    let entries: Vec<(&str, &str)> = TEST_ONLY.iter().map(|&(f, n, _)| (f, n)).collect();
+    let orphans: Vec<String> = unread(&files, &entries)
+        .into_iter()
+        .filter(|(file, _, item)| !ALLOWLIST.iter().any(|&(f, n, _)| f == file && n == item))
+        .map(|(file, line, item)| format!("{file}:{line}: {item}"))
+        .collect();
+    assert!(
+        orphans.is_empty(),
+        "{} public item(s) read only by tests; delete them, make them \
+         `#[cfg(test)]`, narrow them, or add a TEST_ONLY entry naming the \
+         experiment, hook or oracle they serve:\n{}",
+        orphans.len(),
+        orphans.join("\n")
+    );
+    // An entry is stale once its items gain a non-test reader or go.
+    let without: Vec<(String, usize, String)> = unread(&files, &[]);
+    for &(file, name, _) in TEST_ONLY {
+        let covers = without
+            .iter()
+            .any(|(f, _, n)| f == file && (name == "*" || n == name));
+        assert!(
+            covers,
+            "stale TEST_ONLY entry: {file} {name} is gone or has a non-test reader"
         );
     }
 }
@@ -685,4 +899,22 @@ fn test_modules_declare_nothing() {
     let own = "#[cfg(test)]\nmod tests {\n    pub fn helper() {}\n}\n\
                #[cfg(test)]\npub fn probe() {}\nfn private() {}\n";
     assert!(unread_by(own, "").is_empty());
+}
+
+#[test]
+fn a_whole_file_entry_covers_every_item_of_its_file() {
+    let files = [("crates/a/src/own.rs".to_string(), NETLIST.to_string())];
+    assert_eq!(unread(&files, &[]).len(), 2);
+    assert!(unread(&files, &[("crates/a/src/own.rs", "*")]).is_empty());
+    assert_eq!(unread(&files, &[("crates/b/src/other.rs", "*")]).len(), 2);
+}
+
+#[test]
+fn test_files_are_those_under_a_tests_directory() {
+    assert!(is_test_file("tests/end_to_end.rs"));
+    assert!(is_test_file("crates/slm-pdn/tests/properties.rs"));
+    assert!(!is_test_file("crates/slm-pdn/src/pdn.rs"));
+    assert!(!is_test_file("crates/slm-bench/benches/observability.rs"));
+    assert!(!is_test_file("examples/quickstart.rs"));
+    assert!(!is_test_file("bench/src/workloads.rs"));
 }

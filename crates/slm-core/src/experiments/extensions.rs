@@ -11,8 +11,6 @@ use super::cpa::{capture_pilot, reads_benign, SensorSource};
 /// Outcome of the full-key recovery extension.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FullKeyResult {
-    /// The true last round key.
-    pub true_round_key: [u8; 16],
     /// The recovered last round key (leading candidate per byte).
     pub recovered_round_key: [u8; 16],
     /// The master key recovered by inverting the key schedule.
@@ -100,7 +98,6 @@ pub fn full_key_recovery(
     let recovered_round_key = MultiByteCpa::round_key_of(&peaks);
     let recovered_master_key = soft::invert_key_schedule(&recovered_round_key);
     Ok(FullKeyResult {
-        true_round_key,
         recovered_round_key,
         recovered_master_key,
         master_key_correct: recovered_master_key == config.aes_key,
@@ -129,8 +126,6 @@ pub struct TvlaResult {
     pub tdc_leaks: bool,
     /// Whether the benign sensor shows significant leakage.
     pub benign_leaks: bool,
-    /// Traces per class.
-    pub traces_per_class: u64,
 }
 
 /// Fixed-vs-random TVLA through both sensors simultaneously.
@@ -187,7 +182,6 @@ pub fn tvla_study(
         benign_max_t: benign_test.max_abs_t(),
         tdc_leaks: tdc_test.leaks(),
         benign_leaks: benign_test.leaks(),
-        traces_per_class: traces,
     })
 }
 

@@ -17,9 +17,6 @@ pub struct RoResponse {
     /// Per sample: how many endpoints differ from the previous sample —
     /// the "toggling bits" view of Figs. 5/14.
     pub toggle_counts: Vec<u32>,
-    /// Per sample: the raw captured endpoint word (low 64 bits) — the
-    /// "absolute value" view of Figs. 5/14.
-    pub raw_values: Vec<u64>,
     /// Per sample: TDC thermometer depth (Fig. 6, red).
     pub tdc: Vec<u32>,
     /// Per sample: Hamming weight of the sensitive bits (Fig. 6, blue).
@@ -64,7 +61,6 @@ pub fn ro_response(
     let aligned = PostProcessor::HammingWeightAligned(invert);
 
     let mut toggle_counts = Vec::with_capacity(samples);
-    let mut raw_values = Vec::with_capacity(samples);
     let mut hw_sensitive = Vec::with_capacity(samples);
     let mut hw_aligned = Vec::with_capacity(samples);
     for (k, s) in trace.benign.iter().enumerate() {
@@ -73,10 +69,7 @@ pub fn ro_response(
         } else {
             s.toggled_since(&trace.benign[k - 1])
         });
-        raw_values.push(s.bits.first().copied().unwrap_or(0));
         hw_sensitive.push(s.hamming_weight_of(&sensitive_bits));
-        let subset = s.hamming_weight_of(&sensitive_bits);
-        let _ = subset;
         // aligned HW over the sensitive subset
         let sub = {
             let mut bits = vec![0u64; sensitive_bits.len().div_ceil(64)];
@@ -95,7 +88,6 @@ pub fn ro_response(
     Ok(RoResponse {
         sensitive_bits,
         toggle_counts,
-        raw_values,
         tdc: trace.tdc,
         hw_sensitive,
         hw_aligned,
@@ -132,8 +124,6 @@ pub struct VarianceResult {
     /// single-bit sensor selection (bit 21 for its ALU, bit 28 for its
     /// C6288).
     pub best_aes_endpoint: Option<usize>,
-    /// The highest-variance endpoint under RO activity.
-    pub best_ro_endpoint: Option<usize>,
 }
 
 /// Census + variance computed from one pair of activity runs.
@@ -203,7 +193,6 @@ pub fn activity_study(
     let variance = VarianceResult {
         rows,
         best_aes_endpoint: aes_act.best_endpoint(),
-        best_ro_endpoint: ro_act.best_endpoint(),
     };
     Ok(ActivityStudy { census, variance })
 }

@@ -26,8 +26,6 @@ pub struct BuiltCircuit {
     pub reset: Vec<bool>,
     /// The "measure" input vector (applied on even cycles).
     pub measure: Vec<bool>,
-    /// Human-readable description of the stimulus.
-    pub stimulus_note: &'static str,
 }
 
 impl BenignCircuit {
@@ -65,6 +63,7 @@ impl BenignCircuit {
         match self {
             BenignCircuit::Alu192 => {
                 let nl = alu192()?;
+                // op=ADD, A=2^192-1, B=1: a full carry ripple.
                 let mut reset = words::limbs_to_bits(&[0, 0, 0], 192);
                 reset.extend(words::limbs_to_bits(&[0, 0, 0], 192));
                 reset.extend(AluOp::Add.opcode_bits());
@@ -75,7 +74,6 @@ impl BenignCircuit {
                     netlist: nl,
                     reset,
                     measure,
-                    stimulus_note: "op=ADD, A=2^192-1, B=1 (full carry ripple)",
                 })
             }
             BenignCircuit::DualC6288 => {
@@ -102,8 +100,6 @@ impl BenignCircuit {
                     netlist: nl,
                     reset,
                     measure,
-                    stimulus_note:
-                        "ATPG-found pair: 0x0A03*0x0423 -> 0x9D77*0xF7D6 (19/32 endpoints near-critical)",
                 })
             }
         }

@@ -79,7 +79,8 @@ fn stream_checkpoint() -> Format {
     for _ in 0..300 {
         let mut pt = [0u8; 16];
         rng.fill_bytes(&mut pt);
-        attack.add_trace(&soft::encrypt(&key, &pt), &[rng.normal(), rng.normal()]);
+        let counts = [rng.below(64) as f64, rng.below(64) as f64];
+        attack.add_trace(&soft::encrypt(&key, &pt), &counts);
     }
     let cp = StreamCheckpoint {
         fingerprint: 0xfeed_f00d,

@@ -3,10 +3,12 @@
 
 use serde::{Deserialize, Serialize};
 use slm_aes::soft;
-use slm_cpa::{common_mode_polarity, CpaAttack, MultiByteCpa, PostProcessor, WelchTTest};
+use slm_cpa::{
+    common_mode_polarity, CpaAttack, MultiByteCpa, PostProcessor, TraceBatch, WelchTTest,
+};
 use slm_fabric::{BenignCircuit, FabricConfig, FabricError, MultiTenantFabric};
 
-use super::cpa::{capture_pilot, reads_benign, SensorSource};
+use super::cpa::{capture_pilot, reads_benign, SensorSource, ABSORB_BATCH};
 
 /// Outcome of the full-key recovery extension.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -72,8 +74,9 @@ pub fn full_key_recovery(
     };
 
     let mut multi = MultiByteCpa::new(0, points);
+    let mut batch = TraceBatch::with_capacity(points, ABSORB_BATCH as usize);
     let mut point_buf = vec![0.0f64; points];
-    for _ in 0..traces {
+    for t in 0..traces {
         let pt = fabric.random_plaintext();
         let rec = fabric.encrypt_windowed(pt, window.clone(), &endpoints);
         match &processor {
@@ -88,7 +91,13 @@ pub fn full_key_recovery(
                 }
             }
         }
-        multi.add_trace(&rec.ciphertext, &point_buf);
+        batch.push(rec.ciphertext, &point_buf);
+        if batch.len() == ABSORB_BATCH as usize || t + 1 == traces {
+            multi
+                .add_batch(&batch)
+                .expect("staging geometry matches the attack");
+            batch.clear();
+        }
     }
 
     // One 16 × 256-candidate evaluation, fanned out over the worker

@@ -1,7 +1,8 @@
 //! Typed errors for the accumulator layer.
 
 /// A trace or accumulator whose shape disagrees with the attack it was
-/// offered to. The accumulator is left unchanged.
+/// offered to, or that would overfill it. The accumulator is left
+/// unchanged.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CpaError {
     /// A trace arrived with the wrong number of points.
@@ -17,6 +18,14 @@ pub enum CpaError {
         /// Human-readable description of the mismatch.
         detail: String,
     },
+    /// Absorbing or merging would take an accumulator past `u32::MAX`
+    /// traces, the cap under which its integer sums cannot overflow.
+    TraceCapExceeded {
+        /// Traces the accumulator holds.
+        traces: u64,
+        /// Traces the refused absorb or merge would add.
+        adding: u64,
+    },
 }
 
 impl std::fmt::Display for CpaError {
@@ -30,6 +39,13 @@ impl std::fmt::Display for CpaError {
             }
             CpaError::IncompatibleMerge { detail } => {
                 write!(f, "incompatible accumulator merge: {detail}")
+            }
+            CpaError::TraceCapExceeded { traces, adding } => {
+                write!(
+                    f,
+                    "adding {adding} traces to {traces} would pass the cap of {} traces",
+                    u32::MAX
+                )
             }
         }
     }

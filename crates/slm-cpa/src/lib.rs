@@ -12,7 +12,9 @@
 //!    endpoint),
 //! 4. run correlation power analysis against the last-round single-bit
 //!    hypothesis ([`CpaAttack`], Figs. 9–13, 17, 18) and measure the
-//!    traces-to-disclosure ([`measurements_to_disclosure`]).
+//!    traces-to-disclosure ([`measurements_to_disclosure`]). Every
+//!    trace point is a count (a TDC depth, an endpoint bit, a Hamming
+//!    weight), and the attack accumulates exact integer sums.
 //!
 //! # Example: CPA on synthetic leakage
 //!
@@ -30,9 +32,10 @@
 //!     let mut pt = [0u8; 16];
 //!     rng.fill_bytes(&mut pt);
 //!     let ct = soft::encrypt(&key, &pt);
-//!     // leakage = hypothesis bit + noise
+//!     // leakage = hypothesis bit + noise, read as a sensor count
 //!     let h = f64::from(u8::from(model.hypothesis(&ct, k10[3])));
-//!     attack.add_trace(&ct, &[h + rng.normal_scaled(2.0)]);
+//!     let count = (256.0 + 8.0 * (h + rng.normal_scaled(2.0))).round();
+//!     attack.add_trace(&ct, &[count]);
 //! }
 //! let (best, _) = CpaAttack::best_of(&attack.peak_correlations());
 //! assert_eq!(best, k10[3]);

@@ -7,7 +7,8 @@
 //! (`slm_aes::soft::invert_key_schedule`) to obtain the master key.
 //! This module recovers the round key.
 
-use crate::attack::{CpaAttack, LastRoundModel};
+use crate::attack::{CpaAttack, LastRoundModel, TraceBatch};
+use crate::error::CpaError;
 
 /// Sixteen parallel last-round single-bit CPA attacks sharing one
 /// trace stream.
@@ -27,16 +28,16 @@ impl MultiByteCpa {
         }
     }
 
-    /// Absorbs one trace into all sixteen attacks.
+    /// Absorbs a staged batch into all sixteen attacks; each derives
+    /// its own bins from the batch's ciphertexts.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `samples.len()` differs from the configured point
-    /// count.
-    pub fn add_trace(&mut self, ct: &[u8; 16], samples: &[f64]) {
-        for attack in &mut self.attacks {
-            attack.add_trace(ct, samples);
-        }
+    /// As [`CpaAttack::add_batch`]. The sixteen attacks share their
+    /// point and trace counts, so either all of them absorb the batch
+    /// or none does.
+    pub fn add_batch(&mut self, batch: &TraceBatch) -> Result<(), CpaError> {
+        self.attacks.iter_mut().try_for_each(|a| a.add_batch(batch))
     }
 
     /// Every byte's peak |r| over its 256 candidates, in byte order:
@@ -71,18 +72,22 @@ mod tests {
         ];
         let k10 = soft::key_expansion(&key)[10];
         let mut multi = MultiByteCpa::new(0, 1);
+        let mut batch = TraceBatch::with_capacity(1, 6_000);
         let mut rng = Rng64::new(42);
         for _ in 0..6_000 {
             let mut pt = [0u8; 16];
             rng.fill_bytes(&mut pt);
             let ct = soft::encrypt(&key, &pt);
-            // leakage: sum over all bytes of the pre-SubBytes bit + noise
+            // leakage: sum over all bytes of the pre-SubBytes bit + noise,
+            // scaled, offset and rounded to a count
             let mut leak = 0.0;
             for b in 0..16 {
                 leak += f64::from(soft::INV_SBOX[(ct[b] ^ k10[b]) as usize] & 1);
             }
-            multi.add_trace(&ct, &[leak + rng.normal_scaled(2.0)]);
+            let count = (256.0 + 8.0 * (leak + rng.normal_scaled(2.0))).round();
+            batch.push(ct, &[count]);
         }
+        multi.add_batch(&batch).unwrap();
         let peaks = multi.peak_correlations(1);
         assert_eq!(MultiByteCpa::round_key_of(&peaks), k10);
         assert_eq!(soft::invert_key_schedule(&k10), key);

@@ -35,8 +35,8 @@
 //! 9      1                model bit (u8)
 //! 10      8               traces absorbed (u64)
 //! 18      256×8           bin_count (u64 per ciphertext-byte value)
-//! +       256×points×8    bin_sum (f64, bin-major)
-//! +       points×8        sum_sq (f64)
+//! +       256×points×8    bin_sum (whole-number f64 ≤ 2^53, bin-major)
+//! +       points×8        sum_sq (whole-number f64 ≤ 2^53)
 //! +       8               fletcher-64 seal
 //! ```
 //!
@@ -134,6 +134,10 @@ const STREAM_MAGIC: [u8; 4] = *b"SLMS";
 
 const LOG_MAGIC: [u8; 4] = *b"SLMP";
 
+/// The largest accumulator sum the checkpoint stores: `2^53`, the end
+/// of the range where `f64` holds every whole number exactly.
+const MAX_STORED_SUM: u64 = 1 << 53;
+
 /// `n` as a format field of type `T`; `InvalidInput` when the field is
 /// too narrow to hold it.
 fn field<T: TryFrom<usize>>(n: usize, what: &str) -> io::Result<T> {
@@ -159,8 +163,8 @@ fn read_all<T>(
 ///
 /// # Errors
 ///
-/// `InvalidInput` if the point count exceeds the format's `u16` field;
-/// otherwise propagates I/O errors.
+/// `InvalidInput` if the point count exceeds the format's `u16` field
+/// or a sum exceeds `2^53`; otherwise propagates I/O errors.
 pub fn write_checkpoint<W: Write>(mut sink: W, cp: &CpaCheckpoint) -> io::Result<()> {
     sink.write_all(&encode_checkpoint(cp)?)
 }
@@ -174,8 +178,35 @@ fn encode_checkpoint(cp: &CpaCheckpoint) -> io::Result<Vec<u8>> {
     for &c in &cp.bin_count {
         w.u64(c);
     }
-    w.f64s(&cp.bin_sum).f64s(&cp.sum_sq);
+    write_sums(&mut w, &cp.bin_sum, "bin_sum")?;
+    write_sums(&mut w, &cp.sum_sq, "sum_sq")?;
     Ok(w.seal())
+}
+
+/// Appends accumulator sums, each as the `f64` of the same whole number.
+fn write_sums(w: &mut Writer, sums: &[u64], what: &str) -> io::Result<()> {
+    if let Some(s) = sums.iter().find(|&&s| s > MAX_STORED_SUM) {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("{what} {s} exceeds 2^53, past which an f64 is not exact"),
+        ));
+    }
+    w.f64s(&sums.iter().map(|&s| s as f64).collect::<Vec<_>>());
+    Ok(())
+}
+
+/// Sums read back from [`write_sums`] output that starts at byte `at`;
+/// each must be a whole number in `[0, 2^53]`.
+fn whole_sums(values: Vec<f64>, section: &'static str, at: usize) -> Result<Vec<u64>, DecodeError> {
+    let whole = |x: f64| x.fract() == 0.0 && (0.0..=MAX_STORED_SUM as f64).contains(&x);
+    match values.iter().position(|&x| !whole(x)) {
+        Some(i) => Err(DecodeError::new(
+            section,
+            at + 8 * i,
+            format!("{} is not a whole number in [0, 2^53]", values[i]),
+        )),
+        None => Ok(values.into_iter().map(|x| x as u64).collect()),
+    }
 }
 
 /// Reads a checkpoint written by [`write_checkpoint`], validating the
@@ -188,8 +219,9 @@ fn encode_checkpoint(cp: &CpaCheckpoint) -> io::Result<Vec<u8>> {
 /// # Errors
 ///
 /// `InvalidData` on bad magic, version, truncation, checksum mismatch,
-/// or a geometry that does not describe a valid accumulator. The error
-/// message names the failing section and byte offset.
+/// a sum that is not a whole number in `[0, 2^53]`, or an accumulator
+/// [`crate::CpaAttack::resume`] would refuse. The error message names
+/// the failing section and byte offset.
 pub fn read_checkpoint<R: Read>(source: R) -> io::Result<CpaCheckpoint> {
     read_all(source, decode_checkpoint)
 }
@@ -203,24 +235,22 @@ fn decode_checkpoint(data: &[u8]) -> Result<CpaCheckpoint, DecodeError> {
     };
     let traces = r.u64("header")?;
     let bin_count = r.u64s(256, "bin_count")?;
+    let bin_sum_at = r.offset();
     let bin_sum = r.f64s(256 * points, "bin_sum")?;
+    let sum_sq_at = r.offset();
     let sum_sq = r.f64s(points, "sum_sq")?;
     r.seal()?;
-    if model.ct_byte >= 16 || model.bit >= 8 {
-        return Err(DecodeError::new(
-            "model",
-            8,
-            format!("ct_byte {} / bit {} out of range", model.ct_byte, model.bit),
-        ));
-    }
-    Ok(CpaCheckpoint {
+    let cp = CpaCheckpoint {
         model,
         points,
         bin_count,
-        bin_sum,
-        sum_sq,
+        bin_sum: whole_sums(bin_sum, "bin_sum", bin_sum_at)?,
+        sum_sq: whole_sums(sum_sq, "sum_sq", sum_sq_at)?,
         traces,
-    })
+    };
+    cp.check()
+        .map_err(|detail| DecodeError::new("accumulator", 8, detail))?;
+    Ok(cp)
 }
 
 /// Durable state of a streaming campaign at a committed window
@@ -774,7 +804,8 @@ mod tests {
             let mut pt = [0u8; 16];
             rng.fill_bytes(&mut pt);
             let ct = soft::encrypt(&key, &pt);
-            attack.add_trace(&ct, &[rng.normal(), rng.normal(), rng.normal()]);
+            let counts = [rng.below(64), rng.below(1 << 16), rng.below(2)];
+            attack.add_trace(&ct, &counts.map(|x| x as f64));
         }
         let cp = attack.checkpoint();
         let mut bytes = Vec::new();
@@ -803,6 +834,33 @@ mod tests {
         assert!(read_checkpoint(&b"SLMC"[..]).is_err());
     }
 
+    #[test]
+    fn checkpoint_sums_are_whole_numbers_counts_can_reach() {
+        let mut attack = CpaAttack::new(LastRoundModel::paper_target(), 2);
+        attack.add_trace(&[4; 16], &[9.0, 65_535.0]);
+        let encode = |edit: fn(&mut CpaCheckpoint)| {
+            let mut cp = attack.checkpoint();
+            edit(&mut cp);
+            let mut bytes = Vec::new();
+            write_checkpoint(&mut bytes, &cp).map(|()| bytes)
+        };
+        // A sum past 2^53 has no exact f64, so it is refused on write.
+        let err = encode(|cp| cp.sum_sq[1] = (1 << 53) + 1).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+        // An empty bin with a non-zero sum is refused on read.
+        let bytes = encode(|cp| cp.bin_sum[2 * 5] = 3).unwrap();
+        let err = read_checkpoint(&bytes[..]).unwrap_err().to_string();
+        assert!(err.contains("bin 5 point 0"), "{err}");
+        // So is a stored sum that is not a whole number, even resealed.
+        let mut bytes = encode(|_| ()).unwrap();
+        let at = 18 + 256 * 8 + (4 * 2 + 1) * 8;
+        assert_eq!(bytes[at..at + 8], 65_535f64.to_le_bytes());
+        bytes[at..at + 8].copy_from_slice(&65_534.5f64.to_le_bytes());
+        reseal(&mut bytes);
+        let err = read_checkpoint(&bytes[..]).unwrap_err().to_string();
+        assert!(err.contains(&format!("`bin_sum` at byte {at}")), "{err}");
+    }
+
     /// Recomputes the trailing Fletcher-64 seal after a deliberate
     /// header edit, so tests can prove which check fires first.
     fn reseal(bytes: &mut [u8]) {
@@ -828,7 +886,7 @@ mod tests {
             let mut pt = [0u8; 16];
             rng.fill_bytes(&mut pt);
             let ct = soft::encrypt(&key, &pt);
-            let samples: Vec<f64> = (0..points).map(|_| rng.normal()).collect();
+            let samples: Vec<f64> = (0..points).map(|_| rng.below(64) as f64).collect();
             attack.add_trace(&ct, &samples);
         }
         StreamCheckpoint {

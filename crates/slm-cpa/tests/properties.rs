@@ -8,6 +8,21 @@ use slm_cpa::{
 };
 use slm_pdn::noise::Rng64;
 
+/// `x` scaled by 8 about 1024 and rounded: Gaussian leakage as a sensor
+/// count, non-negative for any `|x| < 128`.
+fn count(x: f64) -> f64 {
+    (1024.0 + 8.0 * x).round()
+}
+
+/// The samples the attack takes, staged as one batch.
+fn batch_of(points: usize, traces: &[([u8; 16], Vec<f64>)]) -> TraceBatch {
+    let mut batch = TraceBatch::with_capacity(points, traces.len());
+    for (ct, x) in traces {
+        batch.push(*ct, x);
+    }
+    batch
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -27,7 +42,7 @@ proptest! {
             rng.fill_bytes(&mut pt);
             let ct = soft::encrypt(&key, &pt);
             let h = f64::from(u8::from(model.hypothesis(&ct, k10[ct_byte])));
-            attack.add_trace(&ct, &[h + rng.normal_scaled(1.0)]);
+            attack.add_trace(&ct, &[count(h + rng.normal_scaled(1.0))]);
         }
         let (best, peak) = CpaAttack::best_of(&attack.peak_correlations());
         prop_assert_eq!(best, k10[ct_byte]);
@@ -35,9 +50,9 @@ proptest! {
     }
 
     /// Correlations are invariant under affine transforms of the traces
-    /// (CPA normalizes means and scales).
+    /// (CPA normalizes means and scales) that keep them counts.
     #[test]
-    fn cpa_affine_invariant(scale in 0.5f64..20.0, offset in -100.0f64..100.0,
+    fn cpa_affine_invariant(scale in 1u32..20, offset in 0u32..20_000,
                             seed in any::<u64>()) {
         let key = [3u8; 16];
         let k10 = soft::key_expansion(&key)[10];
@@ -50,9 +65,9 @@ proptest! {
             rng.fill_bytes(&mut pt);
             let ct = soft::encrypt(&key, &pt);
             let h = f64::from(u8::from(model.hypothesis(&ct, k10[3])));
-            let x = h + rng.normal_scaled(1.0);
+            let x = count(h + rng.normal_scaled(1.0));
             a1.add_trace(&ct, &[x]);
-            a2.add_trace(&ct, &[x * scale + offset]);
+            a2.add_trace(&ct, &[x * f64::from(scale) + f64::from(offset)]);
         }
         let c1 = a1.correlations();
         let c2 = a2.correlations();
@@ -71,7 +86,7 @@ proptest! {
         for _ in 0..n {
             let mut ct = [0u8; 16];
             rng.fill_bytes(&mut ct);
-            attack.add_trace(&ct, &[rng.normal(), rng.uniform()]);
+            attack.add_trace(&ct, &[count(rng.normal()), rng.below(1 << 16) as f64]);
         }
         for row in attack.correlations() {
             for r in row {
@@ -116,21 +131,23 @@ proptest! {
     fn multibyte_matches_single(seed in any::<u64>()) {
         let key = [9u8; 16];
         let k10 = soft::key_expansion(&key)[10];
-        let mut multi = MultiByteCpa::new(0, 1);
         let mut single: Vec<CpaAttack> = (0..16)
             .map(|b| CpaAttack::new(LastRoundModel { ct_byte: b, bit: 0 }, 1))
             .collect();
         let mut rng = Rng64::new(seed);
+        let mut traces = Vec::new();
         for _ in 0..300 {
             let mut pt = [0u8; 16];
             rng.fill_bytes(&mut pt);
             let ct = soft::encrypt(&key, &pt);
-            let x = rng.normal();
-            multi.add_trace(&ct, &[x]);
+            let x = count(rng.normal());
             for s in &mut single {
                 s.add_trace(&ct, &[x]);
             }
+            traces.push((ct, vec![x]));
         }
+        let mut multi = MultiByteCpa::new(0, 1);
+        multi.add_batch(&batch_of(1, &traces)).unwrap();
         let peaks = multi.peak_correlations(1);
         let recovered = MultiByteCpa::round_key_of(&peaks);
         for (b, s) in single.iter().enumerate() {
@@ -176,11 +193,7 @@ proptest! {
             for _ in 0..shard.traces {
                 let mut ct = [0u8; 16];
                 rng.fill_bytes(&mut ct);
-                // dyadic samples: every partial sum is exact in f64
-                let x = [
-                    (rng.next_u64() % 64) as f64 / 8.0,
-                    (rng.next_u64() % 64) as f64 / 8.0,
-                ];
+                let x = [rng.below(64) as f64, rng.below(1 << 16) as f64];
                 part.add_trace(&ct, &x);
             }
             part
@@ -204,10 +217,9 @@ proptest! {
         prop_assert_eq!(merged.traces(), total);
     }
 
-    /// Merge is commutative and associative on the accumulator state.
-    /// Sample values are dyadic rationals (multiples of 1/8, bounded),
-    /// so every f64 sum is exact and the algebra holds bit-identically —
-    /// not merely to within rounding.
+    /// Merge is commutative and associative on the accumulator state:
+    /// every sum is an integer, so the algebra holds bit-identically
+    /// for any counts, up to `u16::MAX`.
     #[test]
     fn merge_is_commutative_and_associative(seed in any::<u64>(),
                                             na in 1usize..120,
@@ -220,10 +232,7 @@ proptest! {
             for _ in 0..n {
                 let mut ct = [0u8; 16];
                 rng.fill_bytes(&mut ct);
-                let x = [
-                    (rng.next_u64() % 64) as f64 / 8.0,
-                    (rng.next_u64() % 64) as f64 / 8.0,
-                ];
+                let x = [rng.below(64) as f64, rng.below(1 << 16) as f64];
                 a.add_trace(&ct, &x);
             }
             a
@@ -252,12 +261,10 @@ proptest! {
         prop_assert_eq!(&with_empty, &a);
     }
 
-    /// The blocked SoA batch path absorbs traces bit-identically to the
-    /// scalar one-at-a-time path. Samples are dyadic rationals
-    /// (multiples of 1/8, bounded), so every accumulator sum is exact
-    /// in f64 and the comparison is `==` on the full accumulator state,
-    /// matching PR 3's merge-algebra tests. Batch boundaries are drawn
-    /// at arbitrary positions to exercise partial batches, singleton
+    /// The SoA batch path absorbs traces bit-identically to the scalar
+    /// one-at-a-time path: `==` on the full accumulator state, for
+    /// counts up to `u16::MAX`. Batch boundaries are drawn at
+    /// arbitrary positions to exercise partial batches, singleton
     /// batches and empty flushes.
     #[test]
     fn soa_batch_matches_scalar_absorption(seed in any::<u64>(),
@@ -273,7 +280,7 @@ proptest! {
             let mut ct = [0u8; 16];
             rng.fill_bytes(&mut ct);
             let x: Vec<f64> = (0..points)
-                .map(|_| (rng.next_u64() % 64) as f64 / 8.0)
+                .map(|_| rng.below(1 << 16) as f64)
                 .collect();
             scalar.add_trace(&ct, &x);
             batch.push(ct, &x);
@@ -292,12 +299,15 @@ proptest! {
     #[test]
     fn multibyte_key_is_worker_count_invariant(seed in any::<u64>(), traces in 1usize..400) {
         let mut rng = Rng64::new(seed);
+        let traces: Vec<([u8; 16], Vec<f64>)> = (0..traces)
+            .map(|_| {
+                let mut ct = [0u8; 16];
+                rng.fill_bytes(&mut ct);
+                (ct, vec![count(rng.normal())])
+            })
+            .collect();
         let mut multi = MultiByteCpa::new(0, 1);
-        for _ in 0..traces {
-            let mut ct = [0u8; 16];
-            rng.fill_bytes(&mut ct);
-            multi.add_trace(&ct, &[rng.normal()]);
-        }
+        multi.add_batch(&batch_of(1, &traces)).unwrap();
         let bits = |peaks: Vec<[f64; 256]>| -> Vec<u64> {
             peaks.iter().flatten().map(|p| p.to_bits()).collect()
         };
@@ -322,11 +332,11 @@ fn reference_correlations(attack: &CpaAttack) -> Vec<Vec<f64>> {
             .iter_mut()
             .zip(&cp.bin_sum[c * points..(c + 1) * points])
         {
-            *acc += x;
+            *acc += x as f64;
         }
     }
     let denom_x: Vec<f64> = (0..points)
-        .map(|p| (n * cp.sum_sq[p] - total_sum[p] * total_sum[p]).sqrt())
+        .map(|p| (n * cp.sum_sq[p] as f64 - total_sum[p] * total_sum[p]).sqrt())
         .collect();
     // Entry `v`: the hypothesis for a ciphertext byte `v` under
     // candidate 0, so candidate `k` maps bin `c` to `hyp[c ^ k]`.
@@ -347,7 +357,7 @@ fn reference_correlations(attack: &CpaAttack) -> Vec<Vec<f64>> {
                 }
                 n1 += cp.bin_count[c];
                 for (acc, &x) in s1.iter_mut().zip(&cp.bin_sum[c * points..(c + 1) * points]) {
-                    *acc += x;
+                    *acc += x as f64;
                 }
             }
             let n1f = n1 as f64;
@@ -373,12 +383,8 @@ proptest! {
     /// fold bit for bit (a `-0.0` for a `+0.0` fails, as does a NaN),
     /// for sparse bins (most of the 256 empty at small trace counts,
     /// or ciphertext bytes drawn from a few values) and any attacked
-    /// byte and bit. Samples are drawn in three regimes: full-precision
-    /// with negative, zero and fractional points; small integers, as
-    /// TDC depths and Hamming weights are; and integers so large that a
-    /// point's total of |bin sums| lands within a factor of about two
-    /// either side of 2^38, the exactness limit of the transform
-    /// evaluation.
+    /// byte and bit. Samples are counts in two regimes: small, as TDC
+    /// depths and Hamming weights are, and near `u16::MAX`.
     #[test]
     fn correlations_match_reference_fold(seed in any::<u64>(),
                                          traces in 0usize..600,
@@ -386,29 +392,17 @@ proptest! {
                                          ct_byte in 0usize..16,
                                          bit in 0u8..8,
                                          byte_values in 1u64..257,
-                                         regime in 0u8..3) {
+                                         near_max in any::<bool>()) {
         let mut rng = Rng64::new(seed);
         let mut attack = CpaAttack::new(LastRoundModel { ct_byte, bit }, points);
-        // Near the limit, each of `traces` non-negative samples averages
-        // 2^38·f / traces, so a point's total lands near 2^38·f.
-        let f = rng.uniform_in(0.5, 2.0);
-        let span = (2.0 * 2f64.powi(38) * f / traces.max(1) as f64) as u64 + 1;
         let mut x = vec![0.0; points];
         for _ in 0..traces {
             let mut ct = [0u8; 16];
             rng.fill_bytes(&mut ct);
             ct[ct_byte] = rng.below(byte_values) as u8;
             for slot in x.iter_mut() {
-                *slot = match regime {
-                    0 => match rng.below(4) {
-                        0 => 0.0,
-                        1 => -rng.uniform_in(0.0, 3.0),
-                        2 => (rng.next_u64() % 64) as f64 / 8.0 - 4.0,
-                        _ => rng.normal_scaled(2.5),
-                    },
-                    1 => rng.below(72) as f64 - 8.0,
-                    _ => rng.below(span) as f64,
-                };
+                let c = rng.below(72);
+                *slot = if near_max { 65_535 - c } else { c } as f64;
             }
             attack.add_trace(&ct, &x);
         }

@@ -240,6 +240,76 @@ fn report_debug_digest_is_pinned() {
     assert_pinned("report debug digest", h, 0x5761_fd09_8c99_5943);
 }
 
+/// Every generator family with the range of widths to sweep it over,
+/// in steps of the last field (ring oscillators take even counts).
+const FAMILY_RANGES: [(&str, Build, usize, usize, usize); 17] = [
+    ("rca", ripple_carry_adder, 4, 640, 1),
+    ("rca_cin", ripple_carry_adder_with_cin, 4, 640, 1),
+    ("cla", carry_lookahead_adder, 4, 640, 1),
+    ("csa", carry_select_adder, 4, 640, 1),
+    ("ksa", kogge_stone_adder, 4, 640, 1),
+    ("alu", alu, 4, 256, 1),
+    ("array_mult", array_multiplier, 2, 32, 1),
+    ("wallace", wallace_multiplier, 2, 32, 1),
+    ("equality", equality_comparator, 2, 128, 1),
+    ("parity", parity_tree, 2, 128, 1),
+    ("ring_osc", ring_oscillator, 1, 32, 2),
+    ("obf_ring_osc", obfuscated_ring_oscillator, 1, 32, 2),
+    ("ro_grid", ro_grid, 1, 16, 1),
+    ("clock_as_data", clock_as_data, 2, 128, 1),
+    ("tdc", tdc_delay_line, 4, 256, 1),
+    ("obf_tdc", obfuscated_tdc_delay_line, 4, 256, 1),
+    ("tapped_chain", tapped_carry_chain, 4, 640, 1),
+];
+
+/// Eight widths from `lo` to `hi`, evenly spaced on a log scale.
+fn log_widths(lo: usize, hi: usize) -> impl Iterator<Item = usize> {
+    let ratio = hi as f64 / lo as f64;
+    (0..8).map(move |k| (lo as f64 * ratio.powf(f64::from(k) / 7.0)).round() as usize)
+}
+
+/// The corpus pin: the digest of every full-scan finding's kind,
+/// severity, pass, witness, span and detail, over the zoo, every
+/// generator family and carry sensors at eight log-spaced widths,
+/// under the default config and under a 300 MHz clock contract.
+#[test]
+fn log_spaced_corpus_is_pinned() {
+    let mut designs: Vec<Netlist> = zoo().into_iter().map(|e| e.netlist).collect();
+    for (name, build, lo, hi, step) in FAMILY_RANGES {
+        for width in log_widths(lo, hi).map(|w| w * step) {
+            designs.push(build(width).unwrap_or_else(|e| panic!("{name}{width}: {e}")));
+        }
+    }
+    for (width, tap) in log_widths(4, 640).zip([2, 3, 4, 6, 8].iter().cycle()) {
+        designs.push(carry_sensor(width, *tap).expect("valid width"));
+    }
+    let at_300 = CheckerConfig {
+        timing: TimingConfig {
+            clock_mhz: Some(300.0),
+        },
+        ..CheckerConfig::default()
+    };
+    let pm = PassManager::full();
+    let mut h = FNV_OFFSET;
+    for config in [CheckerConfig::default(), at_300] {
+        for nl in &designs {
+            let report = pm.run(nl, &config, &Obs::null());
+            h = fnv1a(
+                h,
+                format!("{} {}\n", report.netlist, report.nets).as_bytes(),
+            );
+            for f in &report.findings {
+                let line = format!(
+                    "{:?} {:?} {} {:?} {:?} {}\n",
+                    f.kind, f.severity, f.pass, f.witness, f.span, f.detail
+                );
+                h = fnv1a(h, line.as_bytes());
+            }
+        }
+    }
+    assert_pinned("log-spaced corpus", h, 0x4b19_789d_2975_1a04);
+}
+
 /// The disk-tier cache key of one fixed netlist under four configs.
 /// `scan_key` hashes the netlist's content hash with the serialized
 /// config, so these values hold only while the config renders to the

@@ -81,7 +81,7 @@ impl<'a> Analysis<'a> {
             .get_or_init(|| {
                 let order = self.nl.topological_order().ok()?;
                 let mut level = vec![0usize; self.nl.len()];
-                for &v in order {
+                for v in order {
                     let g = self.nl.gate(v);
                     if !matches!(
                         g.kind,

@@ -6,6 +6,7 @@ use crate::diag::{span_of, CheckKind, Finding, Severity};
 use crate::pass::{Pass, Prior};
 use crate::semantic::compute_activity;
 use slm_netlist::NetId;
+use std::cmp::Ordering;
 
 /// Estimates per-net transition densities and glitch bounds, then
 /// raises power-proxy findings:
@@ -137,14 +138,15 @@ impl Pass for SwitchingActivityPass {
             );
         }
         // Reconvergence / glitch-amplification note.
+        // The last net of the largest ratio, as `max_by` picks.
         let worst = (0..nl.len())
             .filter(|&i| facts.density[i] > 0.0)
-            .max_by(|&a, &b| {
-                (facts.glitch[a] / facts.density[a])
-                    .total_cmp(&(facts.glitch[b] / facts.density[b]))
+            .map(|i| (i, facts.glitch[i] / facts.density[i]))
+            .reduce(|best, next| match best.1.total_cmp(&next.1) {
+                Ordering::Greater => best,
+                _ => next,
             });
-        if let Some(worst) = worst {
-            let amp = facts.glitch[worst] / facts.density[worst];
+        if let Some((worst, amp)) = worst {
             if amp >= config.activity.info_amplification {
                 findings.push(
                     Finding::new(

@@ -108,18 +108,20 @@ impl SignaturePass {
         }
         let gap = config.signature.max_unobserved_gap as u32;
         const FAR: u32 = u32::MAX;
+        // Marks "no anchor" in `last` and `parent`.
+        const NONE: u32 = u32::MAX;
         // Longest anchor-chain ending at each net's most recent anchor,
         // with the count of unobserved non-buffer gates since it.
         let mut chain = vec![0u32; n];
         let mut hops = vec![FAR; n];
-        let mut last: Vec<Option<NetId>> = vec![None; n];
-        let mut parent: Vec<Option<NetId>> = vec![None; n];
+        let mut last = vec![NONE; n];
+        let mut parent = vec![NONE; n];
         let mut best: Option<NetId> = None;
-        for &v in order {
+        for v in order {
             let g = nl.gate(v);
             let mut c_chain = 0u32;
             let mut c_hops = FAR;
-            let mut c_last: Option<NetId> = None;
+            let mut c_last = NONE;
             for &f in g.fanin {
                 let (fc, fh) = (chain[f.index()], hops[f.index()]);
                 if fc > c_chain || (fc == c_chain && fh < c_hops) {
@@ -137,7 +139,7 @@ impl SignaturePass {
                     chain[vi] = 1;
                 }
                 hops[vi] = 0;
-                last[vi] = Some(v);
+                last[vi] = v.0;
                 if best.is_none_or(|b| chain[b.index()] < chain[vi]) {
                     best = Some(v);
                 }
@@ -161,10 +163,10 @@ impl SignaturePass {
         }
         // Reconstruct the observed stages, oldest first.
         let mut stages = Vec::with_capacity(length);
-        let mut cur = Some(end);
-        while let Some(v) = cur {
-            stages.push(v);
-            cur = parent[v.index()];
+        let mut cur = end.0;
+        while cur != NONE {
+            stages.push(NetId(cur));
+            cur = parent[cur as usize];
         }
         stages.reverse();
         findings.push(

@@ -317,7 +317,12 @@ pub(crate) fn lane_setup(
 /// Post-processes one capture into the trace points of attack slot
 /// `slot` — the single shared definition of every sensor source's
 /// trace-point function.
-fn fill_points(setup: &CampaignSetup, rec: &CaptureRecord, slot: usize, point_buf: &mut [f64]) {
+pub(crate) fn fill_points(
+    setup: &CampaignSetup,
+    rec: &CaptureRecord,
+    slot: usize,
+    point_buf: &mut [f64],
+) {
     match setup.source {
         SensorSource::TdcAll => {
             for (dst, &d) in point_buf.iter_mut().zip(&rec.tdc) {

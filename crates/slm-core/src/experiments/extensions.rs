@@ -8,7 +8,10 @@ use slm_cpa::{
 };
 use slm_fabric::{BenignCircuit, FabricConfig, FabricError, MultiTenantFabric};
 
-use super::cpa::{capture_pilot, reads_benign, SensorSource, ABSORB_BATCH};
+use super::cpa::{
+    campaign_config, capture_pilot, fill_points, pilot_setup, CpaExperiment, SensorSource,
+    ABSORB_BATCH,
+};
 
 /// Outcome of the full-key recovery extension.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -33,8 +36,11 @@ pub struct FullKeyResult {
 ///
 /// The capture window spans the whole final round (all four datapath
 /// columns), so every byte's leakage cycle is covered by the same
-/// traces. The pilot follows the campaign engines' rule: it samples
-/// the benign sensor only for benign sources.
+/// traces. The pilot phase and the trace points are the campaign
+/// engines' own: a TDC source never samples the benign sensor, and
+/// `TdcSingleBit` thresholds the depth at its tap. Only the first
+/// attack slot is attacked, so `BenignSingleBit(None)` takes the first
+/// of the engines' candidate endpoints, the pilot's most variable one.
 ///
 /// # Errors
 ///
@@ -46,51 +52,26 @@ pub fn full_key_recovery(
     pilot_traces: usize,
     seed: u64,
 ) -> Result<FullKeyResult, FabricError> {
-    let config = FabricConfig {
-        benign: circuit,
+    let exp = CpaExperiment {
+        circuit,
+        source,
+        traces,
+        checkpoints: 1,
+        pilot_traces,
         seed,
-        ..FabricConfig::default()
     };
-    let mut fabric = MultiTenantFabric::new(&config)?;
+    let config = campaign_config(&exp, |_| {});
+    let (mut fabric, setup) = pilot_setup(&exp, &config)?;
     let true_round_key = fabric.aes().round_keys()[10];
-
-    let pilot = capture_pilot(&mut fabric, pilot_traces, reads_benign(source));
-    let window = fabric.last_round_window();
-    let points = window.len();
-    let (endpoints, processor): (Vec<usize>, Option<PostProcessor>) = match (source, pilot.benign) {
-        (SensorSource::BenignHammingWeight, Some(b)) => {
-            let invert = common_mode_polarity(&b.samples, &b.bits_of_interest);
-            (
-                b.bits_of_interest,
-                Some(PostProcessor::HammingWeightAligned(invert)),
-            )
-        }
-        (SensorSource::BenignSingleBit(sel), Some(b)) => {
-            let bit =
-                sel.unwrap_or_else(|| b.activity.best_endpoint().unwrap_or(b.bits_of_interest[0]));
-            (vec![bit], Some(PostProcessor::SingleBit(0)))
-        }
-        _ => (Vec::new(), None),
-    };
+    let points = setup.points;
 
     let mut multi = MultiByteCpa::new(0, points);
     let mut batch = TraceBatch::with_capacity(points, ABSORB_BATCH as usize);
     let mut point_buf = vec![0.0f64; points];
     for t in 0..traces {
         let pt = fabric.random_plaintext();
-        let rec = fabric.encrypt_windowed(pt, window.clone(), &endpoints);
-        match &processor {
-            None => {
-                for (dst, &d) in point_buf.iter_mut().zip(&rec.tdc) {
-                    *dst = f64::from(d);
-                }
-            }
-            Some(p) => {
-                for (dst, s) in point_buf.iter_mut().zip(&rec.benign) {
-                    *dst = p.reduce(s);
-                }
-            }
-        }
+        let rec = fabric.encrypt_windowed(pt, setup.window.clone(), &setup.endpoints);
+        fill_points(&setup, &rec, 0, &mut point_buf);
         batch.push(rec.ciphertext, &point_buf);
         if batch.len() == ABSORB_BATCH as usize || t + 1 == traces {
             multi
@@ -220,6 +201,18 @@ mod tests {
         if r.correct_bytes == 16 {
             assert!(r.master_key_correct);
             assert_eq!(r.recovered_master_key, FabricConfig::default().aes_key);
+        }
+    }
+
+    /// A single-tap TDC source thresholds every depth at its tap, as
+    /// the campaign engines do, so its attack sees other trace points
+    /// than the raw depths of `TdcAll`.
+    #[test]
+    fn single_tap_full_key_recovery_thresholds_the_depth() {
+        let run = |source| full_key_recovery(BenignCircuit::Alu192, source, 400, 30, 110).unwrap();
+        let all = run(SensorSource::TdcAll);
+        for tap in [Some(3), None] {
+            assert_ne!(run(SensorSource::TdcSingleBit(tap)), all, "tap {tap:?}");
         }
     }
 

@@ -52,5 +52,5 @@ pub mod words;
 pub use builder::NetlistBuilder;
 pub use error::NetlistError;
 pub use gate::{Gate, GateKind, NetId};
-pub use netlist::Netlist;
+pub use netlist::{Netlist, TopoIter, TopoOrder};
 pub use stats::{DepthProfile, NetlistStats};

@@ -40,7 +40,7 @@ impl Netlist {
     pub fn depth_profile(&self) -> Result<DepthProfile, crate::NetlistError> {
         let order = self.topological_order()?;
         let mut level = vec![0usize; self.len()];
-        for &id in order {
+        for id in order {
             let g = self.gate(id);
             if matches!(
                 g.kind,

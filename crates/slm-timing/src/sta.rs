@@ -33,7 +33,7 @@ impl StaResult {
             .map_err(|_| TimingError::CyclicNetlist)?;
         let mut arrival = vec![0.0f64; nl.len()];
         let mut critical_fanin: Vec<Option<u32>> = vec![None; nl.len()];
-        for &id in order {
+        for id in order {
             let g = nl.gate(id);
             if g.fanin.is_empty() {
                 // Inputs and constants launch at t = 0.

@@ -8,11 +8,15 @@
 
 use proptest::prelude::*;
 use slm_cloud::{
-    CampaignKind, ClockContract, CloudService, SensorSource, ServiceConfig, ServiceReport,
-    TenantQuota, TenantRecord, TenantStatus, TenantSubmission, WorkloadSpec,
+    CampaignKind, CampaignOutcome, ClockContract, CloudService, SensorSource, ServiceConfig,
+    ServiceReport, TenantQuota, TenantRecord, TenantStatus, TenantSubmission, WorkloadSpec,
 };
 use slm_netlist::generators::{self, zoo};
 use slm_obs::Obs;
+
+#[path = "pin_digest.rs"]
+mod pin_digest;
+use pin_digest::Fnv;
 
 /// The report's record for a submitted tenant.
 fn tenant<'a>(report: &'a ServiceReport, name: &str) -> &'a TenantRecord {
@@ -228,6 +232,71 @@ fn digest(value: &impl std::fmt::Debug) -> u64 {
     h
 }
 
+/// FNV-1a over every public field of `report`: each tenant record in
+/// submission order, then the run totals. Enums hash by discriminant.
+fn report_digest(report: &ServiceReport) -> u64 {
+    let mut h = Fnv::new();
+    h.u64(report.tenants.len() as u64);
+    for t in &report.tenants {
+        h.str(&t.tenant);
+        h.u64(t.id as u64);
+        h.u64(t.status as u64);
+        h.opt(t.verdict.map(|v| v as u64));
+        h.u64(t.diagnostics.len() as u64);
+        t.diagnostics.iter().for_each(|d| h.str(d));
+        h.u64(u64::from(t.placement.is_some()));
+        if let Some(p) = &t.placement {
+            h.u64(p.board as u64);
+            h.u64(p.region as u64);
+        }
+        h.opt(t.admission_latency_rounds);
+        h.u64(u64::from(t.campaigns_delivered));
+        h.u64(t.traces_charged);
+        h.u64(t.region_rounds);
+        h.u64(t.outcomes.len() as u64);
+        for outcome in &t.outcomes {
+            match *outcome {
+                CampaignOutcome::Cpa {
+                    recovered_key_byte,
+                    correct_key_byte,
+                    traces,
+                } => {
+                    h.u64(0);
+                    h.opt(recovered_key_byte.map(u64::from));
+                    h.u64(u64::from(correct_key_byte));
+                    h.u64(traces);
+                }
+                CampaignOutcome::Fault {
+                    captures,
+                    faulted,
+                    recovered_bytes,
+                    key_recovered,
+                } => {
+                    h.u64(1);
+                    h.u64(captures);
+                    h.u64(faulted);
+                    h.u64(recovered_bytes as u64);
+                    h.u64(u64::from(key_recovered));
+                }
+            }
+        }
+    }
+    [
+        report.rounds,
+        report.campaigns_delivered,
+        report.admitted,
+        report.denied,
+        report.evicted,
+        report.shed,
+        report.cancelled,
+        report.cache_hits,
+        report.cache_misses,
+    ]
+    .into_iter()
+    .for_each(|v| h.u64(v));
+    h.0
+}
+
 /// Exact-value pin of a whole service run: the report and the
 /// deterministic metrics of the determinism mix (four CPA tenants, the
 /// fault tenant and the denied specimen) at a fixed seed. Intake moves
@@ -248,6 +317,16 @@ fn service_report_is_pinned() {
             "{workers} workers: digests ({:#018x}, {:#018x})",
             got.0,
             got.1
+        );
+        let mut frame_digest = Fnv::new();
+        frame_digest.frame(&frame);
+        let fields = (report_digest(&report), frame_digest.0);
+        assert_eq!(
+            fields,
+            (0x2bc0_fbc0_4775_a04f, 0x352f_3604_2d06_a2cf),
+            "{workers} workers: field digests ({:#018x}, {:#018x})",
+            fields.0,
+            fields.1
         );
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! Two claims are asserted, not just reported:
 //!
-//! 1. **Disabled is free (< 1%).** The default `NullRecorder` handle
-//!    turns every record call into one virtual dispatch on a no-op.
+//! 1. **Disabled is free (< 1%).** The default disabled handle turns
+//!    every record call into one branch on an empty `Option`.
 //!    A microbenchmark measures ns per null op and projects the worst
 //!    case onto the measured per-trace simulation cost.
 //! 2. **Enabled is cheap (< 3%).** The same sharded campaign runs

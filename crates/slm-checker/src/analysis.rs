@@ -4,7 +4,7 @@
 use crate::config::CheckerConfig;
 use crate::semantic::{compute_taint, is_clock_named, TaintFacts};
 use slm_netlist::graph::{collapsed_drivers, combinational_loops, FanoutIndex};
-use slm_netlist::{GateKind, NetId, Netlist};
+use slm_netlist::{NetId, Netlist};
 use std::sync::OnceLock;
 
 /// Precomputed per-netlist facts handed to every pass.
@@ -71,28 +71,15 @@ impl<'a> Analysis<'a> {
         &self.loops
     }
 
-    /// Logic depth per net (inputs/constants at 0, every gate one more
-    /// than its deepest fanin), or `None` for a cyclic netlist.
+    /// Logic depth per net ([`Netlist::depth_profile`]: inputs and
+    /// constants at 0, every gate one more than its deepest fanin), or
+    /// `None` for a cyclic netlist.
     ///
     /// Computed at most once per scan; shared by the SCOAP and semantic
     /// passes.
     pub fn levels(&self) -> Option<&[usize]> {
         self.levels
-            .get_or_init(|| {
-                let order = self.nl.topological_order().ok()?;
-                let mut level = vec![0usize; self.nl.len()];
-                for v in order {
-                    let g = self.nl.gate(v);
-                    if !matches!(
-                        g.kind,
-                        GateKind::Input | GateKind::Const0 | GateKind::Const1
-                    ) {
-                        level[v.index()] =
-                            1 + g.fanin.iter().map(|f| level[f.index()]).max().unwrap_or(0);
-                    }
-                }
-                Some(level)
-            })
+            .get_or_init(|| self.nl.depth_profile().ok().map(|p| p.level))
             .as_deref()
     }
 

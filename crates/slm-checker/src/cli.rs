@@ -7,6 +7,7 @@
 use crate::cache::ScanCache;
 use crate::config::CheckerConfig;
 use crate::diag::{CheckReport, Severity};
+use crate::matrix::{over_zoo, DetectionMatrix};
 use crate::pass::PassManager;
 use crate::timing::StrictTimingPass;
 use serde::Serialize;
@@ -25,8 +26,13 @@ USAGE:
 
 OPTIONS:
     --zoo              scan every design in the generator zoo
-    --assert-matrix    with --zoo: exit 2 unless every malicious design
-                       is flagged and every benign design is clean
+    --assert-matrix    with --zoo: exit 2 unless the detection matrix
+                       holds: every malicious design flagged, every
+                       benign design clean, one design caught only by
+                       the semantic passes, and both benign-logic
+                       sensors caught by strict timing at 300 MHz (each
+                       design is scanned under its own contract, so
+                       --clock-mhz and --declare-clock are refused)
     --generator NAME   scan one zoo design by name
     --bench FILE       scan an ISCAS-85 .bench netlist
     --batch FILE       scan every .bench path listed in FILE (one path
@@ -67,7 +73,7 @@ struct ScanEntry {
     report: CheckReport,
 }
 
-/// Detection-matrix verdict (only with `--zoo --assert-matrix`).
+/// [`DetectionMatrix::violations`] (only with `--zoo --assert-matrix`).
 #[derive(Debug, Serialize)]
 struct MatrixVerdict {
     holds: bool,
@@ -172,6 +178,13 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     }
     if opts.assert_matrix && !opts.zoo {
         return Err("--assert-matrix requires --zoo".to_string());
+    }
+    if opts.assert_matrix && (opts.clock_mhz.is_some() || !opts.declared_clocks.is_empty()) {
+        return Err(
+            "--assert-matrix scans each zoo design under its own contract and fixes its own \
+             300 MHz overclock; it takes neither --clock-mhz nor --declare-clock"
+                .to_string(),
+        );
     }
     Ok(opts)
 }
@@ -313,7 +326,7 @@ pub fn run(args: &[String]) -> Result<(String, i32), String> {
         None => None,
     };
     let cache = cache.as_ref();
-    // Metrics stay a NullRecorder unless --metrics asked for them, so
+    // Metrics stay disabled unless --metrics asked for them, so
     // the plain scan path records nothing and pays (almost) nothing.
     let obs = if opts.metrics.is_some() {
         slm_obs::Obs::memory()
@@ -330,40 +343,44 @@ pub fn run(args: &[String]) -> Result<(String, i32), String> {
     }
     let extra: Vec<&str> = opts.declared_clocks.iter().map(String::as_str).collect();
     let mut reports = Vec::new();
-    if opts.zoo {
-        // Designs are independent scans; fan them out over the worker
-        // pool. par_map preserves input order, so the report sequence
-        // (and thus the JSON and exit code) is identical at any job
-        // count. Each scan records into a forked recorder; the frames
-        // are folded back in input order, keeping the metrics report
-        // job-count invariant too. Each entry's contract-declared
-        // clocks (shell-known pin roles) seed its taint config.
-        let entries = zoo();
-        let scanned = slm_par::par_map(opts.jobs, &entries, |entry| {
-            let scan_obs = obs.fork();
+    let mut matrix = None;
+    if opts.assert_matrix {
+        let scanned = DetectionMatrix::scan(&pm, opts.jobs, cache, &obs);
+        obs.add("scan.designs", scanned.rows.len() as u64);
+        let violations = scanned.violations();
+        matrix = Some(MatrixVerdict {
+            holds: violations.is_empty(),
+            violations,
+        });
+        reports = scanned
+            .rows
+            .into_iter()
+            .map(|row| ScanEntry {
+                name: row.report.netlist.clone(),
+                malicious: Some(row.malicious),
+                clean: row.report.is_clean(),
+                report: row.report,
+            })
+            .collect();
+    } else if opts.zoo {
+        // Each entry's contract-declared clocks (shell-known pin roles)
+        // seed its taint config.
+        reports = over_zoo(opts.jobs, &obs, |entry, scan_obs| {
             let declared: Vec<&str> = entry
                 .declared_clocks
                 .iter()
                 .copied()
                 .chain(extra.iter().copied())
                 .collect();
-            let report = scan_one(
+            scan_one(
                 &pm,
                 &config_for(&declared, opts.clock_mhz),
                 &entry.netlist,
                 Some(entry.malicious),
                 cache,
-                &scan_obs,
-            );
-            (report, scan_obs.snapshot())
+                scan_obs,
+            )
         });
-        reports = scanned
-            .into_iter()
-            .map(|(report, frame)| {
-                obs.absorb(&frame);
-                report
-            })
-            .collect();
     } else if let Some(name) = &opts.generator {
         let entry = zoo()
             .into_iter()
@@ -400,35 +417,10 @@ pub fn run(args: &[String]) -> Result<(String, i32), String> {
     }
     // Exit semantics: plain scans take the strongest verdict across
     // reports (0 clean / 1 Warn / 2 Reject); matrix assertion fails
-    // with 2 on any deviation from the expected verdicts.
-    let matrix = if opts.assert_matrix {
-        let mut violations = Vec::new();
-        for entry in &reports {
-            match entry.malicious {
-                Some(true) if entry.clean => {
-                    violations.push(format!("{}: malicious but passed every pass", entry.name));
-                }
-                Some(false) if !entry.clean => {
-                    violations.push(format!("{}: benign but flagged", entry.name));
-                }
-                _ => {}
-            }
-        }
-        Some(MatrixVerdict {
-            holds: violations.is_empty(),
-            violations,
-        })
-    } else {
-        None
-    };
+    // with 2 on any violation of the detection matrix.
     let code = match &matrix {
-        Some(m) => {
-            if m.holds {
-                0
-            } else {
-                2
-            }
-        }
+        Some(m) if m.holds => 0,
+        Some(_) => 2,
         None => reports
             .iter()
             .map(|r| severity_code(&r.report))
@@ -498,10 +490,7 @@ mod tests {
         // the declared-clock carry sensor sails through admission.
         let (out, code) = run(&argv(&["--zoo", "--assert-matrix", "--structural-only"])).unwrap();
         assert_eq!(code, 2, "{out}");
-        assert!(
-            out.contains("carry_sensor64: malicious but passed"),
-            "{out}"
-        );
+        assert!(out.contains("carry_sensor: malicious but passed"), "{out}");
     }
 
     #[test]
@@ -566,6 +555,11 @@ mod tests {
         assert!(run(&argv(&[])).is_err());
         assert!(run(&argv(&["--generator"])).is_err());
         assert!(run(&argv(&["--assert-matrix"])).is_err());
+        assert!(
+            run(&argv(&["--zoo", "--assert-matrix", "--clock-mhz", "300"])).is_err(),
+            "the matrix fixes its own overclock"
+        );
+        assert!(run(&argv(&["--zoo", "--assert-matrix", "--declare-clock", "d"])).is_err());
         assert!(run(&argv(&["--bogus"])).is_err());
         assert!(run(&argv(&["--zoo", "--clock-mhz", "nope"])).is_err());
         assert!(run(&argv(&["--generator", "no_such_design"])).is_err());

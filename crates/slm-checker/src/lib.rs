@@ -61,8 +61,8 @@
 //! and an FNV-1a hash of the config — the admission-at-traffic fast
 //! path.
 //!
-//! The headline result of the reproduction's stealth experiment
-//! (`slm-core`'s detection matrix): every malicious-by-construction
+//! The headline result of the reproduction's stealth experiment (the
+//! zoo [`DetectionMatrix`]): every malicious-by-construction
 //! generator is flagged by at least one structural pass, while the ALU
 //! and C6288 sensors pass every structural check and are caught
 //! **only** by the strict timing check — and only if the checker knows
@@ -75,15 +75,18 @@
 //! # Example
 //!
 //! ```
-//! use slm_checker::{check_structure, CheckKind};
+//! use slm_checker::{CheckKind, CheckerConfig, PassManager};
 //! use slm_netlist::generators::{ring_oscillator, alu};
+//! use slm_obs::Obs;
 //!
+//! let structural = PassManager::structural();
+//! let config = CheckerConfig::default();
 //! let ro = ring_oscillator(8).unwrap();
-//! let report = check_structure(&ro);
+//! let report = structural.run(&ro, &config, &Obs::null());
 //! assert!(report.flagged(CheckKind::CombinationalLoop));
 //!
 //! let benign = alu(32).unwrap();
-//! assert!(check_structure(&benign).is_clean());
+//! assert!(structural.run(&benign, &config, &Obs::null()).is_clean());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -94,6 +97,7 @@ mod cache;
 pub mod cli;
 mod config;
 mod diag;
+mod matrix;
 mod pass;
 pub mod passes;
 pub mod semantic;
@@ -107,18 +111,9 @@ pub use config::{
     TaintConfig, TimingConfig,
 };
 pub use diag::{span_of, CheckKind, CheckReport, Finding, Severity, SpanNet, MAX_SPAN_NETS};
+pub use matrix::{DetectionMatrix, MatrixRow};
 pub use pass::{Pass, PassManager, Prior};
 pub use timing::{check_timing, StrictTimingPass};
-
-use slm_netlist::Netlist;
-use slm_obs::Obs;
-
-/// Runs the full structural pipeline with default thresholds. For
-/// explicit thresholds, call `PassManager::structural().run(nl, config,
-/// obs)`.
-pub fn check_structure(nl: &Netlist) -> CheckReport {
-    PassManager::structural().run(nl, &CheckerConfig::default(), &Obs::null())
-}
 
 #[cfg(test)]
 mod tests {
@@ -129,12 +124,18 @@ mod tests {
     };
     use slm_netlist::graph::combinational_loops;
     use slm_netlist::{GateKind, NetId, Netlist};
+    use slm_obs::Obs;
     use slm_timing::DelayModel;
+
+    /// The structural pipeline at default thresholds.
+    fn structural(nl: &Netlist) -> CheckReport {
+        PassManager::structural().run(nl, &CheckerConfig::default(), &Obs::null())
+    }
 
     #[test]
     fn ring_oscillator_flagged() {
         let ro = ring_oscillator(12).unwrap();
-        let r = check_structure(&ro);
+        let r = structural(&ro);
         assert!(r.flagged(CheckKind::CombinationalLoop));
         // the SCC pass reports the complete loop membership
         let f = r
@@ -150,7 +151,7 @@ mod tests {
     #[test]
     fn tdc_delay_line_flagged() {
         let tdc = tdc_delay_line(64).unwrap();
-        let r = check_structure(&tdc);
+        let r = structural(&tdc);
         assert!(r.flagged(CheckKind::DelayLineSensor), "{r:?}");
         assert!(r.flagged(CheckKind::SensorLikeEndpoints), "{r:?}");
     }
@@ -170,7 +171,7 @@ mod tests {
     #[test]
     fn short_pipeline_buffers_not_flagged() {
         let tdc = tdc_delay_line(8).unwrap();
-        assert!(check_structure(&tdc).is_clean());
+        assert!(structural(&tdc).is_clean());
     }
 
     #[test]
@@ -184,7 +185,7 @@ mod tests {
         }
         b.output("q", n);
         let nl = b.finish().unwrap();
-        assert!(check_structure(&nl).is_clean());
+        assert!(structural(&nl).is_clean());
     }
 
     #[test]
@@ -198,14 +199,14 @@ mod tests {
             names.push(Some(format!("cell{i}")));
         }
         let nl = Netlist::from_parts("grid", gates, vec![NetId(0)], vec![], names).unwrap();
-        let r = check_structure(&nl);
+        let r = structural(&nl);
         assert!(r.flagged(CheckKind::ExcessiveFanoutArray));
     }
 
     #[test]
     fn loop_reporting_is_capped_with_a_summary() {
         let grid = slm_netlist::generators::ro_grid(50).unwrap();
-        let r = check_structure(&grid);
+        let r = structural(&grid);
         let loops: Vec<_> = r
             .findings
             .iter()
@@ -221,14 +222,14 @@ mod tests {
         // Interposed buffers defeat neither the SCC pass nor the
         // signature matcher.
         let ro = obfuscated_ring_oscillator(8).unwrap();
-        let r = check_structure(&ro);
+        let r = structural(&ro);
         assert!(r.flagged(CheckKind::CombinationalLoop));
         assert!(r.flagged(CheckKind::KnownBadMotif), "{r:?}");
 
         // The identity-gate TDC evades the plain delay-line matcher but
         // not SCOAP or the tapped-chain signature.
         let tdc = obfuscated_tdc_delay_line(48).unwrap();
-        let r = check_structure(&tdc);
+        let r = structural(&tdc);
         assert!(!r.flagged(CheckKind::DelayLineSensor));
         assert!(r.flagged(CheckKind::SensorLikeEndpoints), "{r:?}");
         assert!(r.flagged(CheckKind::KnownBadMotif), "{r:?}");
@@ -236,12 +237,12 @@ mod tests {
         // The carry-chain TDC is pure adder logic: only the signature
         // matcher sees the tapped chain.
         let carry = tapped_carry_chain(64).unwrap();
-        let r = check_structure(&carry);
+        let r = structural(&carry);
         assert!(r.flagged(CheckKind::KnownBadMotif), "{r:?}");
 
         // Clock-as-data is its own pass.
         let clk = clock_as_data(16).unwrap();
-        let r = check_structure(&clk);
+        let r = structural(&clk);
         assert!(r.flagged(CheckKind::ClockAsData), "{r:?}");
         assert_eq!(r.max_severity(), Some(Severity::Reject));
     }
@@ -249,7 +250,7 @@ mod tests {
     #[test]
     fn benign_circuits_pass_structural_checks() {
         for nl in [alu(192).unwrap(), array_multiplier(16).unwrap(), c17()] {
-            let r = check_structure(&nl);
+            let r = structural(&nl);
             assert!(r.is_clean(), "{} flagged: {:?}", nl.name(), r.findings);
         }
     }
@@ -280,7 +281,7 @@ mod tests {
             .run(&alu, &config, &Obs::null())
             .is_clean());
         // and it stays off by default
-        assert!(check_structure(&rca).is_clean());
+        assert!(structural(&rca).is_clean());
     }
 
     #[test]
@@ -403,10 +404,7 @@ mod tests {
         // The carry-chain sensor with a contract-declared clock pin is
         // the specimen structural screening cannot see.
         let nl = slm_netlist::generators::carry_sensor(64, 4).unwrap();
-        assert!(
-            check_structure(&nl).is_clean(),
-            "structurally clean by design"
-        );
+        assert!(structural(&nl).is_clean(), "structurally clean by design");
         let config = CheckerConfig {
             taint: TaintConfig {
                 declared_clocks: vec!["sense".into()],

@@ -6,9 +6,15 @@
 //! for a deterministic netlist; a deliberate format change means
 //! regenerating the file, and the diff documents the change.
 
-use slm_checker::{check_structure, CheckKind, CheckerConfig, PassManager};
+use slm_checker::{CheckKind, CheckReport, CheckerConfig, PassManager};
 use slm_netlist::generators::{ring_oscillator, tdc_delay_line};
+use slm_netlist::Netlist;
 use slm_obs::Obs;
+
+/// The structural pipeline at default thresholds.
+fn structural(nl: &Netlist) -> CheckReport {
+    PassManager::structural().run(nl, &CheckerConfig::default(), &Obs::null())
+}
 
 /// Compares a report against its golden file, with a diff-friendly
 /// failure message.
@@ -34,7 +40,7 @@ fn assert_golden(actual: &str, golden: &str, name: &str) {
 #[test]
 fn ring_oscillator_report_matches_golden() {
     let nl = ring_oscillator(6).unwrap();
-    let report = check_structure(&nl);
+    let report = structural(&nl);
     assert_golden(
         &report.to_json(),
         include_str!("golden/ring_oscillator_6.json"),
@@ -45,7 +51,7 @@ fn ring_oscillator_report_matches_golden() {
 #[test]
 fn clean_report_matches_golden() {
     let nl = slm_netlist::generators::ripple_carry_adder(4).unwrap();
-    let report = check_structure(&nl);
+    let report = structural(&nl);
     assert_golden(
         &report.to_json(),
         include_str!("golden/ripple_carry_adder_4.json"),

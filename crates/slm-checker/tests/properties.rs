@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use slm_checker::{
-    check_structure, check_timing, passes, CheckKind, CheckerConfig, PassManager, ScanCache,
+    check_timing, passes, CheckKind, CheckReport, CheckerConfig, PassManager, ScanCache,
     ScoapConfig, Severity, Suppression, TaintConfig, MAX_SPAN_NETS,
 };
 use slm_netlist::generators::{
@@ -15,6 +15,11 @@ use slm_netlist::generators::{
 use slm_netlist::{GateKind, NetId, Netlist};
 use slm_obs::Obs;
 use slm_timing::DelayModel;
+
+/// The structural pipeline at default thresholds.
+fn structural(nl: &Netlist) -> CheckReport {
+    PassManager::structural().run(nl, &CheckerConfig::default(), &Obs::null())
+}
 
 /// The full-pipeline config a zoo entry is admitted under: defaults
 /// plus the entry's contract-declared clock pins.
@@ -245,7 +250,7 @@ proptest! {
             equality_comparator(n).unwrap(),
             parity_tree(n).unwrap(),
         ] {
-            let r = check_structure(&nl);
+            let r = structural(&nl);
             prop_assert!(r.is_clean(), "{} flagged: {:?}", nl.name(), r.findings);
         }
     }
@@ -255,7 +260,7 @@ proptest! {
     fn ring_oscillators_always_flagged(stages in 1usize..40) {
         let stages = stages * 2; // must be even to oscillate
         let ro = ring_oscillator(stages).unwrap();
-        prop_assert!(check_structure(&ro).flagged(CheckKind::CombinationalLoop));
+        prop_assert!(structural(&ro).flagged(CheckKind::CombinationalLoop));
     }
 
     /// TDC delay lines are flagged from the minimum sensor length up.
@@ -263,7 +268,7 @@ proptest! {
     fn tdc_lines_flagged_above_threshold(stages in 16usize..128) {
         let tdc = tdc_delay_line(stages).unwrap();
         prop_assert!(
-            check_structure(&tdc).flagged(CheckKind::DelayLineSensor),
+            structural(&tdc).flagged(CheckKind::DelayLineSensor),
             "{stages}-stage line must be flagged"
         );
     }

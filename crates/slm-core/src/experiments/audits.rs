@@ -1,55 +1,14 @@
-//! Stealth, timing, floorplan and ATPG studies (paper Figs. 3/4 and the
+//! Timing, floorplan and ATPG studies (paper Figs. 3/4 and the
 //! Section VI discussion points).
 
 use serde::{Deserialize, Serialize};
 use slm_atpg::{FoundStimulus, Objective, StimulusSearch};
-use slm_checker::{check_structure, check_timing, CheckKind, CheckReport};
+use slm_checker::{check_timing, CheckKind};
 use slm_fabric::floorplan::{CellKind, Floorplan, Rect};
 use slm_fabric::{BenignCircuit, FabricError};
-use slm_netlist::generators::{ring_oscillator, ripple_carry_adder, tdc_delay_line};
+use slm_netlist::generators::ripple_carry_adder;
 use slm_netlist::words;
 use slm_timing::{simulate_transition, DelayModel};
-
-/// Verdicts of the structural checker over the design zoo.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct StealthAudit {
-    /// `(design name, report, is_attack_circuit)` — attack circuits
-    /// should be flagged, benign sensors should pass.
-    pub rows: Vec<(String, CheckReport, bool)>,
-}
-
-impl StealthAudit {
-    /// True iff every known-malicious specimen is flagged and every
-    /// benign sensor passes — the paper's stealth claim.
-    pub fn stealth_demonstrated(&self) -> bool {
-        self.rows
-            .iter()
-            .all(|(_, report, is_attack)| report.is_clean() != *is_attack)
-    }
-}
-
-/// Runs the structural checker across ring oscillators, a TDC delay
-/// line, and both benign sensor circuits.
-///
-/// # Errors
-///
-/// Propagates circuit generation failures.
-pub fn stealth_audit() -> Result<StealthAudit, FabricError> {
-    let mut rows = Vec::new();
-    let ro = ring_oscillator(8)?;
-    rows.push(("ring_oscillator".to_string(), check_structure(&ro), true));
-    let tdc = tdc_delay_line(64)?;
-    rows.push(("tdc_delay_line".to_string(), check_structure(&tdc), true));
-    for circuit in [BenignCircuit::Alu192, BenignCircuit::DualC6288] {
-        let built = circuit.build()?;
-        rows.push((
-            circuit.name().to_string(),
-            check_structure(&built.netlist),
-            false,
-        ));
-    }
-    Ok(StealthAudit { rows })
-}
 
 /// One circuit's timing-audit row.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -227,16 +186,6 @@ pub fn atpg_stimulus_study(n: usize, restarts: usize, seed: u64) -> Result<AtpgS
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn stealth_audit_demonstrates_the_claim() {
-        let audit = stealth_audit().unwrap();
-        assert_eq!(audit.rows.len(), 4);
-        assert!(audit.stealth_demonstrated(), "{audit:?}");
-        // spot: RO flagged for a loop specifically
-        let (_, ro_report, _) = &audit.rows[0];
-        assert!(ro_report.flagged(CheckKind::CombinationalLoop));
-    }
 
     #[test]
     fn timing_audit_shows_the_overclock_gap() {

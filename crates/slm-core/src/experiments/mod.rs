@@ -22,13 +22,12 @@ mod fan_out;
 mod fault_matrix;
 mod parallel;
 mod preliminary;
-mod stealth_matrix;
 mod streaming;
 
 pub use arch_study::{architecture_study, ArchRow, ArchStudy};
 pub use audits::{
-    atpg_stimulus_study, floorplan_views, stealth_audit, timing_audit, AtpgStudy, FloorplanView,
-    StealthAudit, TimingAudit, TimingVerdict,
+    atpg_stimulus_study, floorplan_views, timing_audit, AtpgStudy, FloorplanView, TimingAudit,
+    TimingVerdict,
 };
 pub use cpa::{aes_pilot_activity, run_cpa, CpaExperiment, CpaResult, SensorSource};
 pub use defense_matrix::{
@@ -44,7 +43,6 @@ pub use parallel::{run_cpa_parallel, run_cpa_parallel_recorded, ParallelCpa};
 pub use preliminary::{
     activity_study, ro_response, ActivityStudy, CensusResult, RoResponse, VarianceResult,
 };
-pub use stealth_matrix::{stealth_matrix, MatrixRow, StealthMatrix};
 pub use streaming::{
     run_streaming, run_streaming_crashing, run_streaming_with_recorded, CrashPlan, CrashSite,
     EarlyStop, StreamOutcome, StreamingCpa, StreamingError, StreamingResult,

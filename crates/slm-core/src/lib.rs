@@ -15,8 +15,7 @@
 //! | Figs. 7/15 (sensitive-bit census) | [`experiments::activity_study`] (`census`) |
 //! | Figs. 8/16 (per-bit variance) | [`experiments::activity_study`] (`variance`) |
 //! | Figs. 9–13, 17, 18 (CPA) | [`experiments::run_cpa`] (serial), [`experiments::run_cpa_parallel`] (sharded), [`experiments::run_streaming`] (checkpointed) |
-//! | Stealth discussion (Sec. VI) | [`experiments::stealth_audit`] |
-//! | Structural-evasion matrix (Sec. VI) | [`experiments::stealth_matrix`] |
+//! | Stealth discussion and structural-evasion matrix (Sec. VI) | [`slm_checker::DetectionMatrix`] |
 //! | Strict-timing discussion (Sec. VI) | [`experiments::timing_audit`] |
 //! | ATPG extension (Sec. VI) | [`experiments::atpg_stimulus_study`] |
 //!
@@ -59,8 +58,7 @@ pub mod experiments;
 pub mod report;
 
 pub use experiments::{
-    atpg_stimulus_study, defense_matrix, floorplan_views, ro_response, run_cpa, stealth_audit,
-    stealth_matrix, timing_audit, CensusResult, CpaExperiment, CpaResult, DefenseArm,
-    DefenseMatrix, DefenseMatrixExperiment, RoResponse, SensorSource, StealthAudit, StealthMatrix,
-    TimingAudit, VarianceResult,
+    atpg_stimulus_study, defense_matrix, floorplan_views, ro_response, run_cpa, timing_audit,
+    CensusResult, CpaExperiment, CpaResult, DefenseArm, DefenseMatrix, DefenseMatrixExperiment,
+    RoResponse, SensorSource, TimingAudit, VarianceResult,
 };

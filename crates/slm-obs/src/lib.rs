@@ -1,15 +1,16 @@
 //! Dependency-free observability for the campaign stack: counters,
-//! gauges, histograms and timed spans, recorded through a [`Recorder`]
-//! trait that is **zero-cost when disabled** and **deterministic under
+//! gauges, histograms and timed spans, recorded through an [`Obs`]
+//! handle that is **zero-cost when disabled** and **deterministic under
 //! merge** when enabled.
 //!
 //! # Model
 //!
-//! Instrumented code holds an [`Obs`] handle (a cheap `Arc` clone; the
-//! default is the null recorder, one virtual call per event and
-//! nothing kept). Enabling metrics means passing [`Obs::memory`] (wall
-//! clock) or [`Obs::manual`] (logical clock, reproducible span
-//! durations) instead; nothing else in the pipeline changes.
+//! Instrumented code holds an [`Obs`] handle: `None` when disabled
+//! (the default, one branch per event and nothing kept), else a cheap
+//! `Arc` clone of an in-memory recorder. Enabling metrics means passing
+//! [`Obs::memory`] (wall clock) or [`Obs::manual`] (logical clock,
+//! reproducible span durations) instead; nothing else in the pipeline
+//! changes.
 //!
 //! # Determinism under merge
 //!
@@ -50,5 +51,5 @@ mod recorder;
 mod report;
 
 pub use frame::{GaugeAgg, HistAgg, MetricsFrame, SpanAgg};
-pub use recorder::{Obs, Recorder, SpanGuard};
+pub use recorder::{Obs, SpanGuard};
 pub use report::MetricsReport;

@@ -1,80 +1,15 @@
-//! The recorder trait, its null and in-memory implementations, and the
-//! cheap cloneable handle ([`Obs`]) the pipeline threads around.
+//! The in-memory recorder and the cheap cloneable handle ([`Obs`]) the
+//! pipeline threads around.
 
 use crate::frame::MetricsFrame;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Number of independently locked frame shards in a
 /// [`MemoryRecorder`]. Metric names hash to a fixed shard, so two hot
 /// paths recording different metrics rarely contend on one lock.
 const SINK_SHARDS: usize = 8;
-
-/// A metrics sink.
-///
-/// All methods take `&self`: recorders use interior mutability so one
-/// handle can be shared across worker threads (the parallel campaign
-/// and scan paths) or cloned into retry loops. The default implementation of
-/// every recording method is a no-op, which is what makes
-/// the null recorder trivial and instrumentation zero-cost when
-/// disabled: the only price on the null path is one virtual call.
-pub trait Recorder: std::fmt::Debug + Send + Sync {
-    /// Whether this recorder keeps anything. Instrumented code may
-    /// skip expensive metric *computation* (not just recording) when
-    /// this is false.
-    fn is_enabled(&self) -> bool {
-        false
-    }
-
-    /// Adds `delta` to a counter.
-    fn add(&self, _name: &'static str, _delta: u64) {}
-
-    /// Records a gauge sample.
-    fn gauge(&self, _name: &'static str, _value: f64) {}
-
-    /// Records a histogram observation.
-    fn observe(&self, _name: &'static str, _value: f64) {}
-
-    /// Reads the recorder's clock (nanoseconds for wall clocks,
-    /// monotone ticks for the manual clock). Used by span guards.
-    fn now_ns(&self) -> u64 {
-        0
-    }
-
-    /// Records a completed span.
-    fn span_ns(&self, _name: &'static str, _elapsed_ns: u64) {}
-
-    /// Folds a finished shard's frame into this recorder. Callers fold
-    /// shard frames in shard index order to keep the merged state
-    /// deterministic (see [`MetricsFrame::absorb`]).
-    fn absorb(&self, _frame: &MetricsFrame) {}
-
-    /// Snapshots everything recorded so far.
-    fn snapshot(&self) -> MetricsFrame {
-        MetricsFrame::default()
-    }
-
-    /// A fresh sibling recorder of the same kind (and clock mode) for
-    /// a worker to record into privately. Null forks to null, so a
-    /// disabled campaign stays disabled in every shard.
-    fn fork(&self) -> Arc<dyn Recorder>;
-}
-
-/// The disabled recorder: keeps nothing, costs one virtual call.
-#[derive(Debug, Default)]
-struct NullRecorder;
-
-impl Recorder for NullRecorder {
-    fn fork(&self) -> Arc<dyn Recorder> {
-        null_arc()
-    }
-}
-
-fn null_arc() -> Arc<dyn Recorder> {
-    static NULL: OnceLock<Arc<NullRecorder>> = OnceLock::new();
-    NULL.get_or_init(|| Arc::new(NullRecorder)).clone()
-}
 
 /// The recorder's time source.
 #[derive(Debug)]
@@ -106,13 +41,15 @@ impl ClockSource {
     }
 }
 
-/// The enabled in-memory sink: a lock-striped [`MetricsFrame`].
+/// The in-memory sink behind an enabled [`Obs`]: a lock-striped
+/// [`MetricsFrame`]. All methods take `&self`, so one handle can be
+/// shared across worker threads.
 ///
 /// Each metric name hashes (FNV-1a) to one of `SINK_SHARDS` (8) frame
 /// stripes with its own mutex, so concurrent recorders of *different*
 /// metrics do not serialize on a single lock; a name always lands on
 /// the same stripe, so no metric is ever split across stripes.
-/// [`Recorder::absorb`]ed shard frames go to a dedicated merge slot
+/// [`Obs::absorb`]ed shard frames go to a dedicated merge slot
 /// folded last, keeping the snapshot a deterministic function of what
 /// was recorded and the fold order.
 #[derive(Debug)]
@@ -152,12 +89,6 @@ impl MemoryRecorder {
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         }
         &self.stripes[(h % SINK_SHARDS as u64) as usize]
-    }
-}
-
-impl Recorder for MemoryRecorder {
-    fn is_enabled(&self) -> bool {
-        true
     }
 
     fn add(&self, name: &'static str, delta: u64) {
@@ -208,100 +139,108 @@ impl Recorder for MemoryRecorder {
         out
     }
 
-    fn fork(&self) -> Arc<dyn Recorder> {
-        Arc::new(MemoryRecorder::with_clock(self.clock.fork()))
+    fn fork(&self) -> Self {
+        MemoryRecorder::with_clock(self.clock.fork())
     }
 }
 
-/// The handle instrumented code holds: a cheap-to-clone `Arc` around a
-/// [`Recorder`]. `Default` is the null recorder, so every layer can
-/// carry an `Obs` field without anyone opting in.
-#[derive(Debug, Clone)]
-pub struct Obs(Arc<dyn Recorder>);
-
-impl Default for Obs {
-    fn default() -> Self {
-        Obs::null()
-    }
-}
+/// The handle instrumented code holds: `None` when disabled, else a
+/// cheap-to-clone `Arc` around the in-memory recorder. `Default` is
+/// disabled, so every layer can carry an `Obs` field without anyone
+/// opting in; on a disabled handle every event is one branch and
+/// nothing is kept. The per-event methods are `#[inline]` so that the
+/// branch sits at the call site rather than behind a call.
+#[derive(Debug, Clone, Default)]
+pub struct Obs(Option<Arc<MemoryRecorder>>);
 
 impl Obs {
-    /// The disabled handle (a shared static — no allocation).
+    /// The disabled handle (no allocation).
     pub fn null() -> Obs {
-        Obs(null_arc())
+        Obs(None)
     }
 
     /// An enabled in-memory recorder on the wall clock.
     pub fn memory() -> Obs {
-        Obs(Arc::new(MemoryRecorder::wall()))
+        Obs(Some(Arc::new(MemoryRecorder::wall())))
     }
 
     /// An enabled in-memory recorder on the deterministic logical
     /// clock — span durations become call counts, reproducible across
     /// runs and machines.
     pub fn manual() -> Obs {
-        Obs(Arc::new(MemoryRecorder::manual()))
+        Obs(Some(Arc::new(MemoryRecorder::manual())))
     }
 
-    /// Whether recording is enabled (see [`Recorder::is_enabled`]).
+    /// Whether recording is enabled. Instrumented code may skip
+    /// expensive metric *computation* (not just recording) when this
+    /// is false.
+    #[inline]
     pub fn enabled(&self) -> bool {
-        self.0.is_enabled()
+        self.0.is_some()
     }
 
     /// Increments a counter by one.
+    #[inline]
     pub fn incr(&self, name: &'static str) {
-        self.0.add(name, 1);
+        self.add(name, 1);
     }
 
     /// Adds `delta` to a counter.
+    #[inline]
     pub fn add(&self, name: &'static str, delta: u64) {
-        self.0.add(name, delta);
+        if let Some(r) = &self.0 {
+            r.add(name, delta);
+        }
     }
 
     /// Records a gauge sample.
+    #[inline]
     pub fn gauge(&self, name: &'static str, value: f64) {
-        self.0.gauge(name, value);
+        if let Some(r) = &self.0 {
+            r.gauge(name, value);
+        }
     }
 
     /// Records a histogram observation.
+    #[inline]
     pub fn observe(&self, name: &'static str, value: f64) {
-        self.0.observe(name, value);
+        if let Some(r) = &self.0 {
+            r.observe(name, value);
+        }
     }
 
     /// Opens a timed span; the span is recorded when the guard drops.
     /// On a disabled handle the guard is inert and the clock is never
     /// read.
     pub fn span(&self, name: &'static str) -> SpanGuard {
-        if self.enabled() {
-            SpanGuard {
-                obs: Some(self.clone()),
-                name,
-                start_ns: self.0.now_ns(),
-            }
-        } else {
-            SpanGuard {
-                obs: None,
-                name,
-                start_ns: 0,
-            }
+        SpanGuard {
+            start_ns: self.0.as_ref().map_or(0, |r| r.now_ns()),
+            recorder: self.0.clone(),
+            name,
         }
     }
 
     /// Folds a finished shard's frame into this recorder (callers keep
     /// shard order — see [`MetricsFrame::absorb`]).
     pub fn absorb(&self, frame: &MetricsFrame) {
-        self.0.absorb(frame);
+        if let Some(r) = &self.0 {
+            r.absorb(frame);
+        }
     }
 
-    /// Snapshots everything recorded so far.
+    /// Snapshots everything recorded so far (empty when disabled).
     pub fn snapshot(&self) -> MetricsFrame {
-        self.0.snapshot()
+        self.0
+            .as_ref()
+            .map_or_else(MetricsFrame::default, |r| r.snapshot())
     }
 
-    /// A fresh sibling recorder for a worker to record into privately;
-    /// forking a disabled handle yields a disabled handle.
+    /// A fresh sibling recorder of the same clock mode for a worker to
+    /// record into privately; forking a disabled handle yields a
+    /// disabled handle, so a disabled campaign stays disabled in every
+    /// shard.
     pub fn fork(&self) -> Obs {
-        Obs(self.0.fork())
+        Obs(self.0.as_ref().map(|r| Arc::new(r.fork())))
     }
 }
 
@@ -309,16 +248,16 @@ impl Obs {
 /// construction and drop under the span's name.
 #[derive(Debug)]
 pub struct SpanGuard {
-    obs: Option<Obs>,
+    recorder: Option<Arc<MemoryRecorder>>,
     name: &'static str,
     start_ns: u64,
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        if let Some(obs) = &self.obs {
-            let elapsed = obs.0.now_ns().saturating_sub(self.start_ns);
-            obs.0.span_ns(self.name, elapsed);
+        if let Some(r) = &self.recorder {
+            let elapsed = r.now_ns().saturating_sub(self.start_ns);
+            r.span_ns(self.name, elapsed);
         }
     }
 }

@@ -1,40 +1,24 @@
-//! The defender's view: run the structural bitstream checker across the
-//! design zoo and show that only a strict timing check — impractical on
-//! real designs — catches the benign sensors (paper Section VI).
+//! The defender's view: run the admission checker's detection matrix
+//! across the design zoo and show that only a strict timing check —
+//! impractical on real designs — catches the benign sensors (paper
+//! Section VI).
 //!
 //! ```sh
 //! cargo run --release --example stealth_audit
 //! ```
 
-use slm_core::experiments::{floorplan_views, stealth_audit, timing_audit};
+use slm_checker::{DetectionMatrix, PassManager};
+use slm_core::experiments::{floorplan_views, timing_audit};
 use slm_fabric::BenignCircuit;
+use slm_obs::Obs;
 
 fn main() {
-    println!("== structural bitstream checks (Krautter/FPGADefender style) ==");
-    let audit = stealth_audit().expect("circuits build");
-    println!("{:<18} {:>8}  findings", "design", "verdict");
-    for (name, report, is_attack) in &audit.rows {
-        let verdict = if report.is_clean() {
-            "CLEAN"
-        } else {
-            "FLAGGED"
-        };
-        println!(
-            "{name:<18} {verdict:>8}  {}",
-            report
-                .findings
-                .iter()
-                .map(|f| f.detail.clone())
-                .collect::<Vec<_>>()
-                .join("; ")
-        );
-        assert_eq!(
-            report.is_clean(),
-            !is_attack,
-            "structural checking must flag exactly the known-bad designs"
-        );
-    }
-    println!("\nstealth demonstrated: {}", audit.stealth_demonstrated());
+    println!("== detection matrix: structural, semantic and strict-timing checks ==");
+    let matrix = DetectionMatrix::scan(&PassManager::full(), 0, None, &Obs::null());
+    print!("{}", matrix.markdown_table());
+    let violations = matrix.violations();
+    println!("\nstealth demonstrated: {}", violations.is_empty());
+    assert!(violations.is_empty(), "matrix drift: {violations:?}");
 
     println!("\n== strict timing check (the only working defence) ==");
     let timing = timing_audit(5.2).expect("circuits build");

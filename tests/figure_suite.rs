@@ -14,11 +14,11 @@
 //! and variance (Figs. 7, 8, 15, 16).
 
 use slm_atpg::{Objective, StimulusSearch};
+use slm_checker::{DetectionMatrix, PassManager};
 use slm_core::experiments::{
     activity_study, aes_pilot_activity, architecture_study, atpg_stimulus_study, floorplan_views,
-    full_key_recovery, ro_response, run_cpa, run_streaming, stealth_audit, stealth_matrix,
-    timing_audit, tvla_study, ActivityStudy, CpaExperiment, CpaResult, DefenseArm, EarlyStop,
-    SensorSource, StreamingCpa,
+    full_key_recovery, ro_response, run_cpa, run_streaming, timing_audit, tvla_study,
+    ActivityStudy, CpaExperiment, CpaResult, DefenseArm, EarlyStop, SensorSource, StreamingCpa,
 };
 use slm_cpa::BitActivity;
 use slm_fabric::{
@@ -254,15 +254,29 @@ fn fig03_fig04_floorplans() {
     }
 }
 
+/// The zoo detection matrix under the full admission pipeline.
+fn zoo_matrix() -> DetectionMatrix {
+    DetectionMatrix::scan(&PassManager::full(), 0, None, &Obs::null())
+}
+
 #[test]
 fn section6_stealth_and_timing() {
-    let audit = stealth_audit().unwrap();
-    assert!(audit.stealth_demonstrated());
-    let findings: Vec<(&str, usize)> = audit
-        .rows
-        .iter()
-        .map(|(name, report, _)| (name.as_str(), report.findings.len()))
-        .collect();
+    let matrix = zoo_matrix();
+    assert_eq!(matrix.violations(), Vec::<String>::new());
+    let findings: Vec<(&str, usize)> =
+        ["ring_oscillator", "tdc_delay_line", "alu192", "dual_c6288"]
+            .into_iter()
+            .map(|name| {
+                let row = matrix.rows.iter().find(|r| r.design == name).unwrap();
+                let structural = row
+                    .report
+                    .findings
+                    .iter()
+                    .filter(|f| matrix.structural_passes.contains(&f.pass))
+                    .count();
+                (name, structural)
+            })
+            .collect();
     assert_eq!(
         findings,
         [
@@ -299,7 +313,7 @@ fn section6_readme_detection_matrix_is_current() {
         .take_while(|line| line.starts_with('|'))
         .map(|line| format!("{line}\n"))
         .collect();
-    assert_eq!(table, stealth_matrix().unwrap().markdown_table());
+    assert_eq!(table, zoo_matrix().markdown_table());
 }
 
 #[test]

@@ -92,12 +92,6 @@ const TEST_ONLY: &[(&str, &str, &str)] = &[
         "EXPERIMENTS \"RDS sensor\": figure_suite.rs::extension_rds_outperforms_tdc",
     ),
     (
-        "crates/slm-core/src/experiments/stealth_matrix.rs",
-        "*",
-        "EXPERIMENTS \"Semantic power-taint suite\": \
-         figure_suite.rs::section6_readme_detection_matrix_is_current",
-    ),
-    (
         "crates/slm-core/src/experiments/streaming.rs",
         "StreamingCpa::with_early_stop",
         "EXPERIMENTS \"Streaming long-horizon MTD\": \
